@@ -38,6 +38,13 @@ class WorkerDied(SimulationError):
         )
 
 
+class TraceSpecError(SimulationError, ValueError):
+    """A ``trace=`` machine argument that names no tracer.  Raised by
+    :func:`repro.tracing.tracer.parse_trace_spec`, the single parser
+    every machine layer uses, so a typo fails the same way everywhere;
+    also a ``ValueError`` because that is what a bad argument value is."""
+
+
 class TaskletKilled(BaseException):
     """Injected into a parked tasklet to unwind it during shutdown.
 

@@ -70,10 +70,6 @@ class ConverseRuntime:
         #: is off).  Populated from recycled-not-grabbed CMI buffers; see
         #: :mod:`repro.core.pool` for the ownership invariants.
         self.pool = MessagePool() if getattr(machine, "msg_pooling", False) else None
-        #: scheduler dispatch batch: how many queued messages one Csd
-        #: loop iteration may drain before re-checking for network input
-        #: (``Machine(csd_batch=...)``; 1 reproduces unbatched order).
-        self.csd_batch = int(getattr(machine, "csd_batch", 1) or 1)
         #: inline dispatch (``Machine(inline=True)``): an idle Csd loop
         #: delegates its drain to the delivery path, so handlers run in
         #: engine context with *zero* context switches per message.

@@ -32,7 +32,15 @@ from repro.core.message import Message, Priority
 from repro.core.queueing import SchedulingQueue, make_queue
 from repro.sim import context
 
-__all__ = ["CsdScheduler"]
+__all__ = ["CsdScheduler", "CSD_BATCH"]
+
+#: dispatch batch size: how many queued messages one scheduler-loop
+#: iteration may drain before looking at the network and the stop flag
+#: again.  Batching amortizes those per-iteration checks over a burst of
+#: local work; exit requests are still honored between messages *within*
+#: a batch, and at 1 the loop is the paper's Figure 3 loop exactly (the
+#: golden-trace test pins that by patching this constant).
+CSD_BATCH = 8
 
 
 class CsdScheduler:
@@ -56,14 +64,8 @@ class CsdScheduler:
         #: pending CsdExitScheduler requests; each one terminates the
         #: innermost running scheduler invocation (CsdStopFlag semantics).
         self._stop_requests = 0
-        #: dispatch batch size: how many queued messages one loop
-        #: iteration may drain before looking at the network again
-        #: (``Machine(csd_batch=...)``).  1 reproduces the classic
-        #: one-message-per-iteration Figure 3 loop exactly; larger
-        #: values amortize the per-iteration stop-flag/network checks
-        #: over a burst of local work.  Exit requests are still honored
-        #: between messages *within* a batch.
-        self._batch = max(1, int(getattr(runtime, "csd_batch", 1) or 1))
+        #: dispatch batch size (see :data:`CSD_BATCH`).
+        self._batch = CSD_BATCH
         #: nesting depth of scheduler invocations (SPM code may call the
         #: scheduler from inside a handler).
         self._depth = 0
@@ -491,7 +493,25 @@ class CsdScheduler:
 
         Returns the number of messages delivered to handlers.
         """
-        node = self.runtime.node
+        return self._loop(nmsgs, True)
+
+    def run_until_idle(self) -> int:
+        """``ScheduleUntilIdle()``: loop until both the network inbox and
+        the scheduler queue are empty, then return (never blocks) — the
+        same loop as :meth:`run`, leaving where that one would park.
+
+        That includes the pre-idle aggregation flush: a PE that goes
+        idle — even without blocking — must not sit on buffered outgoing
+        batches, or a program driving the scheduler purely through
+        ``CsdScheduleUntilIdle`` polling would never get its small
+        messages onto the wire."""
+        return self._loop(-1, False)
+
+    def _loop(self, nmsgs: int, blocking: bool) -> int:
+        """The one Csd loop body behind :meth:`run` (``blocking``) and
+        :meth:`run_until_idle` (not)."""
+        rt = self.runtime
+        node = rt.node
         self._depth += 1
         count = 0
         try:
@@ -501,10 +521,10 @@ class CsdScheduler:
                     break
                 if nmsgs >= 0 and count >= nmsgs:
                     break
-                # An outermost loop on an inline-dispatch machine
-                # delegates its entire drain to the delivery path up
-                # front (sole idler only: other waiters — blocking
-                # receives, sibling loops — keep the classic
+                # An outermost blocking loop on an inline-dispatch
+                # machine delegates its entire drain to the delivery
+                # path up front (sole idler only: other waiters —
+                # blocking receives, sibling loops — keep the classic
                 # wake-the-tasklet path).  Delegating immediately,
                 # rather than at first idle, matters for pipelined
                 # traffic: a loop whose handlers charge CPU time never
@@ -514,8 +534,7 @@ class CsdScheduler:
                 # avoids.  A zero-delay kick seeds the drain with
                 # whatever is already pending (and gives the aggregation
                 # layer its pre-idle flush when nothing is).
-                rt = self.runtime
-                if (rt.inline_dispatch and self._depth == 1
+                if (blocking and rt.inline_dispatch and self._depth == 1
                         and rt._delegate is None and not node._waiters):
                     self._dg_budget = None if nmsgs < 0 else nmsgs - count
                     self._dg_count = 0
@@ -542,23 +561,25 @@ class CsdScheduler:
                 if n:
                     count += n
                     continue
-                if self.runtime.has_pending_network:
+                if rt.has_pending_network:
                     continue
                 # About to go idle: give the aggregation layer (when
                 # present) its scheduler-idle flush — an idle PE must not
                 # sit on buffered outgoing batches.  One attribute test
                 # when the layer is absent.
-                flush = self.runtime.idle_flush
+                flush = rt.idle_flush
                 if flush is not None and flush() > 0:
                     continue
+                if not blocking:
+                    break
                 # Still idle: a work-stealing Cld strategy (when
                 # installed) gets one shot at requesting work from a
                 # victim before this loop parks — the victim's reply
                 # arrives as network input and wakes the wait below.
                 # Only the blocking loop steals: a non-blocking donor
-                # (run_until_idle / poll) could return before the reply
-                # lands and strand the stolen seeds in the inbox.
-                steal = self.runtime.idle_steal
+                # could return before the reply lands and strand the
+                # stolen seeds in the inbox.
+                steal = rt.idle_steal
                 if steal is not None:
                     steal()
                 # Idle: block until something arrives, is enqueued, or an
@@ -567,37 +588,6 @@ class CsdScheduler:
                 # never reach here — they delegated at the top of the
                 # loop — so this is always the classic parked wait.
                 self._idle_wait(node)
-        finally:
-            self._depth -= 1
-        return count
-
-    def run_until_idle(self) -> int:
-        """``ScheduleUntilIdle()``: loop until both the network inbox and
-        the scheduler queue are empty, then return (never blocks).
-
-        Before returning it performs the same pre-idle aggregation flush
-        as :meth:`run`: a PE that goes idle — even without blocking —
-        must not sit on buffered outgoing batches, or a program driving
-        the scheduler purely through ``CsdScheduleUntilIdle`` polling
-        would never get its small messages onto the wire."""
-        count = 0
-        self._depth += 1
-        try:
-            while True:
-                if self._stop_requests > 0:
-                    self._stop_requests -= 1
-                    break
-                count += self.deliver_network_msgs()
-                n = self._dispatch_batch(self._batch)
-                if n:
-                    count += n
-                    continue
-                if self.runtime.has_pending_network:
-                    continue
-                flush = self.runtime.idle_flush
-                if flush is not None and flush() > 0:
-                    continue
-                break
         finally:
             self._depth -= 1
         return count

@@ -216,7 +216,7 @@ class FTAgent:
         #: with real threads (mp: send path, receiver thread, timer
         #: threads).  Adopted from the reliable layer so both protocol
         #: layers share one lock — it must be reentrant there (the mp
-        #: worker installs an RLock on ``rel`` *before* enabling ft) to
+        #: worker machine's ``protocol_lock`` is an RLock) to
         #: cover the ft<->rel call cycles; on the simulator it is the
         #: free no-op :data:`~repro.machine.cmi._NULL_LOCK`.  Adopting at
         #: construction matters: ``coordinator.register`` below may arm

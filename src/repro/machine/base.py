@@ -11,6 +11,12 @@ rewritten per platform.  This module is that seam made explicit:
   not expressed as abstract methods; it is defined operationally by the
   conformance battery in ``tests/machine/conformance/``, which every
   registered backend must pass identically.
+* :class:`MachineConfig` — the ``Machine(...)`` keywords, validated and
+  defaulted once for every layer; a layer declares the options it
+  restricts as data (:attr:`MachineLayer.restricted_options`) instead of
+  re-checking them by hand.
+* :func:`build_pe_stack` — the one place that knows the order in which
+  a PE's Converse software stack is built on top of a layer's node.
 * a **backend registry** mapping names to machine-layer classes, with
   the same selection discipline as the tasklet switch backends
   (:mod:`repro.sim.switching`): explicit argument, then the
@@ -40,15 +46,19 @@ from __future__ import annotations
 import abc
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from importlib import import_module
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.errors import SimulationError
+from repro.loadbalance.strategies import make_balancer
 
 __all__ = [
     "MACHINE_BACKEND_ENV_VAR",
+    "MachineConfig",
     "MachineLayer",
     "MachineLayerSpec",
     "MACHINE_LAYERS",
+    "build_pe_stack",
     "register_machine_layer",
     "available_machine_backends",
     "machine_backend_available",
@@ -56,46 +66,7 @@ __all__ = [
     "resolve_machine_backend",
     "machine_layer_class",
     "create_machine",
-    "resolve_speed_knobs",
-    "DEFAULT_CSD_BATCH",
 ]
-
-#: default Csd dispatch batch: queued messages one scheduler-loop
-#: iteration drains before re-checking the network and stop flag.
-DEFAULT_CSD_BATCH = 8
-
-
-def _env_flag(name: str) -> Optional[bool]:
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    return raw.strip().lower() not in ("", "0", "false", "no", "off")
-
-
-def resolve_speed_knobs(pool: Any, csd_batch: Any, inline: Any = None,
-                        default_pool: bool = True) -> tuple:
-    """Resolve the raw-speed machine knobs shared by every layer.
-
-    Explicit argument beats the env var (``REPRO_MSG_POOL`` /
-    ``REPRO_CSD_BATCH`` / ``REPRO_CSD_INLINE``) beats the default.
-    Returns ``(msg_pooling, csd_batch, inline)``; ``csd_batch`` is
-    clamped to >= 1.  ``inline`` defaults off — it restricts handlers
-    to never suspending (see :mod:`repro.core.scheduler`), which is a
-    program property no machine layer can verify up front.
-    """
-    if csd_batch is None:
-        env = os.environ.get("REPRO_CSD_BATCH")
-        csd_batch = int(env) if env else DEFAULT_CSD_BATCH
-    csd_batch = max(1, int(csd_batch))
-    if pool is None:
-        pool = _env_flag("REPRO_MSG_POOL")
-    if pool is None:
-        pool = default_pool
-    if inline is None:
-        inline = _env_flag("REPRO_CSD_INLINE")
-    if inline is None:
-        inline = False
-    return bool(pool), csd_batch, bool(inline)
 
 #: environment variable consulted when no explicit backend is requested
 #: (mirrors ``REPRO_SIM_BACKEND`` for the tasklet switch layer).
@@ -103,6 +74,151 @@ MACHINE_BACKEND_ENV_VAR = "REPRO_MACHINE_BACKEND"
 
 #: the portable default backend — every environment can run it.
 DEFAULT_MACHINE_BACKEND = "sim"
+
+
+def _layer_config(value: Any, module: str, name: str) -> Any:
+    """Normalise an optional-layer argument: falsy -> ``None`` (layer
+    off, and its module is never imported — need-based cost), an
+    instance of the layer's config class -> itself, anything else truthy
+    -> default tuning."""
+    if not value:
+        return None
+    cls = getattr(import_module(module), name)
+    return value if isinstance(value, cls) else cls()
+
+
+@dataclass(frozen=True)
+class MachineConfig:
+    """The ``Machine(...)`` keywords, validated and resolved once.
+
+    The fields are exactly the keywords every machine layer shares
+    (documented on :class:`repro.sim.machine.Machine`); construction
+    owns every check and default, so a layer reads resolved values:
+    ``reliable`` / ``ft`` / ``aggregation`` are their config objects or
+    ``None``, ``pool`` and ``inline`` are plain bools, ``model`` is a
+    cost model, ``faults`` is a ``FaultPlan`` or ``None``, and ``trace``
+    / ``metrics`` are specs :func:`~repro.tracing.tracer.make_tracer` /
+    :func:`~repro.metrics.registry.make_registry` accept.
+    Resolution is idempotent, so ``dataclasses.replace`` is safe.
+
+    Frozen, and picklable whenever its values are — which a layer that
+    ships it across a process boundary guarantees by restricting the
+    live-object options (:attr:`MachineLayer.restricted_options`).
+    """
+
+    num_pes: int = 1
+    model: Any = None
+    queue: Any = "fifo"
+    ldb: str = "direct"
+    trace: Any = False
+    echo: bool = False
+    seed: int = 0
+    faults: Any = None
+    reliable: Any = False
+    backend: Any = None
+    metrics: Any = False
+    aggregation: Any = False
+    ft: Any = False
+    pool: Any = None
+    inline: Any = False
+    machine_backend: Any = None
+
+    def __post_init__(self) -> None:
+        from repro.tracing.tracer import parse_trace_spec
+
+        if self.num_pes < 1:
+            raise SimulationError(
+                f"a machine needs at least one PE, got {self.num_pes}"
+            )
+        if self.faults is not None:
+            from repro.sim.network import FaultPlan
+
+            if not isinstance(self.faults, FaultPlan):
+                raise SimulationError(
+                    f"faults must be a FaultPlan or None, got "
+                    f"{type(self.faults).__name__}"
+                )
+        parse_trace_spec(self.trace)
+        if self.metrics not in (None, False, True):
+            from repro.metrics.registry import make_registry
+
+            make_registry(self.metrics)  # a registry passes; junk raises
+        aggregation = _layer_config(
+            self.aggregation, "repro.comms.aggregation", "AggregationConfig")
+        reliable = _layer_config(
+            self.reliable, "repro.machine.cmi", "ReliableConfig")
+        ft = _layer_config(self.ft, "repro.ft.config", "FTConfig")
+        if aggregation is not None:
+            aggregation.validate()
+        if ft is not None:
+            if reliable is None:
+                raise SimulationError(
+                    "ft= requires the reliable-delivery layer; build the "
+                    "machine with reliable=True as well"
+                )
+            ft.validate()
+        put = object.__setattr__  # the frozen-dataclass idiom
+        put(self, "aggregation", aggregation)
+        put(self, "reliable", reliable)
+        put(self, "ft", ft)
+        put(self, "inline", bool(self.inline))
+        if self.model is None:
+            from repro.sim.models import GENERIC
+
+            put(self, "model", GENERIC)
+        pool = self.pool
+        if pool is None:
+            # Pooling defaults on — except under an unreliable faulty
+            # network, where duplicate faults re-deliver the *same* wire
+            # object; today that fails loudly (the second delivery sees
+            # a poisoned buffer) and a pool must never convert it into a
+            # silent resurrection with some newer message's contents.
+            # The reliable layer dedups by sequence number before
+            # touching the inner message, so faults+reliable stays
+            # pool-safe.
+            pool = self.faults is None or reliable is not None
+        put(self, "pool", bool(pool))
+
+    @property
+    def crash_schedule(self) -> list:
+        """The fault plan's ``CrashSpec`` entries for this machine size,
+        sorted by time (empty without a plan)."""
+        if self.faults is None:
+            return []
+        return self.faults.crash_schedule(self.num_pes)
+
+
+def build_pe_stack(node: Any, machine: Any, cfg: MachineConfig, *,
+                   coordinator: Any = None, restarting: bool = False) -> Any:
+    """Build one PE's Converse software stack on ``node`` and return its
+    :class:`~repro.core.runtime.ConverseRuntime`.
+
+    Every layer calls this for every incarnation of every PE, because
+    messages carry handler *indices*: the stack's internal handlers (the
+    seed balancer's, the EMI group forwarders, the aggregation batch
+    handler, the reliable and ft control packets) resolve identically
+    everywhere only if every PE registers them in this one order, before
+    any user handler.  ``coordinator`` is the layer's ``FTCoordinator``
+    (needed only with ``cfg.ft``); ``restarting`` marks a post-crash
+    incarnation, whose receive side stays paused until ``CftRecover``.
+    """
+    from repro.core.runtime import ConverseRuntime
+
+    queue = cfg.queue
+    if callable(queue) and not isinstance(queue, str):
+        queue = queue(node.pe)
+    rt = ConverseRuntime(node, machine, queue=queue)
+    rt.cld = make_balancer(cfg.ldb, rt)
+    rt.cmi.groups
+    if cfg.aggregation is not None:
+        rt.enable_aggregation(cfg.aggregation)
+    if cfg.reliable is not None:
+        rt.enable_reliability(cfg.reliable)
+    if cfg.ft is not None:
+        # Above reliability: ft owns the send log the reliable layer
+        # keeps and pulls checkpoints over CMI.
+        rt.enable_ft(cfg.ft, coordinator, restarting=restarting)
+    return rt
 
 
 class MachineLayer(abc.ABC):
@@ -119,10 +235,38 @@ class MachineLayer(abc.ABC):
     #: number of processing elements (set by the concrete layer).
     num_pes: int
 
+    #: the registry name this layer is selected by.
+    layer_name: str
+
+    #: the shared options this layer cannot take in full, declared as
+    #: data: ``{option: (accepted types of the resolved value, why)}``.
+    #: An option whose subsystem the layer lacks accepts only ``None``.
+    restricted_options: Mapping[str, Tuple[tuple, str]] = {}
+
+    @classmethod
+    def make_config(cls, num_pes: int, *args: Any, **kwargs: Any) -> MachineConfig:
+        """Build this layer's :class:`MachineConfig` from ``Machine(...)``
+        arguments, enforcing :attr:`restricted_options`."""
+        cfg = MachineConfig(num_pes, *args, **kwargs)
+        if cfg.machine_backend is not None and \
+                resolve_machine_backend(cfg.machine_backend) != cls.layer_name:
+            raise SimulationError(
+                f"this is the {cls.layer_name!r} machine layer; machine_backend="
+                f"{cfg.machine_backend!r} selects a different layer — build it "
+                "via repro.Machine or repro.machine.base.create_machine"
+            )
+        for name, (accepted, why) in cls.restricted_options.items():
+            if not isinstance(getattr(cfg, name), accepted):
+                raise SimulationError(
+                    f"{name}={getattr(cfg, name)!r} is not supported on the "
+                    f"{cls.layer_name!r} machine layer: {why}"
+                )
+        return cfg
+
     @property
-    @abc.abstractmethod
     def machine_backend_name(self) -> str:
         """The registry name this layer was selected by."""
+        return self.layer_name
 
     # -- launching ------------------------------------------------------
     @abc.abstractmethod
@@ -193,9 +337,7 @@ class MachineLayerSpec:
     unavailable_reason: Callable[[], str]
 
     def load(self) -> type:
-        import importlib
-
-        mod = importlib.import_module(self.module)
+        mod = import_module(self.module)
         return getattr(mod, self.qualname)
 
 

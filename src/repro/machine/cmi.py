@@ -35,10 +35,11 @@ class _NullLock:
     single-threaded on the simulator but are entered concurrently on the
     mp machine layer — send path on the main thread, arrivals on the
     receiver thread, retransmissions on timer threads.  Each instance
-    carries ``self._lock = _NULL_LOCK`` by default; the mp worker swaps
-    in one shared :class:`threading.RLock` per PE (reentrancy covers the
-    ft->rel call cycles).  On the simulator the with-blocks cost two
-    no-op calls and the schedules stay byte-identical.
+    takes its lock from the machine: a threaded layer's machine object
+    carries one shared :class:`threading.RLock` per PE as
+    ``protocol_lock`` (reentrancy covers the ft->rel call cycles), any
+    other gets ``_NULL_LOCK``.  On the simulator the with-blocks cost
+    two no-op calls and the schedules stay byte-identical.
     """
 
     __slots__ = ()
@@ -178,7 +179,7 @@ class ReliableDelivery:
         self.stats = RelStats()
         #: guards protocol state against concurrent entry on machine
         #: layers with real threads (see :class:`_NullLock`).
-        self._lock: Any = _NULL_LOCK
+        self._lock: Any = getattr(runtime.machine, "protocol_lock", _NULL_LOCK)
         self._next_seq: Dict[int, int] = {}
         self._pending: Dict[Tuple[int, int], _Pending] = {}
         self._expected: Dict[int, int] = {}

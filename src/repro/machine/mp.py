@@ -33,7 +33,13 @@ each worker's monotonic-clock offset with echo probes at startup and
 close, merges the spools onto one timeline (:mod:`repro.tracing.merge`)
 and recombines the snapshots (:func:`repro.metrics.registry.merge_snapshots`),
 so the unchanged analysis/critpath/export/report pipelines consume mp
-runs exactly like simulator runs.  Workers additionally stream periodic
+runs exactly like simulator runs.  After :meth:`MpMachine.shutdown`,
+``trace=True``/``"memory"`` leaves the merged trace on
+``machine.tracer``; ``"count"`` leaves merged per-kind counters there;
+``"jsonl:<path>"`` (or a path) also writes the merged trace at
+``<path>`` plus a ``<path minus ext>.clock.json`` offset sidecar, and
+keeps the per-PE spools (``trace.pe0.jsonl``, ...) for re-merging with
+``repro.trace merge``.  Workers additionally stream periodic
 health snapshots; the hub keeps a bounded flight-recorder ring of them,
 serves :meth:`MpMachine.health`, and attaches the last snapshots to
 timeout/crash errors so hung runs die with evidence.
@@ -43,16 +49,19 @@ timeout/crash errors so hung runs die with evidence.
 every frame in flight between processes (per-link drop / duplicate /
 delay / reorder / corrupt, decided by the same RNG stream as the
 simulator), and ``CrashSpec`` entries drive the hub to **SIGKILL**
-worker processes at their appointed wall-clock times — respawning a
-fresh incarnation (epoch bump, restart-with-amnesia) when the spec has
-a ``restart_after``.  The CMI reliable-delivery layer
+worker processes at their appointed wall-clock times (``at`` /
+``restart_after`` count seconds from the start of ``run()``) —
+respawning a fresh incarnation (epoch bump, restart-with-amnesia) when
+the spec has a ``restart_after``.  Self-sends never cross the hub, so
+link faults do not apply to them.  The CMI reliable-delivery layer
 (``reliable=True``) and the fault-tolerance layer (``ft=FTConfig()``)
 run *inside each worker* unmodified, entered concurrently from the
-main, receiver and timer threads under one per-PE reentrant lock; each
-worker carries its own distributed :class:`~repro.ft.manager.
-FTCoordinator` replica fed by the shipped crash schedule.  Protocol
-timeouts are floored to socket scale at construction (the simulator's
-microsecond RTOs would retransmit thousands of times per real RTT).
+main, receiver and timer threads under one per-PE reentrant lock (the
+worker machine's ``protocol_lock``); each worker carries its own
+distributed :class:`~repro.ft.manager.FTCoordinator` replica fed by the
+shipped crash schedule.  Protocol timeouts are floored to socket scale
+at construction (the simulator's microsecond RTOs would retransmit
+thousands of times per real RTT).
 An *unscheduled* worker death (an outside SIGKILL, an OOM kill) is
 classified from the torn socket and surfaces as a structured
 :class:`~repro.core.errors.WorkerDied` carrying the PE id and the
@@ -76,10 +85,11 @@ import threading
 import time
 import traceback
 from collections import deque
+from dataclasses import replace
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.core.errors import SimulationError, WorkerDied
-from repro.machine.base import MachineLayer, resolve_speed_knobs
+from repro.machine.base import MachineConfig, MachineLayer, build_pe_stack
 from repro.sim.console import ConsoleRecord
 from repro.sim.models import MachineModel
 from repro.sim.node import Node
@@ -88,6 +98,7 @@ from repro.tracing.tracer import (
     JsonlTracer,
     LockingTracer,
     Tracer,
+    parse_trace_spec,
 )
 
 __all__ = ["MpMachine", "MP_MODEL", "MP_START_METHOD_ENV_VAR"]
@@ -555,81 +566,65 @@ class _WorkerMachine:
     quacking exactly like the attribute surface :class:`ConverseRuntime`,
     the CMI and the Cld balancers read off the simulator's Machine."""
 
-    def __init__(self, pe: int, num_pes: int, link: _WorkerLink, options: dict) -> None:
-        self.num_pes = num_pes
+    def __init__(self, pe: int, link: _WorkerLink, cfg: MachineConfig) -> None:
+        self.num_pes = cfg.num_pes
         self.model = MP_MODEL
         self.engine = _MpEngine()
         link.engine = self.engine
         self.worker = link
         self.console = _WorkerConsole(link, self.engine)
-        self.tracer = self._make_tracer(pe, options.get("trace"))
+        self.tracer = self._make_tracer(pe, cfg.trace)
         self.metrics = None
-        if options.get("metrics"):
+        if cfg.metrics:
             from repro.metrics.registry import MetricsRegistry
 
             # Locking: immediate handlers (and Ccd timers) update metrics
             # from threads other than the main thread.
             self.metrics = MetricsRegistry(locking=True)
         self.topology = None
-        self.rng = random.Random(options.get("seed", 0) * 1_000_003 + pe)
+        self.rng = random.Random(cfg.seed * 1_000_003 + pe)
         #: wall-clock gossip period for Cld strategies carrying a
         #: remote-load table.  Coarser than the simulator's virtual-time
         #: default: mp Ccd timers are real ``threading.Timer`` objects
         #: and each pending one holds hub quiescence for up to a period
         #: after the load drains.
         self.cld_gossip_interval = 0.02
-        # Raw-speed knobs, forwarded from the driver-side MpMachine so
-        # the worker's ConverseRuntime picks them up at construction.
-        self.msg_pooling = options.get("pool", False)
-        self.csd_batch = options.get("csd_batch", 1)
+        self.msg_pooling = cfg.pool
+        #: the protocol layers (reliable delivery, ft) are entered
+        #: concurrently here — main thread sends, receiver thread
+        #: arrivals, timer threads retransmissions — so they guard their
+        #: state with this one shared lock; reentrancy covers the
+        #: ft<->rel call cycles.
+        self.protocol_lock = threading.RLock()
         #: trace correlation ids minted from a per-process residue class
         #: (PE p issues {p + k*N}), globally unique with no coordination.
         self._msg_id_seq = pe
-        self._msg_id_stride = num_pes
+        self._msg_id_stride = cfg.num_pes
         self.node_obj = _MpNode(self, pe)
         #: only the local node is addressable in-process; cross-PE peeks
         #: (an FT-layer shortcut) have no meaning here.
         self.nodes = {pe: self.node_obj}
         if self.tracer is not None:
-            self.node_obj.add_delivery_hook(self._trace_delivery(self.node_obj))
+            self.node_obj.attach_tracer(self.tracer)
         if self.metrics is not None:
             self.node_obj.attach_metrics(self.metrics)
 
     @staticmethod
     def _make_tracer(pe: int, spec: Any) -> Optional[Tracer]:
         """Build this worker's in-process trace sink from the hub's
-        shipped spec: ``("jsonl", base)`` spools full events to this PE's
-        sibling file; ``("count",)`` keeps per-kind counters that travel
-        to the hub as one frame at shutdown.  Wrapped in a
+        shipped spec: ``jsonl:<base>`` spools full events to this PE's
+        sibling file; ``count`` keeps per-kind counters that travel to
+        the hub as one frame at shutdown.  Wrapped in a
         :class:`LockingTracer` because immediate handlers record from the
         receiver thread concurrently with the main thread."""
-        if spec is None:
-            return None
-        if spec[0] == "jsonl":
+        mode, base = parse_trace_spec(spec)
+        if mode == "jsonl":
             from repro.tracing.merge import spool_path
 
-            return LockingTracer(JsonlTracer(spool_path(spec[1], pe)))
-        if spec[0] == "count":
+            return LockingTracer(JsonlTracer(spool_path(base, pe)))
+        if mode == "count":
             return LockingTracer(CountingTracer())
-        raise SimulationError(f"unknown worker trace spec {spec!r}")
-
-    def _trace_delivery(self, node: _MpNode) -> Callable[[Any], None]:
-        # Same receive-event shape as the simulator machine's hook, so
-        # merged traces are indistinguishable to the analysis layer.
-        def hook(payload: Any) -> None:
-            self.tracer.record(
-                node.pe,
-                self.engine.now,
-                "receive",
-                {
-                    "handler": getattr(payload, "handler", None),
-                    "size": getattr(payload, "size", 0),
-                    "src": getattr(payload, "src_pe", None),
-                    "msg": getattr(payload, "msg_id", None),
-                },
-            )
-
-        return hook
+        return None
 
 
 def _worker_receive_loop(link: _WorkerLink, node: _MpNode) -> None:
@@ -709,16 +704,15 @@ def _worker_health_loop(link: _WorkerLink, machine: "_WorkerMachine",
             return
 
 
-def _worker_main(pe: int, num_pes: int, port: int, specs: list, options: dict) -> None:
+def _worker_main(pe: int, port: int, specs: list, cfg: MachineConfig,
+                 health_interval: float, epoch: int = 0) -> None:
     """Entry point of one PE process.
 
-    Builds the *machine-independent* runtime stack — ConverseRuntime,
-    CMI, Csd scheduler, EMI groups (for handler-index parity), the seed
-    balancer — on top of the worker machine pieces, then runs the launch
-    specs in order and parks until the hub shuts the job down.
+    Builds the *machine-independent* runtime stack
+    (:func:`~repro.machine.base.build_pe_stack`) on top of the worker
+    machine pieces, then runs the launch specs in order and parks until
+    the hub shuts the job down.
     """
-    from repro.core.runtime import ConverseRuntime
-    from repro.loadbalance.strategies import make_balancer
     from repro.sim import context
 
     # Bounded connect retry: a respawned worker can race the hub's
@@ -739,10 +733,9 @@ def _worker_main(pe: int, num_pes: int, port: int, specs: list, options: dict) -
     sock.settimeout(None)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     link = _WorkerLink(sock, pe)
-    machine = _WorkerMachine(pe, num_pes, link, options)
+    machine = _WorkerMachine(pe, link, cfg)
     machine.network = _MpNetwork(machine, link)
     node = machine.node_obj
-    epoch = options.get("epoch", 0)
     if epoch > 0:
         # A respawned incarnation: restart-with-amnesia.  The epoch bump
         # strides the ft control sequences past the previous life's, and
@@ -750,31 +743,15 @@ def _worker_main(pe: int, num_pes: int, port: int, specs: list, options: dict) -
         # recovery latency "respawn to recovered" in wall seconds.
         node.epoch = epoch
         node.crashed_at = 0.0
-    rt = ConverseRuntime(node, machine, queue=options.get("queue", "fifo"))
-    rt.cld = make_balancer(options.get("ldb", "direct"), rt)
-    # Same registration point as the simulator machine: the EMI group
-    # handlers must occupy identical table indices on every PE.
-    rt.cmi.groups
-    # Protocol layers, in the simulator machine's construction order so
-    # handler-table indices match across incarnations.  They are entered
-    # concurrently here (main thread sends, receiver thread arrivals,
-    # timer threads retransmissions): one shared reentrant lock guards
-    # both layers — reentrancy covers the ft<->rel call cycles.
-    rel_cfg = options.get("reliable")
-    if rel_cfg is not None:
-        rel = rt.enable_reliability(rel_cfg)
-        # Installed before enable_ft: the ft agent adopts this lock at
-        # construction (its timers can arm immediately).
-        rel._lock = threading.RLock()
-        ft_cfg = options.get("ft")
-        if ft_cfg is not None:
-            from repro.ft.manager import FTCoordinator
+    coordinator = None
+    if cfg.ft is not None:
+        from repro.ft.manager import FTCoordinator
 
-            coord = FTCoordinator(
-                num_pes, list(options.get("crash_schedule") or ()),
-                distributed=True,
-            )
-            rt.enable_ft(ft_cfg, coord, restarting=epoch > 0)
+        # A per-process replica, fed by the shipped crash schedule.
+        coordinator = FTCoordinator(cfg.num_pes, cfg.crash_schedule,
+                                    distributed=True)
+    rt = build_pe_stack(node, machine, cfg, coordinator=coordinator,
+                        restarting=epoch > 0)
 
     def _timer_fatal(tb: str) -> None:
         try:
@@ -798,8 +775,7 @@ def _worker_main(pe: int, num_pes: int, port: int, specs: list, options: dict) -
         receiver.start()
         health = threading.Thread(
             target=_worker_health_loop,
-            args=(link, machine, node,
-                  options.get("health_interval", _HEALTH_INTERVAL)),
+            args=(link, machine, node, health_interval),
             name=f"mp-health-pe{pe}", daemon=True,
         )
         health.start()
@@ -938,32 +914,25 @@ class MpConsole:
         )
 
 
-#: machine arguments that configure simulator-only subsystems, with the
-#: neutral values the mp layer accepts (and ignores / rejects beyond).
-#: (``trace``/``metrics`` and now ``faults``/``reliable``/``ft`` used to
-#: live here; they are first-class mp arguments — see the module
-#: docstring's fault-injection section.)
-_SIM_ONLY_OFF = {
-    "aggregation": False,
-    "backend": None,
-}
+#: resolved-value types an option may have when it must reach worker
+#: processes as plain data.
+_PLAIN = (type(None), bool, str, os.PathLike)
+_SIM_ONLY = "a simulator-only subsystem (use machine_backend='sim')"
 
 
 class MpMachine(MachineLayer):
     """An N-PE machine where each PE is an OS process.
 
+    Takes the shared ``Machine(...)`` keywords (one table, on
+    :class:`repro.sim.machine.Machine`; how tracing, metrics, faults,
+    ``reliable`` and ``ft`` behave across processes is in this module's
+    docstring), minus what :attr:`restricted_options` declares, plus
+    the extras below.  ``model`` and ``inline`` are accepted and unused:
+    costs are real here, and a worker's scheduler loop already runs
+    handlers with no context switch.
+
     Parameters
     ----------
-    num_pes:
-        Number of processing elements (= worker processes).
-    queue:
-        Csd queueing strategy name for every PE (default ``"fifo"``).
-    ldb:
-        Seed load-balancing strategy name (default ``"direct"``).
-    echo:
-        Echo ``CmiPrintf`` output to the parent's real stdout.
-    seed:
-        Per-PE RNG seed base (randomized balancers/workloads).
     timeout:
         Wall-clock cap for :meth:`run`; a deadlocked or hung worker
         fails the run with :class:`SimulationError` instead of stalling
@@ -972,30 +941,6 @@ class MpMachine(MachineLayer):
         ``multiprocessing`` start method (default: the
         ``REPRO_MP_START_METHOD`` env var, else ``fork`` where
         available, else the platform default).
-    pool / csd_batch:
-        The raw-speed knobs, same semantics and env vars as the
-        simulator layer (``REPRO_MSG_POOL`` / ``REPRO_CSD_BATCH``):
-        per-PE pooled wire-copy allocation (default on) and the Csd
-        dispatch batch size, applied inside every worker process.
-    trace:
-        Distributed tracing spec.  ``False`` (default) — off, zero
-        instrumentation in the workers.  ``True``/``"memory"`` — workers
-        spool to a temporary directory; after :meth:`shutdown` the merged
-        single-timeline trace is on ``machine.tracer`` (a
-        :class:`~repro.tracing.tracer.MemoryTracer`).  ``"count"`` —
-        per-kind counters only; merged into a ``CountingTracer``.
-        ``"jsonl:<path>"`` (or a path) — workers spool to per-PE sibling
-        files (``trace.pe0.jsonl``, ...); shutdown writes the merged
-        trace at ``<path>`` plus a ``<path minus ext>.clock.json`` offset
-        sidecar, and keeps the spools for re-merging with
-        ``repro.trace merge``.  Live :class:`Tracer` objects are
-        rejected: a tracer cannot be shared across process boundaries.
-    metrics:
-        ``True`` runs a locking per-worker
-        :class:`~repro.metrics.registry.MetricsRegistry` in every PE
-        process; snapshots ship to the hub at shutdown and
-        :meth:`metrics_snapshot` returns their machine-wide merge.
-        Registry *instances* are rejected (same cross-process reason).
     watch:
         Live-health ticker: ``True`` (1 s) or a float interval in
         seconds.  While :meth:`run` waits, a line of per-PE progress
@@ -1005,122 +950,61 @@ class MpMachine(MachineLayer):
     health_interval:
         Cadence of worker health snapshots (default 0.25 s); also the
         resolution of the flight recorder attached to timeout errors.
-    faults:
-        A seeded :class:`~repro.sim.network.FaultPlan`, applied **by the
-        hub** to every frame in flight between worker processes (per-link
-        drop/duplicate/delay/reorder/corrupt, same RNG stream as the
-        simulator; delays/reorders ride real timer threads).  Its
-        ``CrashSpec`` entries become real **SIGKILLs**: ``at`` /
-        ``restart_after`` are interpreted as wall-clock seconds from the
-        start of :meth:`run`, and a spec with ``restart_after`` makes the
-        hub respawn a fresh worker incarnation (epoch bump) and re-wire
-        its sockets.  Self-sends never cross the hub, so (as with the
-        simulator's in-PE deliveries) faults do not apply to them.
-    reliable:
-        ``True`` (or a :class:`~repro.machine.cmi.ReliableConfig`) runs
-        the unmodified CMI reliable-delivery layer inside every worker.
-        RTOs are floored to socket scale (rto >= 20 ms, max_rto >=
-        250 ms) — the simulator's microsecond defaults would retransmit
-        thousands of times per real round trip.
-    ft:
-        ``True`` (or an :class:`~repro.ft.config.FTConfig`) enables the
-        fault-tolerance layer in every worker (requires ``reliable``).
-        Heartbeat/control periods are floored to socket scale; each
-        worker runs a distributed coordinator replica fed by the shipped
-        crash schedule.  Recovery latency on this layer measures respawn
-        to recovery-complete in wall seconds.
-    model / machine_backend:
-        Accepted for signature compatibility with the simulator layer;
-        cost models are meaningless here (costs are real).
-    aggregation, backend:
-        Simulator-only subsystems: accepted at their "off" defaults,
-        rejected otherwise with a clear error.
     """
 
-    def __init__(self, num_pes: int, model: Any = None, *args: Any,
-                 machine_backend: Any = None, queue: Any = "fifo",
-                 ldb: str = "direct", echo: bool = False, seed: int = 0,
+    layer_name = "mp"
+
+    restricted_options = {
+        "aggregation": ((type(None),), _SIM_ONLY),
+        "backend": ((type(None),), "tasklet switching is " + _SIM_ONLY),
+        "queue": ((str,), "queue strategies reach the workers by name "
+                          "(per-PE factories live in the driver process)"),
+        "trace": (_PLAIN, "a live tracer or file object cannot be shared "
+                          "across process boundaries; pass True, 'count' or "
+                          "'jsonl:<path>' and read machine.tracer (or the "
+                          "merged file) after shutdown()"),
+        "metrics": ((type(None), bool),
+                    "every worker process runs its own registry (registry "
+                    "instances cannot cross process boundaries); pass "
+                    "metrics=True and read machine.metrics_snapshot() "
+                    "after the run"),
+    }
+
+    def __init__(self, num_pes: int = 1, model: Any = None, *,
                  timeout: float = 60.0, start_method: Optional[str] = None,
-                 pool: Any = None, csd_batch: Any = None, inline: Any = None,
-                 trace: Any = False, metrics: Any = False,
                  watch: Any = False, health_interval: float = _HEALTH_INTERVAL,
-                 faults: Any = None, reliable: Any = False, ft: Any = False,
-                 **kwargs: Any) -> None:
-        if args:
-            raise SimulationError(
-                "the mp machine layer takes keyword arguments only "
-                "(after num_pes and model)"
+                 **shared: Any) -> None:
+        cfg = self.make_config(num_pes, model, **shared)
+        # Protocol timeouts floored to socket scale (see the _MP_*_FLOOR
+        # constants) before the configs ship to the workers.
+        rel, ft = cfg.reliable, cfg.ft
+        if rel is not None:
+            rel = replace(
+                rel,
+                rto=max(rel.rto, _MP_REL_RTO_FLOOR),
+                max_rto=max(rel.max_rto, _MP_REL_MAX_RTO_FLOOR),
             )
-        if num_pes < 1:
-            raise SimulationError(f"a machine needs at least one PE, got {num_pes}")
-        for key, value in kwargs.items():
-            if key not in _SIM_ONLY_OFF:
-                raise SimulationError(f"unexpected machine argument {key!r}")
-            if value != _SIM_ONLY_OFF[key] and value is not None and value is not False:
-                raise SimulationError(
-                    f"{key}= configures a simulator-only subsystem; the mp "
-                    f"machine layer does not support it (use "
-                    f"machine_backend='sim')"
-                )
-        if not isinstance(queue, str):
-            raise SimulationError(
-                "the mp machine layer takes queue strategies by name "
-                "(per-PE factories live in the driver process)"
-            )
-        self.num_pes = num_pes
-        self.model = MP_MODEL
-        self.console = MpConsole(echo=echo)
-        # -- faults / reliability / fault tolerance ----------------------
-        if faults is not None:
-            from repro.sim.network import FaultPlan
-
-            if not isinstance(faults, FaultPlan):
-                raise SimulationError(
-                    f"faults must be a FaultPlan or None, got "
-                    f"{type(faults).__name__}"
-                )
-        self.fault_plan = faults
-        self._crash_schedule = (
-            faults.crash_schedule(num_pes) if faults is not None else []
-        )
-        self._rel_config = None
-        if reliable:
-            from dataclasses import replace as _dc_replace
-
-            from repro.machine.cmi import ReliableConfig
-
-            cfg = (reliable if isinstance(reliable, ReliableConfig)
-                   else ReliableConfig())
-            self._rel_config = _dc_replace(
-                cfg,
-                rto=max(cfg.rto, _MP_REL_RTO_FLOOR),
-                max_rto=max(cfg.max_rto, _MP_REL_MAX_RTO_FLOOR),
-            )
-        self._ft_config = None
-        if ft:
-            from dataclasses import replace as _dc_replace
-
-            from repro.ft.config import FTConfig
-
-            if self._rel_config is None:
-                raise SimulationError(
-                    "ft= requires the reliable-delivery layer; build the "
-                    "machine with reliable=True as well"
-                )
-            cfg = (ft if isinstance(ft, FTConfig) else FTConfig()).validate()
-            self._ft_config = _dc_replace(
-                cfg,
-                heartbeat_period=max(cfg.heartbeat_period, _MP_FT_HB_FLOOR),
-                ctl_rto=max(cfg.ctl_rto, _MP_FT_CTL_RTO_FLOOR),
-                ctl_retries=max(cfg.ctl_retries, _MP_FT_CTL_RETRIES_FLOOR),
+        if ft is not None:
+            ft = replace(
+                ft,
+                heartbeat_period=max(ft.heartbeat_period, _MP_FT_HB_FLOOR),
+                ctl_rto=max(ft.ctl_rto, _MP_FT_CTL_RTO_FLOOR),
+                ctl_retries=max(ft.ctl_retries, _MP_FT_CTL_RETRIES_FLOOR),
                 checkpoint_interval=(
-                    max(cfg.checkpoint_interval, _MP_FT_CKPT_FLOOR)
-                    if cfg.checkpoint_interval > 0 else 0.0
+                    max(ft.checkpoint_interval, _MP_FT_CKPT_FLOOR)
+                    if ft.checkpoint_interval > 0 else 0.0
                 ),
             )
+        #: what every worker is built from (shipped whole at spawn).
+        self.config = cfg = replace(cfg, reliable=rel, ft=ft)
+        self.num_pes = num_pes
+        self.model = MP_MODEL
+        self.console = MpConsole(echo=cfg.echo)
+        self.fault_plan = cfg.faults
+        self._crash_schedule = cfg.crash_schedule
+        self.msg_pooling = cfg.pool
         # -- observability configuration --------------------------------
-        self._trace_mode, self._trace_base = self._resolve_trace_spec(trace)
-        self._metrics_on = self._resolve_metrics_spec(metrics)
+        self._trace_mode, self._trace_base = parse_trace_spec(cfg.trace)
         self._watch_interval = (
             1.0 if watch is True else float(watch) if watch else 0.0
         )
@@ -1135,21 +1019,6 @@ class MpMachine(MachineLayer):
         #: non-fatal trace-merge failure from a crashy teardown, kept for
         #: inspection instead of masking the primary error in shutdown().
         self.trace_merge_error: Optional[str] = None
-        # Raw-speed knobs, shared with the simulator layer and shipped
-        # to every worker in its options dict (each worker's runtime
-        # reads them at construction, exactly like the sim machine).
-        # (inline dispatch is a simulator-only optimisation — a worker's
-        # scheduler loop already runs handlers with no context switch —
-        # so the resolved flag is accepted for kwarg parity and dropped.)
-        # Pooling follows the simulator's resolution rule: default off
-        # under an unreliable fault plan, where duplicate faults re-wire
-        # the same payload object twice.
-        self.msg_pooling, self.csd_batch, _ = resolve_speed_knobs(
-            pool, csd_batch, inline,
-            default_pool=not (faults is not None and self._rel_config is None))
-        self._queue = queue
-        self._ldb = ldb
-        self._seed = seed
         self._timeout = timeout
         self._start_method = start_method
         self._mains: List[MpMain] = []
@@ -1198,67 +1067,16 @@ class MpMachine(MachineLayer):
         #: per-frame routing entry, bound once: the plain counted forward
         #: with no fault plan (zero new per-frame work), the fault-
         #: injecting variant otherwise.
-        self._route = self._forward if faults is None else self._forward_faulty
+        self._route = (self._forward if cfg.faults is None
+                       else self._forward_faulty)
         self._port: Optional[int] = None
-        self._worker_options: Optional[dict] = None
+        self._worker_cfg: Optional[MachineConfig] = None
         # -- plumbing ---------------------------------------------------
         self._procs: List[Any] = []
         self._conns: Dict[int, socket.socket] = {}
         self._conn_wlocks: Dict[int, threading.Lock] = {}
         self._readers: List[threading.Thread] = []
         self._listener: Optional[socket.socket] = None
-
-    # ------------------------------------------------------------------
-    # observability spec validation
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _resolve_trace_spec(trace: Any) -> tuple:
-        """Map the ``trace=`` argument to ``(mode, jsonl_base)`` —
-        the distributed spelling of :func:`make_tracer`'s contract."""
-        if trace in (None, False):
-            return None, None
-        if trace is True or trace == "memory":
-            return "memory", None
-        if trace == "count":
-            return "count", None
-        if isinstance(trace, Tracer) or hasattr(trace, "write"):
-            raise SimulationError(
-                "the mp machine layer cannot share a live tracer or file "
-                "object across process boundaries; pass True, 'count' or "
-                "'jsonl:<path>' and read machine.tracer (or the merged "
-                "file) after shutdown()"
-            )
-        if isinstance(trace, os.PathLike):
-            return "jsonl", os.fspath(trace)
-        if isinstance(trace, str):
-            if trace.startswith("jsonl:"):
-                return "jsonl", trace[len("jsonl:"):]
-            if os.sep in trace or "/" in trace or trace.endswith(".jsonl"):
-                return "jsonl", trace
-        raise SimulationError(
-            f"unknown tracer spec {trace!r}: use False, True, 'memory', "
-            "'count', 'jsonl:<path>' or a path"
-        )
-
-    @staticmethod
-    def _resolve_metrics_spec(metrics: Any) -> bool:
-        if metrics in (None, False):
-            return False
-        if metrics is True:
-            return True
-        raise SimulationError(
-            "the mp machine layer runs one metrics registry per worker "
-            "process; pass metrics=True and read "
-            "machine.metrics_snapshot() after the run (registry instances "
-            "cannot cross process boundaries)"
-        )
-
-    # ------------------------------------------------------------------
-    # identity
-    # ------------------------------------------------------------------
-    @property
-    def machine_backend_name(self) -> str:
-        return "mp"
 
     @property
     def now(self) -> float:
@@ -1499,8 +1317,6 @@ class MpMachine(MachineLayer):
                     self._state.notify_all()
                     return  # the run drained while the PE was down
                 epoch = self._epochs[pe] + 1
-            options = dict(self._worker_options)
-            options["epoch"] = epoch
             # Spawn, never fork: the hub is heavily multi-threaded by
             # now and a forked child could inherit a mid-acquire lock
             # (the import lock being the classic one).
@@ -1510,8 +1326,8 @@ class MpMachine(MachineLayer):
             )
             proc = ctx.Process(
                 target=_worker_main,
-                args=(pe, self.num_pes, self._port,
-                      self._specs.get(pe, []), options),
+                args=(pe, self._port, self._specs.get(pe, []),
+                      self._worker_cfg, self._health_interval, epoch),
                 name=f"repro-mp-pe{pe}e{epoch}",
                 daemon=True,
             )
@@ -1659,36 +1475,36 @@ class MpMachine(MachineLayer):
         listener.settimeout(min(30.0, self._timeout))
         self._listener = listener
         port = listener.getsockname()[1]
-        worker_trace = None
-        if self._trace_mode == "count":
-            worker_trace = ("count",)
-        elif self._trace_mode in ("memory", "jsonl"):
-            base = self._trace_base
-            if base is None:
+        cfg = self.config
+        if self._trace_mode in ("memory", "jsonl"):
+            if self._trace_base is None:
                 # memory mode: spool to a temp dir the hub reads back and
                 # removes at shutdown.
                 import tempfile
 
                 self._spool_dir = tempfile.mkdtemp(prefix="repro-mp-trace-")
-                base = os.path.join(self._spool_dir, "trace.jsonl")
-                self._trace_base = base
-            worker_trace = ("jsonl", base)
-        options = {"queue": self._queue, "ldb": self._ldb, "seed": self._seed,
-                   "pool": self.msg_pooling, "csd_batch": self.csd_batch,
-                   "trace": worker_trace, "metrics": self._metrics_on,
-                   "health_interval": self._health_interval,
-                   "reliable": self._rel_config, "ft": self._ft_config,
-                   "crash_schedule": list(self._crash_schedule),
-                   "epoch": 0}
+                self._trace_base = os.path.join(self._spool_dir, "trace.jsonl")
+            # Workers spool to per-PE siblings of the base; the hub merges.
+            cfg = replace(cfg, trace="jsonl:" + self._trace_base)
+        if cfg.faults is not None:
+            from repro.sim.network import FaultPlan
+
+            # Workers get the crash half of the plan only (it feeds their
+            # coordinator replicas).  Link faults are applied here, and
+            # the live plan — RNG, counters — is mutated by reader
+            # threads, so a respawn must never pickle it.
+            cfg = replace(cfg, faults=FaultPlan(
+                cfg.faults.seed, crashes=self._crash_schedule))
         self._port = port
-        self._worker_options = options
+        self._worker_cfg = cfg
         # Spawn every worker before starting any hub thread: with the
         # fork start method, forking a multi-threaded parent is the
         # classic deadlock, so the parent stays single-threaded here.
         for pe in range(self.num_pes):
             proc = ctx.Process(
                 target=_worker_main,
-                args=(pe, self.num_pes, port, self._specs.get(pe, []), options),
+                args=(pe, port, self._specs.get(pe, []), cfg,
+                      self._health_interval),
                 name=f"repro-mp-pe{pe}",
                 daemon=True,
             )
@@ -1954,13 +1770,18 @@ class MpMachine(MachineLayer):
             if proc.is_alive():  # pragma: no cover - last resort
                 proc.kill()
                 proc.join(timeout=1.0)
+        # Every worker process is gone, so each reader reaches EOF once
+        # it has drained what its worker left in the socket.  Join them
+        # *before* closing the hub ends: closing first turns a lagging
+        # reader's next recv into an error and silently costs the final
+        # metrics / trace-count / cpu frames.
+        for reader in self._readers:
+            reader.join(timeout=5.0)
         for conn in self._conns.values():
             try:
                 conn.close()
             except OSError:
                 pass
-        for reader in self._readers:
-            reader.join(timeout=5.0)
         if self._listener is not None:
             try:
                 self._listener.close()
@@ -2033,7 +1854,7 @@ class MpMachine(MachineLayer):
         layer asking for the snapshot finalizes the machine: if the run
         is still live, :meth:`shutdown` is invoked first.
         """
-        if not self._metrics_on:
+        if not self.config.metrics:
             raise SimulationError(
                 "machine was built without metrics; pass metrics=True"
             )

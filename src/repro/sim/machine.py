@@ -33,13 +33,13 @@ from repro.core.errors import SimulationError
 from repro.core.runtime import ConverseRuntime
 from repro.machine.base import (
     MachineLayer,
+    build_pe_stack,
     resolve_machine_backend,
-    resolve_speed_knobs,
 )
 from repro.sim.console import Console
 from repro.sim.engine import SimEngine
 from repro.sim.models import GENERIC, MachineModel
-from repro.sim.network import FaultPlan, Network
+from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.topology import make_topology
 from repro.metrics.registry import make_registry
@@ -50,6 +50,12 @@ __all__ = ["Machine", "run_spmd"]
 
 class Machine(MachineLayer):
     """An N-PE simulated parallel computer running Converse.
+
+    The parameters below are the keywords every machine layer shares
+    (the fields of :class:`~repro.machine.base.MachineConfig`, which
+    validates and defaults them once); a layer that cannot take one in
+    full declares so in ``restricted_options`` and documents only its
+    own extras.
 
     Parameters
     ----------
@@ -107,30 +113,22 @@ class Machine(MachineLayer):
         log).  Crash *injection* needs only a fault plan with crashes;
         ``ft=`` is what makes the machine live through them.
     pool:
-        ``None`` (default — the ``REPRO_MSG_POOL`` env var, else on,
-        except under ``faults`` without ``reliable`` where duplicate
-        faults must keep failing loudly); ``True``/``False`` — force
-        per-PE pooled wire-copy message allocation on or off (see
-        :mod:`repro.core.pool`).  Pooling never weakens the buffer
-        ownership protocol: recycled buffers stay poisoned until reused.
-    csd_batch:
-        Csd dispatch batch size (default — the ``REPRO_CSD_BATCH`` env
-        var, else 8): how many queued messages one scheduler-loop
-        iteration drains before re-checking the network and stop flag.
-        ``1`` reproduces the classic one-message-per-iteration loop
-        (byte-identical trace ordering); larger values amortize the
-        per-iteration checks over bursts of local work.
+        ``None`` (default — on, except under ``faults`` without
+        ``reliable`` where duplicate faults must keep failing loudly);
+        ``True``/``False`` — force per-PE pooled wire-copy message
+        allocation on or off (see :mod:`repro.core.pool`).  Pooling
+        never weakens the buffer ownership protocol: recycled buffers
+        stay poisoned until reused.
     inline:
-        ``None`` (default — the ``REPRO_CSD_INLINE`` env var, else off);
-        ``True`` enables inline dispatch: an outermost ``CsdScheduler``
-        loop delegates its drain to the delivery path, so handlers run
-        in engine context with zero tasklet switches per message (the
-        raw-speed mode for purely message-driven programs).  Requires
-        handlers that never suspend — Cth operations, blocking
-        receives and nested blocking schedulers raise
-        ``NotInTaskletError`` from a delegated handler.  Tracing or
-        metering machines keep the tasklet path regardless, so idle
-        spans trace exactly as before.
+        ``False`` (default); ``True`` enables inline dispatch: an
+        outermost ``CsdScheduler`` loop delegates its drain to the
+        delivery path, so handlers run in engine context with zero
+        tasklet switches per message (the raw-speed mode for purely
+        message-driven programs).  Requires handlers that never suspend
+        — Cth operations, blocking receives and nested blocking
+        schedulers raise ``NotInTaskletError`` from a delegated handler.
+        Tracing or metering machines keep the tasklet path regardless,
+        so idle spans trace exactly as before.
     backend:
         Tasklet switch backend (see :mod:`repro.sim.switching`):
         ``None`` (default — the ``REPRO_SIM_BACKEND`` env var, else the
@@ -146,6 +144,8 @@ class Machine(MachineLayer):
         real parallelism).  Selecting another layer returns an instance
         of that layer's machine class.
     """
+
+    layer_name = "sim"
 
     def __new__(cls, num_pes: int = 1, *args: Any, **kwargs: Any) -> "Machine":
         # Machine-layer dispatch: `Machine(..., machine_backend="mp")`
@@ -165,168 +165,58 @@ class Machine(MachineLayer):
                 return obj
         return super().__new__(cls)
 
-    def __init__(self, num_pes: int, model: MachineModel = GENERIC,
-                 queue: Any = "fifo", ldb: str = "direct",
-                 trace: Any = False, echo: bool = False, seed: int = 0,
-                 faults: Any = None, reliable: Any = False,
-                 backend: Any = None, metrics: Any = False,
-                 aggregation: Any = False, ft: Any = False,
-                 pool: Any = None, csd_batch: Any = None,
-                 inline: Any = None,
-                 machine_backend: Any = None) -> None:
-        if machine_backend is not None and \
-                resolve_machine_backend(machine_backend) != "sim":
-            # Direct construction of a subclass (or of Machine through a
-            # path that skipped __new__ dispatch) with a foreign layer.
-            raise SimulationError(
-                f"this is the 'sim' machine layer; machine_backend="
-                f"{machine_backend!r} selects a different layer — build it "
-                "via repro.Machine or repro.machine.base.create_machine"
-            )
-        if num_pes < 1:
-            raise SimulationError(f"a machine needs at least one PE, got {num_pes}")
+    def __init__(self, num_pes: int = 1, *args: Any, **kwargs: Any) -> None:
+        cfg = self.config = self.make_config(num_pes, *args, **kwargs)
         self.num_pes = num_pes
-        self.model = model
-        # Kept for rebuilding a crashed PE's software stack on restart.
-        self._queue = queue
-        self._ldb = ldb
-        self.engine = SimEngine(backend=backend)
-        self.topology = make_topology(model.topology, num_pes)
-        self.network = Network(self.engine, model, self.topology)
-        self.console = Console(self, echo=echo)
-        self.tracer = make_tracer(trace)
+        self.model = cfg.model
+        self.engine = SimEngine(backend=cfg.backend)
+        self.topology = make_topology(cfg.model.topology, num_pes)
+        self.network = Network(self.engine, cfg.model, self.topology)
+        self.console = Console(self, echo=cfg.echo)
+        self.tracer = make_tracer(cfg.trace)
         self.network.tracer = self.tracer
-        self.metrics = make_registry(metrics)
+        self.metrics = make_registry(cfg.metrics)
         #: machine-wide trace correlation id allocator (see
         #: ``CMI._next_msg_id``); advanced only when tracing is on.  The
         #: simulator owns every PE, so it mints densely from one counter.
         self._msg_id_seq = 0
         self._msg_id_stride = 1
-        if faults is not None:
-            if not isinstance(faults, FaultPlan):
-                raise SimulationError(
-                    f"faults must be a FaultPlan or None, got {type(faults).__name__}"
-                )
-            self.network.fault_plan = faults
+        if cfg.faults is not None:
+            self.network.fault_plan = cfg.faults
         self.fault_plan = self.network.fault_plan
-        # Raw-speed knobs, resolved before the runtimes are built (each
-        # ConverseRuntime reads them at construction).  Pooling defaults
-        # on — except under an unreliable faulty network, where duplicate
-        # faults re-deliver the *same* wire object; today that fails
-        # loudly (the second delivery sees a poisoned buffer) and a pool
-        # must never convert it into a silent resurrection with some
-        # newer message's contents.  The reliable layer dedups by
-        # sequence number before touching the inner message, so
-        # faults+reliable stays pool-safe.
-        self.msg_pooling, self.csd_batch, self.inline_dispatch = \
-            resolve_speed_knobs(
-                pool, csd_batch, inline,
-                default_pool=not (faults is not None and not reliable),
-            )
-        self.rng = random.Random(seed)
+        # The raw-speed settings each ConverseRuntime reads at
+        # construction.
+        self.msg_pooling = cfg.pool
+        self.inline_dispatch = cfg.inline
+        self.rng = random.Random(cfg.seed)
         self.nodes: List[Node] = [Node(self, pe) for pe in range(num_pes)]
         self.network.nodes = {n.pe: n for n in self.nodes}
-        self.runtimes: List[ConverseRuntime] = []
-        for node in self.nodes:
-            q = queue(node.pe) if callable(queue) and not isinstance(queue, str) else queue
-            self.runtimes.append(ConverseRuntime(node, self, queue=q))
-        self._install_cld(ldb)
-        # Build the EMI group interface on every PE now: its internal
-        # forwarding handlers must occupy the same table index on all PEs
-        # (messages carry indices, not names), which only holds if every
-        # PE registers them at the same point — before any user handlers.
-        for rt in self.runtimes:
-            rt.cmi.groups
-        # Aggregation, like groups, must be machine-wide and built at the
-        # same registration point on every PE: batches carry the batch
-        # handler's *index*, which must resolve identically everywhere.
-        self.aggregation_config = None
-        if aggregation:
-            from repro.comms.aggregation import AggregationConfig
-
-            self.aggregation_config = (
-                aggregation if isinstance(aggregation, AggregationConfig)
-                else AggregationConfig()
-            )
-            self.aggregation_config.validate()
-            for rt in self.runtimes:
-                rt.enable_aggregation(self.aggregation_config)
-        # Reliability must be machine-wide: every PE needs the protocol's
-        # arrival interceptor installed before the first send, or data
-        # packets would land in application inboxes undecoded.
-        self.reliable_config = None
-        if reliable:
-            from repro.machine.cmi import ReliableConfig
-
-            self.reliable_config = (
-                reliable if isinstance(reliable, ReliableConfig) else ReliableConfig()
-            )
-            for rt in self.runtimes:
-                rt.enable_reliability(self.reliable_config)
-        # Fault tolerance sits above reliability: it owns the send log
-        # kept by the reliable layer and pulls checkpoints over CMI.
-        # Like the layers above, it must be machine-wide (its control
-        # packets reach every PE).
-        self.ft_config = None
+        crash_schedule = cfg.crash_schedule
         self.ft_coordinator = None
-        crash_schedule = (
-            self.fault_plan.crash_schedule(num_pes)
-            if self.fault_plan is not None else []
-        )
-        if ft:
-            from repro.ft import FTConfig, FTCoordinator
+        if cfg.ft is not None:
+            from repro.ft import FTCoordinator
 
-            if self.reliable_config is None:
-                raise SimulationError(
-                    "ft= requires the reliable-delivery layer; build the "
-                    "machine with reliable=True as well"
-                )
-            self.ft_config = ft if isinstance(ft, FTConfig) else FTConfig()
-            self.ft_config.validate()
             self.ft_coordinator = FTCoordinator(num_pes, crash_schedule)
-            for rt in self.runtimes:
-                rt.enable_ft(self.ft_config, self.ft_coordinator)
+        self.runtimes: List[ConverseRuntime] = [
+            build_pe_stack(node, self, cfg, coordinator=self.ft_coordinator)
+            for node in self.nodes
+        ]
         # Crash injection works with or without the ft layer: a bare
         # crash is just a PE that dies (and maybe restarts with
         # amnesia); surviving it is the ft layer's job.
         for spec in crash_schedule:
             self.engine.schedule_at(spec.at, self._crash_pe, spec)
-        if self.tracer is not None:
-            for node in self.nodes:
-                node.add_delivery_hook(self._trace_delivery(node))
-        if self.metrics is not None:
-            for node in self.nodes:
+        for node in self.nodes:
+            if self.tracer is not None:
+                node.attach_tracer(self.tracer)
+            if self.metrics is not None:
                 node.attach_metrics(self.metrics)
         self._quiescence_callbacks: List[Callable[[], None]] = []
         self._mains: List[Any] = []
-        #: per-PE launch records, replayed when a crashed PE restarts.
-        self._launch_specs: dict = {}
+        #: every launch so far as ``(pes, fn, args, name)``, replayed on
+        #: the PEs of a crashed machine when they restart.
+        self._launches: List[tuple] = []
         self._shut_down = False
-
-    # ------------------------------------------------------------------
-    # wiring helpers
-    # ------------------------------------------------------------------
-    def _install_cld(self, ldb: str) -> None:
-        from repro.loadbalance.strategies import make_balancer
-
-        for rt in self.runtimes:
-            rt.cld = make_balancer(ldb, rt)
-
-    def _trace_delivery(self, node: Node) -> Callable[[Any], None]:
-        def hook(payload: Any) -> None:
-            self.tracer.record(
-                node.pe,
-                self.engine.now,
-                "receive",
-                {
-                    "handler": getattr(payload, "handler", None),
-                    "size": getattr(payload, "size", 0),
-                    "src": getattr(payload, "src_pe", None),
-                    "msg": getattr(payload, "msg_id", None),
-                },
-            )
-
-        return hook
 
     # ------------------------------------------------------------------
     # crash injection & restart
@@ -358,33 +248,22 @@ class Machine(MachineLayer):
             self.engine.schedule(spec.restart_after, self._restart_pe, spec.pe)
 
     def _restart_pe(self, pe: int) -> None:
-        """Power a crashed PE back on: a fresh runtime with the same
-        machine-wide layer stack (identical construction order keeps
-        handler indices aligned across PEs), then respawn its recorded
-        main(s).  With ft enabled the new incarnation's receive side
-        stays paused until its main pulls the checkpoint back via
-        ``CftRecover``."""
-        from repro.loadbalance.strategies import make_balancer
-
+        """Power a crashed PE back on: a fresh software stack, then
+        respawn its recorded main(s).  With ft enabled the new
+        incarnation's receive side stays paused until its main pulls the
+        checkpoint back via ``CftRecover``."""
         node = self.nodes[pe]
         node.restart()
-        queue = self._queue
-        q = queue(pe) if callable(queue) and not isinstance(queue, str) else queue
-        rt = ConverseRuntime(node, self, queue=q)
-        self.runtimes[pe] = rt
-        rt.cld = make_balancer(self._ldb, rt)
-        rt.cmi.groups
-        if self.aggregation_config is not None:
-            rt.enable_aggregation(self.aggregation_config)
-        if self.reliable_config is not None:
-            rt.enable_reliability(self.reliable_config)
-        if self.ft_config is not None:
-            rt.enable_ft(self.ft_config, self.ft_coordinator, restarting=True)
+        self.runtimes[pe] = build_pe_stack(
+            node, self, self.config,
+            coordinator=self.ft_coordinator, restarting=True,
+        )
         # Delivery hooks and metric handles live on the Node and survive
         # the crash; only the software stack needed rebuilding.
-        for fn, args, name in self._launch_specs.get(pe, []):
-            t = node.spawn(lambda fn=fn, args=args: fn(*args), name=name)
-            self._mains.append(t)
+        for pes, fn, args, name in self._launches:
+            if pe in pes:
+                self._mains.append(
+                    node.spawn(lambda fn=fn, args=args: fn(*args), name=name))
 
     # ------------------------------------------------------------------
     # access
@@ -410,11 +289,6 @@ class Machine(MachineLayer):
         """Name of the tasklet switch backend this machine runs on."""
         return self.engine.backend.name
 
-    @property
-    def machine_backend_name(self) -> str:
-        """The machine-layer registry name (this is the simulator)."""
-        return "sim"
-
     def metrics_snapshot(self) -> dict:
         """Plain-data snapshot of the metrics registry (raises when the
         machine was built without ``metrics=``)."""
@@ -433,22 +307,19 @@ class Machine(MachineLayer):
         PE (or the given subset).  The function discovers its rank via
         ``api.CmiMyPe()``.  Returns the tasklets (their ``.result`` holds
         the per-PE return value after the run)."""
-        targets = range(self.num_pes) if pes is None else pes
-        tasklets = []
-        for pe in targets:
-            t = self.node(pe).spawn(lambda fn=fn, args=args: fn(*args), name=name)
-            self._launch_specs.setdefault(pe, []).append((fn, args, name))
-            tasklets.append(t)
+        targets = range(self.num_pes) if pes is None else tuple(pes)
+        self._launches.append((targets, fn, args, name))
+        tasklets = [
+            self.node(pe).spawn(lambda fn=fn, args=args: fn(*args), name=name)
+            for pe in targets
+        ]
         self._mains.extend(tasklets)
         return tasklets
 
     def launch_on(self, pe: int, fn: Callable[..., Any], *args: Any,
                   name: str = "main") -> Any:
         """Start ``fn(*args)`` on a single PE."""
-        t = self.node(pe).spawn(lambda: fn(*args), name=name)
-        self._launch_specs.setdefault(pe, []).append((fn, args, name))
-        self._mains.append(t)
-        return t
+        return self.launch(fn, *args, pes=(pe,), name=name)[0]
 
     def launch_schedulers(self, pes: Optional[Iterable[int]] = None) -> List[Any]:
         """Start a blocking ``CsdScheduler(-1)`` loop on each PE — the
@@ -502,7 +373,7 @@ class Machine(MachineLayer):
         """Flush every PE's aggregation buffers (quiescent-drain safety
         net); True when anything was flushed.  No-op on machines built
         without ``aggregation=``."""
-        if self.aggregation_config is None:
+        if self.config.aggregation is None:
             return False
         flushed = 0
         for rt in self.runtimes:

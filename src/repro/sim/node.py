@@ -11,7 +11,7 @@ machine (see :mod:`repro.core.runtime`).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Optional
 
 from repro.core.errors import SimulationError
@@ -29,7 +29,6 @@ class NodeStats:
     bytes_received: int = 0
     busy_time: float = 0.0
     handlers_run: int = 0
-    extra: Dict[str, float] = field(default_factory=dict)
 
 
 class Node:
@@ -85,6 +84,23 @@ class Node:
         self._mx_recv_bytes = metrics.counter(
             "cmi.recv_bytes", help="modelled payload bytes received"
         )
+
+    def attach_tracer(self, tracer: Any) -> None:
+        """Record a ``receive`` event on ``tracer`` for every arrival at
+        this PE (called once at machine construction when tracing is
+        on).  The one definition of the event's shape, on every machine
+        layer."""
+        pe, engine, record = self.pe, self.engine, tracer.record
+
+        def hook(payload: Any) -> None:
+            record(pe, engine.now, "receive", {
+                "handler": getattr(payload, "handler", None),
+                "size": getattr(payload, "size", 0),
+                "src": getattr(payload, "src_pe", None),
+                "msg": getattr(payload, "msg_id", None),
+            })
+
+        self.add_delivery_hook(hook)
 
     # ------------------------------------------------------------------
     # CPU time

@@ -17,8 +17,9 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from typing import IO, Any, Dict, List, Mapping, Optional
+from typing import IO, Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.core.errors import TraceSpecError
 from repro.tracing.events import SchemaDeclaration, TraceEvent
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "CountingTracer",
     "JsonlTracer",
     "LockingTracer",
+    "parse_trace_spec",
     "make_tracer",
     "load_jsonl",
 ]
@@ -180,41 +182,55 @@ class LockingTracer(Tracer):
             self.inner.close()
 
 
-def make_tracer(spec: Any) -> Optional[Tracer]:
-    """Build a tracer from a machine-constructor argument.
+def parse_trace_spec(spec: Any) -> Tuple[Optional[str], Any]:
+    """The ``trace=`` grammar, parsed once for every machine layer.
 
-    ``False``/``None`` -> no tracing; ``True``/``"memory"`` -> memory;
-    ``"count"`` -> counting; ``"jsonl:<path>"``, a path-like object, a
+    Returns ``(mode, target)``: ``False``/``None`` -> ``(None, None)``;
+    ``True``/``"memory"`` -> ``("memory", None)``; ``"count"`` ->
+    ``("count", None)``; ``"jsonl:<path>"``, a path-like object, a
     string that is unambiguously a path (contains a separator or ends in
-    ``.jsonl``), or a file object -> JSONL; an existing :class:`Tracer`
-    passes through.
+    ``.jsonl``), or a file object -> ``("jsonl", path_or_file)``; an
+    existing :class:`Tracer` -> ``("tracer", tracer)``.
 
-    Any other string raises ``ValueError``: a typo like ``"counting"``
-    must fail loudly instead of silently creating a stray trace file
-    named after the typo.
+    Anything else raises :class:`~repro.core.errors.TraceSpecError`: a
+    typo like ``"counting"`` must fail loudly instead of silently
+    creating a stray trace file named after the typo.
     """
     if spec in (None, False):
-        return None
+        return None, None
     if spec is True or spec == "memory":
-        return MemoryTracer()
+        return "memory", None
     if spec == "count":
-        return CountingTracer()
+        return "count", None
     if isinstance(spec, Tracer):
-        return spec
+        return "tracer", spec
     if isinstance(spec, str):
         if spec.startswith("jsonl:"):
-            return JsonlTracer(spec[len("jsonl:"):])
+            return "jsonl", spec[len("jsonl:"):]
         if os.sep in spec or "/" in spec or spec.endswith(".jsonl"):
-            return JsonlTracer(spec)
-        raise ValueError(
-            f"unknown tracer spec {spec!r}: use False, True, 'memory', "
-            "'count', 'jsonl:<path>', a path, a file object, or a Tracer"
-        )
-    if isinstance(spec, os.PathLike) or hasattr(spec, "write"):
-        return JsonlTracer(spec)
-    raise ValueError(
-        f"unknown tracer spec {spec!r} of type {type(spec).__name__}"
+            return "jsonl", spec
+    elif isinstance(spec, os.PathLike):
+        return "jsonl", os.fspath(spec)
+    elif hasattr(spec, "write"):
+        return "jsonl", spec
+    raise TraceSpecError(
+        f"unknown tracer spec {spec!r}: use False, True, 'memory', "
+        "'count', 'jsonl:<path>', a path, a file object, or a Tracer"
     )
+
+
+def make_tracer(spec: Any) -> Optional[Tracer]:
+    """Build a tracer from a machine-constructor argument (grammar:
+    :func:`parse_trace_spec`); an existing :class:`Tracer` passes
+    through."""
+    mode, target = parse_trace_spec(spec)
+    if mode == "memory":
+        return MemoryTracer()
+    if mode == "count":
+        return CountingTracer()
+    if mode == "jsonl":
+        return JsonlTracer(target)
+    return target
 
 
 def load_jsonl(path: Any) -> MemoryTracer:

@@ -59,7 +59,7 @@ def run_all2all(num_pes: int, rounds: int, size: int = 16,
 # ----------------------------------------------------------------------
 def test_off_by_default_zero_structures():
     with Machine(2) as m:
-        assert m.aggregation_config is None
+        assert m.config.aggregation is None
         for rt in m.runtimes:
             assert rt.aggregation is None
             assert rt.cmi.aggregation is None
@@ -359,7 +359,7 @@ def test_config_validation(bad):
 
 def test_machine_true_means_default_config():
     with Machine(2, aggregation=True) as m:
-        assert m.aggregation_config == AggregationConfig()
+        assert m.config.aggregation == AggregationConfig()
         assert isinstance(m.runtime(0).aggregation, Aggregator)
 
 

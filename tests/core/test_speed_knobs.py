@@ -1,42 +1,44 @@
-"""The raw-speed knobs (``pool=``, ``csd_batch=``, ``inline=``) —
-resolution precedence, default policy, and the need-based-cost promise:
-with a knob off the corresponding per-message machinery must simply not
-exist (no pool object, no instrumented dispatch binding), so the only
-residual cost is the flag test at construction time.
+"""The raw-speed knobs (``pool=``, ``inline=``) — where they resolve
+(:class:`~repro.machine.base.MachineConfig`, once), the pool default
+policy, and the need-based-cost promise: with a knob off the
+corresponding per-message machinery must simply not exist (no pool
+object, no instrumented dispatch binding), so the only residual cost is
+the flag test at construction time.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro import FaultPlan, Machine
 from repro.core.runtime import ConverseRuntime
-from repro.machine.base import DEFAULT_CSD_BATCH, resolve_speed_knobs
+from repro.core.scheduler import CSD_BATCH
+from repro.machine.base import MachineConfig
 
 
 # ----------------------------------------------------------------------
-# resolve_speed_knobs: explicit beats env beats default
+# MachineConfig: explicit beats the default policy; resolved to bools
 # ----------------------------------------------------------------------
 def test_resolution_defaults():
-    assert resolve_speed_knobs(None, None) == (True, DEFAULT_CSD_BATCH, False)
-    assert resolve_speed_knobs(None, None, default_pool=False)[0] is False
+    cfg = MachineConfig(2)
+    assert (cfg.pool, cfg.inline) == (True, False)
 
 
-def test_resolution_explicit_args_win(monkeypatch):
-    monkeypatch.setenv("REPRO_MSG_POOL", "0")
-    monkeypatch.setenv("REPRO_CSD_BATCH", "32")
-    monkeypatch.setenv("REPRO_CSD_INLINE", "1")
-    assert resolve_speed_knobs(True, 2, False) == (True, 2, False)
+def test_resolution_explicit_args_win():
+    plan = FaultPlan(1, duplicate=0.2)
+    assert MachineConfig(2, pool=False).pool is False
+    assert MachineConfig(2, faults=plan).pool is False
+    assert MachineConfig(2, faults=plan, pool=True).pool is True
+    assert MachineConfig(2, inline=1).inline is True
+    assert MachineConfig(2, inline=None).inline is False
 
 
-def test_resolution_env_beats_default(monkeypatch):
-    monkeypatch.setenv("REPRO_MSG_POOL", "off")
-    monkeypatch.setenv("REPRO_CSD_BATCH", "5")
-    monkeypatch.setenv("REPRO_CSD_INLINE", "yes")
-    assert resolve_speed_knobs(None, None) == (False, 5, True)
-
-
-def test_resolution_clamps_batch():
-    assert resolve_speed_knobs(None, 0)[1] == 1
-    assert resolve_speed_knobs(None, -3)[1] == 1
+def test_resolution_is_idempotent():
+    """``dataclasses.replace`` re-runs resolution on resolved values (the
+    mp layer floors protocol timeouts that way) — nothing may move."""
+    cfg = MachineConfig(2, faults=FaultPlan(1, drop=0.1), reliable=True,
+                        ft=True, aggregation=True)
+    assert dataclasses.replace(cfg) == cfg
 
 
 # ----------------------------------------------------------------------
@@ -65,22 +67,9 @@ def test_pool_defaults_off_under_unreliable_faults():
         assert all(rt.pool is not None for rt in m.runtimes)
 
 
-def test_csd_batch_plumbs_to_scheduler():
+def test_csd_batch_is_the_scheduler_constant():
     with Machine(2) as m:
-        assert all(rt.scheduler._batch == DEFAULT_CSD_BATCH
-                   for rt in m.runtimes)
-    with Machine(2, csd_batch=4) as m:
-        assert all(rt.scheduler._batch == 4 for rt in m.runtimes)
-    with Machine(2, csd_batch=1) as m:
-        assert all(rt.scheduler._batch == 1 for rt in m.runtimes)
-
-
-def test_env_knobs_reach_the_machine(monkeypatch):
-    monkeypatch.setenv("REPRO_MSG_POOL", "0")
-    monkeypatch.setenv("REPRO_CSD_BATCH", "3")
-    with Machine(2) as m:
-        assert all(rt.pool is None for rt in m.runtimes)
-        assert all(rt.scheduler._batch == 3 for rt in m.runtimes)
+        assert all(rt.scheduler._batch == CSD_BATCH == 8 for rt in m.runtimes)
 
 
 # ----------------------------------------------------------------------

@@ -79,7 +79,7 @@ class TestZeroOverheadPath:
         with Machine(2, model=GENERIC) as m:
             assert m.fault_plan is None
             assert m.network.fault_plan is None
-            assert m.reliable_config is None
+            assert m.config.reliable is None
             for pe in range(2):
                 assert m.runtime(pe).reliable is None
 

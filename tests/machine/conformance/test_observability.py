@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.errors import SimulationError
 from repro.machine.base import (
+    MachineConfig,
     machine_backend_available,
     machine_backend_unavailable_reason,
 )
@@ -175,7 +176,7 @@ def test_worker_off_config_builds_no_instrumentation():
     a, b = socket.socketpair()
     try:
         link = mp_mod._WorkerLink(a, 0)
-        machine = mp_mod._WorkerMachine(0, 2, link, {"queue": "fifo"})
+        machine = mp_mod._WorkerMachine(0, link, MachineConfig(2))
         assert machine.tracer is None
         assert machine.metrics is None
         node = machine.node_obj
@@ -201,7 +202,7 @@ def test_worker_on_config_builds_instrumentation():
     try:
         link = mp_mod._WorkerLink(a, 0)
         machine = mp_mod._WorkerMachine(
-            0, 4, link, {"queue": "fifo", "trace": ("count",), "metrics": True}
+            0, link, MachineConfig(4, trace="count", metrics=True)
         )
         assert isinstance(machine.tracer, LockingTracer)
         assert machine.metrics is not None

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import SimulationError
+from repro.core.errors import SimulationError, TraceSpecError
+from repro.core.scheduler import CSD_BATCH
 from repro.machine.base import (
     DEFAULT_MACHINE_BACKEND,
     MACHINE_BACKEND_ENV_VAR,
     MACHINE_LAYERS,
+    MachineConfig,
     available_machine_backends,
     create_machine,
     machine_backend_available,
@@ -23,6 +25,9 @@ from repro.machine.base import (
     resolve_machine_backend,
 )
 from repro.sim.machine import Machine
+from repro.sim.network import FaultPlan
+
+from tests.machine.conformance import workers as w
 
 pytestmark = pytest.mark.conformance
 
@@ -189,8 +194,8 @@ def test_mp_constructs_with_faults_reliable_ft():
     try:
         assert m.fault_plan is not None
         # Socket-scale floors applied to the shipped configs.
-        assert m._rel_config.rto >= 0.02
-        assert m._ft_config.heartbeat_period >= 0.025
+        assert m.config.reliable.rto >= 0.02
+        assert m.config.ft.heartbeat_period >= 0.025
     finally:
         m.shutdown()
 
@@ -201,6 +206,42 @@ def test_mp_rejects_callable_queue():
     # takes the named strategies it can ship to a worker process.
     with pytest.raises(SimulationError):
         Machine(2, machine_backend="mp", queue=lambda: None)
+
+
+# ----------------------------------------------------------------------
+# construction contract: one MachineConfig validates for every layer, so
+# a bad argument fails the same way whichever layer it was meant for
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "kwargs, exc, phrase",
+    [
+        ({"num_pes": 0}, SimulationError, "at least one PE"),
+        ({"faults": object()}, SimulationError, "FaultPlan"),
+        ({"ft": True}, SimulationError, "requires the reliable-delivery"),
+        ({"trace": "counting"}, TraceSpecError, "unknown tracer spec"),
+        ({"bogus": 1}, TypeError, "unexpected keyword argument 'bogus'"),
+    ],
+    ids=["num_pes", "faults", "ft", "trace", "unknown"],
+)
+def test_bad_arguments_fail_alike_on_every_layer(machine_backend, kwargs,
+                                                 exc, phrase):
+    kwargs = dict({"num_pes": 2}, **kwargs)
+    with pytest.raises(exc, match=phrase) as info:
+        Machine(machine_backend=machine_backend, **kwargs)
+    # The same class exactly, not merely a common base.
+    assert type(info.value) is exc
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{}, {"pool": False}, {"faults": FaultPlan(1, drop=0.0)}],
+    ids=["default", "pool-off", "unreliable-faults"],
+)
+def test_workers_see_the_driver_resolved_speed_state(spmd, kwargs):
+    """What the driver resolved is what every PE runs with — on mp that
+    means the shipped MachineConfig, not a per-worker fallback."""
+    want = (MachineConfig(2, **kwargs).pool, CSD_BATCH)
+    assert spmd(2, w.w_speed_state, **kwargs) == [want, want]
 
 
 def test_unavailable_reason_empty_for_sim():

@@ -512,3 +512,12 @@ def w_obs_ring(laps):
         api.CmiSyncSend(1 % n, api.CmiNew(h_token, laps * n - 1, size=32))
     api.CsdScheduler(-1)
     return state["tokens"]
+
+
+def w_speed_state():
+    """What the raw-speed settings resolved to *inside* this PE: whether
+    its runtime pools wire copies, and its scheduler's dispatch batch."""
+    from repro.sim import context
+
+    rt = context.current_runtime()
+    return (rt.pool is not None, rt.scheduler._batch)

@@ -180,12 +180,3 @@ def test_inline_auto_disabled_under_tracing_and_metrics():
         assert all(rt.inline_dispatch for rt in m.runtimes)
     with Machine(2) as m:                     # default: off
         assert all(not rt.inline_dispatch for rt in m.runtimes)
-
-
-def test_env_knob_enables_inline(monkeypatch):
-    monkeypatch.setenv("REPRO_CSD_INLINE", "1")
-    with Machine(2) as m:
-        assert all(rt.inline_dispatch for rt in m.runtimes)
-    monkeypatch.setenv("REPRO_CSD_INLINE", "0")
-    with Machine(2) as m:
-        assert all(not rt.inline_dispatch for rt in m.runtimes)

@@ -1,11 +1,12 @@
-"""``csd_batch=1`` must reproduce the unbatched scheduler's trace-event
-ordering byte-for-byte.
+"""A dispatch batch of 1 must reproduce the unbatched scheduler's
+trace-event ordering byte-for-byte.
 
 The golden file ``golden_trace_batch1.jsonl`` was captured from the
 scheduler *before* batched dispatch existed (one message drained per
 loop iteration).  Running the same deterministic workload with
-``csd_batch=1`` must serialize to the identical byte sequence: batching
-is a pure amortization knob, never a semantic change.
+``repro.core.scheduler.CSD_BATCH`` patched to 1 must serialize to the
+identical byte sequence: batching is a pure amortization, never a
+semantic change.
 
 Regenerate the golden (only when the workload itself changes) with:
 
@@ -17,14 +18,14 @@ from __future__ import annotations
 import json
 import os
 
-from repro.core import api
+from repro.core import api, scheduler
 from repro.core.message import Message
 from repro.sim.machine import Machine
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_trace_batch1.jsonl")
 
 
-def _workload(**machine_kwargs):
+def _workload():
     """A small deterministic mixed workload: pingpong + broadcast +
     priority traffic over 4 PEs, fully traced."""
     rounds = 6
@@ -64,7 +65,7 @@ def _workload(**machine_kwargs):
         else:
             api.CsdScheduler(2 + 4)
 
-    with Machine(4, trace=True, **machine_kwargs) as m:
+    with Machine(4, trace=True) as m:
         m.launch(main)
         m.run()
         return ["%d %.9f %s %s" % (
@@ -73,20 +74,22 @@ def _workload(**machine_kwargs):
             for ev in m.tracer.events]
 
 
-def test_batch1_matches_golden_trace():
+def test_batch1_matches_golden_trace(monkeypatch):
     with open(GOLDEN, "r", encoding="utf-8") as fh:
         golden = fh.read().splitlines()
-    lines = _workload(csd_batch=1)
-    assert lines == golden
+    monkeypatch.setattr(scheduler, "CSD_BATCH", 1)
+    assert _workload() == golden
 
 
-def test_batched_dispatch_same_events_as_batch1():
+def test_batched_dispatch_same_events_as_batch1(monkeypatch):
     """Larger batches may legally reorder *interleavings across PEs*?
     No — the sim engine is deterministic per PE and dispatch order per
     PE is FIFO either way, so the full event multiset must match; we
     additionally require per-PE sequences to be identical."""
-    base = _workload(csd_batch=1)
-    batched = _workload(csd_batch=16)
+    monkeypatch.setattr(scheduler, "CSD_BATCH", 1)
+    base = _workload()
+    monkeypatch.setattr(scheduler, "CSD_BATCH", 16)
+    batched = _workload()
 
     def per_pe(lines):
         out = {}
@@ -98,6 +101,7 @@ def test_batched_dispatch_same_events_as_batch1():
 
 
 if __name__ == "__main__":
+    scheduler.CSD_BATCH = 1
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         fh.write("\n".join(_workload()) + "\n")
     print("wrote", GOLDEN, "with", len(open(GOLDEN).readlines()), "events")
