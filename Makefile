@@ -1,17 +1,7 @@
 PY      ?= python
 SEEDS   ?= 25
-# Workload size multiplier and repeats for the wall-clock throughput suite.
-PERF_SCALE   ?= 1.0
-PERF_REPEATS ?= 3
-# Allowed wall-clock throughput drop (percent) against the committed
-# BENCH_throughput.json before `make perf` fails.
-PERF_MAX_REGRESSION ?= 5
-
-# Imbalance ceiling for the feedback-driven Cld strategies on the
-# hot-key workload (`make lb`), plus the required makespan speedup over
-# the do-nothing baseline.
-LB_MAX_IMBALANCE ?= 1.5
-LB_MIN_SPEEDUP   ?= 1.5
+# Checkout `make perf` compares this one against (e.g. a clone of the parent commit).
+BASE    ?=
 
 .PHONY: test conformance fuzz ft ft-mp bench perf lb trace-demo trace-demo-mp
 
@@ -33,27 +23,26 @@ fuzz:
 
 # Fault-tolerance gate: the whole-PE crash-fault seed sweep (recovery
 # must reproduce the fault-free result exactly) plus the recovery
-# latency benchmark under a sanity ceiling.
+# latency gate (virtual time, 2,000 us ceiling).
 ft:
 	PYTHONPATH=src $(PY) -m pytest -q --seeds=$(SEEDS) \
 		tests/faults/test_ft_crash.py \
 		tests/faults/test_node_crash.py \
 		tests/faults/test_crash_validation.py
-	PYTHONPATH=src $(PY) -m repro.bench throughput --ft-recovery \
-		--scale 0.3 --repeats 2 --max-recovery-us 2000
+	PYTHONPATH=src $(PY) -m repro.bench gate ft
 
 # Real-process fault-tolerance gate: the same crash sweep's mp legs
 # (reduced seed count — each run SIGKILLs a real worker process and
 # recovers over sockets), the mp-only robustness tests (structured
 # WorkerDied, permanent-crash drain, pool defaults), and the measured
-# respawn-to-recovered latency under a generous wall-clock ceiling.
+# respawn-to-recovered latency under a generous wall-clock ceiling
+# (500 ms; skipped with a note where the mp layer is unavailable).
 ft-mp:
 	PYTHONPATH=src $(PY) -m pytest -q --seeds=5 -k mp \
 		tests/faults/test_ft_crash.py \
 		tests/faults/test_fuzz_workloads.py \
 		tests/faults/test_mp_faults.py
-	PYTHONPATH=src $(PY) -m repro.bench throughput --ft-recovery \
-		--machine-backend mp --repeats 2 --max-recovery-us 500000
+	PYTHONPATH=src $(PY) -m repro.bench gate ft-mp
 
 bench:
 	PYTHONPATH=src $(PY) -m pytest benchmarks/ --benchmark-only
@@ -61,46 +50,20 @@ bench:
 # Load-balancing gate: the skewed hot-key workload (everything created
 # on PE 0) under every headline Cld strategy.  Fails unless the
 # feedback-driven strategies (adaptive, steal) hold busy-time imbalance
-# at or below $(LB_MAX_IMBALANCE) and beat direct's makespan by at
-# least $(LB_MIN_SPEEDUP)x — on a run where direct really is
-# pathological (imbalance > 3).  Then the Cld strategy ablation and
-# the cross-backend Cld conformance slice.
+# at or below 1.5 and beat direct's makespan by at least 1.5x — on a
+# run where direct really is pathological (imbalance > 3).  Then the
+# Cld strategy ablation and the cross-backend Cld conformance slice.
 lb:
-	PYTHONPATH=src $(PY) -m repro.bench throughput --lb \
-		--max-imbalance $(LB_MAX_IMBALANCE) \
-		--min-lb-speedup $(LB_MIN_SPEEDUP)
+	PYTHONPATH=src $(PY) -m repro.bench gate lb
 	PYTHONPATH=src $(PY) -m pytest -q tests/loadbalance \
 		tests/machine/conformance/test_cld.py
 
-# Wall-clock simulator throughput per switch backend (thread baseline,
-# greenlet when installed via `pip install -e .[fast]`).  Writes the
-# perf-trajectory report every later PR regresses against, then merges
-# in the machine-layer axis: the portable workloads on the real
-# multiprocess layer (skipped with a note where mp is unavailable).
-# Both passes gate against the committed baseline: a workload more than
-# $(PERF_MAX_REGRESSION)% below its stored msgs/sec fails the target
-# (the baseline is snapshotted before the file is rewritten, and the
-# report's `speedups` record each workload's vs-baseline ratio).
-# The committed baseline is snapshotted once up front: the first pass
-# rewrites BENCH_throughput.json (momentarily dropping the mp rows until
-# the merge restores them), so both passes must gate against the
-# pre-run copy, not the file being rebuilt.
+# The repository benchmark (BENCHMARK.json, perfbench/README.md): this
+# checkout against the checkout in $(BASE), ten alternating pairs of
+# runs, compare.py verdicts per workload and metric (~30 min).
 perf:
-	@cp BENCH_throughput.json .bench_baseline.json 2>/dev/null || true
-	PYTHONPATH=src $(PY) -m repro.bench throughput \
-		--scale $(PERF_SCALE) --repeats $(PERF_REPEATS) \
-		--baseline .bench_baseline.json \
-		--max-regression $(PERF_MAX_REGRESSION) \
-		--out BENCH_throughput.json \
-		|| { rm -f .bench_baseline.json; exit 1; }
-	PYTHONPATH=src $(PY) -m repro.bench throughput \
-		--machine-backend mp \
-		--scale $(PERF_SCALE) --repeats $(PERF_REPEATS) \
-		--baseline .bench_baseline.json \
-		--max-regression $(PERF_MAX_REGRESSION) \
-		--merge-out BENCH_throughput.json \
-		|| { rm -f .bench_baseline.json; exit 1; }
-	@rm -f .bench_baseline.json
+	@test -n "$(BASE)" || { echo "usage: make perf BASE=<checkout of the commit to compare against>" >&2; exit 2; }
+	python3 perfbench/run.py --against $(BASE)
 
 # Run a small traced + metered demo workload and emit the observability
 # artifact set: trace-demo.jsonl (raw trace), trace-demo.chrome.json

@@ -8,10 +8,12 @@ Prints the same paper-vs-measured tables the benchmark suite produces
 (without pytest-benchmark's wall-clock layer) — handy for eyeballing
 model changes quickly.
 
-The ``throughput`` subcommand instead measures *wall-clock* simulator
-throughput per tasklet switch backend (see :mod:`repro.bench.throughput`):
+The ``gate`` subcommand instead runs the pass/fail checks CI holds that
+the repository benchmark (``perfbench/``, see its README) declares out
+of scope — crash recovery, load balance, aggregation — by name and with
+no flags (see :mod:`repro.bench.gates`):
 
-    python -m repro.bench throughput --out BENCH_throughput.json
+    python -m repro.bench gate ft lb agg
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import argparse
 import sys
 from typing import List
 
+from repro.bench import gates
 from repro.bench.reporting import banner, series_table
 from repro.bench.roundtrip import DEFAULT_SIZES, figure_series
 from repro.sim.models import ALL_MODELS
@@ -33,15 +36,11 @@ FIGURES = {
     "paragon": "Figure 8",
 }
 
+#: first-argument subcommands; anything else is the figure CLI.
+SUBCOMMANDS = {"gate": gates.main}
 
-def main(argv: List[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "throughput":
-        from repro.bench.throughput import main as throughput_main
 
-        return throughput_main(argv[1:])
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Regenerate the Converse paper's latency figures.",
@@ -59,6 +58,16 @@ def main(argv: List[str] | None = None) -> int:
         "--reps", type=int, default=3,
         help="round trips averaged per size (default: 3)",
     )
+    return parser
+
+
+def main(argv: List[str] | None = None) -> int:
+    """CLI entry point; returns a process exit code."""
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in SUBCOMMANDS:
+        return SUBCOMMANDS[argv[0]](argv[1:])
+    parser = _parser()
     args = parser.parse_args(argv)
 
     bad = [m for m in args.models if m not in FIGURES]

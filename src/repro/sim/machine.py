@@ -260,10 +260,15 @@ class Machine(MachineLayer):
         )
         # Delivery hooks and metric handles live on the Node and survive
         # the crash; only the software stack needed rebuilding.
+        # Each launch added ``len(pes)`` mains, in order; the respawned
+        # main takes the dead incarnation's slot, so ``results()`` stays
+        # one entry per launched main, in launch order.
+        slot = 0
         for pes, fn, args, name in self._launches:
             if pe in pes:
-                self._mains.append(
-                    node.spawn(lambda fn=fn, args=args: fn(*args), name=name))
+                self._mains[slot + pes.index(pe)] = node.spawn(
+                    lambda fn=fn, args=args: fn(*args), name=name)
+            slot += len(pes)
 
     # ------------------------------------------------------------------
     # access

@@ -1,5 +1,5 @@
-"""An inventory of everything a user can set: environment variables and
-``Machine(...)`` keywords.
+"""An inventory of everything a user can set: environment variables,
+``Machine(...)`` keywords and the ``python -m repro.bench`` command line.
 
 Each independently settable value multiplies the configurations the
 test and benchmark matrices must cover, so adding one is a decision,
@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench import __main__ as bench_cli, gates
 from repro.machine.base import MACHINE_LAYERS, MachineConfig
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -34,6 +35,13 @@ EXTRAS = {
     "sim": set(),
     "mp": {"timeout", "start_method", "watch", "health_interval"},
 }
+
+#: ``python -m repro.bench``: first-argument subcommands, the names
+#: ``gate`` accepts, and the flags of each parser.
+BENCH_SUBCOMMANDS = {"gate"}
+BENCH_GATES = {"ft", "ft-mp", "lb", "lb-powerlaw", "agg"}
+BENCH_FIGURE_FLAGS = {"--sizes", "--reps"}
+BENCH_GATE_FLAGS = set()
 
 
 def test_env_var_inventory():
@@ -67,3 +75,15 @@ def test_layer_keywords_are_shared_plus_declared_extras(layer):
     assert set(cls.restricted_options) <= SHARED
     with pytest.raises(TypeError, match="unexpected keyword argument"):
         cls(1, csd_batch=4)
+
+
+def _flags(parser):
+    return {flag for action in parser._actions
+            for flag in action.option_strings} - {"-h", "--help"}
+
+
+def test_bench_cli_inventory():
+    assert set(bench_cli.SUBCOMMANDS) == BENCH_SUBCOMMANDS
+    assert set(gates.GATES) == BENCH_GATES
+    assert _flags(bench_cli._parser()) == BENCH_FIGURE_FLAGS
+    assert _flags(gates._parser()) == BENCH_GATE_FLAGS

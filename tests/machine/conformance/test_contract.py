@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro import CrashSpec, FaultPlan, FTConfig
 from repro.sim.machine import Machine
 
+from tests.faults import workers_mp
 from tests.machine.conformance import workers as w
 from tests.machine.conformance.conftest import MP_TIMEOUT
 
@@ -132,3 +134,24 @@ def test_context_manager(machine_backend):
         m.launch(w.w_quiescence_idle, 7)
         m.run()
         assert m.results() == [7, 8]
+
+
+def test_results_keep_one_slot_per_main_across_crash_restart(machine_backend):
+    # A restarted PE's main takes the dead incarnation's slot: results()
+    # stays one entry per launched main, in launch order.  CrashSpec
+    # times are virtual seconds on sim and wall-clock seconds on mp
+    # (where a handler sleep keeps the run alive past the crash).
+    crash, sleep_s, kwargs = {
+        "sim": (CrashSpec(1, 400e-6, 250e-6), 0.0, {}),
+        "mp": (CrashSpec(1, 0.1, 0.05), 0.002, {"timeout": MP_TIMEOUT}),
+    }[machine_backend]
+    rounds = 60
+    with Machine(2, machine_backend=machine_backend, reliable=True,
+                 ft=FTConfig(), faults=FaultPlan(0, crashes=[crash]),
+                 metrics=True, **kwargs) as m:
+        m.launch(workers_mp.w_ft_pingpong, rounds, 8, sleep_s)
+        m.run()
+        results = m.results()
+    assert m.metrics_snapshot()["ft.recoveries"]["total"] == 1  # crash landed mid-run
+    assert len(results) == m.num_pes
+    assert results == [list(range(1, 2 * rounds, 2)), list(range(0, 2 * rounds, 2))]
