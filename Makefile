@@ -63,7 +63,7 @@ lb:
 # runs, compare.py verdicts per workload and metric (~30 min).
 perf:
 	@test -n "$(BASE)" || { echo "usage: make perf BASE=<checkout of the commit to compare against>" >&2; exit 2; }
-	python3 perfbench/run.py --against $(BASE)
+	$(PY) perfbench/run.py --against $(BASE)
 
 # Run a small traced + metered demo workload and emit the observability
 # artifact set: trace-demo.jsonl (raw trace), trace-demo.chrome.json

@@ -40,8 +40,8 @@ from repro.machine.base import (
     machine_backend_available,
 )
 from repro.machine.cmi import ReliableConfig
+from repro.machine.faults import CrashSpec, FaultPlan, FaultSpec
 from repro.sim.machine import Machine, run_spmd
-from repro.sim.network import CrashSpec, FaultPlan, FaultSpec
 from repro.sim.switching import available_backends, best_backend_name
 from repro.sim.models import (
     ALL_MODELS,

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
+from repro.core import context
 from repro.core.message import Message
 from repro.sim.machine import Machine
 from repro.sim.models import MachineModel
@@ -68,9 +69,7 @@ def _run_native(model: MachineModel, sizes: Sequence[int], reps: int) -> List[fl
     results: List[float] = []
 
     def echo() -> None:
-        from repro.sim import context
-
-        node = context.current_node()
+        node = context.current_runtime().node
         net = node.machine.network
         total = len(sizes) * reps
         for _ in range(total):
@@ -79,9 +78,7 @@ def _run_native(model: MachineModel, sizes: Sequence[int], reps: int) -> List[fl
             net.raw_send(node, 0, payload.size, _RawPayload(payload.size))
 
     def driver() -> None:
-        from repro.sim import context
-
-        node = context.current_node()
+        node = context.current_runtime().node
         net = node.machine.network
         for size in sizes:
             t0 = node.now

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Sequence
 
+from repro.core import context
 from repro.core.message import BitVector, Message, Priority
 from repro.msgmgr.message_manager import CMM_WILDCARD, MessageManager
-from repro.sim import context
 from repro.threads.sync import CtsBarrier, CtsCondition, CtsLock
 
 __all__ = [

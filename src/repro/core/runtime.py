@@ -2,10 +2,10 @@
 
 A :class:`ConverseRuntime` is the software stack living on one simulated
 PE: the handler table, the unified Csd scheduler, the CMI machine
-interface, the Cth thread module and the Cld seed balancer.  The
-:class:`~repro.sim.machine.Machine` constructs one per node; user code
-reaches the *current* runtime either through an explicit reference or the
-C-flavoured functions in :mod:`repro.core.api`.
+interface, the Cth thread module and the Cld seed balancer.  The machine
+layer builds one per node (:func:`~repro.machine.base.build_pe_stack`);
+user code reaches the *current* runtime either through an explicit
+reference or the C-flavoured functions in :mod:`repro.core.api`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ class ConverseRuntime:
     node:
         The simulated PE this runtime runs on.
     machine:
-        The owning machine (for the network, console, tracer, peers).
+        The owning :class:`~repro.machine.interface.PEHost` (for the
+        network, console, tracer).
     queue:
         Scheduler queueing strategy (name or instance), default FIFO.
     """
@@ -47,11 +48,11 @@ class ConverseRuntime:
         #: the keyword-argument dict is built — need-based cost for
         #: instrumentation.  The machine's tracer is fixed at
         #: construction, so the flag never goes stale.
-        self.tracing = getattr(machine, "tracer", None) is not None
+        self.tracing = machine.tracer is not None
         #: the machine's metrics registry (``None`` when disabled) and
         #: the cached flag hot paths guard metric updates with — the same
         #: discipline as ``self.tracing``.  Fixed at construction.
-        self.metrics = getattr(machine, "metrics", None)
+        self.metrics = machine.metrics
         self.metering = self.metrics is not None
         if self.metering:
             from repro.metrics.registry import TIME_BUCKETS
@@ -69,7 +70,7 @@ class ConverseRuntime:
         #: per-PE free list for wire-copy messages (``None`` when pooling
         #: is off).  Populated from recycled-not-grabbed CMI buffers; see
         #: :mod:`repro.core.pool` for the ownership invariants.
-        self.pool = MessagePool() if getattr(machine, "msg_pooling", False) else None
+        self.pool = MessagePool() if machine.msg_pooling else None
         #: inline dispatch (``Machine(inline=True)``): an idle Csd loop
         #: delegates its drain to the delivery path, so handlers run in
         #: engine context with *zero* context switches per message.
@@ -78,7 +79,7 @@ class ConverseRuntime:
         #: instrumented runtimes keep the tasklet path so idle spans
         #: trace/meter exactly as before.
         self.inline_dispatch = (
-            bool(getattr(machine, "inline_dispatch", False))
+            machine.inline_dispatch
             and not (self.tracing or self.metering)
         )
         #: the scheduler currently idling with a delegated (inline)
@@ -210,11 +211,6 @@ class ConverseRuntime:
     def num_pes(self) -> int:
         """Total number of PEs in the machine."""
         return self.machine.num_pes
-
-    def peer(self, pe: int) -> "ConverseRuntime":
-        """The runtime on another PE (used by runtime-internal protocols,
-        never to bypass the network from user code)."""
-        return self.machine.nodes[pe].runtime
 
     # ------------------------------------------------------------------
     # handlers

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from repro.core import context
 from repro.core.message import Message, Priority
 from repro.core.queueing import SchedulingQueue, make_queue
-from repro.sim import context
 
 __all__ = ["CsdScheduler", "CSD_BATCH"]
 
@@ -398,7 +398,7 @@ class CsdScheduler:
         engine = node.engine
         entry_now = engine.now
         engine._inline_node = node
-        context._set_inline_node(node)
+        context.bind_node(node)
         self._dg_running = True
         try:
             while True:
@@ -473,7 +473,7 @@ class CsdScheduler:
         finally:
             self._dg_running = False
             engine._inline_node = None
-            context._set_inline_node(None)
+            context.bind_node(None)
 
     # ------------------------------------------------------------------
     # the loop

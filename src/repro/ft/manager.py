@@ -1,7 +1,7 @@
 """Whole-PE fault tolerance: detection, buddy checkpointing, recovery.
 
 This module gives the simulated machine the ability to *survive* the
-crash faults injected by :class:`~repro.sim.network.CrashSpec`: a
+crash faults injected by :class:`~repro.machine.faults.CrashSpec`: a
 mid-run power loss on one PE, followed (optionally) by an amnesiac
 restart.  Three cooperating mechanisms, all riding ordinary CMI
 deliveries so the fault plan applies to them too:
@@ -213,14 +213,12 @@ class FTAgent:
             )
         self.rel = rel
         #: guards agent state against concurrent entry on machine layers
-        #: with real threads (mp: send path, receiver thread, timer
-        #: threads).  Adopted from the reliable layer so both protocol
-        #: layers share one lock — it must be reentrant there (the mp
-        #: worker machine's ``protocol_lock`` is an RLock) to
-        #: cover the ft<->rel call cycles; on the simulator it is the
-        #: free no-op :data:`~repro.machine.cmi._NULL_LOCK`.  Adopting at
-        #: construction matters: ``coordinator.register`` below may arm
-        #: timers immediately, so the lock must already be real.
+        #: with real threads: the host's ``protocol_lock``
+        #: (:class:`~repro.machine.interface.PEHost`), adopted from the
+        #: reliable layer so both protocol layers share one lock.
+        #: Adopting at construction matters: ``coordinator.register``
+        #: below may arm timers immediately, so the lock must already be
+        #: real.
         self._lock: Any = rel._lock
         # Arm sender-based message logging and take over retry give-ups
         # as failure evidence.

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Any, List, Type, TypeVar
 
+from repro.core import context
 from repro.core.errors import LanguageError
-from repro.sim import context
 
 __all__ = ["LanguageRuntime"]
 

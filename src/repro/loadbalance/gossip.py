@@ -31,10 +31,10 @@ its strategy class sets ``needs_remote_load = True``.  ``direct`` /
 ``random`` / ``spray`` never pay for telemetry they do not read — no
 handler, no timer, no per-seed load sampling.
 
-The gossip interval defaults to :data:`DEFAULT_INTERVAL` (virtual
-seconds on the simulator) and can be overridden per machine via a
-``cld_gossip_interval`` attribute — the mp layer sets a coarser
-wall-clock interval so real timers are not spammy.
+The gossip interval is the machine's
+:attr:`~repro.machine.interface.PEHost.cld_gossip_interval` (100 us of
+virtual time by default) — the mp layer sets a coarser wall-clock
+interval so real timers are not spammy.
 """
 
 from __future__ import annotations
@@ -43,12 +43,7 @@ from typing import Any
 
 from repro.core.message import Message
 
-__all__ = ["LoadGossip", "DEFAULT_INTERVAL"]
-
-#: Default broadcast period, in the machine's time unit (virtual seconds
-#: on the simulator).  100us: an order of magnitude above typical seed
-#: grain sizes, so gossip traffic stays a small fraction of seed traffic.
-DEFAULT_INTERVAL = 1e-4
+__all__ = ["LoadGossip"]
 
 
 class LoadGossip:
@@ -74,9 +69,7 @@ class LoadGossip:
         #: is never read: :meth:`CldBalancer.load_of` answers the local
         #: question live.
         self.table = [0] * rt.num_pes
-        self.interval = float(
-            getattr(rt.machine, "cld_gossip_interval", DEFAULT_INTERVAL)
-        )
+        self.interval = float(rt.machine.cld_gossip_interval)
         self._armed = False
         #: periodic broadcasts sent (tests assert gossip stays low-rate).
         self.broadcasts = 0

@@ -3,12 +3,13 @@
 The paper's portability claim is that everything above the CMI — the Csd
 scheduler, the message manager, threads, EMI extensions and the language
 runtimes — is machine-independent, and only the thin machine layer is
-rewritten per platform.  This module is that seam made explicit:
+rewritten per platform.  This module is the upward half of that seam —
+what a layer offers the program that drives it (the downward half, what
+it offers the stack built on it, is :mod:`repro.machine.interface`):
 
 * :class:`MachineLayer` — the abstract surface a machine layer must
   provide to host Converse programs (launch mains, drive to quiescence,
-  collect results, tear down).  The *messaging* side of the contract is
-  not expressed as abstract methods; it is defined operationally by the
+  collect results, tear down).  The messaging semantics are held to the
   conformance battery in ``tests/machine/conformance/``, which every
   registered backend must pass identically.
 * :class:`MachineConfig` — the ``Machine(...)`` keywords, validated and
@@ -51,6 +52,8 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.errors import SimulationError
 from repro.loadbalance.strategies import make_balancer
+from repro.machine.faults import FaultPlan
+from repro.machine.interface import GENERIC, unsupported
 
 __all__ = [
     "MACHINE_BACKEND_ENV_VAR",
@@ -130,14 +133,11 @@ class MachineConfig:
             raise SimulationError(
                 f"a machine needs at least one PE, got {self.num_pes}"
             )
-        if self.faults is not None:
-            from repro.sim.network import FaultPlan
-
-            if not isinstance(self.faults, FaultPlan):
-                raise SimulationError(
-                    f"faults must be a FaultPlan or None, got "
-                    f"{type(self.faults).__name__}"
-                )
+        if self.faults is not None and not isinstance(self.faults, FaultPlan):
+            raise SimulationError(
+                f"faults must be a FaultPlan or None, got "
+                f"{type(self.faults).__name__}"
+            )
         parse_trace_spec(self.trace)
         if self.metrics not in (None, False, True):
             from repro.metrics.registry import make_registry
@@ -163,8 +163,6 @@ class MachineConfig:
         put(self, "ft", ft)
         put(self, "inline", bool(self.inline))
         if self.model is None:
-            from repro.sim.models import GENERIC
-
             put(self, "model", GENERIC)
         pool = self.pool
         if pool is None:
@@ -257,11 +255,19 @@ class MachineLayer(abc.ABC):
             )
         for name, (accepted, why) in cls.restricted_options.items():
             if not isinstance(getattr(cfg, name), accepted):
-                raise SimulationError(
-                    f"{name}={getattr(cfg, name)!r} is not supported on the "
-                    f"{cls.layer_name!r} machine layer: {why}"
-                )
+                raise unsupported(
+                    cls.layer_name, f"{name}={getattr(cfg, name)!r}", why)
         return cfg
+
+    def _targets(self, pes: Optional[Any]) -> Any:
+        """The PEs a launch call names (every PE for ``None``), checked
+        here, once, before the layer records or starts anything."""
+        targets = range(self.num_pes) if pes is None else tuple(pes)
+        for pe in targets:
+            if not 0 <= pe < self.num_pes:
+                raise SimulationError(
+                    f"PE {pe} out of range [0, {self.num_pes})")
+        return targets
 
     @property
     def machine_backend_name(self) -> str:
@@ -275,15 +281,21 @@ class MachineLayer(abc.ABC):
         """SPMD launch: run ``fn(*args)`` as the main program on every PE
         (or a subset); the function discovers its rank via ``CmiMyPe``."""
 
-    @abc.abstractmethod
     def launch_on(self, pe: int, fn: Callable[..., Any], *args: Any,
                   name: str = "main") -> Any:
         """Run ``fn(*args)`` as a main program on a single PE."""
+        return self.launch(fn, *args, pes=(pe,), name=name)[0]
 
     @abc.abstractmethod
     def launch_schedulers(self, pes: Optional[Any] = None) -> List[Any]:
         """Start a blocking ``CsdScheduler(-1)`` loop on each PE — the
         main program of a purely message-driven application."""
+
+    def register_quiescence(self, callback: Callable[[], None]) -> None:
+        """Run ``callback()`` on the driver when the machine next goes
+        quiescent — a capability of layers whose driver can resume a
+        quiescent machine; elsewhere ``run()`` returning *is* quiescence."""
+        raise unsupported(self.layer_name, "a register_quiescence callback")
 
     # -- driving --------------------------------------------------------
     @abc.abstractmethod
@@ -439,7 +451,7 @@ def resolve_machine_backend(spec: Optional[str] = None) -> str:
     return key
 
 
-def machine_layer_class(name: str) -> type:
+def machine_layer_class(name: Optional[str]) -> type:
     """The machine-layer class registered under ``name`` (resolving and
     validating it first)."""
     return MACHINE_LAYERS[resolve_machine_backend(name)].load()
@@ -448,6 +460,5 @@ def machine_layer_class(name: str) -> type:
 def create_machine(num_pes: int, *args: Any, **kwargs: Any) -> MachineLayer:
     """Build a machine on the selected layer — the functional spelling of
     ``Machine(num_pes, machine_backend=...)``."""
-    from repro.sim.machine import Machine
-
-    return Machine(num_pes, *args, **kwargs)
+    layer = machine_layer_class(kwargs.get("machine_backend"))
+    return layer(num_pes, *args, **kwargs)

@@ -23,36 +23,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import MessageError, RetryExhaustedError
 from repro.core.message import HEADER_BYTES, Message
-from repro.sim.network import SendHandle
+from repro.machine.interface import SendHandle
 
 __all__ = ["CMI", "ReliableConfig", "RelStats", "RelPacket", "ReliableDelivery"]
-
-
-class _NullLock:
-    """A free no-op stand-in for a lock.
-
-    The protocol layers (reliable delivery, fault tolerance) run
-    single-threaded on the simulator but are entered concurrently on the
-    mp machine layer — send path on the main thread, arrivals on the
-    receiver thread, retransmissions on timer threads.  Each instance
-    takes its lock from the machine: a threaded layer's machine object
-    carries one shared :class:`threading.RLock` per PE as
-    ``protocol_lock`` (reentrancy covers the ft->rel call cycles), any
-    other gets ``_NULL_LOCK``.  On the simulator the with-blocks cost
-    two no-op calls and the schedules stay byte-identical.
-    """
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullLock":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        return None
-
-
-#: the shared no-op lock instance (stateless, safe to share globally).
-_NULL_LOCK = _NullLock()
 
 
 # ----------------------------------------------------------------------
@@ -178,8 +151,8 @@ class ReliableDelivery:
         self.config = config or ReliableConfig()
         self.stats = RelStats()
         #: guards protocol state against concurrent entry on machine
-        #: layers with real threads (see :class:`_NullLock`).
-        self._lock: Any = getattr(runtime.machine, "protocol_lock", _NULL_LOCK)
+        #: layers with real threads (:attr:`PEHost.protocol_lock`).
+        self._lock: Any = runtime.machine.protocol_lock
         self._next_seq: Dict[int, int] = {}
         self._pending: Dict[Tuple[int, int], _Pending] = {}
         self._expected: Dict[int, int] = {}
@@ -745,15 +718,10 @@ class CMI:
         return wire
 
     def _next_msg_id(self) -> int:
-        """Allocate a machine-wide trace correlation id.  Only called
-        with tracing on, so untraced runs never pay for (or depend on)
-        the counter.
-
-        The machine provides a seed and a stride: the simulator uses
-        ``(0, 1)`` (dense sequential ids); an mp worker uses
-        ``(pe, num_pes)`` so every process mints from a disjoint residue
-        class and ids stay globally unique with no cross-process
-        coordination."""
+        """Allocate a machine-wide trace correlation id from the host's
+        seed and stride (see :class:`~repro.machine.interface.PEHost`).
+        Only called with tracing on, so untraced runs never pay for (or
+        depend on) the counter."""
         m = self.runtime.machine
         m._msg_id_seq += m._msg_id_stride
         return m._msg_id_seq

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.core.errors import GlobalPointerError
+from repro.machine.interface import SendHandle
 
 __all__ = ["GlobalPtr", "RmaHandle", "GlobalPointerInterface"]
 
@@ -47,20 +48,14 @@ class GlobalPtr:
             )
 
 
-class RmaHandle:
+class RmaHandle(SendHandle):
     """Completion handle for asynchronous get/put (``CommHandle``)."""
 
-    __slots__ = ("engine", "complete_at", "_data")
+    __slots__ = ("_data",)
 
     def __init__(self, engine: Any, complete_at: float) -> None:
-        self.engine = engine
-        self.complete_at = complete_at
+        super().__init__(engine, complete_at)
         self._data: Optional[bytes] = None
-
-    @property
-    def done(self) -> bool:
-        """True once the operation has completed (virtual-time check)."""
-        return self.engine.now >= self.complete_at
 
     @property
     def data(self) -> bytes:
@@ -110,9 +105,6 @@ class GlobalPointerInterface:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _owner_node(self, gptr: GlobalPtr) -> Any:
-        return self.machine.nodes[gptr.pe]
-
     def _issue(self) -> None:
         self.node.charge(self.model.send_overhead * RMA_ISSUE_FRACTION)
 
@@ -126,8 +118,10 @@ class GlobalPointerInterface:
     def async_get(self, gptr: GlobalPtr, nbytes: int, offset: int = 0) -> RmaHandle:
         """``CmiGet``: start fetching ``nbytes`` from the remote region."""
         gptr.check_range(offset, nbytes)
+        # Asked first: a layer without shared memory refuses here, before
+        # anything is charged or scheduled.
+        owner = self.machine.rma_node(gptr.pe)
         self._issue()
-        owner = self._owner_node(gptr)
         t_req = self._transit(gptr, RMA_CONTROL_BYTES)
         t_rsp = self._transit(gptr, nbytes)
         handle = RmaHandle(self.engine, self.engine.now + t_req + t_rsp)
@@ -154,8 +148,8 @@ class GlobalPointerInterface:
         """``CmiPut``: start writing ``data`` into the remote region."""
         data = bytes(data)
         gptr.check_range(offset, len(data))
+        owner = self.machine.rma_node(gptr.pe)
         self._issue()
-        owner = self._owner_node(gptr)
         t_data = self._transit(gptr, len(data))
         t_ack = self._transit(gptr, RMA_CONTROL_BYTES)
         handle = RmaHandle(self.engine, self.engine.now + t_data + t_ack)

@@ -10,7 +10,9 @@ as explicit spanning trees (the root adds children with
 and barriers over the tree.
 
 Modelling note: group descriptors are registered machine-wide at creation
-(``Pgrp`` objects are looked up by id on any PE).  On a real machine the
+(``Pgrp`` objects are looked up by id on any PE; the registry, the cached
+world group and the gid counter are the ``pgrp_*`` attributes every
+:class:`~repro.machine.interface.PEHost` declares).  On a real machine the
 descriptor is distributed once at group-build time; the registry is the
 zero-cost idealization of that one-time distribution.  All *per-operation*
 traffic — multicast forwarding, reduction contributions — travels through
@@ -32,8 +34,8 @@ def _alloc_gid(machine: Any) -> int:
     counter would make gid assignment depend on how many machines were
     built earlier in the same process — nondeterministic for tests and
     for any tool that persists gids across runs."""
-    gid = getattr(machine, "_pgrp_next_gid", 1)
-    machine._pgrp_next_gid = gid + 1
+    gid = machine.pgrp_next_gid
+    machine.pgrp_next_gid = gid + 1
     return gid
 
 
@@ -41,7 +43,7 @@ def world_group(machine: Any) -> "Pgrp":
     """The all-PEs group (binomial spanning tree rooted at PE 0), built on
     first use and cached on the machine.  Language runtimes use it for
     their global barriers and reductions."""
-    g = getattr(machine, "_world_pgrp", None)
+    g = machine.world_pgrp
     if g is not None:
         return g
     g = Pgrp(0, gid=_alloc_gid(machine))
@@ -60,10 +62,8 @@ def world_group(machine: Any) -> "Pgrp":
             bit <<= 1
         if children:
             g.add_children(p, children)
-    if not hasattr(machine, "_pgrp_registry"):
-        machine._pgrp_registry = {}
-    machine._pgrp_registry[g.gid] = g
-    machine._world_pgrp = g
+    machine.pgrp_registry[g.gid] = g
+    machine.world_pgrp = g
     return g
 
 
@@ -71,10 +71,8 @@ class Pgrp:
     """A processor group: a rooted spanning tree over a subset of PEs."""
 
     #: process-global fallback counter, used only when no machine-scoped
-    #: gid is supplied (direct ``Pgrp(...)`` construction in tests).  The
-    #: machine layer always passes an explicit per-machine gid so that
-    #: gid assignment is deterministic no matter how many machines were
-    #: built earlier in the same process.
+    #: gid is supplied (direct ``Pgrp(...)`` construction in tests); the
+    #: machine layer always passes one (see :func:`_alloc_gid`).
     _next_gid = 1
 
     def __init__(self, root: int, gid: Optional[int] = None) -> None:
@@ -146,10 +144,7 @@ class GroupInterface:
     def __init__(self, cmi: Any) -> None:
         self.cmi = cmi
         self.runtime = cmi.runtime
-        machine = self.runtime.machine
-        if not hasattr(machine, "_pgrp_registry"):
-            machine._pgrp_registry = {}
-        self._registry: Dict[int, Pgrp] = machine._pgrp_registry
+        self._registry: Dict[int, Pgrp] = self.runtime.machine.pgrp_registry
         self._mcast_handler = self.runtime.register_handler(
             self._on_multicast, "emi.pgrp.mcast"
         )
@@ -188,8 +183,8 @@ class GroupInterface:
         # being destroyed; a later world_group() call then builds a fresh
         # tree instead of handing out a dead descriptor.
         machine = self.runtime.machine
-        if getattr(machine, "_world_pgrp", None) is group:
-            machine._world_pgrp = None
+        if machine.world_pgrp is group:
+            machine.world_pgrp = None
 
     def add_children(self, group: Pgrp, penum: int, procs: List[int]) -> None:
         """``CmiAddChildren`` — root-only, per the paper."""

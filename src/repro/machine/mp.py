@@ -5,9 +5,10 @@ first with *real* parallelism: every PE is a child process with its own
 interpreter (and GIL), wired to the parent over loopback TCP sockets.
 The layers above the machine interface — :class:`ConverseRuntime`, the
 Csd scheduler, the CMI, the message manager — run in each worker process
-**unmodified**: the worker provides drop-in machine-dependent pieces (a
-wall-clock engine, a condition-variable node, a socket-backed network)
-behind the same attribute surface the simulator provides.
+**unmodified**: the worker derives the five machine-interface classes
+(:mod:`repro.machine.interface` — a wall-clock engine, a
+condition-variable node, a socket-backed network, a forwarding console
+and a one-PE host) and adds only what real threads and sockets need.
 
 Topology is hub-and-spoke: the parent process routes length-prefixed
 pickled frames between workers (one reader thread per worker) and runs
@@ -67,11 +68,12 @@ classified from the torn socket and surfaces as a structured
 :class:`~repro.core.errors.WorkerDied` carrying the PE id and the
 flight-recorder's last health snapshot.
 
-Scope (documented in the README machine-layer matrix): cost models,
-aggregation, Cth threads/tasklets, EMI groups/global pointers across
-PEs and console input are **simulator-only** for now.  Time is
-wall-clock; runs are not deterministic (mp fault tests assert
-invariants, not byte-identical traces).
+Scope (documented in the README machine-layer matrix): cost models and
+aggregation are restricted options; Cth threads/tasklets, console input,
+one-sided get/put and ``register_quiescence`` are capabilities this
+layer leaves to the interface's refusing defaults.  Time is wall-clock;
+runs are not deterministic (mp fault tests assert invariants, not
+byte-identical traces).
 """
 
 from __future__ import annotations
@@ -88,11 +90,18 @@ from collections import deque
 from dataclasses import replace
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
+from repro.core import context
 from repro.core.errors import SimulationError, WorkerDied
 from repro.machine.base import MachineConfig, MachineLayer, build_pe_stack
-from repro.sim.console import ConsoleRecord
-from repro.sim.models import MachineModel
-from repro.sim.node import Node
+from repro.machine.faults import FaultPlan
+from repro.machine.interface import (
+    ConsoleLog,
+    Engine,
+    Interconnect,
+    MachineModel,
+    PEHost,
+    PENode,
+)
 from repro.tracing.tracer import (
     CountingTracer,
     JsonlTracer,
@@ -188,21 +197,6 @@ class _WorkerStop(BaseException):
     (like :class:`TaskletKilled` in the simulator)."""
 
 
-class _WorkerTasklet:
-    """The stand-in for "the currently running tasklet" in a worker.
-
-    Exactly one user thread runs Converse code per worker process, so
-    the simulator's module-global current-context slot works unchanged;
-    this object gives it the two attributes the API layer reads.
-    """
-
-    __slots__ = ("node", "name")
-
-    def __init__(self, node: "_MpNode") -> None:
-        self.node = node
-        self.name = f"pe{node.pe}-main"
-
-
 class _MpTimerHandle:
     __slots__ = ("_engine", "_tid")
 
@@ -214,14 +208,15 @@ class _MpTimerHandle:
         self._engine.cancel(self._tid)
 
 
-class _MpEngine:
-    """Wall-clock replacement for the event engine inside a worker.
-
-    Provides exactly what machine-independent code asks an engine for on
-    this layer: the clock (``now``) and delayed callbacks (``schedule``,
-    backing Ccd timed calls).  Tasklet operations raise — threads are a
-    simulator feature until a real Cth backend exists.
+class _MpEngine(Engine):
+    """Wall-clock engine inside a worker: the clock is
+    ``time.monotonic`` since boot and every delayed callback is a
+    ``threading.Timer``.  No tasklets — one main runs per PE, so the
+    interface's tasklet operations keep refusing until a real Cth
+    backend exists.
     """
+
+    layer_name = "mp"
 
     def __init__(self) -> None:
         self._t0 = time.monotonic()
@@ -289,18 +284,6 @@ class _MpEngine:
         for timer in timers:
             timer.cancel()
 
-    # -- simulator-only operations -------------------------------------
-    def spawn(self, *_args: Any, **_kwargs: Any) -> Any:
-        raise SimulationError(
-            "tasklets/Cth threads are simulator-only; the mp machine layer "
-            "runs one main per PE"
-        )
-
-    def require_tasklet(self) -> Any:
-        from repro.sim import context
-
-        return context.require_tasklet()
-
 
 class _WorkerLink:
     """A worker's connection to the hub plus the idle-report state."""
@@ -332,10 +315,13 @@ class _WorkerLink:
             self.stop.set()
 
 
-class _MpNode(Node):
+class _MpNode(PENode):
     """A PE backed by real threads: the inbox is fed by the receiver
     thread (and timer threads), the main thread parks on a condition
-    variable instead of suspending a tasklet."""
+    variable instead of suspending a tasklet.  The inherited
+    ``deliver_immediate`` is interrupt-style delivery for real: the
+    handler runs on the receiver thread, concurrently with the PE's main
+    thread, so it must be short and thread-safe."""
 
     def __init__(self, machine: "_WorkerMachine", pe: int) -> None:
         super().__init__(machine, pe)
@@ -344,15 +330,6 @@ class _MpNode(Node):
         #: (read lock-free by the health thread — a stale value is fine).
         self._parked = False
 
-    # -- CPU time -------------------------------------------------------
-    def charge(self, dt: float) -> None:
-        # Costs are real on this layer: charges only keep the accounting
-        # counters alive (they are all zero under MP_MODEL anyway).
-        if dt < 0:
-            raise SimulationError(f"cannot charge negative time ({dt})")
-        self.stats.busy_time += dt
-
-    # -- inbox ----------------------------------------------------------
     def deliver(self, payload: Any) -> None:
         interceptors = self._interceptors
         if interceptors is not None:
@@ -361,39 +338,12 @@ class _MpNode(Node):
                     return
         with self._cond:
             self.inbox.append(payload)
-            stats = self.stats
-            stats.msgs_received += 1
-            stats.bytes_received += getattr(payload, "size", 0) or 0
-            if self._mx_recvs is not None:
-                self._mx_recvs.inc(self.pe)
-                self._mx_recv_bytes.inc(self.pe, getattr(payload, "size", 0) or 0)
-            for hook in self._delivery_hooks:
-                hook(payload)
+            self._arrived(payload)
             self._cond.notify_all()
-
-    def deliver_immediate(self, payload: Any) -> None:
-        # Interrupt-style delivery for real: the handler runs on the
-        # receiver thread, concurrently with the PE's main thread — the
-        # handler must be short and thread-safe, as on a real machine.
-        self.stats.msgs_received += 1
-        self.stats.bytes_received += getattr(payload, "size", 0) or 0
-        if self._mx_recvs is not None:
-            self._mx_recvs.inc(self.pe)
-            self._mx_recv_bytes.inc(self.pe, getattr(payload, "size", 0) or 0)
-        for hook in self._delivery_hooks:
-            hook(payload)
-        rt = self.runtime
-        if rt is None:
-            raise SimulationError(
-                f"immediate message on PE {self.pe} with no runtime"
-            )
-        rt.deliver_from_network(payload)
 
     def poll(self) -> Optional[Any]:
         with self._cond:
-            if self.inbox:
-                return self.inbox.popleft()
-            return None
+            return super().poll()
 
     def inbox_snapshot(self) -> Any:
         # The receiver thread appends concurrently; checkpointing walks a
@@ -414,65 +364,32 @@ class _MpNode(Node):
             finally:
                 self._parked = False
 
-    def wait_for_message(self) -> Any:
-        self.wait_until(lambda: bool(self.inbox))
-        with self._cond:
-            return self.inbox.popleft()
-
     def kick(self) -> None:
         with self._cond:
             self._cond.notify_all()
 
-    # -- simulator-only -------------------------------------------------
-    def spawn(self, fn: Callable[[], Any], name: str = "task", start: bool = True):
-        raise SimulationError(
-            "tasklets are simulator-only; the mp machine layer runs one "
-            "main per PE"
-        )
 
-
-class _MpSendHandle:
-    """Completion handle for asynchronous sends.  ``sendall`` returned
-    before this handle exists, so the buffer is already reusable — the
-    handle is born done (real DMA completion, not a virtual-time one)."""
-
-    __slots__ = ("released",)
-    done = True
-
-    def __init__(self) -> None:
-        self.released = False
-
-    def release(self) -> None:
-        self.released = True
-
-
-class _MpNetwork:
-    """The worker-side view of the interconnect: same call surface as
-    :class:`repro.sim.network.Network`, but every remote payload becomes
-    a pickled frame routed through the hub.  Self-sends stay local."""
+class _MpNetwork(Interconnect):
+    """The worker-side view of the interconnect: every remote payload
+    becomes a pickled frame routed through the hub; self-sends stay
+    local.  ``sendall`` returns before a send call does, so the
+    interface's complete-at-once ``async_send`` and per-destination
+    ``broadcast`` are already right for this layer."""
 
     def __init__(self, machine: "_WorkerMachine", link: _WorkerLink) -> None:
+        super().__init__()
         self.machine = machine
         self.link = link
-        from repro.sim.network import NetworkStats
 
-        self.stats = NetworkStats()
-        self.fault_plan = None
-        self.tracer = None
-
-    def _transmit(self, src_node: _MpNode, dst: int, nbytes: int,
-                  payload: Any, immediate: bool = False) -> None:
-        stats = self.stats
-        stats.messages += 1
-        stats.bytes += nbytes
-        key = (src_node.pe, dst)
-        stats.per_channel[key] = stats.per_channel.get(key, 0) + 1
-        if dst == src_node.pe:
-            if immediate:
-                src_node.deliver_immediate(payload)
-            else:
-                src_node.deliver(payload)
-            return
+    def _transmit(self, src_pe: int, dst: int, nbytes: int, payload: Any,
+                  immediate: bool = False) -> bool:
+        """Count one packet and put it on its way; True when it left as
+        a frame (False: a self-send, delivered in place)."""
+        self.stats.record(src_pe, dst, nbytes)
+        if dst == src_pe:
+            node = self.machine.node_obj
+            (node.deliver_immediate if immediate else node.deliver)(payload)
+            return False
         try:
             self.link.send(("send", dst, payload, immediate))
         except (pickle.PicklingError, TypeError, AttributeError) as exc:
@@ -480,116 +397,77 @@ class _MpNetwork:
                 f"the mp machine layer could not pickle an outgoing message "
                 f"for PE {dst}: {exc}"
             ) from exc
-        # The frame is on the wire (pickled by value); the local wire
-        # copy is dead.  Reclaim pooled copies so the send side reuses
-        # buffers instead of leaking them to the garbage collector.
-        if getattr(payload, "_pooled", False):
-            rt = getattr(self.machine.node_obj, "runtime", None)
+        return True
+
+    def sync_send(self, src_node: _MpNode, dst: int, nbytes: int, payload: Any,
+                  extra_send_cost: float = 0.0, immediate: bool = False) -> None:
+        src_node.charge(extra_send_cost)
+        framed = self._transmit(src_node.pe, dst, nbytes, payload, immediate)
+        if framed and getattr(payload, "_pooled", False):
+            # The frame is on the wire (pickled by value); the local wire
+            # copy is dead.  Reclaim pooled copies so the send side reuses
+            # buffers instead of leaking them to the garbage collector.
+            rt = src_node.runtime
             if rt is not None and rt.pool is not None:
                 payload._valid = False
                 payload._payload = None
                 rt.pool.release(payload)
 
-    def sync_send(self, src_node: _MpNode, dst: int, nbytes: int, payload: Any,
-                  extra_send_cost: float = 0.0, immediate: bool = False) -> None:
-        src_node.charge(extra_send_cost)
-        self._transmit(src_node, dst, nbytes, payload, immediate=immediate)
-
-    def async_send(self, src_node: _MpNode, dst: int, nbytes: int, payload: Any,
-                   extra_send_cost: float = 0.0) -> _MpSendHandle:
-        src_node.charge(extra_send_cost)
-        self._transmit(src_node, dst, nbytes, payload)
-        return _MpSendHandle()
-
-    def broadcast(self, src_node: _MpNode, nbytes: int, payload_factory: Any,
-                  include_self: bool = False, extra_send_cost: float = 0.0,
-                  asynchronous: bool = False) -> Optional[_MpSendHandle]:
-        self.stats.broadcasts += 1
-        src_node.charge(extra_send_cost)
-        for dst in range(self.machine.num_pes):
-            if dst == src_node.pe and not include_self:
-                continue
-            self._transmit(src_node, dst, nbytes, payload_factory(dst))
-        return _MpSendHandle() if asynchronous else None
-
     def inject(self, src_pe: int, dst: int, nbytes: int, payload: Any) -> None:
-        """NIC-level transmit with no CPU charge — the path the protocol
-        layers use for retransmissions, acks, heartbeats and control
-        traffic.  Protocol packets are never pooled, so there is nothing
-        to reclaim after the frame is pickled onto the wire."""
-        stats = self.stats
-        stats.messages += 1
-        stats.bytes += nbytes
-        key = (src_pe, dst)
-        stats.per_channel[key] = stats.per_channel.get(key, 0) + 1
-        if dst == src_pe:
-            self.machine.node_obj.deliver(payload)
-            return
-        try:
-            self.link.send(("send", dst, payload, False))
-        except (pickle.PicklingError, TypeError, AttributeError) as exc:
-            raise SimulationError(
-                f"the mp machine layer could not pickle a protocol packet "
-                f"for PE {dst}: {exc}"
-            ) from exc
+        # Protocol packets are never pooled, so there is nothing to
+        # reclaim after the frame is pickled onto the wire.
+        self._transmit(src_pe, dst, nbytes, payload)
 
 
-class _WorkerConsole:
-    """Worker-side console: forwards atomic writes to the hub (which
-    holds the job-wide record list).  Input is simulator-only."""
+class MpConsole(ConsoleLog):
+    """The job-wide console in the hub: workers' atomic writes arrive as
+    frames stamped with the writer's clock, on one reader thread per PE.
+    No job-input channel exists yet, so input stays refused."""
+
+    layer_name = "mp"
+
+
+class _WorkerConsole(MpConsole):
+    """Worker-side console: a write becomes a frame to the hub."""
 
     def __init__(self, link: _WorkerLink, engine: _MpEngine) -> None:
+        super().__init__(engine)
         self.link = link
-        self.engine = engine
 
-    def printf(self, pe: int, fmt: str, *args: Any) -> None:
-        self._emit(pe, (fmt % args) if args else fmt, "out")
-
-    def error(self, pe: int, fmt: str, *args: Any) -> None:
-        self._emit(pe, (fmt % args) if args else fmt, "err")
-
-    def _emit(self, pe: int, text: str, stream: str) -> None:
+    def write(self, pe: int, text: str, stream: str = "out",
+              t: Optional[float] = None) -> None:
         self.link.send(("printf", stream, pe, text, self.engine.now))
 
-    def scanf(self, fmt: str) -> Any:
-        raise SimulationError(
-            "console input (CmiScanf) is simulator-only; the mp machine "
-            "layer has no job-input channel yet"
-        )
 
-    read_line = scanf
-    feed = scanf
+class _WorkerMachine(PEHost):
+    """The worker's machine object: one PE's view of the whole machine
+    (the :class:`~repro.machine.interface.PEHost` of a single PE)."""
 
-
-class _WorkerMachine:
-    """The worker's machine object: one PE's view of the whole machine,
-    quacking exactly like the attribute surface :class:`ConverseRuntime`,
-    the CMI and the Cld balancers read off the simulator's Machine."""
+    layer_name = "mp"
+    model = MP_MODEL
+    #: wall-clock gossip period for Cld strategies carrying a
+    #: remote-load table.  Coarser than the virtual-time default: mp Ccd
+    #: timers are real ``threading.Timer`` objects and each pending one
+    #: holds hub quiescence for up to a period after the load drains.
+    cld_gossip_interval = 0.02
 
     def __init__(self, pe: int, link: _WorkerLink, cfg: MachineConfig) -> None:
         self.num_pes = cfg.num_pes
-        self.model = MP_MODEL
         self.engine = _MpEngine()
         link.engine = self.engine
         self.worker = link
+        self.network = _MpNetwork(self, link)
         self.console = _WorkerConsole(link, self.engine)
         self.tracer = self._make_tracer(pe, cfg.trace)
-        self.metrics = None
         if cfg.metrics:
             from repro.metrics.registry import MetricsRegistry
 
             # Locking: immediate handlers (and Ccd timers) update metrics
             # from threads other than the main thread.
             self.metrics = MetricsRegistry(locking=True)
-        self.topology = None
         self.rng = random.Random(cfg.seed * 1_000_003 + pe)
-        #: wall-clock gossip period for Cld strategies carrying a
-        #: remote-load table.  Coarser than the simulator's virtual-time
-        #: default: mp Ccd timers are real ``threading.Timer`` objects
-        #: and each pending one holds hub quiescence for up to a period
-        #: after the load drains.
-        self.cld_gossip_interval = 0.02
         self.msg_pooling = cfg.pool
+        self.pgrp_registry = {}
         #: the protocol layers (reliable delivery, ft) are entered
         #: concurrently here — main thread sends, receiver thread
         #: arrivals, timer threads retransmissions — so they guard their
@@ -601,13 +479,8 @@ class _WorkerMachine:
         self._msg_id_seq = pe
         self._msg_id_stride = cfg.num_pes
         self.node_obj = _MpNode(self, pe)
-        #: only the local node is addressable in-process; cross-PE peeks
-        #: (an FT-layer shortcut) have no meaning here.
+        #: only the local node lives in this process.
         self.nodes = {pe: self.node_obj}
-        if self.tracer is not None:
-            self.node_obj.attach_tracer(self.tracer)
-        if self.metrics is not None:
-            self.node_obj.attach_metrics(self.metrics)
 
     @staticmethod
     def _make_tracer(pe: int, spec: Any) -> Optional[Tracer]:
@@ -713,8 +586,6 @@ def _worker_main(pe: int, port: int, specs: list, cfg: MachineConfig,
     machine pieces, then runs the launch specs in order and parks until
     the hub shuts the job down.
     """
-    from repro.sim import context
-
     # Bounded connect retry: a respawned worker can race the hub's
     # accept loop, and loopback connects occasionally bounce under load.
     sock = None
@@ -734,7 +605,6 @@ def _worker_main(pe: int, port: int, specs: list, cfg: MachineConfig,
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     link = _WorkerLink(sock, pe)
     machine = _WorkerMachine(pe, link, cfg)
-    machine.network = _MpNetwork(machine, link)
     node = machine.node_obj
     if epoch > 0:
         # A respawned incarnation: restart-with-amnesia.  The epoch bump
@@ -763,9 +633,9 @@ def _worker_main(pe: int, port: int, specs: list, cfg: MachineConfig,
             node._cond.notify_all()
 
     machine.engine.on_error = _timer_fatal
-    # One user thread runs Converse code in this process, so the
-    # simulator's module-global current-context slot works unchanged.
-    context._set_current(_WorkerTasklet(node))
+    # One user thread runs Converse code in this process, with no
+    # tasklet: the node itself is what "the current PE" resolves to.
+    context.bind_node(node)
     try:
         link.send(("hello", pe))
         receiver = threading.Thread(
@@ -870,50 +740,6 @@ class MpMain:
         return f"<MpMain pe={self.pe} name={self.name!r} {state}>"
 
 
-class MpConsole:
-    """Hub-side console: collects the workers' atomic writes with the
-    same inspection surface as the simulator console (``lines``,
-    ``output``, ``ordered``, ``records``)."""
-
-    def __init__(self, echo: bool = False) -> None:
-        self.echo = echo
-        self.records: List[ConsoleRecord] = []
-        self._lock = threading.Lock()
-
-    def write(self, pe: int, text: str, stream: str = "out", t: float = 0.0) -> None:
-        rec = ConsoleRecord(t, pe, stream, text)
-        with self._lock:
-            self.records.append(rec)
-        if self.echo:
-            import sys
-
-            target = sys.stderr if stream == "err" else sys.stdout
-            target.write(f"[{rec.time * 1e6:12.2f}us pe{pe}] {text}")
-            if not text.endswith("\n"):
-                target.write("\n")
-
-    def lines(self, stream: Optional[str] = None, pe: Optional[int] = None) -> List[str]:
-        with self._lock:
-            return [
-                r.text for r in self.records
-                if (stream is None or r.stream == stream)
-                and (pe is None or r.pe == pe)
-            ]
-
-    def output(self) -> str:
-        return "".join(self.lines("out"))
-
-    @property
-    def ordered(self) -> List[tuple]:
-        with self._lock:
-            return [(r.time, r.pe, r.text) for r in self.records]
-
-    def feed(self, *_lines: str) -> None:
-        raise SimulationError(
-            "console input is simulator-only on the mp machine layer"
-        )
-
-
 #: resolved-value types an option may have when it must reach worker
 #: processes as plain data.
 _PLAIN = (type(None), bool, str, os.PathLike)
@@ -999,7 +825,7 @@ class MpMachine(MachineLayer):
         self.config = cfg = replace(cfg, reliable=rel, ft=ft)
         self.num_pes = num_pes
         self.model = MP_MODEL
-        self.console = MpConsole(echo=cfg.echo)
+        self.console = MpConsole(echo=cfg.echo, lock=threading.Lock())
         self.fault_plan = cfg.faults
         self._crash_schedule = cfg.crash_schedule
         self.msg_pooling = cfg.pool
@@ -1108,24 +934,12 @@ class MpMachine(MachineLayer):
 
     def launch(self, fn: Callable[..., Any], *args: Any,
                pes: Optional[Iterable[int]] = None, name: str = "main") -> List[MpMain]:
-        targets = range(self.num_pes) if pes is None else pes
-        return [self._add_spec(pe, "main", fn, args, name) for pe in targets]
-
-    def launch_on(self, pe: int, fn: Callable[..., Any], *args: Any,
-                  name: str = "main") -> MpMain:
-        if not 0 <= pe < self.num_pes:
-            raise SimulationError(f"PE {pe} out of range [0, {self.num_pes})")
-        return self._add_spec(pe, "main", fn, args, name)
+        return [self._add_spec(pe, "main", fn, args, name)
+                for pe in self._targets(pes)]
 
     def launch_schedulers(self, pes: Optional[Iterable[int]] = None) -> List[MpMain]:
-        targets = range(self.num_pes) if pes is None else pes
-        return [self._add_spec(pe, "scheduler", None, (), "csd") for pe in targets]
-
-    def register_quiescence(self, callback: Callable[[], None]) -> None:
-        raise SimulationError(
-            "register_quiescence callbacks are simulator-only; on the mp "
-            "machine layer run() itself returns at quiescence"
-        )
+        return [self._add_spec(pe, "scheduler", None, (), "csd")
+                for pe in self._targets(pes)]
 
     # ------------------------------------------------------------------
     # hub internals
@@ -1487,8 +1301,6 @@ class MpMachine(MachineLayer):
             # Workers spool to per-PE siblings of the base; the hub merges.
             cfg = replace(cfg, trace="jsonl:" + self._trace_base)
         if cfg.faults is not None:
-            from repro.sim.network import FaultPlan
-
             # Workers get the crash half of the plan only (it feeds their
             # coordinator replicas).  Link faults are applied here, and
             # the live plan — RNG, counters — is mutated by reader

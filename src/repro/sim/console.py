@@ -2,33 +2,22 @@
 
 The MMI "guarantees that data from two separate printfs is not
 interleaved" and that "scanf calls from different sources are effectively
-serialized" (paper section 3.1.3).  In the simulator atomicity is natural
-— one tasklet runs at a time — so the console's job is to *record* output
-with its PE and virtual timestamp, optionally echo it to real stdout, and
-to serve a pre-fed (or machine-fed) input queue for scanf.
+serialized" (paper section 3.1.3).  In the simulator both are natural —
+one tasklet runs at a time — so the console records output (the shared
+``ConsoleLog``) and serves a pre-fed (or machine-fed) scanf input queue.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, Deque, List, Optional
 
+from repro.core import context
 from repro.core.errors import SimulationError
+from repro.machine.interface import ConsoleLog
 
-__all__ = ["ConsoleRecord", "Console", "sscanf"]
-
-
-@dataclass(frozen=True)
-class ConsoleRecord:
-    """One atomic write: when, who, which stream, what."""
-
-    time: float
-    pe: int
-    stream: str  # "out" or "err"
-    text: str
+__all__ = ["Console", "sscanf"]
 
 
 #: scanf conversion -> regex fragment + Python converter
@@ -83,78 +72,34 @@ def sscanf(text: str, fmt: str) -> List[Any]:
     return [conv(g) for conv, g in zip(converters, m.groups())]
 
 
-class Console:
-    """The machine's shared console.
+class Console(ConsoleLog):
+    """The simulated machine's shared console.
 
-    Output is appended atomically as :class:`ConsoleRecord` entries.
-    Input is a line queue: tests pre-feed lines with :meth:`feed`;
-    blocking reads park the calling tasklet until a line is available.
+    Output is the inherited :class:`~repro.machine.interface.ConsoleLog`
+    (atomicity is natural here — one tasklet runs at a time).  Input is
+    a line queue: tests pre-feed lines with :meth:`feed`; blocking reads
+    park the calling tasklet until a line is available.
     """
 
-    def __init__(self, machine: Any, echo: bool = False) -> None:
-        self.machine = machine
-        self.echo = echo
-        self.records: List[ConsoleRecord] = []
+    def __init__(self, engine: Any, echo: bool = False) -> None:
+        super().__init__(engine, echo)
         self._input: Deque[str] = deque()
         self._waiters: Deque[Any] = deque()
 
-    # ------------------------------------------------------------------
-    # output
-    # ------------------------------------------------------------------
-    def write(self, pe: int, text: str, stream: str = "out") -> None:
-        """Append one atomic record to the console output."""
-        rec = ConsoleRecord(self.machine.engine.now, pe, stream, text)
-        self.records.append(rec)
-        if self.echo:
-            target = sys.stderr if stream == "err" else sys.stdout
-            target.write(f"[{rec.time * 1e6:12.2f}us pe{pe}] {text}")
-            if not text.endswith("\n"):
-                target.write("\n")
-
-    def printf(self, pe: int, fmt: str, *args: Any) -> None:
-        """C-style formatted atomic write (``%``-formatting)."""
-        self.write(pe, (fmt % args) if args else fmt, "out")
-
-    def error(self, pe: int, fmt: str, *args: Any) -> None:
-        """Atomic formatted write to the job's stderr stream."""
-        self.write(pe, (fmt % args) if args else fmt, "err")
-
-    # ------------------------------------------------------------------
-    # inspection helpers (tests use these heavily)
-    # ------------------------------------------------------------------
-    def lines(self, stream: Optional[str] = None, pe: Optional[int] = None) -> List[str]:
-        """Recorded output texts, optionally filtered by stream/PE."""
-        return [
-            r.text
-            for r in self.records
-            if (stream is None or r.stream == stream)
-            and (pe is None or r.pe == pe)
-        ]
-
-    def output(self) -> str:
-        """All stdout text concatenated."""
-        return "".join(self.lines("out"))
-
-    # ------------------------------------------------------------------
-    # input
-    # ------------------------------------------------------------------
     def feed(self, *lines: str) -> None:
         """Queue input lines for scanf (callable before or during a run)."""
         self._input.extend(lines)
         # Wake any tasklet blocked in a scanf.
-        engine = self.machine.engine
         while self._waiters:
-            engine.make_ready(self._waiters.popleft())
+            self.engine.make_ready(self._waiters.popleft())
 
     def read_line(self) -> str:
         """Blocking line read: parks the calling tasklet until input is
         fed.  Reads are serialized by engine determinism."""
-        from repro.sim import context
-
         t = context.require_tasklet()
         while not self._input:
             self._waiters.append(t)
-            self.machine.engine.suspend()
+            self.engine.suspend()
         return self._input.popleft()
 
     def try_read_line(self) -> Optional[str]:
@@ -169,9 +114,3 @@ class Console:
     def pending_input(self) -> int:
         """Lines queued for scanf that have not been read yet."""
         return len(self._input)
-
-    @property
-    def ordered(self) -> List[Tuple[float, int, str]]:
-        """(time, pe, text) triples in emission order — handy for asserting
-        that output is atomic and ordered."""
-        return [(r.time, r.pe, r.text) for r in self.records]

@@ -27,8 +27,9 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Deque, List, Optional
 
+from repro.core.context import _set_current
 from repro.core.errors import NotInTaskletError, SimulationError
-from repro.sim.context import _set_current
+from repro.machine.interface import Engine
 from repro.sim.switching import SwitchBackend, resolve_backend
 from repro.sim.tasklet import BaseTasklet as Tasklet
 
@@ -81,8 +82,9 @@ class ScheduledEvent:
         return f"<ScheduledEvent t={self.time:.9f} seq={self.seq} {state}>"
 
 
-class SimEngine:
-    """Virtual-clock event loop with deterministic tasklet scheduling.
+class SimEngine(Engine):
+    """Virtual-clock event loop with deterministic tasklet scheduling —
+    the :class:`~repro.machine.interface.Engine` with tasklets.
 
     The engine must be driven from a single *driver* thread (normally the
     thread that constructed it) via :meth:`run`.  Tasklets are created with

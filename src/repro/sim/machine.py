@@ -34,8 +34,10 @@ from repro.core.runtime import ConverseRuntime
 from repro.machine.base import (
     MachineLayer,
     build_pe_stack,
+    machine_layer_class,
     resolve_machine_backend,
 )
+from repro.machine.interface import PEHost
 from repro.sim.console import Console
 from repro.sim.engine import SimEngine
 from repro.sim.models import GENERIC, MachineModel
@@ -48,8 +50,10 @@ from repro.tracing.tracer import make_tracer
 __all__ = ["Machine", "run_spmd"]
 
 
-class Machine(MachineLayer):
-    """An N-PE simulated parallel computer running Converse.
+class Machine(MachineLayer, PEHost):
+    """An N-PE simulated parallel computer running Converse: the ``sim``
+    machine layer, and the one :class:`~repro.machine.interface.PEHost`
+    all of its PEs share.
 
     The parameters below are the keywords every machine layer shares
     (the fields of :class:`~repro.machine.base.MachineConfig`, which
@@ -87,7 +91,7 @@ class Machine(MachineLayer):
         Seed for the machine's deterministic RNG (used by randomized load
         balancers and workloads).
     faults:
-        Optional :class:`~repro.sim.network.FaultPlan` making the network
+        Optional :class:`~repro.machine.faults.FaultPlan` making the network
         hostile (seeded drop/duplicate/delay/reorder/corrupt).  ``None``
         (default) leaves the delivery path untouched.
     reliable:
@@ -155,8 +159,6 @@ class Machine(MachineLayer):
         if cls is Machine:
             name = resolve_machine_backend(kwargs.get("machine_backend"))
             if name != "sim":
-                from repro.machine.base import machine_layer_class
-
                 layer = machine_layer_class(name)
                 obj = layer.__new__(layer)
                 # The returned object is not a Machine instance, so
@@ -172,18 +174,12 @@ class Machine(MachineLayer):
         self.engine = SimEngine(backend=cfg.backend)
         self.topology = make_topology(cfg.model.topology, num_pes)
         self.network = Network(self.engine, cfg.model, self.topology)
-        self.console = Console(self, echo=cfg.echo)
+        self.console = Console(self.engine, echo=cfg.echo)
         self.tracer = make_tracer(cfg.trace)
         self.network.tracer = self.tracer
         self.metrics = make_registry(cfg.metrics)
-        #: machine-wide trace correlation id allocator (see
-        #: ``CMI._next_msg_id``); advanced only when tracing is on.  The
-        #: simulator owns every PE, so it mints densely from one counter.
-        self._msg_id_seq = 0
-        self._msg_id_stride = 1
-        if cfg.faults is not None:
-            self.network.fault_plan = cfg.faults
-        self.fault_plan = self.network.fault_plan
+        self.pgrp_registry = {}
+        self.fault_plan = self.network.fault_plan = cfg.faults
         # The raw-speed settings each ConverseRuntime reads at
         # construction.
         self.msg_pooling = cfg.pool
@@ -206,11 +202,6 @@ class Machine(MachineLayer):
         # amnesia); surviving it is the ft layer's job.
         for spec in crash_schedule:
             self.engine.schedule_at(spec.at, self._crash_pe, spec)
-        for node in self.nodes:
-            if self.tracer is not None:
-                node.attach_tracer(self.tracer)
-            if self.metrics is not None:
-                node.attach_metrics(self.metrics)
         self._quiescence_callbacks: List[Callable[[], None]] = []
         self._mains: List[Any] = []
         #: every launch so far as ``(pes, fn, args, name)``, replayed on
@@ -222,7 +213,7 @@ class Machine(MachineLayer):
     # crash injection & restart
     # ------------------------------------------------------------------
     def _crash_pe(self, spec: Any) -> None:
-        """Fire one scheduled :class:`~repro.sim.network.CrashSpec`:
+        """Fire one scheduled :class:`~repro.machine.faults.CrashSpec`:
         power-fail the PE (kill its tasklets, drop its state) and, if
         the spec restarts it, schedule the new incarnation."""
         node = self.nodes[spec.pe]
@@ -284,6 +275,11 @@ class Machine(MachineLayer):
         """The ConverseRuntime on PE ``pe``."""
         return self.node(pe).runtime
 
+    def rma_node(self, pe: int) -> Node:
+        """Every PE lives in this process, so one-sided get/put reaches
+        its node's memory directly."""
+        return self.nodes[pe]
+
     @property
     def now(self) -> float:
         """Current virtual time in seconds."""
@@ -312,29 +308,23 @@ class Machine(MachineLayer):
         PE (or the given subset).  The function discovers its rank via
         ``api.CmiMyPe()``.  Returns the tasklets (their ``.result`` holds
         the per-PE return value after the run)."""
-        targets = range(self.num_pes) if pes is None else tuple(pes)
+        targets = self._targets(pes)
         self._launches.append((targets, fn, args, name))
         tasklets = [
-            self.node(pe).spawn(lambda fn=fn, args=args: fn(*args), name=name)
+            self.nodes[pe].spawn(lambda fn=fn, args=args: fn(*args), name=name)
             for pe in targets
         ]
         self._mains.extend(tasklets)
         return tasklets
-
-    def launch_on(self, pe: int, fn: Callable[..., Any], *args: Any,
-                  name: str = "main") -> Any:
-        """Start ``fn(*args)`` on a single PE."""
-        return self.launch(fn, *args, pes=(pe,), name=name)[0]
 
     def launch_schedulers(self, pes: Optional[Iterable[int]] = None) -> List[Any]:
         """Start a blocking ``CsdScheduler(-1)`` loop on each PE — the
         main program of a purely message-driven (implicit control regime)
         application.  Stop them with ``CsdExitScheduler`` from handlers,
         or let :meth:`shutdown` clean them up after quiescence."""
-        targets = range(self.num_pes) if pes is None else pes
         return [
-            self.node(pe).spawn(self.runtime(pe).scheduler.run, name="csd")
-            for pe in targets
+            self.nodes[pe].spawn(self.runtime(pe).scheduler.run, name="csd")
+            for pe in self._targets(pes)
         ]
 
     # ------------------------------------------------------------------
@@ -420,12 +410,6 @@ class Machine(MachineLayer):
         self.engine.shutdown()
         if self.tracer is not None:
             self.tracer.close()
-
-    def __enter__(self) -> "Machine":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.shutdown()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,7 +1,8 @@
 """Cost models for the machines in the paper's evaluation (section 5).
 
-Each :class:`MachineModel` decomposes the cost of moving one message into
-the terms the paper's round-trip experiment measures:
+Each :class:`MachineModel` (declared with the machine interface, in
+:mod:`repro.machine.interface`) decomposes the cost of moving one message
+into the terms the paper's round-trip experiment measures:
 
 * **native software overheads** — per-message CPU cost on the sender and
   receiver in the lowest-level communication layer available on that
@@ -33,9 +34,7 @@ fall — not these absolute constants.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from repro.machine.interface import GENERIC, US, MachineModel
 
 __all__ = [
     "MachineModel",
@@ -48,101 +47,6 @@ __all__ = [
     "ALL_MODELS",
     "model_by_name",
 ]
-
-#: one microsecond, in the engine's seconds
-US = 1e-6
-
-
-@dataclass(frozen=True)
-class MachineModel:
-    """Per-machine communication cost decomposition (all times in seconds)."""
-
-    name: str
-    #: human-readable description used in benchmark report headers.
-    description: str
-
-    # --- native layer, per message -----------------------------------
-    send_overhead: float
-    recv_overhead: float
-    latency_per_hop: float
-    per_byte: float
-
-    # --- packetization ------------------------------------------------
-    packet_size: int = 1 << 30
-    per_packet: float = 0.0
-
-    # --- extra-copy threshold (T3D) ------------------------------------
-    copy_threshold: Optional[int] = None
-    copy_per_byte: float = 0.0
-
-    # --- Converse additions --------------------------------------------
-    cvs_send_extra: float = 3.0 * US
-    cvs_dispatch_extra: float = 3.0 * US
-
-    # --- Csd queueing additions ----------------------------------------
-    enqueue_cost: float = 5.0 * US
-    dequeue_cost: float = 6.0 * US
-
-    # --- misc -----------------------------------------------------------
-    topology: str = "flat"
-    #: incremental sender cost per extra destination in an MMI broadcast,
-    #: as a fraction of ``send_overhead`` (the first destination pays full).
-    broadcast_factor: float = 0.5
-
-    # ------------------------------------------------------------------
-    # cost computations
-    # ------------------------------------------------------------------
-    def packets(self, nbytes: int) -> int:
-        """Number of packets a message of ``nbytes`` is split into."""
-        return max(1, math.ceil(max(0, nbytes) / self.packet_size))
-
-    def wire_time(self, nbytes: int, hops: int = 1) -> float:
-        """Time on the wire: latency + serialization + packetization +
-        the extra-copy penalty where applicable."""
-        t = (
-            self.latency_per_hop * max(1, hops)
-            + nbytes * self.per_byte
-            + (self.packets(nbytes) - 1) * self.per_packet
-        )
-        if self.copy_threshold is not None and nbytes >= self.copy_threshold:
-            t += nbytes * self.copy_per_byte
-        return t
-
-    def one_way(self, nbytes: int, hops: int = 1, converse: bool = True,
-                queued: bool = False) -> float:
-        """Analytic end-to-end one-way time for one message.
-
-        Matches what the round-trip benchmark measures; used by tests to
-        validate the simulator against the closed form.
-        """
-        t = self.send_overhead + self.wire_time(nbytes, hops) + self.recv_overhead
-        if converse:
-            t += self.cvs_send_extra + self.cvs_dispatch_extra
-        if queued:
-            t += self.enqueue_cost + self.dequeue_cost
-        return t
-
-    def variant(self, **changes) -> "MachineModel":
-        """Return a copy with some fields replaced (for ablations)."""
-        return replace(self, **changes)
-
-
-#: A round-numbers model for unit tests: costs are easy to compute by hand.
-GENERIC = MachineModel(
-    name="generic",
-    description="Round-number model for tests (1 us overheads, 1 ns/byte)",
-    send_overhead=1.0 * US,
-    recv_overhead=1.0 * US,
-    latency_per_hop=1.0 * US,
-    per_byte=0.001 * US,
-    packet_size=4096,
-    per_packet=1.0 * US,
-    cvs_send_extra=0.5 * US,
-    cvs_dispatch_extra=0.5 * US,
-    enqueue_cost=1.0 * US,
-    dequeue_cost=1.0 * US,
-    topology="flat",
-)
 
 #: Figure 4 — HP workstations on an ATM switch.  ATM OC-3 (155 Mb/s,
 #: ~19.4 MB/s) with heavyweight mid-90s protocol processing in the host.

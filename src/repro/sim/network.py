@@ -12,307 +12,31 @@ whoever picks the message up (the CMI, or a raw receiver in the native
 baseline benchmarks), because that is where the cost is paid on a real
 machine.
 
-**Deterministic fault injection.**  The paper's CMI assumes a
-well-behaved machine layer; a production message layer cannot.  A
-:class:`FaultPlan` makes this network hostile on purpose: per-link,
-seeded probabilities of dropping, duplicating, delaying, reordering and
-corrupting in-flight packets.  Every decision comes from one
-``random.Random(seed)`` consumed in a fixed per-packet order, so a run
-with a given plan seed is exactly reproducible — a failing fuzz seed is
-a deterministic test case.  With no plan installed (the default) the
-delivery path is byte-for-byte the pre-fault code: need-based cost.
+**Deterministic fault injection.**  A
+:class:`~repro.machine.faults.FaultPlan` makes this network hostile on
+purpose.  The engine is deterministic, so packets reach the plan's RNG
+in the same order on every run with a given plan seed — a failing fuzz
+seed is a deterministic test case.  With no plan installed (the default)
+the delivery path is byte-for-byte the pre-fault code: need-based cost.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import random
-from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.errors import SimulationError
+from repro.machine.faults import FaultPlan
+from repro.machine.interface import Interconnect, MachineModel, SendHandle
 from repro.sim.engine import ScheduledEvent
-from repro.sim.models import MachineModel
 from repro.sim.topology import Topology
 
-__all__ = ["NetworkStats", "SendHandle", "Network",
-           "FaultSpec", "FaultStats", "FaultPlan", "CrashSpec"]
+__all__ = ["Network"]
 
 
-@dataclass
-class NetworkStats:
-    """Aggregate traffic counters, exposed on :class:`Network`."""
-
-    messages: int = 0
-    bytes: int = 0
-    broadcasts: int = 0
-    per_channel: Dict[Tuple[int, int], int] = field(default_factory=dict)
-
-    def record(self, src: int, dst: int, nbytes: int) -> None:
-        """Record one event (hot path: called on every traced event)."""
-        self.messages += 1
-        self.bytes += nbytes
-        key = (src, dst)
-        self.per_channel[key] = self.per_channel.get(key, 0) + 1
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """Per-link fault probabilities and magnitudes.
-
-    All rates are in ``[0, 1]``.  ``delay`` keeps per-channel FIFO order
-    (it pushes later packets back too, like a congested switch);
-    ``reorder`` exempts the packet from the FIFO bookkeeping so later
-    sends may overtake it.  ``corrupt`` flags the payload in flight
-    (``payload.corrupted = True`` where the payload supports it) — the
-    simulator's stand-in for a bit flip caught by a checksum.
-    """
-
-    drop: float = 0.0
-    duplicate: float = 0.0
-    delay: float = 0.0
-    reorder: float = 0.0
-    corrupt: float = 0.0
-    #: maximum extra latency (seconds) added by a delay fault.
-    delay_max: float = 40e-6
-    #: maximum deferral (seconds) applied to a reordered packet.
-    reorder_max: float = 120e-6
-
-    def validate(self) -> None:
-        for name in ("drop", "duplicate", "delay", "reorder", "corrupt"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise SimulationError(
-                    f"fault rate {name}={rate} outside [0, 1]"
-                )
-        if self.delay_max < 0 or self.reorder_max < 0:
-            raise SimulationError("fault jitter bounds must be >= 0")
-
-
-@dataclass(frozen=True)
-class CrashSpec:
-    """One scheduled whole-PE crash (and optional restart).
-
-    ``at`` is the virtual time the PE dies: its tasklets are killed, its
-    inbox/memory/software state discarded, and in-flight deliveries to it
-    dropped.  ``restart_after`` is how long the PE stays down before the
-    machine reboots it (``None`` — never: a permanent failure).
-    """
-
-    pe: int
-    at: float
-    restart_after: Optional[float] = 250e-6
-
-    def validate(self, num_pes: Optional[int] = None) -> None:
-        if self.pe < 0:
-            raise SimulationError(f"crash PE must be >= 0, got {self.pe}")
-        if num_pes is not None and self.pe >= num_pes:
-            raise SimulationError(
-                f"crash PE {self.pe} out of range [0, {num_pes})"
-            )
-        if self.at < 0:
-            raise SimulationError(
-                f"crash time must be >= 0, got crash_at={self.at}"
-            )
-        if self.restart_after is not None and self.restart_after < 0:
-            raise SimulationError(
-                f"restart_after must be >= 0 or None (never restart), "
-                f"got {self.restart_after}"
-            )
-
-
-@dataclass
-class FaultStats:
-    """Counters of injected faults, exposed on :class:`FaultPlan`."""
-
-    packets: int = 0
-    drops: int = 0
-    duplicates: int = 0
-    delays: int = 0
-    reorders: int = 0
-    corruptions: int = 0
-    per_link: Dict[Tuple[int, int], int] = field(default_factory=dict)
-
-    def record(self, src: int, dst: int, action: str) -> None:
-        setattr(self, action, getattr(self, action) + 1)
-        key = (src, dst)
-        self.per_link[key] = self.per_link.get(key, 0) + 1
-
-
-class FaultPlan:
-    """A seeded, per-link schedule of network faults.
-
-    Parameters
-    ----------
-    seed:
-        Seed of the plan's private RNG.  Two runs of the same workload
-        with the same seed inject *identical* faults (the simulation
-        engine is deterministic, so packets reach the plan in the same
-        order); this is what makes fuzz failures reproducible.
-    drop, duplicate, delay, reorder, corrupt, delay_max, reorder_max:
-        Default :class:`FaultSpec` rates applied to every link.
-    links:
-        Optional ``{(src_pe, dst_pe): FaultSpec}`` overrides for
-        individual directed links (e.g. drop only the ack direction).
-    crashes:
-        Explicit whole-PE crash schedule: either ``{pe: crash_at_seconds}``
-        or an iterable of :class:`CrashSpec` (for per-crash restart
-        control).  Dict entries use the plan-wide ``restart_after``.
-    mttf:
-        Seeded mean time to failure (seconds).  When positive, every PE
-        draws one exponentially distributed crash time from a *separate*
-        derived RNG stream (so the per-packet link-fault stream — and
-        hence existing traces — is untouched).  Combined with ``crashes``.
-    restart_after:
-        Default downtime before a crashed PE reboots, for dict-style
-        ``crashes`` entries and all ``mttf`` draws.  ``None`` — never.
-    """
-
-    def __init__(self, seed: int = 0, *, drop: float = 0.0,
-                 duplicate: float = 0.0, delay: float = 0.0,
-                 reorder: float = 0.0, corrupt: float = 0.0,
-                 delay_max: float = 40e-6, reorder_max: float = 120e-6,
-                 links: Optional[Dict[Tuple[int, int], FaultSpec]] = None,
-                 crashes: Any = None, mttf: float = 0.0,
-                 restart_after: Optional[float] = 250e-6) -> None:
-        self.seed = seed
-        self.default = FaultSpec(
-            drop=drop, duplicate=duplicate, delay=delay, reorder=reorder,
-            corrupt=corrupt, delay_max=delay_max, reorder_max=reorder_max,
-        )
-        self.default.validate()
-        self.links: Dict[Tuple[int, int], FaultSpec] = dict(links or {})
-        for spec in self.links.values():
-            spec.validate()
-        if mttf < 0:
-            raise SimulationError(f"mttf must be >= 0, got {mttf}")
-        if restart_after is not None and restart_after < 0:
-            raise SimulationError(
-                f"restart_after must be >= 0 or None, got {restart_after}"
-            )
-        self.mttf = mttf
-        self.restart_after = restart_after
-        self.crashes: list = []
-        if crashes is not None:
-            if isinstance(crashes, dict):
-                items = [CrashSpec(pe, at, restart_after)
-                         for pe, at in sorted(crashes.items())]
-            else:
-                items = list(crashes)
-            for spec in items:
-                if not isinstance(spec, CrashSpec):
-                    raise SimulationError(
-                        f"crashes entries must be CrashSpec (or a "
-                        f"{{pe: crash_at}} dict), got {type(spec).__name__}"
-                    )
-                spec.validate()
-            self.crashes = items
-        self.rng = random.Random(seed)
-        self.stats = FaultStats()
-
-    def spec_for(self, src: int, dst: int) -> FaultSpec:
-        """The effective spec for one directed link."""
-        return self.links.get((src, dst), self.default)
-
-    def crash_schedule(self, num_pes: int) -> list:
-        """The combined crash schedule for an ``num_pes``-PE machine:
-        explicit :class:`CrashSpec` entries plus, when ``mttf`` is
-        positive, one seeded exponential draw per PE (in PE order, from a
-        derived RNG stream independent of the per-packet link-fault
-        stream).  Sorted by ``(at, pe)``; deterministic for a given seed.
-        """
-        schedule = list(self.crashes)
-        for spec in schedule:
-            spec.validate(num_pes)
-        if self.mttf > 0.0:
-            rng = random.Random(f"{self.seed}-crash")
-            for pe in range(num_pes):
-                schedule.append(
-                    CrashSpec(pe, rng.expovariate(1.0 / self.mttf),
-                              self.restart_after)
-                )
-        schedule.sort(key=lambda s: (s.at, s.pe))
-        return schedule
-
-    # ------------------------------------------------------------------
-    # per-packet decisions
-    # ------------------------------------------------------------------
-    def decide(self, src: int, dst: int) -> Tuple[bool, bool, list]:
-        """Decide the fate of one packet on link ``src -> dst``.
-
-        Returns ``(dropped, corrupted, copies)`` where ``copies`` is a
-        list of ``(extra_delay_seconds, keep_fifo, action)`` — one entry
-        per delivered copy (two when duplicated; drops return early with
-        none).  ``action`` names the timing fault (``"delay"``,
-        ``"reorder"``, ``"duplicate"``) or is ``None``.  The RNG is
-        consumed in a fixed order (drop, corrupt, duplicate, then
-        per-copy timing) so traces are reproducible.
-        """
-        spec = self.spec_for(src, dst)
-        r = self.rng
-        self.stats.packets += 1
-        if spec.drop and r.random() < spec.drop:
-            self.stats.record(src, dst, "drops")
-            return True, False, []
-        corrupted = bool(spec.corrupt) and r.random() < spec.corrupt
-        if corrupted:
-            self.stats.record(src, dst, "corruptions")
-        ncopies = 1
-        if spec.duplicate and r.random() < spec.duplicate:
-            self.stats.record(src, dst, "duplicates")
-            ncopies = 2
-        copies = []
-        for i in range(ncopies):
-            if spec.reorder and r.random() < spec.reorder:
-                self.stats.record(src, dst, "reorders")
-                copies.append((r.uniform(0.0, spec.reorder_max), False, "reorder"))
-            elif spec.delay and r.random() < spec.delay:
-                self.stats.record(src, dst, "delays")
-                copies.append((r.uniform(0.0, spec.delay_max), i == 0, "delay"))
-            elif i == 0:
-                copies.append((0.0, True, None))
-            else:
-                # The duplicate copy trails the original slightly and is
-                # never part of the channel's FIFO bookkeeping.
-                copies.append((r.uniform(0.0, spec.delay_max), False, "duplicate"))
-        return False, corrupted, copies
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        s = self.stats
-        return (
-            f"<FaultPlan seed={self.seed} drops={s.drops} dups={s.duplicates}"
-            f" delays={s.delays} reorders={s.reorders} corrupt={s.corruptions}>"
-        )
-
-
-class SendHandle:
-    """Completion handle for asynchronous sends (``CmiAsyncSend``).
-
-    ``done`` flips to True at the virtual time the local send engine has
-    finished with the user's buffer; on a real machine this is when the
-    DMA completes, not when the message arrives remotely.
-    """
-
-    __slots__ = ("engine", "complete_at", "released")
-
-    def __init__(self, engine: Any, complete_at: float) -> None:
-        self.engine = engine
-        self.complete_at = complete_at
-        self.released = False
-
-    @property
-    def done(self) -> bool:
-        """True once the operation has completed (virtual-time check)."""
-        return self.engine.now >= self.complete_at
-
-    def release(self) -> None:
-        """Mark the handle reusable (``CmiReleaseCommHandle``)."""
-        self.released = True
-
-
-class Network:
-    """The machine's interconnect.
+class Network(Interconnect):
+    """The simulated machine's interconnect.
 
     Parameters
     ----------
@@ -332,11 +56,11 @@ class Network:
     FIFO_EPSILON = 1e-12
 
     def __init__(self, engine: Any, model: MachineModel, topology: Topology) -> None:
+        super().__init__()
         self.engine = engine
         self.model = model
         self.topology = topology
         self.nodes: Dict[int, Any] = {}
-        self.stats = NetworkStats()
         self._last_arrival: Dict[Tuple[int, int], float] = {}
         #: memoized ``model.wire_time`` keyed by (src, dst, nbytes) — the
         #: model is immutable and the topology fixed, so the wire time of
@@ -439,12 +163,8 @@ class Network:
     # protocol injection (reliable-delivery layer)
     # ------------------------------------------------------------------
     def inject(self, src_pe: int, dst: int, nbytes: int, payload: Any) -> None:
-        """Schedule a delivery without charging any sender CPU time.
-
-        Used by the CMI reliability protocol for acknowledgements and
-        retransmissions, which run at "interrupt level" (engine callbacks,
-        outside any tasklet) — modelled as NIC-driven transfers that cost
-        wire time but no processor time.  Fault injection applies."""
+        """Modelled as a NIC-driven transfer: wire time but no processor
+        time (callers run in engine callbacks, outside any tasklet)."""
         self._schedule_delivery(src_pe, dst, nbytes, payload)
 
     # ------------------------------------------------------------------
@@ -452,14 +172,11 @@ class Network:
     # ------------------------------------------------------------------
     def sync_send(self, src_node: Any, dst: int, nbytes: int, payload: Any,
                   extra_send_cost: float = 0.0, immediate: bool = False) -> None:
-        """Blocking send: charges the sender the full software overhead and
-        then hands the payload to the wire.  When this returns, the caller
-        may reuse its buffer (CmiSyncSend semantics).  ``immediate``
-        requests interrupt-style delivery at the destination.
+        """Charges the sender the model's full software overhead.
 
         The fault-free, non-immediate case — one wire event per
         ``CmiSyncSend``, the hottest line in the stack — is inlined here
-        (stats, FIFO stamp, heap push) instead of going through
+        (FIFO stamp, heap push) instead of going through
         ``_schedule_delivery``/``_launch``/``engine.schedule``; the
         semantics are those methods' verbatim."""
         src_node.charge(self.model.send_overhead + extra_send_cost)
@@ -468,14 +185,10 @@ class Network:
             node = self.nodes.get(dst)
             if node is None:
                 raise SimulationError(f"no node with PE number {dst}")
-            stats = self.stats
-            stats.messages += 1
-            stats.bytes += nbytes
-            key = (src, dst)
-            pc = stats.per_channel
-            pc[key] = pc.get(key, 0) + 1
+            self.stats.record(src, dst, nbytes)
             t = self.engine.now + self._wire(src, dst, nbytes)
             la = self._last_arrival
+            key = (src, dst)
             last = la.get(key)
             if last is not None and t <= last:
                 t = last + self.FIFO_EPSILON

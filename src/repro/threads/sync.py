@@ -18,8 +18,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Optional
 
+from repro.core import context
 from repro.core.errors import SyncError
-from repro.sim import context
 from repro.threads.thread_object import CthModule, CthThread
 
 __all__ = ["CtsLock", "CtsCondition", "CtsBarrier"]

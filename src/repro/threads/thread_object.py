@@ -31,9 +31,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Optional
 
+from repro.core import context
 from repro.core.errors import ThreadError
 from repro.core.message import Message
-from repro.sim import context
 
 __all__ = ["CthThread", "CthModule"]
 

@@ -268,7 +268,7 @@ def test_aggregation_with_collectives():
     results = []
     with Machine(4, aggregation=True) as m:
         def main():
-            from repro.sim.context import current_runtime
+            from repro.core.context import current_runtime
 
             g = world_group(current_runtime().machine)
             results.append(api.CmiPgrpReduce(g, api.CmiMyPe(), lambda a, b: a + b))

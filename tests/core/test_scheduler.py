@@ -57,7 +57,7 @@ def test_csd_enqueue_charges_and_dequeue_charges():
 def test_enqueue_free_charges_nothing():
     def main():
         hid = api.CmiRegisterHandler(lambda m: None, "h")
-        rt = __import__("repro.sim.context", fromlist=["x"]).current_runtime()
+        rt = __import__("repro.core.context", fromlist=["x"]).current_runtime()
         t0 = api.CmiTimer()
         rt.scheduler.enqueue_free(Message(hid, None, size=0))
         return api.CmiTimer() - t0
@@ -224,7 +224,7 @@ def test_scheduler_delivers_network_before_queue():
             # Pre-queue local work, then wait for the network message to
             # be present before starting the scheduler.
             api.CsdEnqueue(Message(h_loc, None, size=0))
-            rt = __import__("repro.sim.context", fromlist=["x"]).current_runtime()
+            rt = __import__("repro.core.context", fromlist=["x"]).current_runtime()
             rt.node.wait_until(lambda: rt.has_pending_network)
             api.CsdScheduler(2)
             return log

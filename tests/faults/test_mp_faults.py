@@ -19,7 +19,7 @@ from repro.machine.base import (
     machine_backend_unavailable_reason,
 )
 from repro.sim.machine import Machine
-from repro.sim.network import CrashSpec, FaultPlan
+from repro.machine.faults import CrashSpec, FaultPlan
 
 from tests.faults import workers_mp
 

@@ -517,7 +517,102 @@ def w_obs_ring(laps):
 def w_speed_state():
     """What the raw-speed settings resolved to *inside* this PE: whether
     its runtime pools wire copies, and its scheduler's dispatch batch."""
-    from repro.sim import context
+    from repro.core import context
 
     rt = context.current_runtime()
     return (rt.pool is not None, rt.scheduler._batch)
+
+
+# ----------------------------------------------------------------------
+# capabilities a layer may refuse (test_interface.py)
+# ----------------------------------------------------------------------
+def w_cap_cth():
+    """Create a Cth thread and switch to it; it runs to completion and
+    control comes back."""
+    ran = []
+    api.CthResume(api.CthCreate(ran.append, "ran"))
+    return ran
+
+
+def w_cap_scanf():
+    """One blocking, serialized console read per PE."""
+    return api.CmiScanf("%d")
+
+
+def w_cap_scanf_async():
+    """The non-blocking scanf variant: the line arrives as a message."""
+    got = []
+
+    def on_line(msg):
+        got.append(msg.payload)
+        api.CsdExitScheduler()
+
+    api.CmiScanfAsync("%d", api.CmiRegisterHandler(on_line, "cap.line"))
+    api.CsdScheduler(-1)
+    return got
+
+
+def w_cap_rma(op):
+    """PE 0 exposes four bytes and mails the global pointer to PE 1,
+    which reads them one-sidedly (``op == "get"``) or overwrites them
+    first (``"put"``).  Both PEs return what the region holds at the
+    end, each by its own route: PE 1 by ``CmiSyncGet``, PE 0 locally."""
+    box = []
+
+    def on_mail(msg):
+        box.append(msg.payload)
+        api.CsdExitScheduler()
+
+    h_mail = api.CmiRegisterHandler(on_mail, "cap.mail")
+    if api.CmiMyPe() == 0:
+        gptr = api.CmiGptrCreate(4, b"abcd")
+        api.CmiSyncSend(1, api.CmiNew(h_mail, gptr, size=16))
+        api.CsdScheduler(-1)  # until PE 1 says it is done
+        return bytes(api.CmiGptrDref(gptr))
+    api.CsdScheduler(-1)
+    gptr = box[0]
+    if op == "put":
+        api.CmiSyncPut(gptr, b"WXYZ")
+    data = bytes(api.CmiSyncGet(gptr, 4))
+    api.CmiSyncSend(0, api.CmiNew(h_mail, None, size=8))
+    return data
+
+
+def w_gptr_local():
+    """``CmiGptrCreate`` / ``CmiGptrDref`` on the PE's own memory."""
+    return bytes(api.CmiGptrDref(api.CmiGptrCreate(6, b"abcd")))
+
+
+def w_world_group_collectives():
+    """A reduction and a barrier over the all-PEs spanning tree, which
+    every PE derives locally from the machine size."""
+    from repro.core import context
+    from repro.machine.emi_groups import world_group
+
+    group = world_group(context.current_runtime().machine)
+    total = api.CmiPgrpReduce(group, api.CmiMyPe() + 1, lambda a, b: a + b)
+    api.CmiPgrpBarrier(group)
+    return total
+
+
+def w_scatter_advance_receive():
+    """PE 0 pre-posts an EMI scatter; the matching message from PE 1 is
+    copied into the user buffer and never reaches its handler."""
+    from repro.core import context
+
+    ran = []
+    dest = bytearray(4)
+
+    def on_data(msg):
+        ran.append(bytes(msg.payload))
+        api.CsdExitScheduler()
+
+    h_data = api.CmiRegisterHandler(on_data, "cap.data")
+    if api.CmiMyPe() == 0:
+        scatter = context.current_runtime().cmi.scatter
+        scatter.register([(0, b"AB")], [(2, 4, dest, 0)])
+        api.CsdScheduler(-1)  # ends on the non-matching message
+        return bytes(dest), ran
+    api.CmiSyncSend(0, api.CmiNew(h_data, b"ABwxyz"))
+    api.CmiSyncSend(0, api.CmiNew(h_data, b"nomatch"))
+    return None

@@ -146,7 +146,7 @@ def test_multicast_from_non_member_caller():
 
 def test_reduce_combines_over_tree():
     def main():
-        g = world_group(__import__("repro.sim.context", fromlist=["x"])
+        g = world_group(__import__("repro.core.context", fromlist=["x"])
                         .current_runtime().machine)
         return api.CmiPgrpReduce(g, api.CmiMyPe() + 1, lambda a, b: a + b)
 
@@ -156,7 +156,7 @@ def test_reduce_combines_over_tree():
 
 def test_reduce_with_noncommutative_merge():
     def main():
-        g = world_group(__import__("repro.sim.context", fromlist=["x"])
+        g = world_group(__import__("repro.core.context", fromlist=["x"])
                         .current_runtime().machine)
         return api.CmiPgrpReduce(g, {api.CmiMyPe()}, lambda a, b: a | b)
 
@@ -166,7 +166,7 @@ def test_reduce_with_noncommutative_merge():
 
 def test_sequential_reductions_do_not_mix():
     def main():
-        g = world_group(__import__("repro.sim.context", fromlist=["x"])
+        g = world_group(__import__("repro.core.context", fromlist=["x"])
                         .current_runtime().machine)
         first = api.CmiPgrpReduce(g, 1, lambda a, b: a + b)
         second = api.CmiPgrpReduce(g, api.CmiMyPe(), max)
@@ -178,7 +178,7 @@ def test_sequential_reductions_do_not_mix():
 
 def test_barrier_synchronizes():
     def main():
-        g = world_group(__import__("repro.sim.context", fromlist=["x"])
+        g = world_group(__import__("repro.core.context", fromlist=["x"])
                         .current_runtime().machine)
         api.CmiCharge(api.CmiMyPe() * 10e-6)  # stagger arrival
         api.CmiPgrpBarrier(g)

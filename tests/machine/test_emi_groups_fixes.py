@@ -25,7 +25,7 @@ def test_repeated_barriers_leave_no_state():
     rounds = 25
     with Machine(4) as m:
         def main():
-            from repro.sim.context import current_runtime
+            from repro.core.context import current_runtime
 
             g = world_group(current_runtime().machine)
             total = 0

@@ -72,7 +72,7 @@ def test_multicast_covers_exactly_the_members(shape):
 @given(st.integers(1, 9), st.lists(st.integers(-100, 100), min_size=9, max_size=9))
 def test_world_reduce_equals_fold(num_pes, values):
     def main():
-        g = world_group(__import__("repro.sim.context", fromlist=["x"])
+        g = world_group(__import__("repro.core.context", fromlist=["x"])
                         .current_runtime().machine)
         return api.CmiPgrpReduce(g, values[api.CmiMyPe()], lambda a, b: a + b)
 
