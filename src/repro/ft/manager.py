@@ -212,14 +212,6 @@ class FTAgent:
                 "(build the machine with reliable=True as well as ft=)"
             )
         self.rel = rel
-        #: guards agent state against concurrent entry on machine layers
-        #: with real threads: the host's ``protocol_lock``
-        #: (:class:`~repro.machine.interface.PEHost`), adopted from the
-        #: reliable layer so both protocol layers share one lock.
-        #: Adopting at construction matters: ``coordinator.register``
-        #: below may arm timers immediately, so the lock must already be
-        #: real.
-        self._lock: Any = rel._lock
         # Arm sender-based message logging and take over retry give-ups
         # as failure evidence.
         if rel._ft_log is None:
@@ -300,104 +292,98 @@ class FTAgent:
     # ------------------------------------------------------------------
     def activate(self) -> None:
         """Arm heartbeat / monitor / interval-checkpoint timers."""
-        with self._lock:
-            if self.active:
-                return
-            self.active = True
-            now = self.engine.now
-            for p in range(self.num_pes):
-                self._last_heard.setdefault(p, now)
-            period = self.config.heartbeat_period
-            self._hb_timer = self.engine.schedule(period, self._hb_tick)
-            self._monitor_timer = self.engine.schedule(
-                period, self._monitor_tick
+        if self.active:
+            return
+        self.active = True
+        now = self.engine.now
+        for p in range(self.num_pes):
+            self._last_heard.setdefault(p, now)
+        period = self.config.heartbeat_period
+        self._hb_timer = self.engine.schedule(period, self._hb_tick)
+        self._monitor_timer = self.engine.schedule(
+            period, self._monitor_tick
+        )
+        if self.config.checkpoint_interval > 0:
+            self._ckpt_timer = self.engine.schedule(
+                self.config.checkpoint_interval, self._ckpt_tick
             )
-            if self.config.checkpoint_interval > 0:
-                self._ckpt_timer = self.engine.schedule(
-                    self.config.checkpoint_interval, self._ckpt_tick
-                )
 
     def deactivate(self) -> None:
         """Cancel the periodic timers (window closed; outstanding
         control exchanges still finish on their own retry timers)."""
-        with self._lock:
-            if not self.active:
-                return
-            self.active = False
-            for attr in ("_hb_timer", "_monitor_timer", "_ckpt_timer"):
-                ev = getattr(self, attr)
-                if ev is not None:
-                    ev.cancel()
-                    setattr(self, attr, None)
+        if not self.active:
+            return
+        self.active = False
+        for attr in ("_hb_timer", "_monitor_timer", "_ckpt_timer"):
+            ev = getattr(self, attr)
+            if ev is not None:
+                ev.cancel()
+                setattr(self, attr, None)
 
     def close(self) -> None:
         """Cancel every timer this agent owns — machine shutdown, or the
         owning PE crashing.  Idempotent."""
         self.deactivate()
-        with self._lock:
-            for entry in self._ctl_pending.values():
-                if entry.timer is not None:
-                    entry.timer.cancel()
-                    entry.timer = None
-            self._ctl_pending.clear()
+        for entry in self._ctl_pending.values():
+            if entry.timer is not None:
+                entry.timer.cancel()
+                entry.timer = None
+        self._ctl_pending.clear()
 
     def _hb_tick(self) -> None:
-        with self._lock:
-            if not self.active:
-                return
-            if self.buddy != self.node.pe:
-                self._best_effort(self.buddy, "hb", None,
-                                  self.config.heartbeat_bytes)
-                if self._mx_hbs is not None:
-                    self._mx_hbs.inc(self.node.pe)
-            self._hb_timer = self.engine.schedule(
-                self.config.heartbeat_period, self._hb_tick
-            )
+        if not self.active:
+            return
+        if self.buddy != self.node.pe:
+            self._best_effort(self.buddy, "hb", None,
+                              self.config.heartbeat_bytes)
+            if self._mx_hbs is not None:
+                self._mx_hbs.inc(self.node.pe)
+        self._hb_timer = self.engine.schedule(
+            self.config.heartbeat_period, self._hb_tick
+        )
 
     def _monitor_tick(self) -> None:
-        with self._lock:
-            if not self.active:
-                return
-            cfg = self.config
-            pe = self.pred
-            if pe != self.node.pe:
-                now = self.engine.now
-                silence = now - self._last_heard.get(pe, now)
-                state = self.membership.get(pe, "up")
-                if silence >= cfg.down_after * cfg.heartbeat_period:
-                    if state != "down":
-                        self._declare_down(pe, "silence")
-                elif silence >= cfg.suspect_after * cfg.heartbeat_period:
-                    if state == "up":
-                        self.membership[pe] = "suspect"
-                        if self.runtime.tracing:
-                            self.runtime.trace_event(
-                                "ft_failure", phase="suspect", target=pe
-                            )
-                elif state != "up":
-                    # Fresh evidence clears a suspicion (or a false down).
-                    self.membership[pe] = "up"
-            self._monitor_timer = self.engine.schedule(
-                cfg.heartbeat_period, self._monitor_tick
-            )
+        if not self.active:
+            return
+        cfg = self.config
+        pe = self.pred
+        if pe != self.node.pe:
+            now = self.engine.now
+            silence = now - self._last_heard.get(pe, now)
+            state = self.membership.get(pe, "up")
+            if silence >= cfg.down_after * cfg.heartbeat_period:
+                if state != "down":
+                    self._declare_down(pe, "silence")
+            elif silence >= cfg.suspect_after * cfg.heartbeat_period:
+                if state == "up":
+                    self.membership[pe] = "suspect"
+                    if self.runtime.tracing:
+                        self.runtime.trace_event(
+                            "ft_failure", phase="suspect", target=pe
+                        )
+            elif state != "up":
+                # Fresh evidence clears a suspicion (or a false down).
+                self.membership[pe] = "up"
+        self._monitor_timer = self.engine.schedule(
+            cfg.heartbeat_period, self._monitor_tick
+        )
 
     def _ckpt_tick(self) -> None:
-        with self._lock:
-            if not self.active:
-                return
-            if (self._pack is not None and self.recovered
-                    and not self._ckpt_msg_out):
-                # Engine-callback context: a handler (or the main tasklet)
-                # may be mid-execution right now, with its state mutations
-                # and sends only partially applied — snapshotting here could
-                # tear that atomic step.  Queue a marker message instead;
-                # the scheduler dispatches it between handlers, where the
-                # boundary invariant holds by construction.
-                self._ckpt_msg_out = True
-                self.node.deliver(Message(self._h_ckpt, None, size=0))
-            self._ckpt_timer = self.engine.schedule(
-                self.config.checkpoint_interval, self._ckpt_tick
-            )
+        if not self.active:
+            return
+        if (self._pack is not None and self.recovered
+                and not self._ckpt_msg_out):
+            # Engine-callback context: a handler (or the main tasklet)
+            # may be mid-execution right now, with its state mutations
+            # and sends only partially applied — snapshotting here could
+            # tear that atomic step.  Queue a marker message instead;
+            # the scheduler dispatches it between handlers, where the
+            # boundary invariant holds by construction.
+            self._ckpt_msg_out = True
+            self.node.deliver(Message(self._h_ckpt, None, size=0))
+        self._ckpt_timer = self.engine.schedule(
+            self.config.checkpoint_interval, self._ckpt_tick
+        )
 
     def _on_ckpt_msg(self, _msg: Message) -> None:
         """Handler of the interval-checkpoint marker message."""
@@ -480,71 +466,70 @@ class FTAgent:
         buddy over the reliable control channel.  Returns the checkpoint
         epoch.  The application snapshot is deep-copied at call time, so
         later mutation cannot bleed into the stored checkpoint."""
-        with self._lock:
-            if self._pack is None:
-                raise FaultToleranceError(
-                    "no pack/unpack registered on this PE (call CftInit first)"
-                )
-            if not self.recovered:
-                raise FaultToleranceError(
-                    "cannot checkpoint before recovery completes"
-                )
-            if self.membership.get(self.buddy) == "down":
-                # No custodian to ship to: defer.  The snapshot taken
-                # when the buddy returns covers strictly more state
-                # than this one would, so nothing is lost by waiting.
-                self._ckpt_owed = True
-                return self._ckpt_epoch
-            self._ckpt_epoch += 1
-            epoch = self._ckpt_epoch
-            app_blob = copy.deepcopy(self._pack())
-            rel_state = self.rel.export_state()
-            me = self.node.pe
-            # Messages the reliable layer already *released* into the inbox
-            # but no handler has consumed yet are invisible to the app
-            # snapshot — roll the expected map back over them so the
-            # post-restore replay re-delivers exactly that gap.  Per-sender
-            # FIFO (release order == processing order) makes the unprocessed
-            # set the tail of the released run, so a per-source count is an
-            # exact rollback.
-            expected_map = rel_state["expected"]
-            for payload in self.node.inbox_snapshot():
-                src = getattr(payload, "src_pe", -1)
-                if src is not None and 0 <= src != me and src in expected_map:
-                    expected_map[src] -= 1
-            nbytes = self._ckpt_size(app_blob, rel_state)
-            expected = dict(expected_map)
-
-            def custody_confirmed() -> None:
-                # The buddy holds the snapshot: peers may discard log
-                # entries this checkpoint already covers.
-                for other in range(self.num_pes):
-                    if other != me:
-                        self._best_effort(
-                            other, "prune",
-                            {"owner": me, "below": expected.get(other, 0)}, 16,
-                        )
-
-            self._ckpt_owed = False
-            self._ctl_send(
-                self.buddy, "ckpt",
-                {
-                    "owner": me,
-                    "epoch": epoch,
-                    "node_epoch": self.node.epoch,
-                    "app": app_blob,
-                    "rel": rel_state,
-                },
-                nbytes, on_acked=custody_confirmed,
+        if self._pack is None:
+            raise FaultToleranceError(
+                "no pack/unpack registered on this PE (call CftInit first)"
             )
-            if self._mx_ckpts is not None:
-                self._mx_ckpts.inc(me)
-                self._mx_ckpt_bytes.inc(me, nbytes)
-            if self.runtime.tracing:
-                self.runtime.trace_event(
-                    "ft_checkpoint", epoch=epoch, bytes=nbytes, reason=reason
-                )
-            return epoch
+        if not self.recovered:
+            raise FaultToleranceError(
+                "cannot checkpoint before recovery completes"
+            )
+        if self.membership.get(self.buddy) == "down":
+            # No custodian to ship to: defer.  The snapshot taken
+            # when the buddy returns covers strictly more state
+            # than this one would, so nothing is lost by waiting.
+            self._ckpt_owed = True
+            return self._ckpt_epoch
+        self._ckpt_epoch += 1
+        epoch = self._ckpt_epoch
+        app_blob = copy.deepcopy(self._pack())
+        rel_state = self.rel.export_state()
+        me = self.node.pe
+        # Messages the reliable layer already *released* into the inbox
+        # but no handler has consumed yet are invisible to the app
+        # snapshot — roll the expected map back over them so the
+        # post-restore replay re-delivers exactly that gap.  Per-sender
+        # FIFO (release order == processing order) makes the unprocessed
+        # set the tail of the released run, so a per-source count is an
+        # exact rollback.
+        expected_map = rel_state["expected"]
+        for payload in self.node.inbox_snapshot():
+            src = getattr(payload, "src_pe", -1)
+            if src is not None and 0 <= src != me and src in expected_map:
+                expected_map[src] -= 1
+        nbytes = self._ckpt_size(app_blob, rel_state)
+        expected = dict(expected_map)
+
+        def custody_confirmed() -> None:
+            # The buddy holds the snapshot: peers may discard log
+            # entries this checkpoint already covers.
+            for other in range(self.num_pes):
+                if other != me:
+                    self._best_effort(
+                        other, "prune",
+                        {"owner": me, "below": expected.get(other, 0)}, 16,
+                    )
+
+        self._ckpt_owed = False
+        self._ctl_send(
+            self.buddy, "ckpt",
+            {
+                "owner": me,
+                "epoch": epoch,
+                "node_epoch": self.node.epoch,
+                "app": app_blob,
+                "rel": rel_state,
+            },
+            nbytes, on_acked=custody_confirmed,
+        )
+        if self._mx_ckpts is not None:
+            self._mx_ckpts.inc(me)
+            self._mx_ckpt_bytes.inc(me, nbytes)
+        if self.runtime.tracing:
+            self.runtime.trace_event(
+                "ft_checkpoint", epoch=epoch, bytes=nbytes, reason=reason
+            )
+        return epoch
 
     def _ckpt_size(self, app_blob: Any, rel_state: Dict[str, Any]) -> int:
         """Deterministic modelled size of a checkpoint on the wire."""
@@ -563,14 +548,13 @@ class FTAgent:
         from the buddy, restore it, and ask peers to replay.  Returns
         True when a checkpoint was restored, False on a cold start (the
         caller should then redo its fault-free initialization)."""
-        with self._lock:
-            if self._pack is None:
-                raise FaultToleranceError("call CftInit before CftRecover")
-            if self.recovered:
-                return self._restored
-            self._ctl_send(self.buddy, "recover", {"owner": self.node.pe}, 16)
-        # Block *outside* the lock: the arrival path needs it to deliver
-        # the buddy's checkpoint response.
+        if self._pack is None:
+            raise FaultToleranceError("call CftInit before CftRecover")
+        if self.recovered:
+            return self._restored
+        self._ctl_send(self.buddy, "recover", {"owner": self.node.pe}, 16)
+        # The buddy's response arrives through the interceptor while this
+        # waits (the wait is what runs it on a one-thread-per-PE layer).
         self.node.wait_until(lambda: self.recovered)
         return self._restored
 
@@ -616,19 +600,18 @@ class FTAgent:
         )
 
     def _ctl_timeout(self, seq: int) -> None:
-        with self._lock:
-            entry = self._ctl_pending.get(seq)
-            if entry is None:
-                return
-            entry.retries += 1
-            if entry.retries > self.config.ctl_retries:
-                del self._ctl_pending[seq]
-                raise FaultToleranceError(
-                    f"PE {self.node.pe}: ft control packet {entry.kind!r} to "
-                    f"PE {entry.dst} unacknowledged after "
-                    f"{self.config.ctl_retries} retransmissions"
-                )
-            self._ctl_transmit(seq, entry)
+        entry = self._ctl_pending.get(seq)
+        if entry is None:
+            return
+        entry.retries += 1
+        if entry.retries > self.config.ctl_retries:
+            del self._ctl_pending[seq]
+            raise FaultToleranceError(
+                f"PE {self.node.pe}: ft control packet {entry.kind!r} to "
+                f"PE {entry.dst} unacknowledged after "
+                f"{self.config.ctl_retries} retransmissions"
+            )
+        self._ctl_transmit(seq, entry)
 
     # ------------------------------------------------------------------
     # arrivals
@@ -636,16 +619,15 @@ class FTAgent:
     def _on_arrival(self, payload: Any) -> bool:
         """Front-of-chain interceptor: every delivery is liveness
         evidence; FT protocol packets are consumed here."""
-        with self._lock:
-            src = getattr(payload, "src", None)
-            if src is None:
-                src = getattr(payload, "src_pe", None)
-            if src is not None and src >= 0:
-                self._last_heard[src] = self.engine.now
-            if type(payload) is FTPacket:
-                self._handle(payload)
-                return True
-            return False
+        src = getattr(payload, "src", None)
+        if src is None:
+            src = getattr(payload, "src_pe", None)
+        if src is not None and src >= 0:
+            self._last_heard[src] = self.engine.now
+        if type(payload) is FTPacket:
+            self._handle(payload)
+            return True
+        return False
 
     def _handle(self, pkt: FTPacket) -> None:
         if pkt.corrupted:

@@ -134,9 +134,13 @@ class ReliableDelivery:
     order.  The sender retransmits on a timer with exponential backoff
     and a retry cap.
 
-    The receive side runs in the node's arrival interceptor — engine
-    callbacks, outside any tasklet — so acknowledgements flow even when
-    the PE never polls (e.g. after its scheduler exited).  Protocol
+    The receive side runs in the node's arrival interceptor and the
+    retransmit side in engine callbacks, both in whatever context the
+    layer delivers and fires timers in, and never two at once on a PE:
+    outside any tasklet on the simulator, so acknowledgements flow even
+    when the PE never polls; on the PE's main thread at its next runtime
+    entry on ``mp``, where a PE whose mains have returned stays parked
+    in the runtime and keeps acknowledging.  Protocol
     packets are invisible to the node's message counters: an application
     message is counted sent once (by the CMI) and received once (when
     released), which keeps message-conservation invariants — and hence
@@ -150,9 +154,6 @@ class ReliableDelivery:
         self.engine = runtime.machine.engine
         self.config = config or ReliableConfig()
         self.stats = RelStats()
-        #: guards protocol state against concurrent entry on machine
-        #: layers with real threads (:attr:`PEHost.protocol_lock`).
-        self._lock: Any = runtime.machine.protocol_lock
         self._next_seq: Dict[int, int] = {}
         self._pending: Dict[Tuple[int, int], _Pending] = {}
         self._expected: Dict[int, int] = {}
@@ -199,92 +200,90 @@ class ReliableDelivery:
         """Transmit ``msg`` reliably.  ``msg`` must already be the wire
         copy (the reliable layer keeps a reference for retransmission).
         Returns a completion handle for asynchronous sends."""
-        with self._lock:
-            seq = self._next_seq.get(dest_pe, 0)
-            self._next_seq[dest_pe] = seq + 1
-            nbytes = msg.size + self.config.header_bytes
-            pending = _Pending(dest_pe, seq, msg, nbytes, self.config.rto,
-                               sent_at=self.node.now)
-            self._pending[(dest_pe, seq)] = pending
-            if self._ft_log is not None:
-                # Sender-based message logging: keep a pristine clone so the
-                # destination can be replayed after a crash (the wire object
-                # itself gets delivered and recycled at the receiver).
-                self._ft_log.setdefault(dest_pe, {})[seq] = (
-                    self._clone(msg), msg.size
-                )
-            self.stats.data_sent += 1
-            if self.runtime.tracing:
-                self.runtime.trace_event("rel_data", dest=dest_pe, seq=seq, size=msg.size)
-            if self.runtime.metering:
-                self._mx_data_sent.inc(self.node.pe)
-            pkt = RelPacket("data", self.node.pe, dest_pe, seq, msg, nbytes)
-            handle: Optional[SendHandle] = None
-            if asynchronous:
-                handle = self.network.async_send(
-                    self.node, dest_pe, nbytes, pkt, extra_send_cost=extra_send_cost
-                )
-            else:
-                self.network.sync_send(
-                    self.node, dest_pe, nbytes, pkt, extra_send_cost=extra_send_cost
-                )
-            self._arm_timer(pending)
-            return handle
+        seq = self._next_seq.get(dest_pe, 0)
+        self._next_seq[dest_pe] = seq + 1
+        nbytes = msg.size + self.config.header_bytes
+        pending = _Pending(dest_pe, seq, msg, nbytes, self.config.rto,
+                           sent_at=self.node.now)
+        self._pending[(dest_pe, seq)] = pending
+        if self._ft_log is not None:
+            # Sender-based message logging: keep a pristine clone so the
+            # destination can be replayed after a crash (the wire object
+            # itself gets delivered and recycled at the receiver).
+            self._ft_log.setdefault(dest_pe, {})[seq] = (
+                self._clone(msg), msg.size
+            )
+        self.stats.data_sent += 1
+        if self.runtime.tracing:
+            self.runtime.trace_event("rel_data", dest=dest_pe, seq=seq, size=msg.size)
+        if self.runtime.metering:
+            self._mx_data_sent.inc(self.node.pe)
+        pkt = RelPacket("data", self.node.pe, dest_pe, seq, msg, nbytes)
+        handle: Optional[SendHandle] = None
+        if asynchronous:
+            handle = self.network.async_send(
+                self.node, dest_pe, nbytes, pkt, extra_send_cost=extra_send_cost
+            )
+        else:
+            self.network.sync_send(
+                self.node, dest_pe, nbytes, pkt, extra_send_cost=extra_send_cost
+            )
+        self._arm_timer(pending)
+        return handle
 
     def _arm_timer(self, pending: _Pending) -> None:
         pending.timer = self.engine.schedule(pending.rto, self._on_timeout, pending)
 
     def _on_timeout(self, pending: _Pending) -> None:
-        with self._lock:
-            key = (pending.dst, pending.seq)
-            if key not in self._pending:  # acked in the meantime
-                return
-            if pending.retries >= self.config.max_retries:
-                del self._pending[key]
-                if self.runtime.tracing:
-                    self.runtime.trace_event(
-                        "rel_giveup", dest=pending.dst, seq=pending.seq,
-                        retries=pending.retries,
-                    )
-                err = RetryExhaustedError(
-                    self.node.pe, pending.dst, pending.seq, pending.retries,
-                    self.node.now - pending.sent_at, stats=replace(self.stats),
-                )
-                if self._ft_giveup is not None:
-                    # With a failure detector attached, a dead link is
-                    # evidence of a dead peer, not a fatal error.
-                    self._ft_giveup(err)
-                    return
-                raise err
-            pending.retries += 1
-            self.stats.retransmits += 1
+        key = (pending.dst, pending.seq)
+        if key not in self._pending:  # acked in the meantime
+            return
+        if pending.retries >= self.config.max_retries:
+            del self._pending[key]
             if self.runtime.tracing:
                 self.runtime.trace_event(
-                    "rel_retransmit", dest=pending.dst, seq=pending.seq,
-                    attempt=pending.retries,
+                    "rel_giveup", dest=pending.dst, seq=pending.seq,
+                    retries=pending.retries,
                 )
-            if self.runtime.metering:
-                self._mx_retransmits.inc(self.node.pe)
-            # A fresh wire object per transmission: fault corruption flags one
-            # copy without poisoning the packet for later attempts.
-            inner = pending.inner
-            if self._ft_log is not None:
-                # With crash recovery armed, a peer's expected sequences can
-                # roll back to its checkpoint — a retransmission may then be
-                # *released* a second time, so never re-wire an object the
-                # receiver may already have consumed and recycled.  Clone
-                # from the pristine log entry (the first delivery nulled the
-                # wire object's payload when the handler returned).
-                entries = self._ft_log.get(pending.dst)
-                logged = None if entries is None else entries.get(pending.seq)
-                if logged is not None:
-                    inner = self._clone(logged[0])
-            pkt = RelPacket("data", self.node.pe, pending.dst, pending.seq,
-                            inner, pending.nbytes)
-            self.network.inject(self.node.pe, pending.dst, pending.nbytes, pkt)
-            pending.rto = min(pending.rto * self.config.backoff,
-                              self.config.max_rto)
-            self._arm_timer(pending)
+            err = RetryExhaustedError(
+                self.node.pe, pending.dst, pending.seq, pending.retries,
+                self.node.now - pending.sent_at, stats=replace(self.stats),
+            )
+            if self._ft_giveup is not None:
+                # With a failure detector attached, a dead link is
+                # evidence of a dead peer, not a fatal error.
+                self._ft_giveup(err)
+                return
+            raise err
+        pending.retries += 1
+        self.stats.retransmits += 1
+        if self.runtime.tracing:
+            self.runtime.trace_event(
+                "rel_retransmit", dest=pending.dst, seq=pending.seq,
+                attempt=pending.retries,
+            )
+        if self.runtime.metering:
+            self._mx_retransmits.inc(self.node.pe)
+        # A fresh wire object per transmission: fault corruption flags one
+        # copy without poisoning the packet for later attempts.
+        inner = pending.inner
+        if self._ft_log is not None:
+            # With crash recovery armed, a peer's expected sequences can
+            # roll back to its checkpoint — a retransmission may then be
+            # *released* a second time, so never re-wire an object the
+            # receiver may already have consumed and recycled.  Clone
+            # from the pristine log entry (the first delivery nulled the
+            # wire object's payload when the handler returned).
+            entries = self._ft_log.get(pending.dst)
+            logged = None if entries is None else entries.get(pending.seq)
+            if logged is not None:
+                inner = self._clone(logged[0])
+        pkt = RelPacket("data", self.node.pe, pending.dst, pending.seq,
+                        inner, pending.nbytes)
+        self.network.inject(self.node.pe, pending.dst, pending.nbytes, pkt)
+        pending.rto = min(pending.rto * self.config.backoff,
+                          self.config.max_rto)
+        self._arm_timer(pending)
 
     # ------------------------------------------------------------------
     # receiver side (arrival interceptor: engine-callback context)
@@ -292,22 +291,21 @@ class ReliableDelivery:
     def _on_arrival(self, payload: Any) -> bool:
         if not isinstance(payload, RelPacket):
             return False
-        with self._lock:
-            if self._paused:
-                # Mid-recovery: consume silently with no acks and no state
-                # changes — senders keep retransmitting, and the post-restore
-                # replay covers anything that arrived too early.
-                if self.runtime.tracing:
-                    self.runtime.trace_event(
-                        "rel_paused_drop", src=payload.src, seq=payload.seq,
-                        ack=payload.kind == "ack",
-                    )
-                return True
-            if payload.kind == "ack":
-                self._on_ack(payload)
-            else:
-                self._on_data(payload)
+        if self._paused:
+            # Mid-recovery: consume silently with no acks and no state
+            # changes — senders keep retransmitting, and the post-restore
+            # replay covers anything that arrived too early.
+            if self.runtime.tracing:
+                self.runtime.trace_event(
+                    "rel_paused_drop", src=payload.src, seq=payload.seq,
+                    ack=payload.kind == "ack",
+                )
             return True
+        if payload.kind == "ack":
+            self._on_ack(payload)
+        else:
+            self._on_data(payload)
+        return True
 
     def _on_ack(self, pkt: RelPacket) -> None:
         if pkt.corrupted:
@@ -421,21 +419,20 @@ class ReliableDelivery:
         still-unacknowledged packets, and the recovery message log.  The
         snapshot shares (pristine, never-delivered) message clones with
         the live log; both sides only ever copy them, never mutate."""
-        with self._lock:
-            log: Dict[int, Dict[int, Tuple[Message, int]]] = {}
-            ft_log = self._ft_log
-            if ft_log is not None:
-                log = {dst: dict(entries) for dst, entries in ft_log.items()}
-            pend = sorted(
-                (p.dst, p.seq) for p in self._pending.values()
-                if p.seq in log.get(p.dst, {})
-            )
-            return {
-                "next_seq": dict(self._next_seq),
-                "expected": dict(self._expected),
-                "pending": pend,
-                "log": log,
-            }
+        log: Dict[int, Dict[int, Tuple[Message, int]]] = {}
+        ft_log = self._ft_log
+        if ft_log is not None:
+            log = {dst: dict(entries) for dst, entries in ft_log.items()}
+        pend = sorted(
+            (p.dst, p.seq) for p in self._pending.values()
+            if p.seq in log.get(p.dst, {})
+        )
+        return {
+            "next_seq": dict(self._next_seq),
+            "expected": dict(self._expected),
+            "pending": pend,
+            "log": log,
+        }
 
     def import_state(self, state: Dict[str, Any]) -> None:
         """Restore a checkpoint snapshot onto this (freshly restarted)
@@ -443,18 +440,17 @@ class ReliableDelivery:
         checkpoint time back on the wire.  Out-of-order holdings gathered
         before the restore are discarded — the peers' replay resends
         them, and the restored ``expected`` map dedups."""
-        with self._lock:
-            self._next_seq = dict(state["next_seq"])
-            self._expected = dict(state["expected"])
-            self._held.clear()
-            if self._ft_log is not None:
-                self._ft_log = {
-                    dst: dict(entries) for dst, entries in state["log"].items()
-                }
-            for dst, seq in state["pending"]:
-                entry = state["log"].get(dst, {}).get(seq)
-                if entry is not None:
-                    self._resend(dst, seq, entry[0], entry[1])
+        self._next_seq = dict(state["next_seq"])
+        self._expected = dict(state["expected"])
+        self._held.clear()
+        if self._ft_log is not None:
+            self._ft_log = {
+                dst: dict(entries) for dst, entries in state["log"].items()
+            }
+        for dst, seq in state["pending"]:
+            entry = state["log"].get(dst, {}).get(seq)
+            if entry is not None:
+                self._resend(dst, seq, entry[0], entry[1])
 
     def _resend(self, dst: int, seq: int, msg: Message, size: int) -> None:
         """(Re)create sender state for a logged packet and transmit a
@@ -482,57 +478,53 @@ class ReliableDelivery:
         restored ``expected`` value).  Already-delivered packets among
         them are dup-dropped and re-acked by the peer; genuinely lost
         ones fill the gap.  Returns the number of packets resent."""
-        with self._lock:
-            entries = None if self._ft_log is None else self._ft_log.get(dst)
-            if not entries:
-                return 0
-            n = 0
-            for seq in sorted(entries):
-                if seq >= from_seq:
-                    msg, size = entries[seq]
-                    self._resend(dst, seq, msg, size)
-                    n += 1
-            return n
+        entries = None if self._ft_log is None else self._ft_log.get(dst)
+        if not entries:
+            return 0
+        n = 0
+        for seq in sorted(entries):
+            if seq >= from_seq:
+                msg, size = entries[seq]
+                self._resend(dst, seq, msg, size)
+                n += 1
+        return n
 
     def prune_log(self, dst: int, below: int) -> int:
         """Drop log entries to ``dst`` below sequence ``below`` (the
         destination checkpointed them: replay will never need them).
         Still-pending packets are kept regardless, preserving the
         checkpoint invariant that every pending packet has a log entry."""
-        with self._lock:
-            entries = None if self._ft_log is None else self._ft_log.get(dst)
-            if not entries:
-                return 0
-            stale = [s for s in entries
-                     if s < below and (dst, s) not in self._pending]
-            for s in stale:
-                del entries[s]
-            return len(stale)
+        entries = None if self._ft_log is None else self._ft_log.get(dst)
+        if not entries:
+            return 0
+        stale = [s for s in entries
+                 if s < below and (dst, s) not in self._pending]
+        for s in stale:
+            del entries[s]
+        return len(stale)
 
     def reset_peer(self, dst: int) -> None:
         """Reconcile retransmission state after ``dst`` recovered: give
         every packet still pending to it a fresh retry budget and timeout
         (the backed-off timers were measuring a dead PE)."""
-        with self._lock:
-            cfg = self.config
-            for (d, _seq), p in self._pending.items():
-                if d == dst:
-                    p.retries = 1
-                    p.rto = cfg.rto
-                    if p.timer is not None:
-                        p.timer.cancel()
-                    self._arm_timer(p)
+        cfg = self.config
+        for (d, _seq), p in self._pending.items():
+            if d == dst:
+                p.retries = 1
+                p.rto = cfg.rto
+                if p.timer is not None:
+                    p.timer.cancel()
+                self._arm_timer(p)
 
     def close(self) -> None:
         """Cancel every outstanding retransmission timer and forget the
         pending set.  Called on machine shutdown and when this PE
         crashes — a dead (or torn-down) PE must not retransmit."""
-        with self._lock:
-            for p in self._pending.values():
-                if p.timer is not None:
-                    p.timer.cancel()
-                    p.timer = None
-            self._pending.clear()
+        for p in self._pending.values():
+            if p.timer is not None:
+                p.timer.cancel()
+                p.timer = None
+        self._pending.clear()
 
     def expected_seq(self, src: int) -> int:
         """The next sequence number expected from ``src`` (what a
@@ -837,10 +829,13 @@ class CMI:
     def immediate_send(self, dest_pe: int, msg: Message) -> None:
         """Extension (paper section 6 future work: "preemptive messages
         (interrupt messages) will be investigated"): like
-        :meth:`sync_send` but the destination runs the handler at arrival
-        time, bypassing the scheduler — even if the PE is computing or
-        blocked in an SPM receive.  Handlers delivered this way should be
-        short and must not assume scheduler context."""
+        :meth:`sync_send` but the destination runs the handler ahead of
+        everything queued, bypassing the scheduler — even if the PE is
+        blocked in an SPM receive.  The simulator runs it at arrival
+        time, mid-computation included; an mp worker at its next runtime
+        entry (:meth:`PENode.deliver_immediate`).  Handlers delivered
+        this way should be short and must not assume scheduler
+        context."""
         self._check_dest(dest_pe)
         self.runtime.check_active()
         self.node.stats.msgs_sent += 1

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+import threading
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
@@ -48,31 +49,6 @@ def unsupported(layer: str, what: str, why: str = "") -> SimulationError:
         f"{what} is not supported on the {layer!r} machine layer"
         + (f": {why}" if why else "")
     )
-
-
-class _NullLock:
-    """A free no-op stand-in for a lock.
-
-    The protocol layers (reliable delivery, fault tolerance) run
-    single-threaded on the simulator but are entered concurrently on the
-    mp machine layer — main, receiver and timer threads.  Each takes its
-    lock from :attr:`PEHost.protocol_lock`: a threaded layer sets one
-    :class:`threading.RLock` per PE (reentrancy covers the ft->rel call
-    cycles), any other keeps ``_NULL_LOCK``, whose with-blocks cost two
-    no-op calls and leave the schedules byte-identical.
-    """
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullLock":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        return None
-
-
-#: the shared no-op lock instance (stateless, safe to share globally).
-_NULL_LOCK = _NullLock()
 
 
 # ----------------------------------------------------------------------
@@ -319,9 +295,11 @@ class PENode:
 
     def deliver_immediate(self, payload: Any) -> None:
         """Interrupt-style delivery (the paper's section-6 "preemptive
-        messages"): the handler runs *at arrival time*, bypassing the
-        inbox, even while the PE's regular code is mid-computation — by
-        default right here, in whatever context delivers."""
+        messages"): the handler runs right here, in the delivering
+        context, bypassing the inbox and the Csd queue.  When that is
+        relative to the PE's own code is the layer's: the simulator
+        delivers at arrival time, even mid-computation; an mp worker at
+        its main thread's next runtime entry."""
         self._arrived(payload)
         rt = self.runtime
         if rt is None:
@@ -337,10 +315,9 @@ class PENode:
         return None
 
     def inbox_snapshot(self) -> Any:
-        """The inbox contents, safe to walk while deliveries may be
-        happening (layers with a concurrent receive path copy under
-        their delivery lock).  Checkpointing iterates this instead of
-        touching :attr:`inbox` directly."""
+        """The inbox contents, for walking without consuming
+        (checkpointing).  No layer delivers concurrently with the code
+        that walks it, so this is the inbox itself, not a copy."""
         return self.inbox
 
     def wait_until(self, predicate: Callable[[], bool]) -> None:
@@ -356,7 +333,8 @@ class PENode:
     def kick(self) -> None:
         """Wake everything blocked on this node to recheck its wait
         condition (same-PE state changes: ``CsdEnqueue`` from another
-        tasklet, Cth awakenings)."""
+        tasklet, Cth awakenings).  A layer with one thread of control
+        per PE has nothing to wake."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -521,19 +499,21 @@ class ConsoleRecord:
 class ConsoleLog:
     """A machine's console output (``CmiPrintf`` / ``CmiError``): every
     write is one atomic :class:`ConsoleRecord` stamped with its PE and
-    engine time, optionally echoed to the real stdout/stderr.  ``lock``
-    guards the record list where several threads write it.  Console
+    engine time, optionally echoed to the real stdout/stderr.  Console
     *input* is a capability: without it the input calls refuse.
     """
 
     layer_name = "?"
+    #: guards the record lists: an mp hub appends from one reader thread
+    #: per PE.  One lock for every log, held for an append or a copy —
+    #: a lock per log would be one more GC-tracked allocation per
+    #: machine, which short-lived simulator machines can measure.
+    _lock = threading.Lock()
 
-    def __init__(self, engine: Optional[Engine] = None, echo: bool = False,
-                 lock: Any = _NULL_LOCK) -> None:
+    def __init__(self, engine: Optional[Engine] = None, echo: bool = False) -> None:
         self.engine = engine
         self.echo = echo
         self.records: List[ConsoleRecord] = []
-        self._lock = lock
 
     def write(self, pe: int, text: str, stream: str = "out",
               t: Optional[float] = None) -> None:
@@ -615,8 +595,6 @@ class PEHost:
     #: Cld load-gossip period in engine seconds: an order of magnitude
     #: above typical seed grains, so gossip stays a fraction of traffic.
     cld_gossip_interval = 1e-4
-    #: guards reliable/ft protocol state (see :class:`_NullLock`).
-    protocol_lock: Any = _NULL_LOCK
     #: trace correlation ids are minted ``seq += stride``: ``(0, 1)``
     #: is dense ids for a host that owns every PE, ``(pe, num_pes)``
     #: gives each process a disjoint residue class.

@@ -24,6 +24,10 @@ at least as fresh as the reports, so "every PE idle, every report equal
 to the forward count, zero timers" cannot hold while anything is in
 flight.  The only wake sources a parked worker has are hub deliveries
 (counted) and local timers (reported), so the check is also complete.
+Both numbers are the main thread's own: it counts an arrival when it
+has finished dispatching it and reports only while parked with nothing
+delivered to the process still undispatched, so no report can describe
+a state some other thread is in the middle of changing.
 
 **Observability** works distributed: with ``trace=``/``metrics=`` each
 worker runs the ordinary per-PE tracer and metrics registry *in its own
@@ -56,9 +60,11 @@ respawning a fresh incarnation (epoch bump, restart-with-amnesia) when
 the spec has a ``restart_after``.  Self-sends never cross the hub, so
 link faults do not apply to them.  The CMI reliable-delivery layer
 (``reliable=True``) and the fault-tolerance layer (``ft=FTConfig()``)
-run *inside each worker* unmodified, entered concurrently from the
-main, receiver and timer threads under one per-PE reentrant lock (the
-worker machine's ``protocol_lock``); each worker carries its own
+run *inside each worker* unmodified and, like everything else on a PE,
+on its main thread only: the receiver thread just queues what the hub
+sends, and acks, retransmissions, heartbeats and checkpoint custody
+happen when the main thread next enters the runtime (the progress rule,
+see :class:`_MpNode`).  Each worker carries its own
 distributed :class:`~repro.ft.manager.FTCoordinator` replica fed by the
 shipped crash schedule.  Protocol timeouts are floored to socket scale
 at construction (the simulator's microsecond RTOs would retransmit
@@ -88,6 +94,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import replace
+from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.core import context
@@ -105,7 +112,6 @@ from repro.machine.interface import (
 from repro.tracing.tracer import (
     CountingTracer,
     JsonlTracer,
-    LockingTracer,
     Tracer,
     parse_trace_spec,
 )
@@ -197,92 +203,80 @@ class _WorkerStop(BaseException):
     (like :class:`TaskletKilled` in the simulator)."""
 
 
-class _MpTimerHandle:
-    __slots__ = ("_engine", "_tid")
+class _Timer:
+    """One armed callback: the handle :meth:`_MpEngine.schedule` returns."""
 
-    def __init__(self, engine: "_MpEngine", tid: int) -> None:
-        self._engine = engine
-        self._tid = tid
+    __slots__ = ("engine", "fn", "args")
+
+    def __init__(self, engine: "_MpEngine", fn: Callable[..., Any],
+                 args: tuple) -> None:
+        self.engine = engine
+        self.fn: Optional[Callable[..., Any]] = fn
+        self.args = args
 
     def cancel(self) -> None:
-        self._engine.cancel(self._tid)
+        # Marked, not removed: the heap drops the entry when it comes due.
+        if self.fn is not None:
+            self.fn = None
+            self.engine.pending_timers -= 1
 
 
 class _MpEngine(Engine):
     """Wall-clock engine inside a worker: the clock is
-    ``time.monotonic`` since boot and every delayed callback is a
-    ``threading.Timer``.  No tasklets — one main runs per PE, so the
-    interface's tasklet operations keep refusing until a real Cth
-    backend exists.
+    ``time.monotonic`` since boot and delayed callbacks are a deadline
+    heap that the PE's main thread owns and drains from the node's pump
+    (:meth:`_MpNode.pump`), so a callback never runs beside a handler.
+    No tasklets — one main runs per PE, so the interface's tasklet
+    operations keep refusing until a real Cth backend exists.
     """
 
     layer_name = "mp"
 
     def __init__(self) -> None:
         self._t0 = time.monotonic()
-        self._lock = threading.Lock()
-        self._timers: Dict[int, threading.Timer] = {}
-        self._next_tid = 0
-        #: timer callbacks currently executing.  A fired timer leaves
-        #: ``_timers`` before its callback runs, so ``pending_timers``
-        #: alone would read 0 mid-callback — an idle report in that
-        #: window lets the hub declare quiescence while (say) a reliable
-        #: retransmit is still in flight on the timer thread.
-        self._firing = 0
-        #: failure sink for timer-thread callbacks: a protocol layer
-        #: raising in a ``threading.Timer`` would otherwise die silently
-        #: on that thread and wedge the job until the hub timeout.  The
-        #: worker main wires this to ship a structured fatal frame.
-        self.on_error: Optional[Callable[[str], None]] = None
+        #: ``(deadline, tie-break, timer)``, earliest first.
+        self._heap: List[tuple] = []
+        self._seq = 0
+        #: armed timers: scheduled, neither cancelled nor run to
+        #: completion.  Written by the main thread only; the health
+        #: thread reads it lock-free.
+        self.pending_timers = 0
 
     @property
     def now(self) -> float:
         return time.monotonic() - self._t0
 
-    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> _MpTimerHandle:
-        with self._lock:
-            tid = self._next_tid
-            self._next_tid += 1
-            timer = threading.Timer(max(0.0, delay), self._fire, (tid, fn, args))
-            timer.daemon = True
-            self._timers[tid] = timer
-        timer.start()
-        return _MpTimerHandle(self, tid)
+    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> _Timer:
+        timer = _Timer(self, fn, args)
+        self._seq += 1
+        heappush(self._heap,
+                 (time.monotonic() + max(0.0, delay), self._seq, timer))
+        self.pending_timers += 1
+        return timer
 
-    def _fire(self, tid: int, fn: Callable[..., Any], args: tuple) -> None:
-        with self._lock:
-            if self._timers.pop(tid, None) is None:
-                return  # cancelled after firing was already scheduled
-            self._firing += 1
-        try:
-            fn(*args)
-        except BaseException:
-            if self.on_error is None:
-                raise
-            self.on_error(traceback.format_exc())
-        finally:
-            # A callback that re-arms (retransmit backoff) inserts the
-            # new timer before this decrement, so the count never dips
-            # to zero while protocol work is still pending.
-            with self._lock:
-                self._firing -= 1
+    def fire_due(self) -> None:
+        """Run every callback whose deadline has passed, earliest first."""
+        heap = self._heap
+        while heap and heap[0][0] <= time.monotonic():
+            timer = heappop(heap)[2]
+            fn = timer.fn
+            if fn is None:
+                continue  # cancelled
+            timer.fn = None
+            try:
+                fn(*timer.args)
+            finally:
+                # Counted until the callback returns: one that re-arms
+                # (retransmit backoff) pushes its successor first, so the
+                # count a nested wait could report never dips to zero
+                # while protocol work is pending.
+                self.pending_timers -= 1
 
-    def cancel(self, tid: int) -> None:
-        with self._lock:
-            timer = self._timers.pop(tid, None)
-        if timer is not None:
-            timer.cancel()
-
-    @property
-    def pending_timers(self) -> int:
-        with self._lock:
-            return len(self._timers) + self._firing
-
-    def shutdown(self) -> None:
-        with self._lock:
-            timers, self._timers = list(self._timers.values()), {}
-        for timer in timers:
-            timer.cancel()
+    def next_deadline_in(self, cap: float) -> float:
+        """Seconds until the earliest deadline, at most ``cap``."""
+        if not self._heap:
+            return cap
+        return min(cap, max(0.0, self._heap[0][0] - time.monotonic()))
 
 
 class _WorkerLink:
@@ -291,9 +285,11 @@ class _WorkerLink:
     def __init__(self, sock: socket.socket, pe: int) -> None:
         self.sock = sock
         self.pe = pe
+        #: socket writes: the main thread, the health thread and the
+        #: receiver's clock echo share one stream.
         self.wlock = threading.Lock()
-        #: hub-forwarded messages fully delivered locally (guarded by the
-        #: node's condition variable; part of the quiescence protocol).
+        #: hub-forwarded messages the main thread has finished
+        #: dispatching (part of the quiescence protocol).
         self.net_recv = 0
         self.stop = threading.Event()
         self.engine: Optional[_MpEngine] = None
@@ -302,9 +298,9 @@ class _WorkerLink:
     def send(self, frame: Any) -> None:
         _send_frame(self.sock, self.wlock, frame)
 
-    def report_idle(self, _node: "_MpNode") -> None:
-        """Tell the hub this PE is parked (call with the node's condition
-        held).  Deduplicated: only state changes cross the wire."""
+    def report_idle(self) -> None:
+        """Tell the hub this PE is parked.  Deduplicated: only state
+        changes cross the wire."""
         snap = (self.net_recv, self.engine.pending_timers)
         if snap == self._last_idle:
             return
@@ -314,18 +310,37 @@ class _WorkerLink:
         except OSError:
             self.stop.set()
 
+    def fail(self, why: str) -> None:
+        """Ship a structured failure to the hub and stop this worker."""
+        try:
+            self.send(("fatal", why))
+        except OSError:
+            pass
+        self.stop.set()
+
 
 class _MpNode(PENode):
-    """A PE backed by real threads: the inbox is fed by the receiver
-    thread (and timer threads), the main thread parks on a condition
-    variable instead of suspending a tasklet.  The inherited
-    ``deliver_immediate`` is interrupt-style delivery for real: the
-    handler runs on the receiver thread, concurrently with the PE's main
-    thread, so it must be short and thread-safe."""
+    """A PE whose main thread is the only thread that touches runtime,
+    protocol, inbox or timer state.  The receiver thread appends
+    ``(payload, immediate)`` to :attr:`_arrivals` under the condition
+    and does nothing else with a message; :meth:`pump` — at the top of
+    every :meth:`wait_until` iteration and of :meth:`poll` — is where
+    arrivals meet the interceptors and due timers fire.
+
+    The progress rule that follows: acks, retransmissions, heartbeats,
+    Ccd callbacks and immediate handlers happen when the PE is inside
+    the runtime (scheduler loop, blocking receive, ``poll``, or parked
+    after its mains returned), not beside a compute-only handler.  An
+    immediate message overtakes everything queued in the inbox and the
+    Csd queue; it does not interrupt user code."""
 
     def __init__(self, machine: "_WorkerMachine", pe: int) -> None:
         super().__init__(machine, pe)
+        #: guards :attr:`_arrivals` appends against the park decision.
         self._cond = threading.Condition()
+        #: delivered to this process, not yet dispatched by the main
+        #: thread (which pops without the condition: one consumer).
+        self._arrivals: deque = deque()
         #: True while the main thread is parked in :meth:`wait_until`
         #: (read lock-free by the health thread — a stale value is fine).
         self._parked = False
@@ -336,37 +351,52 @@ class _MpNode(PENode):
             for fn in interceptors:
                 if fn(payload):
                     return
-        with self._cond:
-            self.inbox.append(payload)
-            self._arrived(payload)
-            self._cond.notify_all()
+        self.inbox.append(payload)
+        self._arrived(payload)
+
+    def pump(self) -> None:
+        """Dispatch queued arrivals in order, *then* fire due timers:
+        an ack must cancel its retransmit timer, and a heartbeat refresh
+        the failure detector's evidence, before either timer looks."""
+        arrivals = self._arrivals
+        if arrivals:
+            link = self.machine.worker
+            # What is here now; later arrivals wait for the next pump, so
+            # a flood cannot keep the timers (or the caller) from running.
+            for _ in range(len(arrivals)):
+                payload, immediate = arrivals.popleft()
+                if immediate:
+                    self.deliver_immediate(payload)
+                else:
+                    self.deliver(payload)
+                link.net_recv += 1
+        self.engine.fire_due()
 
     def poll(self) -> Optional[Any]:
-        with self._cond:
-            return super().poll()
-
-    def inbox_snapshot(self) -> Any:
-        # The receiver thread appends concurrently; checkpointing walks a
-        # consistent copy taken under the delivery condition instead.
-        with self._cond:
-            return list(self.inbox)
+        self.pump()
+        return super().poll()
 
     def wait_until(self, predicate: Callable[[], bool]) -> None:
         link = self.machine.worker
-        with self._cond:
-            try:
-                while not predicate():
-                    if link.stop.is_set():
-                        raise _WorkerStop()
-                    self._parked = True
-                    link.report_idle(self)
-                    self._cond.wait(_IDLE_RECHECK)
-            finally:
+        cond, arrivals, engine = self._cond, self._arrivals, self.engine
+        while True:
+            self.pump()
+            if predicate():
+                return
+            if link.stop.is_set():
+                raise _WorkerStop()
+            with cond:
+                if arrivals:
+                    continue  # landed while the pump ran
+                self._parked = True
+                link.report_idle()
+                cond.wait(engine.next_deadline_in(_IDLE_RECHECK))
                 self._parked = False
 
     def kick(self) -> None:
-        with self._cond:
-            self._cond.notify_all()
+        """Nothing to wake: every caller is the PE's main thread, which
+        is running — and re-reads its predicate after whatever handler
+        or callback made this call returns."""
 
 
 class _MpNetwork(Interconnect):
@@ -446,9 +476,9 @@ class _WorkerMachine(PEHost):
     layer_name = "mp"
     model = MP_MODEL
     #: wall-clock gossip period for Cld strategies carrying a
-    #: remote-load table.  Coarser than the virtual-time default: mp Ccd
-    #: timers are real ``threading.Timer`` objects and each pending one
-    #: holds hub quiescence for up to a period after the load drains.
+    #: remote-load table.  Coarser than the virtual-time default: a
+    #: pending timer wakes the parked main at its deadline and holds hub
+    #: quiescence for up to a period after the load drains.
     cld_gossip_interval = 0.02
 
     def __init__(self, pe: int, link: _WorkerLink, cfg: MachineConfig) -> None:
@@ -462,18 +492,10 @@ class _WorkerMachine(PEHost):
         if cfg.metrics:
             from repro.metrics.registry import MetricsRegistry
 
-            # Locking: immediate handlers (and Ccd timers) update metrics
-            # from threads other than the main thread.
-            self.metrics = MetricsRegistry(locking=True)
+            self.metrics = MetricsRegistry()
         self.rng = random.Random(cfg.seed * 1_000_003 + pe)
         self.msg_pooling = cfg.pool
         self.pgrp_registry = {}
-        #: the protocol layers (reliable delivery, ft) are entered
-        #: concurrently here — main thread sends, receiver thread
-        #: arrivals, timer threads retransmissions — so they guard their
-        #: state with this one shared lock; reentrancy covers the
-        #: ft<->rel call cycles.
-        self.protocol_lock = threading.RLock()
         #: trace correlation ids minted from a per-process residue class
         #: (PE p issues {p + k*N}), globally unique with no coordination.
         self._msg_id_seq = pe
@@ -487,38 +509,45 @@ class _WorkerMachine(PEHost):
         """Build this worker's in-process trace sink from the hub's
         shipped spec: ``jsonl:<base>`` spools full events to this PE's
         sibling file; ``count`` keeps per-kind counters that travel to
-        the hub as one frame at shutdown.  Wrapped in a
-        :class:`LockingTracer` because immediate handlers record from the
-        receiver thread concurrently with the main thread."""
+        the hub as one frame at shutdown."""
         mode, base = parse_trace_spec(spec)
         if mode == "jsonl":
             from repro.tracing.merge import spool_path
 
-            return LockingTracer(JsonlTracer(spool_path(base, pe)))
+            return JsonlTracer(spool_path(base, pe))
         if mode == "count":
-            return LockingTracer(CountingTracer())
+            return CountingTracer()
         return None
 
 
 def _worker_receive_loop(link: _WorkerLink, node: _MpNode) -> None:
-    """Reader thread in a worker: turn hub frames into deliveries.
-
-    ``net_recv`` is incremented *after* the delivery completes (and after
-    an immediate handler returns) so an idle report can never claim a
-    message as consumed before its effects — including any sends the
-    handler made — are on the wire ahead of the report.
-    """
+    """Reader thread in a worker: decode hub frames and queue the
+    messages for the main thread.  It runs no interceptor, no handler
+    and no protocol send, so it never blocks writing to the hub while
+    the hub is blocked writing to it."""
+    cond, arrivals = node._cond, node._arrivals
     while True:
         try:
             frame = _recv_frame(link.sock)
         except OSError:
             frame = None
+        except Exception:
+            # The frame arrived whole and would not decode (a payload
+            # whose unpickling raises, a class this process cannot
+            # import): a structured failure, not a dead thread.
+            link.fail(f"PE {link.pe} could not decode a frame from the "
+                      f"hub:\n{traceback.format_exc()}")
+            frame = None
         if frame is None or frame[0] == "shutdown":
             link.stop.set()
-            with node._cond:
-                node._cond.notify_all()
+            with cond:
+                cond.notify()
             return
-        if frame[0] == "clock_probe":
+        if frame[0] == "msg":
+            with cond:
+                arrivals.append(frame[1:])  # (payload, immediate)
+                cond.notify()
+        elif frame[0] == "clock_probe":
             # Clock-alignment echo: bounce the hub's timestamp back with
             # this worker's engine clock.  Bypasses the quiescence
             # counters entirely (not a forwarded message) and is answered
@@ -529,29 +558,6 @@ def _worker_receive_loop(link: _WorkerLink, node: _MpNode) -> None:
                 link.send(("clock", probe_id, hub_now, link.engine.now))
             except OSError:
                 pass
-            continue
-        if frame[0] == "msg":
-            _, payload, immediate = frame
-            try:
-                if immediate:
-                    node.deliver_immediate(payload)
-                else:
-                    node.deliver(payload)
-            except BaseException:
-                # An immediate handler blew up on the receiver thread:
-                # report it instead of dying silently (which would strand
-                # the whole job until the hub timeout).
-                try:
-                    link.send(("fatal", traceback.format_exc()))
-                except OSError:
-                    pass
-                link.stop.set()
-                with node._cond:
-                    node._cond.notify_all()
-                return
-            with node._cond:
-                link.net_recv += 1
-                node._cond.notify_all()
 
 
 def _worker_health_loop(link: _WorkerLink, machine: "_WorkerMachine",
@@ -564,7 +570,9 @@ def _worker_health_loop(link: _WorkerLink, machine: "_WorkerMachine",
     while not link.stop.wait(interval):
         snap = {
             "delivered": link.net_recv,
-            "inbox": len(node.inbox),
+            # delivered to this process, not yet consumed: a PE stuck in
+            # a compute-only handler shows this growing.
+            "inbox": len(node._arrivals) + len(node.inbox),
             "idle": node._parked,
             "timers": machine.engine.pending_timers,
             "handlers": stats.handlers_run,
@@ -623,16 +631,6 @@ def _worker_main(pe: int, port: int, specs: list, cfg: MachineConfig,
     rt = build_pe_stack(node, machine, cfg, coordinator=coordinator,
                         restarting=epoch > 0)
 
-    def _timer_fatal(tb: str) -> None:
-        try:
-            link.send(("fatal", tb))
-        except OSError:
-            pass
-        link.stop.set()
-        with node._cond:
-            node._cond.notify_all()
-
-    machine.engine.on_error = _timer_fatal
     # One user thread runs Converse code in this process, with no
     # tasklet: the node itself is what "the current PE" resolves to.
     context.bind_node(node)
@@ -667,23 +665,17 @@ def _worker_main(pe: int, port: int, specs: list, cfg: MachineConfig,
                 link.send(("result", idx, False,
                            f"main returned an unpicklable value: {exc}"))
                 return
-        # All mains finished: stay alive (the handler table keeps serving
-        # quiescence accounting) until the hub says shutdown.
-        with node._cond:
-            while not link.stop.is_set():
-                link.report_idle(node)
-                node._cond.wait(_IDLE_RECHECK)
+        # All mains finished: stay in the runtime — acking, heartbeating,
+        # serving checkpoint custody and firing timers — until the hub
+        # says shutdown.
+        node.wait_until(lambda: False)
     except _WorkerStop:
         pass
     except OSError:
         pass  # hub went away; nothing left to report to
     except BaseException:
-        try:
-            link.send(("fatal", traceback.format_exc()))
-        except OSError:
-            pass
+        link.fail(traceback.format_exc())
     finally:
-        machine.engine.shutdown()
         # Ship the observability payloads before the cpu frame (the
         # hub's reader drains everything up to EOF): the metrics
         # snapshot, and — for count-mode tracing — the event counters.
@@ -697,10 +689,9 @@ def _worker_main(pe: int, port: int, specs: list, cfg: MachineConfig,
                 pass
         tracer = machine.tracer
         if tracer is not None:
-            inner = getattr(tracer, "inner", tracer)
-            if isinstance(inner, CountingTracer):
+            if isinstance(tracer, CountingTracer):
                 try:
-                    link.send(("trace_counts", pe, dict(inner.counts)))
+                    link.send(("trace_counts", pe, dict(tracer.counts)))
                 except OSError:
                     pass
             try:
@@ -825,7 +816,7 @@ class MpMachine(MachineLayer):
         self.config = cfg = replace(cfg, reliable=rel, ft=ft)
         self.num_pes = num_pes
         self.model = MP_MODEL
-        self.console = MpConsole(echo=cfg.echo, lock=threading.Lock())
+        self.console = MpConsole(echo=cfg.echo)
         self.fault_plan = cfg.faults
         self._crash_schedule = cfg.crash_schedule
         self.msg_pooling = cfg.pool
@@ -1204,10 +1195,15 @@ class MpMachine(MachineLayer):
                 frame = _recv_frame(conn)
             except OSError:
                 frame = None
-            except pickle.UnpicklingError:
-                # A torn frame mid-pickle: the worker died mid-write.
-                # Treated exactly like EOF — classified below.
-                frame = None
+            except Exception:
+                # The frame arrived whole (a torn one reads as EOF) and
+                # would not decode: a payload whose unpickling raises, or
+                # a class this process cannot import.
+                with self._state:
+                    self._fail_locked(
+                        pe, f"the hub could not decode a frame from PE "
+                            f"{pe}:\n{traceback.format_exc()}")
+                return
             if frame is None:
                 break
             kind = frame[0]

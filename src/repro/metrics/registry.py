@@ -217,49 +217,6 @@ class Histogram:
         }
 
 
-class _LockedCounter(Counter):
-    """A :class:`Counter` whose updates hold a shared registry lock."""
-
-    __slots__ = ("_lock",)
-
-    def __init__(self, name: str, help: str = "", lock: Any = None) -> None:
-        super().__init__(name, help)
-        self._lock = lock
-
-    def inc(self, pe: int, n: float = 1.0) -> None:
-        with self._lock:
-            Counter.inc(self, pe, n)
-
-
-class _LockedGauge(Gauge):
-    """A :class:`Gauge` whose updates hold a shared registry lock."""
-
-    __slots__ = ("_lock",)
-
-    def __init__(self, name: str, help: str = "", lock: Any = None) -> None:
-        super().__init__(name, help)
-        self._lock = lock
-
-    def set(self, pe: int, v: float) -> None:
-        with self._lock:
-            Gauge.set(self, pe, v)
-
-
-class _LockedHistogram(Histogram):
-    """A :class:`Histogram` whose updates hold a shared registry lock."""
-
-    __slots__ = ("_lock",)
-
-    def __init__(self, name: str, bounds: Sequence[float] = TIME_BUCKETS,
-                 help: str = "", lock: Any = None) -> None:
-        super().__init__(name, bounds, help)
-        self._lock = lock
-
-    def observe(self, pe: int, v: float) -> None:
-        with self._lock:
-            Histogram.observe(self, pe, v)
-
-
 class MetricsRegistry:
     """Named metrics for one machine.
 
@@ -268,21 +225,14 @@ class MetricsRegistry:
     re-requesting an existing name returns the same object (a kind
     mismatch raises).
 
-    ``locking=True`` hands out lock-protected metric handles sharing one
-    registry lock.  The deterministic simulator never needs it (one
-    thread runs all PEs); an mp *worker* does, because its instrumented
-    paths run on the main thread, the socket receiver thread (immediate
-    handlers) and Ccd timer threads concurrently — and a lost
-    read-modify-write update would silently undercount.
+    Nothing here locks: a registry is only ever updated by one thread
+    of control at a time (the simulator hands one baton between all
+    PEs; an mp worker's registry belongs to its main thread), so an
+    update is a plain read-modify-write.
     """
 
-    def __init__(self, locking: bool = False) -> None:
+    def __init__(self) -> None:
         self._metrics: Dict[str, Any] = {}
-        self._lock: Any = None
-        if locking:
-            import threading
-
-            self._lock = threading.Lock()
 
     def _get(self, name: str, factory: Any, kind: str) -> Any:
         m = self._metrics.get(name)
@@ -297,26 +247,15 @@ class MetricsRegistry:
 
     def counter(self, name: str, help: str = "") -> Counter:
         """Get or create a :class:`Counter`."""
-        if self._lock is not None:
-            return self._get(
-                name, lambda: _LockedCounter(name, help, self._lock), "counter")
         return self._get(name, lambda: Counter(name, help), "counter")
 
     def gauge(self, name: str, help: str = "") -> Gauge:
         """Get or create a :class:`Gauge`."""
-        if self._lock is not None:
-            return self._get(
-                name, lambda: _LockedGauge(name, help, self._lock), "gauge")
         return self._get(name, lambda: Gauge(name, help), "gauge")
 
     def histogram(self, name: str, bounds: Sequence[float] = TIME_BUCKETS,
                   help: str = "") -> Histogram:
         """Get or create a :class:`Histogram` (bounds fixed at creation)."""
-        if self._lock is not None:
-            return self._get(
-                name,
-                lambda: _LockedHistogram(name, bounds, help, self._lock),
-                "histogram")
         return self._get(name, lambda: Histogram(name, bounds, help), "histogram")
 
     def get(self, name: str) -> Optional[Any]:

@@ -32,7 +32,6 @@ from repro.tracing.export import (
 from repro.tracing.tracer import (
     CountingTracer,
     JsonlTracer,
-    LockingTracer,
     MemoryTracer,
     Tracer,
     load_jsonl,
@@ -46,7 +45,6 @@ __all__ = [
     "MemoryTracer",
     "CountingTracer",
     "JsonlTracer",
-    "LockingTracer",
     "make_tracer",
     "load_jsonl",
     "load_spool",

@@ -27,7 +27,6 @@ __all__ = [
     "MemoryTracer",
     "CountingTracer",
     "JsonlTracer",
-    "LockingTracer",
     "parse_trace_spec",
     "make_tracer",
     "load_jsonl",
@@ -144,42 +143,6 @@ class JsonlTracer(Tracer):
         self._fh.flush()
         if self._owns:
             self._fh.close()
-
-
-class LockingTracer(Tracer):
-    """Thread-safety adapter around any tracer.
-
-    The simulator never needs this (one thread runs all PEs), but an mp
-    worker records events from its main thread, its socket receiver
-    thread and Ccd timer threads concurrently — and neither
-    :class:`JsonlTracer` (interleaved writes) nor
-    :class:`CountingTracer` (read-modify-write counter updates) is safe
-    under that.  The wrapper serializes ``record``/``declare_schema``/
-    ``close`` with one lock and exposes the wrapped tracer as ``inner``.
-    """
-
-    def __init__(self, inner: Tracer) -> None:
-        super().__init__()
-        import threading
-
-        self.inner = inner
-        self.schemas = inner.schemas  # shared list: one source of truth
-        self._lock = threading.Lock()
-
-    def record(self, pe: int, time: float, kind: str, fields: Mapping[str, Any]) -> None:
-        """Record one event (hot path: called on every traced event)."""
-        with self._lock:
-            self.inner.record(pe, time, kind, fields)
-
-    def declare_schema(self, schema: SchemaDeclaration) -> None:
-        """Register a language's self-describing event schema."""
-        with self._lock:
-            self.inner.declare_schema(schema)
-
-    def close(self) -> None:
-        """Flush and release the wrapped tracer's resources."""
-        with self._lock:
-            self.inner.close()
 
 
 def parse_trace_spec(spec: Any) -> Tuple[Optional[str], Any]:

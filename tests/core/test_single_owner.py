@@ -1,0 +1,53 @@
+"""One thread owns a PE: nothing above a machine layer synchronises.
+
+Everything that happens on a PE — an arrival, a timer expiry, a handler,
+a protocol step — is dispatched by that PE's one thread of control, on
+every layer.  So no module above the layers needs a lock, and the
+plumbing that once handed them one (a per-host protocol lock with a
+no-op stand-in, a locking tracer, a locking registry) must not come
+back.  A module that really shares state between threads has to add
+itself to the literal list below.
+"""
+
+from __future__ import annotations
+
+import inspect
+import re
+
+from tests.core.test_import_direction import SRC, _imports
+
+#: who may ``import threading``: the mp layer (a socket shared by a
+#: receiver, a health reporter and the PE's main thread), the
+#: simulator's tasklet baton, and the console log's record-list lock
+#: (the mp hub appends to it from one reader thread per PE).
+MAY_IMPORT_THREADING = ("machine/mp.py", "sim/tasklet.py", "machine/interface.py")
+
+#: identifiers of the deleted lock plumbing.
+GONE = re.compile(r"\b(protocol_lock|_NullLock|_NULL_LOCK|LockingTracer)\b")
+
+
+def test_only_the_listed_modules_import_threading():
+    offenders = [
+        f"{path.relative_to(SRC).as_posix()}:{lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.relative_to(SRC).as_posix() not in MAY_IMPORT_THREADING
+        for lineno, name in _imports(path)
+        if name == "threading" or name.startswith("threading.")
+    ]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_the_lock_plumbing_is_gone():
+    offenders = [
+        f"{path.relative_to(SRC).as_posix()}: {match.group(0)}"
+        for path in sorted(SRC.rglob("*.py"))
+        for match in [GONE.search(path.read_text())]
+        if match
+    ]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_the_registry_takes_no_locking_parameter():
+    from repro.metrics.registry import MetricsRegistry
+
+    assert list(inspect.signature(MetricsRegistry.__init__).parameters) == ["self"]

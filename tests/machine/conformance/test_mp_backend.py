@@ -135,3 +135,112 @@ def test_results_before_run_raises():
             m.results()
     finally:
         m.shutdown()
+
+
+# ----------------------------------------------------------------------
+# one thread owns a PE
+# ----------------------------------------------------------------------
+def _run_mp(worker, *args, **kwargs):
+    kwargs.setdefault("timeout", 30.0)
+    m = Machine(2, machine_backend="mp", **kwargs)
+    try:
+        m.launch(worker, *args)
+        m.run()
+        return m, m.results()
+    finally:
+        m.shutdown()
+
+
+def test_everything_on_a_pe_runs_on_its_main_thread():
+    """Handlers, immediate handlers, Ccd callbacks, arrival interceptors
+    and delivery hooks all run on the PE's main thread — and arming
+    timers starts no thread."""
+    _m, (_, seen) = _run_mp(w.w_thread_affinity, 32, reliable=True)
+    main = seen["main"]
+    for kind in ("handler", "immediate", "ccd", "interceptor", "hook"):
+        assert seen[kind] == [main], (kind, seen)
+    before, after = seen["threads"]
+    assert before == after
+
+
+def test_progress_rule_delayed_acks_are_retransmitted_and_deduplicated():
+    """Protocol work happens when the PE is inside the runtime: a
+    compute-only handler on the receiver delays its acks, the sender
+    (parked after its main returned) retransmits, and every
+    retransmission is dropped as a duplicate — nothing lost, nothing
+    reordered, nobody gives up."""
+    m, (_, got) = _run_mp(w.w_busy_handler, 0.4, reliable=True, metrics=True)
+    assert got == ["a", "b", "c"]
+    snap = m.metrics_snapshot()
+    assert snap["rel.retransmits"]["total"] > 0
+    assert snap["rel.dups_dropped"]["total"] == snap["rel.retransmits"]["total"]
+
+
+def test_timer_armed_by_a_returned_main_fires_while_parked():
+    delay = 0.2
+    t0 = time.monotonic()
+    _m, results = _run_mp(w.w_timer_then_return, delay, timeout=10.0)
+    # Quiescence needs zero armed timers on every PE: reaching it means
+    # the parked PEs fired theirs, and not before they were due.
+    assert results == [0, 1]
+    assert time.monotonic() - t0 >= delay
+
+
+@pytest.mark.parametrize("worker, args, text", [
+    (w.w_raise_in_ccd, (), "deliberate Ccd failure"),
+    (w.w_raise_in_immediate, (False,), "deliberate immediate failure"),
+    (w.w_raise_in_immediate, (True,), "deliberate immediate failure"),
+], ids=["ccd", "immediate", "immediate-parked"])
+def test_raising_callback_fails_the_run_with_pe_and_traceback(worker, args, text):
+    m = Machine(2, machine_backend="mp", timeout=20.0)
+    try:
+        m.launch(worker, *args)
+        t0 = time.monotonic()
+        with pytest.raises(SimulationError) as exc:
+            m.run()
+        assert time.monotonic() - t0 < 10.0
+    finally:
+        m.shutdown()
+    msg = str(exc.value)
+    assert "PE 1" in msg and "Traceback" in msg and text in msg
+
+
+def test_undecodable_frame_fails_the_run_with_evidence():
+    """A payload that pickles but will not unpickle used to kill the
+    reader thread silently and hang the run until ``timeout=``."""
+    m = Machine(2, machine_backend="mp", timeout=20.0)
+    try:
+        m.launch(w.w_send_reduce_bomb)
+        t0 = time.monotonic()
+        with pytest.raises(SimulationError) as exc:
+            m.run()
+        assert time.monotonic() - t0 < 10.0
+    finally:
+        m.shutdown()
+    msg = str(exc.value)
+    assert "could not decode a frame from PE 0" in msg
+    assert "payload refuses to unpickle" in msg
+
+
+def test_worker_receiver_reports_an_undecodable_frame():
+    import socket
+
+    from repro.machine import mp as mp_mod
+    from repro.machine.base import MachineConfig
+
+    a, b = socket.socketpair()
+    try:
+        link = mp_mod._WorkerLink(a, 1)
+        node = mp_mod._WorkerMachine(1, link, MachineConfig(2)).node_obj
+        body = b"not a pickle"
+        b.sendall(mp_mod._LEN.pack(len(body)) + body)
+        b.settimeout(5.0)
+        mp_mod._worker_receive_loop(link, node)  # returns: it stopped
+        assert link.stop.is_set()
+        kind, why = mp_mod._recv_frame(b)
+        assert kind == "fatal"
+        assert "PE 1 could not decode a frame" in why and "Traceback" in why
+        assert not node._arrivals
+    finally:
+        a.close()
+        b.close()

@@ -196,7 +196,7 @@ def test_worker_on_config_builds_instrumentation():
     import socket
 
     from repro.machine import mp as mp_mod
-    from repro.tracing.tracer import LockingTracer
+    from repro.tracing.tracer import CountingTracer
 
     a, b = socket.socketpair()
     try:
@@ -204,7 +204,7 @@ def test_worker_on_config_builds_instrumentation():
         machine = mp_mod._WorkerMachine(
             0, link, MachineConfig(4, trace="count", metrics=True)
         )
-        assert isinstance(machine.tracer, LockingTracer)
+        assert isinstance(machine.tracer, CountingTracer)
         assert machine.metrics is not None
         assert machine.node_obj._mx_recvs is not None
         # Residue-class msg-id allocation: PE 0 of 4 mints 4, 8, 12, ...
@@ -229,6 +229,25 @@ def test_health_reports_every_pe():
         # cadence guarantees several arrived.
         assert any("handlers" in snap for snap in health.values())
         assert m.flight_recorder(), "flight recorder stayed empty"
+    finally:
+        m.shutdown()
+
+
+def test_health_shows_arrivals_piling_up_behind_a_stuck_handler():
+    """``inbox`` counts what was delivered to the process and not yet
+    consumed — including arrivals the main thread has not dispatched —
+    so a PE stuck in a compute-only handler reads busy with a backlog."""
+    m = Machine(2, machine_backend="mp", timeout=MP_TIMEOUT,
+                health_interval=0.05)
+    try:
+        m.launch(w.w_busy_handler, 0.5)
+        m.run()
+        assert m.results()[1] == ["a", "b", "c"]
+        # b and c arrive while PE 1 is still inside its handler for a.
+        stuck = [snap for _t, pe, snap in m.flight_recorder()
+                 if pe == 1 and not snap["idle"] and snap["inbox"] == 2]
+        assert stuck, m.flight_recorder()
+        assert all(snap["timers"] == 0 for snap in stuck)
     finally:
         m.shutdown()
 

@@ -223,14 +223,8 @@ def w_printf(tag):
 def w_immediate(count):
     """PE 0 fires immediate messages at PE 1, which counts them in its
     handler while sitting in a plain scheduler loop; a final normal
-    message releases PE 1.
-
-    Unlike queued messages (dispatched when the receiver's scheduler
-    runs, by which time its main has registered everything), immediate
-    messages dispatch *on arrival* — so a portable program must not
-    send them until the target PE is known to be ready.  PE 1 therefore
-    announces readiness first; racing immediates against registration
-    only happens to work on layers with synchronized startup."""
+    message releases PE 1.  PE 1 announces itself first, so the burst
+    lands on a PE that is already inside its scheduler."""
     me = api.CmiMyPe()
     got = {"n": 0}
 
@@ -521,6 +515,149 @@ def w_speed_state():
 
     rt = context.current_runtime()
     return (rt.pool is not None, rt.scheduler._batch)
+
+
+# ----------------------------------------------------------------------
+# one thread owns a PE (test_mp_backend.py)
+# ----------------------------------------------------------------------
+def w_thread_affinity(timers):
+    """Which OS thread runs each kind of code the runtime calls on PE 1:
+    an ordinary handler, an immediate handler, a Ccd callback, an
+    arrival interceptor and a delivery hook.  Also the process's thread
+    count before and after arming ``timers`` more Ccd callbacks."""
+    import threading
+
+    from repro.core import context
+
+    me = api.CmiMyPe()
+    ident = threading.get_ident
+    seen = {k: set() for k in
+            ("handler", "immediate", "ccd", "interceptor", "hook")}
+    ticks = {"n": 0}
+
+    def done():
+        if seen["handler"] and seen["immediate"] and ticks["n"] == timers:
+            api.CsdExitScheduler()
+
+    def on_plain(_msg):
+        seen["handler"].add(ident())
+        done()
+
+    def on_imm(_msg):
+        seen["immediate"].add(ident())
+
+    def on_ready(_msg):
+        api.CmiImmediateSend(1, api.CmiNew(h_imm, b"!"))
+        api.CmiSyncSend(1, api.CmiNew(h_plain, b"."))
+        api.CsdExitScheduler()
+
+    def on_tick():
+        ticks["n"] += 1
+        seen["ccd"].add(ident())
+        done()
+
+    def interceptor(_payload):
+        seen["interceptor"].add(ident())
+        return False
+
+    h_plain = api.CmiRegisterHandler(on_plain, "aff.plain")
+    h_imm = api.CmiRegisterHandler(on_imm, "aff.imm")
+    h_ready = api.CmiRegisterHandler(on_ready, "aff.ready")
+    if me == 0:
+        api.CsdScheduler(-1)
+        return None
+    node = context.current_runtime().node
+    node.set_interceptor(interceptor, front=True)
+    node.add_delivery_hook(lambda _payload: seen["hook"].add(ident()))
+    before = threading.active_count()
+    for _ in range(timers):
+        api.CcdCallFnAfter(0.05, on_tick)
+    after = threading.active_count()
+    api.CmiSyncSend(0, api.CmiNew(h_ready, b""))
+    api.CsdScheduler(-1)
+    return {"main": ident(), "threads": (before, after),
+            **{k: sorted(v) for k, v in seen.items()}}
+
+
+def w_busy_handler(busy_s):
+    """PE 1's handler for ``a`` tells PE 0 to send ``b`` and ``c``, then
+    computes for ``busy_s`` without entering the runtime while they pile
+    up behind it.  Returns the payloads PE 1 dispatched, in order."""
+    import time
+
+    me = api.CmiMyPe()
+    got = []
+
+    def on_data(msg):
+        got.append(msg.payload)
+        if msg.payload == "a":
+            api.CmiSyncSend(0, api.CmiNew(h_go, None, size=8))
+            time.sleep(busy_s)
+        elif msg.payload == "c":
+            api.CsdExitScheduler()
+
+    def on_go(_msg):
+        api.CmiSyncSend(1, api.CmiNew(h_data, "b", size=8))
+        api.CmiSyncSend(1, api.CmiNew(h_data, "c", size=8))
+        # PE 0's main returns here; under reliable=True its retransmit
+        # timers must keep firing while it sits parked.
+        api.CsdExitScheduler()
+
+    h_data = api.CmiRegisterHandler(on_data, "busy.data")
+    h_go = api.CmiRegisterHandler(on_go, "busy.go")
+    if me == 0:
+        api.CmiSyncSend(1, api.CmiNew(h_data, "a", size=8))
+    api.CsdScheduler(-1)
+    return got
+
+
+def w_timer_then_return(delay):
+    """Arm a Ccd timer and fall off the main: the timer is pending work
+    (quiescence waits for it) that only a parked PE can fire."""
+    api.CcdCallFnAfter(delay, lambda: None)
+    return api.CmiMyPe()
+
+
+def w_raise_in_ccd():
+    """A Ccd callback that raises, on PE 1."""
+
+    def boom():
+        raise RuntimeError("conformance: deliberate Ccd failure")
+
+    if api.CmiMyPe() == 1:
+        api.CcdCallFnAfter(0.01, boom)
+    api.CsdScheduler(-1)
+
+
+def w_raise_in_immediate(parked):
+    """An immediate handler that raises on PE 1 — inside PE 1's
+    scheduler loop, or (``parked``) after its main has returned."""
+
+    def boom(_msg):
+        raise RuntimeError("conformance: deliberate immediate failure")
+
+    h = api.CmiRegisterHandler(boom, "conf.imm-boom")
+    if api.CmiMyPe() == 0:
+        api.CmiImmediateSend(1, api.CmiNew(h, b"!"))
+    elif not parked:
+        api.CsdScheduler(-1)
+
+
+def _refuse_to_unpickle():
+    raise RuntimeError("conformance: payload refuses to unpickle")
+
+
+class ReduceBomb:
+    """Pickles fine; raises when the other side rebuilds it."""
+
+    def __reduce__(self):
+        return (_refuse_to_unpickle, ())
+
+
+def w_send_reduce_bomb():
+    h = api.CmiRegisterHandler(lambda _msg: None, "conf.bomb")
+    if api.CmiMyPe() == 0:
+        api.CmiSyncSend(1, api.CmiNew(h, ReduceBomb(), size=8))
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,6 @@ the merge against an unsplit reference.
 from __future__ import annotations
 
 import json
-import threading
 
 import pytest
 
@@ -23,7 +22,7 @@ from repro.metrics.registry import (
 def _worker_registry(pe, handlers, queue_peak):
     """One worker's registry, as the mp layer builds it: each process
     only ever touches its own PE's series."""
-    r = MetricsRegistry(locking=True)
+    r = MetricsRegistry()
     c = r.counter("csd.handlers_run", help="handler invocations dispatched")
     c.inc(pe, handlers)
     g = r.gauge("csd.queue_depth", help="scheduler queue depth")
@@ -147,25 +146,3 @@ def test_save_snapshot_round_trips(tmp_path):
     path = tmp_path / "m.json"
     save_snapshot(a.snapshot(), path)
     assert json.loads(path.read_text()) == a.snapshot()
-
-
-def test_locking_registry_is_thread_safe():
-    # The mp worker shares one registry between the main scheduler thread
-    # and the socket receiver (immediate handlers); locked counters must
-    # not lose increments under contention.
-    r = MetricsRegistry(locking=True)
-    c = r.counter("n")
-    N, THREADS = 5000, 4
-
-    def bump():
-        for _ in range(N):
-            c.inc(0)
-
-    threads = [threading.Thread(target=bump) for _ in range(THREADS)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert c.total == N * THREADS
-    # Locked instances snapshot identically to plain ones.
-    assert r.snapshot()["n"]["per_pe"] == {"0": N * THREADS}
