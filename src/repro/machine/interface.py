@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import random
 import sys
-import threading
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
@@ -504,11 +503,6 @@ class ConsoleLog:
     """
 
     layer_name = "?"
-    #: guards the record lists: an mp hub appends from one reader thread
-    #: per PE.  One lock for every log, held for an append or a copy —
-    #: a lock per log would be one more GC-tracked allocation per
-    #: machine, which short-lived simulator machines can measure.
-    _lock = threading.Lock()
 
     def __init__(self, engine: Optional[Engine] = None, echo: bool = False) -> None:
         self.engine = engine
@@ -519,8 +513,7 @@ class ConsoleLog:
               t: Optional[float] = None) -> None:
         """Append one atomic record, stamped ``t`` (default: now)."""
         rec = ConsoleRecord(self.engine.now if t is None else t, pe, stream, text)
-        with self._lock:
-            self.records.append(rec)
+        self.records.append(rec)
         if self.echo:
             target = sys.stderr if stream == "err" else sys.stdout
             target.write(f"[{rec.time * 1e6:12.2f}us pe{pe}] {text}")
@@ -538,13 +531,12 @@ class ConsoleLog:
     # -- inspection helpers (tests use these heavily) --------------------
     def lines(self, stream: Optional[str] = None, pe: Optional[int] = None) -> List[str]:
         """Recorded output texts, optionally filtered by stream/PE."""
-        with self._lock:
-            return [
-                r.text
-                for r in self.records
-                if (stream is None or r.stream == stream)
-                and (pe is None or r.pe == pe)
-            ]
+        return [
+            r.text
+            for r in self.records
+            if (stream is None or r.stream == stream)
+            and (pe is None or r.pe == pe)
+        ]
 
     def output(self) -> str:
         """All stdout text concatenated."""
@@ -554,8 +546,7 @@ class ConsoleLog:
     def ordered(self) -> List[Tuple[float, int, str]]:
         """(time, pe, text) triples in emission order — handy for asserting
         that output is atomic and ordered."""
-        with self._lock:
-            return [(r.time, r.pe, r.text) for r in self.records]
+        return [(r.time, r.pe, r.text) for r in self.records]
 
     # -- input ------------------------------------------------------------
     def _no_input(self, *_args: Any) -> Any:

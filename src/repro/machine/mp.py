@@ -11,9 +11,11 @@ condition-variable node, a socket-backed network, a forwarding console
 and a one-PE host) and adds only what real threads and sockets need.
 
 Topology is hub-and-spoke: the parent process routes length-prefixed
-pickled frames between workers (one reader thread per worker) and runs
-the machine-level services — console aggregation, result collection and
-quiescence detection.
+pickled frames between workers and runs the machine-level services —
+console aggregation, result collection, quiescence detection, fault
+injection and respawn — from one selector loop and one deadline heap,
+driven by :meth:`MpMachine.run` and :meth:`MpMachine.shutdown` on the
+caller's thread.
 
 **Quiescence** uses counting over FIFO channels: the hub counts every
 message it forwards to each PE; a worker, whenever it parks idle, reports
@@ -87,6 +89,7 @@ from __future__ import annotations
 import os
 import pickle
 import random
+import selectors
 import socket
 import struct
 import threading
@@ -94,6 +97,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import replace
+from functools import partial
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
@@ -164,34 +168,33 @@ MP_MODEL = MachineModel(
 
 _LEN = struct.Struct("<I")
 
+#: bytes one ``recv`` asks for: a burst of small frames in one read.
+_RECV_BYTES = 1 << 16
+
 
 # ----------------------------------------------------------------------
-# framing: length-prefixed pickles over a stream socket
+# framing: length-prefixed pickles over a stream socket.  These two are
+# the only code that knows the frame format, on both sides.
 # ----------------------------------------------------------------------
-def _send_frame(sock: socket.socket, lock: threading.Lock, frame: Any) -> None:
+def _encode(frame: Any) -> bytes:
     data = pickle.dumps(frame, protocol=pickle.HIGHEST_PROTOCOL)
-    with lock:
-        sock.sendall(_LEN.pack(len(data)) + data)
+    return _LEN.pack(len(data)) + data
 
 
-def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            return None
-        buf += chunk
-    return bytes(buf)
-
-
-def _recv_frame(sock: socket.socket) -> Optional[Any]:
-    head = _recv_exact(sock, _LEN.size)
-    if head is None:
-        return None
-    body = _recv_exact(sock, _LEN.unpack(head)[0])
-    if body is None:
-        return None
-    return pickle.loads(body)
+def _decode(buf: bytearray) -> List[Any]:
+    """Take every whole frame off the front of ``buf``; a partial one
+    stays for the next read.  Raises whatever unpickling raises."""
+    frames = []
+    pos, end = 0, len(buf)
+    with memoryview(buf) as view:
+        while end - pos >= _LEN.size:
+            stop = pos + _LEN.size + _LEN.unpack_from(view, pos)[0]
+            if stop > end:
+                break
+            frames.append(pickle.loads(view[pos + _LEN.size:stop]))
+            pos = stop
+    del buf[:pos]
+    return frames
 
 
 # ======================================================================
@@ -227,7 +230,8 @@ class _MpEngine(Engine):
     heap that the PE's main thread owns and drains from the node's pump
     (:meth:`_MpNode.pump`), so a callback never runs beside a handler.
     No tasklets — one main runs per PE, so the interface's tasklet
-    operations keep refusing until a real Cth backend exists.
+    operations keep refusing until a real Cth backend exists.  The hub's
+    loop keeps its deadlines in one of these too.
     """
 
     layer_name = "mp"
@@ -296,7 +300,9 @@ class _WorkerLink:
         self._last_idle: Optional[tuple] = None
 
     def send(self, frame: Any) -> None:
-        _send_frame(self.sock, self.wlock, frame)
+        data = _encode(frame)
+        with self.wlock:
+            self.sock.sendall(data)
 
     def report_idle(self) -> None:
         """Tell the hub this PE is parked.  Deduplicated: only state
@@ -451,8 +457,9 @@ class _MpNetwork(Interconnect):
 
 class MpConsole(ConsoleLog):
     """The job-wide console in the hub: workers' atomic writes arrive as
-    frames stamped with the writer's clock, on one reader thread per PE.
-    No job-input channel exists yet, so input stays refused."""
+    frames stamped with the writer's clock, and the hub's loop appends
+    them, so the record list has one writer.  No job-input channel exists
+    yet, so input stays refused."""
 
     layer_name = "mp"
 
@@ -521,43 +528,49 @@ class _WorkerMachine(PEHost):
 
 
 def _worker_receive_loop(link: _WorkerLink, node: _MpNode) -> None:
-    """Reader thread in a worker: decode hub frames and queue the
-    messages for the main thread.  It runs no interceptor, no handler
-    and no protocol send, so it never blocks writing to the hub while
-    the hub is blocked writing to it."""
-    cond, arrivals = node._cond, node._arrivals
-    while True:
+    """Reader thread in a worker: one ``recv`` per burst, decoded by the
+    hub's own decoder, and the burst's messages queued for the main
+    thread under one condition hold.  It runs no interceptor, no handler
+    and no protocol send."""
+    cond, arrivals, buf = node._cond, node._arrivals, bytearray()
+    stop = False
+    while not stop:
         try:
-            frame = _recv_frame(link.sock)
+            data = link.sock.recv(_RECV_BYTES)
+            buf += data
+            frames = _decode(buf) if data else [("shutdown",)]
         except OSError:
-            frame = None
+            frames = [("shutdown",)]
         except Exception:
             # The frame arrived whole and would not decode (a payload
             # whose unpickling raises, a class this process cannot
             # import): a structured failure, not a dead thread.
             link.fail(f"PE {link.pe} could not decode a frame from the "
                       f"hub:\n{traceback.format_exc()}")
-            frame = None
-        if frame is None or frame[0] == "shutdown":
-            link.stop.set()
+            frames = [("shutdown",)]
+        msgs = []
+        for frame in frames:
+            if frame[0] == "msg":
+                msgs.append(frame[1:])  # (payload, immediate)
+            elif frame[0] == "clock_probe":
+                # Clock-alignment echo: bounce the hub's timestamp back
+                # with this worker's engine clock.  Bypasses the
+                # quiescence counters entirely (not a forwarded message)
+                # and is answered on the receiver thread, so the round
+                # trip measures socket latency, not scheduler occupancy.
+                _, probe_id, hub_now = frame
+                try:
+                    link.send(("clock", probe_id, hub_now, link.engine.now))
+                except OSError:
+                    pass
+            elif frame[0] == "shutdown":
+                stop = True
+        if msgs or stop:
             with cond:
+                arrivals.extend(msgs)
+                if stop:
+                    link.stop.set()
                 cond.notify()
-            return
-        if frame[0] == "msg":
-            with cond:
-                arrivals.append(frame[1:])  # (payload, immediate)
-                cond.notify()
-        elif frame[0] == "clock_probe":
-            # Clock-alignment echo: bounce the hub's timestamp back with
-            # this worker's engine clock.  Bypasses the quiescence
-            # counters entirely (not a forwarded message) and is answered
-            # on the receiver thread, so the round trip measures socket
-            # latency, not scheduler occupancy.
-            _, probe_id, hub_now = frame
-            try:
-                link.send(("clock", probe_id, hub_now, link.engine.now))
-            except OSError:
-                pass
 
 
 def _worker_health_loop(link: _WorkerLink, machine: "_WorkerMachine",
@@ -677,7 +690,7 @@ def _worker_main(pe: int, port: int, specs: list, cfg: MachineConfig,
         link.fail(traceback.format_exc())
     finally:
         # Ship the observability payloads before the cpu frame (the
-        # hub's reader drains everything up to EOF): the metrics
+        # hub reads everything up to EOF): the metrics
         # snapshot, and — for count-mode tracing — the event counters.
         # Jsonl spools just need a flush; the hub reads the files.
         if machine.metrics is not None:
@@ -731,10 +744,33 @@ class MpMain:
         return f"<MpMain pe={self.pe} name={self.name!r} {state}>"
 
 
+class _HubConn:
+    """One worker connection as the hub's loop sees it: bytes read but
+    not yet a whole frame, chunks queued to go out, and the PE it serves
+    from its hello on.  Queued chunks die with the connection; they never
+    follow a PE to its next incarnation."""
+
+    __slots__ = ("sock", "pe", "inbuf", "out", "on_ready")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.pe: Optional[int] = None
+        self.inbuf = bytearray()
+        self.out: List[Any] = []
+        self.on_ready: Callable[[int], None]
+
+
 #: resolved-value types an option may have when it must reach worker
 #: processes as plain data.
 _PLAIN = (type(None), bool, str, os.PathLike)
 _SIM_ONLY = "a simulator-only subsystem (use machine_backend='sim')"
+
+#: how long shutdown() reads the workers' final frames before it
+#: terminates what has not closed its socket (seconds).  Generous: a
+#: loaded host can stretch a worker's exit path (metrics snapshot, trace
+#: spool flush) well past a few seconds, and cutting it short silently
+#: costs those frames.
+_SHUTDOWN_GRACE = 15.0
 
 
 class MpMachine(MachineLayer):
@@ -844,42 +880,36 @@ class MpMachine(MachineLayer):
         self._started = False
         self._shut_down = False
         self._shutting_down = False
-        # -- hub state (guarded by _state) -----------------------------
-        self._state = threading.Condition()
+        # -- hub state: written only by the loop (_loop), which run() and
+        # shutdown() drive on the caller's thread ------------------------
         self._forwarded = [0] * num_pes
         self._idle: Dict[int, tuple] = {}
         self._quiescent = False
         self._worker_error: Optional[tuple] = None
         self._worker_cpu: Dict[int, float] = {}
-        # -- observability state (guarded by _state) --------------------
+        # -- observability state ----------------------------------------
         self._health: Dict[int, dict] = {}
         self._flight: deque = deque(maxlen=_FLIGHT_DEPTH)
         self._clock: Dict[int, tuple] = {}  # pe -> (rtt, offset) best sample
         self._next_probe = 0
         self._worker_metrics: Dict[int, dict] = {}
         self._worker_trace_counts: Dict[int, dict] = {}
-        # -- crash / fault state (guarded by _state where noted) --------
-        #: PEs currently dead (scheduled kill until respawn completes).
+        # -- crash / fault state ----------------------------------------
+        #: PEs currently dead (scheduled kill until the respawn's hello).
         self._down: set = set()
-        #: PEs whose CrashSpec promises a respawn that has not completed
+        #: PEs whose CrashSpec promises a respawn that has not said hello
         #: yet.  Quiescence must wait for them: the surviving PEs can
         #: drain to a balanced ledger during the crash window, but the
         #: run is not over until the fresh incarnation rejoins and the
         #: FT layer replays into it.
         self._respawn_owed: set = set()
-        #: PEs whose reader EOF is expected (hub killed them itself).
-        self._killed: Dict[int, bool] = {}
-        #: per-PE incarnation counter (bumped by every respawn); readers
-        #: and delayed frames carry the epoch they were born under.
+        #: per-PE incarnation counter (bumped by every respawn); delayed
+        #: frames carry the epoch they were parked under.
         self._epochs = [0] * num_pes
-        #: fault-delayed frames currently parked on timer threads (their
+        #: fault-delayed frames parked on the deadline heap (their
         #: forwarded count lands at delivery, so quiescence must wait).
         self._delayed = 0
-        #: serializes FaultPlan.decide across hub reader threads (the
-        #: plan's RNG stream is shared machine-wide, as on the simulator).
-        self._fault_lock = threading.Lock()
-        self._crash_timers: List[threading.Timer] = []
-        self._respawn_timers: List[threading.Timer] = []
+        #: killed incarnations, reaped at shutdown.
         self._dead_procs: List[Any] = []
         #: per-frame routing entry, bound once: the plain counted forward
         #: with no fault plan (zero new per-frame work), the fault-
@@ -889,11 +919,24 @@ class MpMachine(MachineLayer):
         self._port: Optional[int] = None
         self._worker_cfg: Optional[MachineConfig] = None
         # -- plumbing ---------------------------------------------------
-        self._procs: List[Any] = []
-        self._conns: Dict[int, socket.socket] = {}
-        self._conn_wlocks: Dict[int, threading.Lock] = {}
-        self._readers: List[threading.Thread] = []
+        #: the loop's deadline heap: fault-delayed frames, crash kills,
+        #: respawns, connect deadlines and watch ticks.
+        self._timers = _MpEngine()
+        self._sel: Optional[selectors.BaseSelector] = None
         self._listener: Optional[socket.socket] = None
+        #: each PE's current incarnation (killed ones move to _dead_procs).
+        self._procs: List[Any] = []
+        #: started incarnations that have not said hello: pe -> process.
+        self._unborn: Dict[int, Any] = {}
+        #: ``(pe, frame)`` read before every first incarnation said hello,
+        #: routed once they all have; None from then on.
+        self._held: Optional[List[tuple]] = []
+        #: every open worker connection, greeted or not.
+        self._links: set = set()
+        #: pe -> the connection of its live incarnation.
+        self._conns: Dict[int, _HubConn] = {}
+        #: connections whose out-queue gained its first chunk this wakeup.
+        self._dirty: List[_HubConn] = []
 
     @property
     def now(self) -> float:
@@ -947,13 +990,14 @@ class MpMachine(MachineLayer):
                     f"here; choose from {', '.join(methods)}"
                 )
             return wanted
-        # fork is cheapest and inherits sys.path; workers are spawned
-        # before any hub thread starts, so fork-with-threads is safe.
+        # fork is cheapest and inherits sys.path.  The hub starts no
+        # thread, and every first incarnation is forked before the hub
+        # accepts a connection, so a child inherits only the listener.
         return "fork" if "fork" in methods else methods[0]
 
-    def _check_quiescent_locked(self) -> None:
+    def _check_quiescent(self) -> None:
         if self._delayed:
-            return  # fault-delayed frames still parked on timers
+            return  # fault-delayed frames still parked on the heap
         if self._respawn_owed:
             return  # a killed PE is promised back; the run is not over
         down = self._down
@@ -969,62 +1013,57 @@ class MpMachine(MachineLayer):
             if timers != 0 or recv != self._forwarded[pe]:
                 return
         self._quiescent = True
-        self._state.notify_all()
 
-    def _fail_locked(self, pe: int, why: str, died: bool = False) -> None:
+    def _fail(self, pe: int, why: str, died: bool = False) -> None:
         if self._worker_error is None:
             self._worker_error = (pe, why, died)
-        self._state.notify_all()
 
     def _forward(self, src: int, dst: int, payload: Any, immediate: bool) -> None:
-        with self._state:
-            if not 0 <= dst < self.num_pes:
-                self._fail_locked(-1, f"routing frame addressed to PE {dst}")
-                return
-            self._forwarded[dst] += 1
-        self._push_frame(dst, payload, immediate)
-
-    def _push_frame(self, dst: int, payload: Any, immediate: bool) -> None:
         conn = self._conns.get(dst)
-        lock = self._conn_wlocks.get(dst)
-        if conn is None or lock is None:
-            return
+        if conn is None:
+            if not 0 <= dst < self.num_pes:
+                self._fail(-1, f"routing frame addressed to PE {dst}")
+            return  # the PE's connection is gone; its EOF said why
+        self._forwarded[dst] += 1
+        self._send(conn, _encode(("msg", payload, immediate)))
+
+    def _send(self, conn: _HubConn, data: bytes) -> None:
+        """Queue ``data`` on ``conn``; the loop sends each connection's
+        queue with one ``send`` before it next waits."""
+        if not conn.out:
+            self._dirty.append(conn)
+        conn.out.append(data)
+
+    def _flush(self, conn: _HubConn, writing: bool) -> None:
+        """One ``send`` of ``conn``'s whole queue.  Write interest is
+        registered only while a short write leaves something behind;
+        ``writing`` says it is now (a write wakeup: a queue with write
+        interest is never in the dirty list)."""
+        out = conn.out
+        data = out[0] if len(out) == 1 else b"".join(out)
+        out.clear()
         try:
-            _send_frame(conn, lock, ("msg", payload, immediate))
+            sent = conn.sock.send(data)
+        except (BlockingIOError, InterruptedError):
+            sent = 0
         except OSError:
-            with self._state:
-                down = dst in self._down
-                cur = self._conns.get(dst)
-                cur_lock = self._conn_wlocks.get(dst)
-            if down:
-                # The destination crashed mid-flight: the frame is lost
-                # exactly like a packet to a dead host.  Any ledger count
-                # it carried is wiped by the respawn reset (or the PE is
-                # skipped by the quiescence check if it stays down).
-                return
-            if cur is not None and cur is not conn:
-                # The worker was respawned under us; retry once on the
-                # fresh socket before declaring the link dead.
-                try:
-                    _send_frame(cur, cur_lock, ("msg", payload, immediate))
-                    return
-                except OSError:
-                    pass
-            with self._state:
-                self._fail_locked(dst, "worker connection lost while forwarding")
+            sent = len(data)  # broken or dropped: the queue goes with it
+        if sent < len(data):
+            out.append(memoryview(data)[sent:])
+        if writing != bool(out):
+            self._sel.modify(conn.sock, selectors.EVENT_READ | (
+                selectors.EVENT_WRITE if out else 0), conn.on_ready)
 
     # ------------------------------------------------------------------
     # hub-level fault injection (bound as _route only with a fault plan)
     # ------------------------------------------------------------------
     def _forward_faulty(self, src: int, dst: int, payload: Any,
                         immediate: bool) -> None:
-        with self._state:
-            if dst in self._down:
-                return  # packets to a dead host vanish, uncounted
-        with self._fault_lock:
-            dropped, corrupted, copies = self.fault_plan.decide(src, dst)
+        if dst in self._down:
+            return  # packets to a dead host vanish, uncounted
+        dropped, corrupted, copies = self.fault_plan.decide(src, dst)
         if dropped:
-            return
+            return  # neither forwarded nor received: the ledger never sees it
         if corrupted:
             try:
                 # Flagged on the hub-side unpickled object; the flag
@@ -1037,254 +1076,296 @@ class MpMachine(MachineLayer):
             if extra_delay <= 0.0:
                 self._forward(src, dst, payload, immediate)
             else:
-                with self._state:
-                    self._delayed += 1
-                    epoch = self._epochs[dst]
-                timer = threading.Timer(
-                    extra_delay, self._deliver_delayed,
-                    (src, dst, payload, immediate, epoch),
-                )
-                timer.daemon = True
-                timer.start()
+                # Counted on the ledger only when its heap entry fires;
+                # until then _delayed holds quiescence.
+                self._delayed += 1
+                self._timers.schedule(extra_delay, self._deliver_delayed,
+                                      src, dst, payload, immediate,
+                                      self._epochs[dst])
 
     def _deliver_delayed(self, src: int, dst: int, payload: Any,
                          immediate: bool, epoch: int) -> None:
-        with self._state:
-            self._delayed -= 1
-            if dst in self._down or self._epochs[dst] != epoch:
-                # The destination died (or was reborn) while the frame
-                # was parked: drop it, and re-check quiescence in the
-                # same lock hold — this decrement may have been the last
-                # thing the ledger was waiting on.
-                self._check_quiescent_locked()
-                return
-            # Count inside the same hold as the decrement so there is no
-            # window where neither the delayed counter nor the forwarded
-            # ledger covers this frame (a false-quiescence race).
-            self._forwarded[dst] += 1
-        self._push_frame(dst, payload, immediate)
+        self._delayed -= 1
+        if dst in self._down or self._epochs[dst] != epoch:
+            # The destination died (or was reborn) while the frame was
+            # parked: drop it.  This may have been the last thing the
+            # ledger was waiting on.
+            self._check_quiescent()
+            return
+        self._forward(src, dst, payload, immediate)
 
     # ------------------------------------------------------------------
     # scheduled crashes: SIGKILL + respawn (CrashSpec entries)
     # ------------------------------------------------------------------
     def _crash_worker(self, spec: Any) -> None:
-        """Timer callback: SIGKILL the worker named by ``spec`` — a real
-        process death, not a simulation of one."""
+        """Deadline entry: SIGKILL the worker named by ``spec`` — a real
+        process death, not a simulation of one.  Its connection, and
+        every frame queued on it, go with it; the process is reaped at
+        shutdown."""
         pe = spec.pe
-        with self._state:
-            # A crash landing after quiescence is a no-op: the run is
-            # over, the workers are only awaiting collection.
-            if self._shutting_down or self._quiescent or pe in self._down:
-                return
-            self._down.add(pe)
-            self._killed[pe] = True
-            self._idle.pop(pe, None)
-            if spec.restart_after is not None:
-                # Block quiescence until the promised respawn lands —
-                # the survivors going idle mid-crash-window is not the
-                # end of the run.
-                self._respawn_owed.add(pe)
-            self._state.notify_all()
+        # A crash landing after quiescence is a no-op: the run is over,
+        # the workers are only awaiting collection.
+        if self._shutting_down or self._quiescent or pe in self._down:
+            return
+        self._down.add(pe)
+        self._idle.pop(pe, None)
+        if spec.restart_after is not None:
+            # Block quiescence until the promised respawn says hello —
+            # the survivors going idle mid-crash-window is not the end
+            # of the run.
+            self._respawn_owed.add(pe)
+            self._timers.schedule(max(0.0, spec.restart_after),
+                                  self._respawn_worker, pe)
         proc = self._procs[pe]
-        try:
-            proc.kill()
-        except Exception:
-            pass
+        proc.kill()  # a no-op on a process that already exited
         self._dead_procs.append(proc)
-        proc.join(timeout=5.0)
-        # Close the hub side of the socket too: the reader unblocks
-        # immediately instead of waiting for the kernel to tear the
-        # connection down.
         conn = self._conns.get(pe)
         if conn is not None:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if spec.restart_after is not None:
-            timer = threading.Timer(
-                max(0.0, spec.restart_after), self._respawn_worker, (pe,)
-            )
-            timer.daemon = True
-            self._respawn_timers.append(timer)
-            timer.start()
+            self._drop(conn)
 
     def _respawn_worker(self, pe: int) -> None:
-        """Timer callback: boot a fresh incarnation of PE ``pe`` (epoch
-        bump), re-accept its socket on the still-open listener and wire
-        a new reader — restart-with-amnesia over real processes."""
+        """Deadline entry: boot a fresh incarnation of PE ``pe`` (epoch
+        bump) — restart-with-amnesia over real processes.  It rejoins
+        through the one handshake path."""
         import multiprocessing
 
+        if self._shutting_down:
+            return
+        # Spawn, never fork: a forked child would inherit every live hub
+        # socket and hold each open after the hub closes it; a fresh
+        # interpreter inherits none.
+        methods = multiprocessing.get_all_start_methods()
+        ctx = multiprocessing.get_context(
+            "spawn" if "spawn" in methods else methods[0]
+        )
+        self._epochs[pe] += 1
         try:
-            with self._state:
-                if self._shutting_down or self._quiescent:
-                    self._respawn_owed.discard(pe)
-                    self._state.notify_all()
-                    return  # the run drained while the PE was down
-                epoch = self._epochs[pe] + 1
-            # Spawn, never fork: the hub is heavily multi-threaded by
-            # now and a forked child could inherit a mid-acquire lock
-            # (the import lock being the classic one).
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context(
-                "spawn" if "spawn" in methods else methods[0]
-            )
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(pe, self._port, self._specs.get(pe, []),
-                      self._worker_cfg, self._health_interval, epoch),
-                name=f"repro-mp-pe{pe}e{epoch}",
-                daemon=True,
-            )
-            proc.start()
-            conn = self._accept_worker(pe)
-            with self._state:
-                self._procs[pe] = proc
-                self._conns[pe] = conn
-                self._conn_wlocks[pe] = threading.Lock()
-                # Fresh ledger on both sides: the incarnation starts at
-                # net_recv == 0, so the hub's count restarts with it.
-                self._forwarded[pe] = 0
-                self._epochs[pe] = epoch
-                self._killed.pop(pe, None)
-                self._down.discard(pe)
-                self._respawn_owed.discard(pe)
-                self._state.notify_all()
-            reader = threading.Thread(
-                target=self._hub_reader, args=(pe, conn, epoch),
-                name=f"mp-hub-pe{pe}e{epoch}", daemon=True,
-            )
-            reader.start()
-            self._readers.append(reader)
-        except BaseException as exc:
-            with self._state:
-                self._respawn_owed.discard(pe)
-                if not self._shutting_down:
-                    self._fail_locked(pe, f"worker respawn failed: {exc}")
+            self._procs[pe] = self._spawn(ctx, pe)
+        except Exception as exc:
+            self._respawn_owed.discard(pe)
+            self._fail(pe, f"worker respawn failed: {exc}")
 
-    def _accept_worker(self, pe: int) -> socket.socket:
-        """Accept a (re)connecting worker on the listener until the one
-        identifying as ``pe`` arrives; bounded by the machine timeout."""
-        deadline = time.monotonic() + min(30.0, self._timeout)
-        while True:
-            if time.monotonic() > deadline:
-                raise SimulationError(
-                    f"respawned mp worker for PE {pe} did not connect "
-                    f"within {min(30.0, self._timeout):.0f}s"
-                )
-            listener = self._listener
-            if listener is None:
-                raise SimulationError("listener closed during respawn")
-            try:
-                conn, _addr = listener.accept()
-            except socket.timeout:
-                continue
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            hello = _recv_frame(conn)
-            if hello and hello[0] == "hello" and hello[1] == pe:
-                return conn
-            # Not our worker (stray or mismatched connect): drop it.
-            try:
-                conn.close()
-            except OSError:
-                pass
+    # ------------------------------------------------------------------
+    # the one handshake path
+    # ------------------------------------------------------------------
+    def _spawn(self, ctx: Any, pe: int) -> Any:
+        """Start PE ``pe``'s current incarnation and watch it until its
+        hello: its process sentinel fails the run if it exits first, a
+        deadline entry if it has not connected in time."""
+        epoch = self._epochs[pe]
+        proc = ctx.Process(
+            target=_worker_main,
+            args=(pe, self._port, self._specs.get(pe, []), self._worker_cfg,
+                  self._health_interval, epoch),
+            name=f"repro-mp-pe{pe}" + (f"e{epoch}" if epoch else ""),
+            daemon=True,
+        )
+        proc.start()
+        self._unborn[pe] = proc
+        self._sel.register(proc.sentinel, selectors.EVENT_READ,
+                           partial(self._on_exit, pe, proc))
+        self._timers.schedule(min(30.0, self._timeout), self._hello_overdue,
+                              pe, proc)
+        return proc
 
-    def _hub_reader(self, pe: int, conn: socket.socket, epoch: int = 0) -> None:
+    def _hello_overdue(self, pe: int, proc: Any) -> None:
+        if self._unborn.get(pe) is proc and not self._shutting_down:
+            self._fail(pe, f"mp machine workers did not all connect within "
+                           f"{min(30.0, self._timeout):.0f}s "
+                           f"({self.num_pes - len(self._unborn)}/"
+                           f"{self.num_pes} up)")
+
+    def _on_exit(self, pe: int, proc: Any, mask: int = 0) -> None:
+        """A worker process exited (``mask``: its sentinel fired; 0: a
+        re-check from the heap).  After its hello, its connection's EOF
+        classifies the death; before it, the run fails at once, naming
+        the PE, the epoch and the exit code."""
+        if mask:
+            self._sel.unregister(proc.sentinel)
+        if self._unborn.get(pe) is not proc or self._shutting_down:
+            return
+        if proc.exitcode is None:
+            # The sentinel can close a moment before the exit status is
+            # readable.
+            self._timers.schedule(0.001, self._on_exit, pe, proc)
+            return
+        self._fail(pe, f"worker process (epoch {self._epochs[pe]}) exited "
+                       f"with code {proc.exitcode} before its hello")
+
+    def _on_accept(self, _mask: int) -> None:
+        """Take every waiting connection; its first frame must be a hello
+        (:meth:`_greet`)."""
         while True:
             try:
-                frame = _recv_frame(conn)
-            except OSError:
-                frame = None
-            except Exception:
-                # The frame arrived whole (a torn one reads as EOF) and
-                # would not decode: a payload whose unpickling raises, or
-                # a class this process cannot import.
-                with self._state:
-                    self._fail_locked(
-                        pe, f"the hub could not decode a frame from PE "
-                            f"{pe}:\n{traceback.format_exc()}")
+                sock, _addr = self._listener.accept()
+            except OSError:  # BlockingIOError: the backlog is empty
                 return
-            if frame is None:
-                break
-            kind = frame[0]
-            if kind == "send":
-                _, dst, payload, immediate = frame
-                self._route(pe, dst, payload, immediate)
-            elif kind == "idle":
-                with self._state:
-                    self._idle[pe] = (frame[1], frame[2])
-                    self._check_quiescent_locked()
-            elif kind == "result":
-                _, index, ok, value = frame
-                with self._state:
-                    rec = self._mains[index]
-                    rec.finished = True
-                    if ok:
-                        rec.result = value
-                    else:
-                        rec.error = value
-                        self._fail_locked(pe, value)
-                    self._state.notify_all()
-            elif kind == "printf":
-                _, stream, wpe, text, t = frame
-                self.console.write(wpe, text, stream, t)
-            elif kind == "cpu":
-                with self._state:
-                    self._worker_cpu[pe] = frame[1]
-            elif kind == "health":
-                _, wpe, snap = frame
-                with self._state:
-                    self._health[wpe] = snap
-                    self._flight.append((time.monotonic(), wpe, snap))
-            elif kind == "clock":
-                # Echo reply: frame carries our original send timestamp
-                # and the worker's engine clock at the bounce.  Midpoint
-                # estimation; the minimum-RTT sample per PE wins (its
-                # asymmetry error is the smallest).
-                _, _probe_id, t_send, worker_now = frame
-                t_recv = time.monotonic()
-                rtt = t_recv - t_send
-                offset = (t_send + t_recv) / 2.0 - worker_now
-                with self._state:
-                    best = self._clock.get(pe)
-                    if best is None or rtt < best[0]:
-                        self._clock[pe] = (rtt, offset)
-            elif kind == "metrics":
-                with self._state:
-                    self._worker_metrics[frame[1]] = frame[2]
-            elif kind == "trace_counts":
-                with self._state:
-                    self._worker_trace_counts[frame[1]] = frame[2]
-            elif kind == "fatal":
-                with self._state:
-                    self._fail_locked(pe, frame[1])
-        # EOF / torn frame.  Classify: a shutdown, an already-quiescent
-        # run, a hub-scheduled kill, or a superseded incarnation are all
-        # expected; anything else is an *unscheduled* worker death and
-        # surfaces as a structured WorkerDied from run().
-        with self._state:
-            expected = (
-                self._shutting_down or self._quiescent
-                or self._killed.get(pe) or self._epochs[pe] != epoch
-            )
-            if not expected:
-                self._fail_locked(
-                    pe,
-                    "worker process exited unexpectedly (socket EOF / "
-                    "torn frame)",
-                    died=True,
-                )
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn = _HubConn(sock)
+            conn.on_ready = partial(self._on_conn, conn)
+            self._links.add(conn)
+            self._sel.register(sock, selectors.EVENT_READ, conn.on_ready)
+
+    def _greet(self, conn: _HubConn, hello: Any) -> Optional[int]:
+        """A connection's first frame: the hello of a started incarnation,
+        which thereby goes live.  Returns its PE, or None when the
+        connection was turned away."""
+        pe = hello[1] if hello[0] == "hello" else None
+        if self._unborn.pop(pe, None) is None or self._shutting_down:
+            # A worker greeting a hub that is shutting down is turned
+            # away: the EOF stops it.
+            if not self._shutting_down:
+                self._fail(-1, "mp machine worker handshake failed "
+                               "(bad hello frame)")
+            self._drop(conn)
+            return None
+        conn.pe = pe
+        self._conns[pe] = conn
+        # Fresh ledger on both sides: the incarnation starts at
+        # net_recv == 0, so the hub's count restarts with it.
+        self._forwarded[pe] = 0
+        self._down.discard(pe)
+        self._respawn_owed.discard(pe)
+        if self._held is not None and not self._unborn:
+            self._boot()
+        return pe
+
+    def _boot(self) -> None:
+        """Every first incarnation has said hello: probe clocks, arm the
+        crash schedule, then route what the workers sent meanwhile."""
+        held, self._held = self._held, None
+        if self._trace_mode in ("memory", "jsonl"):
+            # Startup clock probes: sample each worker's monotonic offset
+            # while the sockets are quiet (the mains are still booting).
+            self._send_clock_probes()
+        # spec.at counts wall-clock seconds from here (= run start).
+        for spec in self._crash_schedule:
+            self._timers.schedule(max(0.0, spec.at), self._crash_worker, spec)
+        for pe, frame in held:
+            self._on_frame(pe, frame)
+
+    # ------------------------------------------------------------------
+    # connections
+    # ------------------------------------------------------------------
+    def _on_conn(self, conn: _HubConn, mask: int) -> None:
+        """One wakeup on one connection: flush what waits to go out, then
+        one ``recv``, decoded into every whole frame it completed."""
+        if mask & selectors.EVENT_WRITE:
+            self._flush(conn, True)
+        if not mask & selectors.EVENT_READ:
+            return
+        try:
+            data = conn.sock.recv(_RECV_BYTES)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            data = b""
+        if not data:
+            self._on_eof(conn)
+            return
+        buf = conn.inbuf
+        buf += data
+        pe = conn.pe
+        try:
+            frames = _decode(buf)
+        except Exception:
+            # The frame arrived whole (a torn one reads as EOF) and would
+            # not decode: a payload whose unpickling raises, or a class
+            # this process cannot import.
+            self._fail(-1 if pe is None else pe,
+                       f"the hub could not decode a frame from PE {pe}:\n"
+                       f"{traceback.format_exc()}")
+            return
+        if pe is None:
+            if not frames:
+                return
+            pe = self._greet(conn, frames.pop(0))
+            if pe is None:
+                return
+        if self._held is not None:
+            # No frame is routed before its destination has said hello.
+            self._held += [(pe, frame) for frame in frames]
+            return
+        on_frame = self._on_frame
+        for frame in frames:
+            on_frame(pe, frame)
+
+    def _on_frame(self, pe: int, frame: tuple) -> None:
+        """Dispatch one frame from PE ``pe``."""
+        kind = frame[0]
+        if kind == "send":
+            _, dst, payload, immediate = frame
+            self._route(pe, dst, payload, immediate)
+        elif kind == "idle":
+            self._idle[pe] = (frame[1], frame[2])
+            self._check_quiescent()
+        elif kind == "result":
+            _, index, ok, value = frame
+            rec = self._mains[index]
+            rec.finished = True
+            if ok:
+                rec.result = value
+            else:
+                rec.error = value
+                self._fail(pe, value)
+        elif kind == "printf":
+            _, stream, wpe, text, t = frame
+            self.console.write(wpe, text, stream, t)
+        elif kind == "cpu":
+            self._worker_cpu[pe] = frame[1]
+        elif kind == "health":
+            _, wpe, snap = frame
+            self._health[wpe] = snap
+            self._flight.append((time.monotonic(), wpe, snap))
+        elif kind == "clock":
+            # Echo reply: frame carries our original send timestamp and
+            # the worker's engine clock at the bounce.  Midpoint
+            # estimation; the minimum-RTT sample per PE wins (its
+            # asymmetry error is the smallest).
+            _, _probe_id, t_send, worker_now = frame
+            t_recv = time.monotonic()
+            rtt = t_recv - t_send
+            best = self._clock.get(pe)
+            if best is None or rtt < best[0]:
+                self._clock[pe] = (rtt, (t_send + t_recv) / 2.0 - worker_now)
+        elif kind == "metrics":
+            self._worker_metrics[frame[1]] = frame[2]
+        elif kind == "trace_counts":
+            self._worker_trace_counts[frame[1]] = frame[2]
+        elif kind == "fatal":
+            self._fail(pe, frame[1])
+
+    def _on_eof(self, conn: _HubConn) -> None:
+        """EOF or a torn frame.  Expected once the run is over; otherwise
+        an *unscheduled* worker death, surfaced as a structured
+        WorkerDied from run().  (A hub kill drops the connection first,
+        so its EOF is never read.)"""
+        self._drop(conn)
+        if conn.pe is not None and not (self._shutting_down or self._quiescent):
+            self._fail(conn.pe, "worker process exited unexpectedly (socket "
+                                "EOF / torn frame)", died=True)
+
+    def _drop(self, conn: _HubConn) -> None:
+        """Forget a connection, its out-queue with it."""
+        self._links.discard(conn)
+        self._sel.unregister(conn.sock)
+        conn.sock.close()
+        if self._conns.get(conn.pe) is conn:
+            del self._conns[conn.pe]
 
     def _start(self) -> None:
         import multiprocessing
 
         ctx = multiprocessing.get_context(self._resolve_start_method())
+        self._sel = selectors.DefaultSelector()
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._listener = listener
         listener.bind(("127.0.0.1", 0))
         listener.listen(self.num_pes)
-        listener.settimeout(min(30.0, self._timeout))
-        self._listener = listener
-        port = listener.getsockname()[1]
+        listener.setblocking(False)
+        self._sel.register(listener, selectors.EVENT_READ, self._on_accept)
+        self._port = listener.getsockname()[1]
         cfg = self.config
         if self._trace_mode in ("memory", "jsonl"):
             if self._trace_base is None:
@@ -1299,76 +1380,43 @@ class MpMachine(MachineLayer):
         if cfg.faults is not None:
             # Workers get the crash half of the plan only (it feeds their
             # coordinator replicas).  Link faults are applied here, and
-            # the live plan — RNG, counters — is mutated by reader
-            # threads, so a respawn must never pickle it.
+            # the live plan — RNG, counters — is the hub's, so a respawn
+            # must never pickle it.
             cfg = replace(cfg, faults=FaultPlan(
                 cfg.faults.seed, crashes=self._crash_schedule))
-        self._port = port
         self._worker_cfg = cfg
-        # Spawn every worker before starting any hub thread: with the
-        # fork start method, forking a multi-threaded parent is the
-        # classic deadlock, so the parent stays single-threaded here.
         for pe in range(self.num_pes):
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(pe, port, self._specs.get(pe, []), cfg,
-                      self._health_interval),
-                name=f"repro-mp-pe{pe}",
-                daemon=True,
-            )
-            proc.start()
-            self._procs.append(proc)
-        try:
-            for _ in range(self.num_pes):
-                conn, _addr = listener.accept()
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                hello = _recv_frame(conn)
-                if not hello or hello[0] != "hello":
-                    raise SimulationError(
-                        "mp machine worker handshake failed (bad hello frame)"
-                    )
-                pe = hello[1]
-                self._conns[pe] = conn
-                self._conn_wlocks[pe] = threading.Lock()
-        except socket.timeout:
-            raise SimulationError(
-                f"mp machine workers did not all connect within "
-                f"{listener.gettimeout():.0f}s ({len(self._conns)}/"
-                f"{self.num_pes} up)"
-            ) from None
-        for pe, conn in self._conns.items():
-            reader = threading.Thread(
-                target=self._hub_reader, args=(pe, conn),
-                name=f"mp-hub-pe{pe}", daemon=True,
-            )
-            reader.start()
-            self._readers.append(reader)
-        if self._trace_mode in ("memory", "jsonl"):
-            # Startup clock probes: sample each worker's monotonic offset
-            # while the sockets are quiet (the mains are still booting).
-            self._send_clock_probes()
-        # Arm the crash schedule only after every worker is handshaken:
-        # spec.at counts wall-clock seconds from here (= run start).
-        for spec in self._crash_schedule:
-            timer = threading.Timer(max(0.0, spec.at),
-                                    self._crash_worker, (spec,))
-            timer.daemon = True
-            self._crash_timers.append(timer)
-            timer.start()
+            self._procs.append(self._spawn(ctx, pe))
 
     def _send_clock_probes(self) -> None:
-        """One echo probe per worker (replies land in ``_hub_reader``).
+        """One echo probe per worker (replies land in ``_on_frame``).
         Probes ride the ordinary frame sockets but bypass the forwarded
         counters, so quiescence accounting never sees them."""
-        for pe, conn in self._conns.items():
-            with self._state:
-                probe_id = self._next_probe
-                self._next_probe += 1
-            try:
-                _send_frame(conn, self._conn_wlocks[pe],
-                            ("clock_probe", probe_id, time.monotonic()))
-            except OSError:
-                pass
+        for conn in self._conns.values():
+            self._send(conn, _encode(("clock_probe", self._next_probe,
+                                      time.monotonic())))
+            self._next_probe += 1
+
+    def _loop(self, done: Callable[[], bool], seconds: float) -> None:
+        """The hub: one thread, one selector over the listener, every
+        worker connection and every running worker's process sentinel,
+        and one deadline heap.  Each wakeup runs the ready handlers, then the
+        due deadlines, then sends every queue that gained a chunk — until
+        ``done()`` or ``seconds`` pass.  Nothing else writes hub state."""
+        select, timers, dirty = self._sel.select, self._timers, self._dirty
+        deadline = time.monotonic() + seconds
+        while True:
+            for conn in dirty:
+                self._flush(conn, False)
+            dirty.clear()
+            if done():
+                return
+            left = deadline - time.monotonic()
+            if left <= 0:
+                return
+            for key, mask in select(timers.next_deadline_in(left)):
+                key.data(mask)
+            timers.fire_due()
 
     # ------------------------------------------------------------------
     # running
@@ -1394,86 +1442,60 @@ class MpMachine(MachineLayer):
         except BaseException:
             self.shutdown()
             raise
-        watch_stop: Optional[threading.Event] = None
         if self._watch_interval > 0:
-            watch_stop = threading.Event()
-            ticker = threading.Thread(
-                target=self._watch_loop, args=(watch_stop,),
-                name="mp-watch", daemon=True,
-            )
-            ticker.start()
-        deadline = time.monotonic() + self._timeout
-        try:
-            with self._state:
-                while True:
-                    if self._worker_error is not None:
-                        pe, why, died = self._worker_error
-                        break
-                    if self._quiescent:
-                        pe, why, died = -1, None, False
-                        break
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        pe, why, died = -1, "timeout", False
-                        break
-                    self._state.wait(min(remaining, 0.1))
-        finally:
-            if watch_stop is not None:
-                watch_stop.set()
-        if why == "timeout":
+            self._timers.schedule(self._watch_interval, self._watch_tick)
+        self._loop(lambda: self._worker_error is not None or self._quiescent,
+                   self._timeout)
+        if self._worker_error is None:
+            if self._quiescent:
+                return "quiescent"
             evidence = self._flight_summary()
             self.shutdown()
             raise SimulationError(
                 f"mp machine run timed out after {self._timeout:.0f}s "
                 "(deadlocked or hung worker?)" + evidence
             )
+        pe, why, died = self._worker_error
+        last = self._health.get(pe)
+        evidence = self._flight_summary()
+        self.shutdown()
         if died:
             # Unscheduled process death (torn socket): structured
             # node-down evidence instead of an opaque traceback race.
-            with self._state:
-                last = self._health.get(pe)
-            evidence = self._flight_summary()
-            self.shutdown()
             raise WorkerDied(pe, last_health=last, evidence=evidence)
-        if why is not None:
-            evidence = self._flight_summary()
-            self.shutdown()
-            raise SimulationError(
-                f"mp machine worker on PE {pe} failed:\n{why}" + evidence
-            )
-        return "quiescent"
+        raise SimulationError(
+            f"mp machine worker on PE {pe} failed:\n{why}" + evidence
+        )
 
     # ------------------------------------------------------------------
-    # live health
+    # live health: what the loop wrote, read on the caller's thread
     # ------------------------------------------------------------------
     def health(self) -> Dict[int, Dict[str, Any]]:
         """The hub's latest view of every PE: the most recent worker
         health snapshot (delivered/inbox/idle/timers/handlers/sent/cpu)
         plus the hub's own forwarded counter — the two sides of the
-        quiescence ledger, readable while the run is still in flight."""
-        with self._state:
-            out: Dict[int, Dict[str, Any]] = {}
-            for pe in range(self.num_pes):
-                snap = dict(self._health.get(pe, ()))
-                snap["forwarded"] = self._forwarded[pe]
-                idle = self._idle.get(pe)
-                if idle is not None and "delivered" not in snap:
-                    snap["delivered"] = idle[0]
-                out[pe] = snap
-            return out
+        quiescence ledger.  It reads what the loop wrote as of its last
+        wakeup (the loop runs inside run() and shutdown())."""
+        out: Dict[int, Dict[str, Any]] = {}
+        for pe in range(self.num_pes):
+            snap = dict(self._health.get(pe, ()))
+            snap["forwarded"] = self._forwarded[pe]
+            idle = self._idle.get(pe)
+            if idle is not None and "delivered" not in snap:
+                snap["delivered"] = idle[0]
+            out[pe] = snap
+        return out
 
     def flight_recorder(self) -> List[tuple]:
         """The bounded ring of recent ``(hub_time, pe, snapshot)`` health
         reports — the raw evidence :meth:`run` attaches to timeout and
-        crash errors."""
-        with self._state:
-            return list(self._flight)
+        crash errors, as the loop recorded them."""
+        return list(self._flight)
 
     def _flight_summary(self) -> str:
         """Render the last-known per-PE state for attachment to an error
         message (empty string when no report of any kind ever arrived)."""
-        with self._state:
-            reported = set(self._health) | set(self._idle)
+        reported = set(self._health) | set(self._idle)
         if not reported:
             return ""
         health = self.health()
@@ -1495,21 +1517,25 @@ class MpMachine(MachineLayer):
         return ("\nlast health snapshots (flight recorder):\n  "
                 + "\n  ".join(parts))
 
-    def _watch_loop(self, stop: threading.Event) -> None:
+    def _watch_tick(self) -> None:
+        """Deadline entry: one stderr line of per-PE progress, re-armed
+        until shutdown."""
         import sys
 
-        while not stop.wait(self._watch_interval):
-            health = self.health()
-            cells = []
-            for pe in sorted(health):
-                snap = health[pe]
-                mark = "idle" if snap.get("idle") else "busy"
-                cells.append(
-                    f"pe{pe} {mark}"
-                    f" d={snap.get('delivered', '?')}/{snap.get('forwarded', '?')}"
-                    f" h={snap.get('handlers', '?')}"
-                )
-            sys.stderr.write("[mp health] " + " | ".join(cells) + "\n")
+        if self._shutting_down:
+            return
+        health = self.health()
+        cells = []
+        for pe in sorted(health):
+            snap = health[pe]
+            mark = "idle" if snap.get("idle") else "busy"
+            cells.append(
+                f"pe{pe} {mark}"
+                f" d={snap.get('delivered', '?')}/{snap.get('forwarded', '?')}"
+                f" h={snap.get('handlers', '?')}"
+            )
+        sys.stderr.write("[mp health] " + " | ".join(cells) + "\n")
+        self._timers.schedule(self._watch_interval, self._watch_tick)
 
     # ------------------------------------------------------------------
     # results & teardown
@@ -1531,74 +1557,53 @@ class MpMachine(MachineLayer):
 
     def worker_cpu_seconds(self) -> Dict[int, float]:
         """Per-PE ``time.process_time()`` totals reported by the workers
-        at shutdown — the measured-parallelism evidence (their sum can
-        exceed the wall-clock run time only with real concurrency)."""
-        with self._state:
-            return dict(self._worker_cpu)
+        at shutdown, as the loop recorded them — the measured-parallelism
+        evidence (their sum can exceed the wall-clock run time only with
+        real concurrency)."""
+        return dict(self._worker_cpu)
 
     def shutdown(self) -> None:
-        """Stop the workers, drain their final frames, reap processes and
-        join every hub thread.  Idempotent."""
+        """Tell the workers to stop, drive the loop until every
+        connection has delivered its final frames and reached EOF (or the
+        drain grace passed), then reap the processes.  Idempotent."""
         if self._shut_down:
             return
-        self._shut_down = True
-        with self._state:
-            self._shutting_down = True
-        # Disarm the fault schedule first: no kill or respawn may land
-        # in the middle of the teardown below.
-        for timer in self._crash_timers + self._respawn_timers:
-            timer.cancel()
+        self._shut_down = self._shutting_down = True
+        sel = self._sel
+        if sel is None:
+            return  # never started
         if self._trace_mode in ("memory", "jsonl"):
             # Close-time clock probes: a second offset sample at the end
             # of the run bounds drift over its span.  Same-socket FIFO
             # means every worker answers the probe *before* it sees the
             # shutdown frame, so the replies always drain.
             self._send_clock_probes()
-        for pe, conn in self._conns.items():
-            try:
-                _send_frame(conn, self._conn_wlocks[pe], ("shutdown",))
-            except OSError:
-                pass
-        # Workers answer shutdown with their cpu frame and close; readers
-        # drain those frames and exit on EOF.  Killed-and-replaced
-        # incarnations are reaped too (their handles moved to
-        # _dead_procs at crash time).
-        for proc in self._dead_procs:
-            proc.join(timeout=1.0)
-        # Generous grace before escalating to SIGTERM: the worker's exit
-        # path ships its metrics snapshot and flushes trace spools, and a
-        # loaded host can stretch that well past a few seconds.  A
-        # premature terminate() silently costs those final frames.
-        for proc in self._procs:
-            proc.join(timeout=15.0)
-        for proc in self._procs:
+        bye = _encode(("shutdown",))
+        for conn in self._conns.values():
+            self._send(conn, bye)
+        # Workers answer with their final frames (metrics, trace counts,
+        # cpu) and close: read every socket to its EOF before closing
+        # anything, or those frames are lost.
+        deadline = time.monotonic() + _SHUTDOWN_GRACE
+        self._loop(lambda: not self._links, _SHUTDOWN_GRACE)
+        for conn in list(self._links):
+            self._drop(conn)
+        if self._listener is not None:
+            self._listener.close()
+            self._listener = None
+        sel.close()
+        # Killed-and-replaced incarnations are reaped too.
+        for proc in self._dead_procs + self._procs:
+            proc.join(timeout=max(1.0, deadline - time.monotonic()))
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=2.0)
             if proc.is_alive():  # pragma: no cover - last resort
                 proc.kill()
                 proc.join(timeout=1.0)
-        # Every worker process is gone, so each reader reaches EOF once
-        # it has drained what its worker left in the socket.  Join them
-        # *before* closing the hub ends: closing first turns a lagging
-        # reader's next recv into an error and silently costs the final
-        # metrics / trace-count / cpu frames.
-        for reader in self._readers:
-            reader.join(timeout=5.0)
-        for conn in self._conns.values():
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-            self._listener = None
-        # Readers are drained: every final frame (clock echoes, metrics
-        # snapshots, trace counters, cpu) has been absorbed.  Merge.
-        if self._trace_mode is not None and self._started and self.tracer is None:
+        # Every final frame (clock echoes, metrics snapshots, trace
+        # counters, cpu) has been absorbed.  Merge.
+        if self._trace_mode is not None and self.tracer is None:
             try:
                 self._finalize_trace()
             except Exception:
@@ -1612,9 +1617,7 @@ class MpMachine(MachineLayer):
         for jsonl mode, the merged on-disk trace + clock sidecar)."""
         if self._trace_mode == "count":
             merged = CountingTracer()
-            with self._state:
-                per_pe = list(self._worker_trace_counts.values())
-            for counts in per_pe:
+            for counts in self._worker_trace_counts.values():
                 for key, n in counts.items():
                     merged.counts[key] += n
             self.tracer = merged
@@ -1626,14 +1629,11 @@ class MpMachine(MachineLayer):
             spool_path,
         )
 
-        with self._state:
-            offsets = {pe: off for pe, (_rtt, off) in self._clock.items()}
+        offsets = {pe: off for pe, (_rtt, off) in self._clock.items()}
         tracers = []
-        spools = []
         for pe in range(self.num_pes):
             path = spool_path(self._trace_base, pe)
             if os.path.exists(path):
-                spools.append(path)
                 tracers.append(load_spool(path))
         self.tracer = merge_tracers(tracers, offsets=offsets)
         if self._trace_mode == "jsonl":
@@ -1670,9 +1670,8 @@ class MpMachine(MachineLayer):
             self.shutdown()
             from repro.metrics.registry import merge_snapshots
 
-            with self._state:
-                snaps = [self._worker_metrics[pe]
-                         for pe in sorted(self._worker_metrics)]
+            snaps = [self._worker_metrics[pe]
+                     for pe in sorted(self._worker_metrics)]
             self._merged_metrics = merge_snapshots(snaps)
         return self._merged_metrics
 

@@ -16,11 +16,11 @@ import re
 
 from tests.core.test_import_direction import SRC, _imports
 
-#: who may ``import threading``: the mp layer (a socket shared by a
-#: receiver, a health reporter and the PE's main thread), the
-#: simulator's tasklet baton, and the console log's record-list lock
-#: (the mp hub appends to it from one reader thread per PE).
-MAY_IMPORT_THREADING = ("machine/mp.py", "sim/tasklet.py", "machine/interface.py")
+#: who may ``import threading``: the mp worker (a socket shared by a
+#: receiver, a health reporter and the PE's main thread) and the
+#: simulator's tasklet baton.  The mp hub is one loop on the caller's
+#: thread, so the console log it appends to needs no lock.
+MAY_IMPORT_THREADING = ("machine/mp.py", "sim/tasklet.py")
 
 #: identifiers of the deleted lock plumbing.
 GONE = re.compile(r"\b(protocol_lock|_NullLock|_NULL_LOCK|LockingTracer)\b")
@@ -45,6 +45,16 @@ def test_the_lock_plumbing_is_gone():
         if match
     ]
     assert not offenders, "\n".join(offenders)
+
+
+def test_the_mp_hub_names_no_thread_primitive():
+    """The hub is one selector loop and one deadline heap: no reader
+    threads, no timer threads, no locks."""
+    from repro.machine.mp import MpMachine
+
+    src = inspect.getsource(MpMachine)
+    named = re.findall(r"\b(threading|Lock|Condition|Timer|Thread)\b", src)
+    assert not named, named
 
 
 def test_the_registry_takes_no_locking_parameter():

@@ -10,6 +10,12 @@ a respawn.
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
+import time
+import types
+
 import pytest
 
 from repro.core.errors import SimulationError, WorkerDied
@@ -129,3 +135,80 @@ def test_mp_pool_default_rule():
     m = Machine(2, machine_backend="mp", faults=plan, pool=True)
     assert m.msg_pooling is True
     m.shutdown()
+
+
+def test_the_hub_adds_no_thread():
+    """One thread owns the hub: under a plan that delays, duplicates and
+    reorders (frames parked on the hub's deadline heap), the parent runs
+    no thread beyond the caller's — during run() or after it."""
+    plan = FaultPlan(seed=3, delay=0.3, duplicate=0.2, reorder=0.3,
+                     delay_max=5e-3, reorder_max=5e-3)
+    before = threading.active_count()
+    peak = [0]
+    stop = threading.Event()
+
+    def sample():
+        while not stop.is_set():
+            peak[0] = max(peak[0], threading.active_count())
+            time.sleep(0.0005)
+
+    sampler = threading.Thread(target=sample, daemon=True)
+    sampler.start()
+    m = Machine(4, machine_backend="mp", faults=plan, reliable=True,
+                timeout=MP_TIMEOUT)
+    try:
+        m.launch(workers_mp.w_fuzz_pingpong, 8)
+        assert m.run() == "quiescent"
+        after = threading.active_count()
+    finally:
+        stop.set()
+        sampler.join()
+        m.shutdown()
+    # The sampler is the one thread allowed beyond the count before.
+    assert peak[0] <= before + 1
+    assert after <= before + 1
+
+
+def _ephemeral_main(monkeypatch):
+    """A main whose module exists only in this process's ``sys.modules``:
+    a forked worker inherits it, a spawned one cannot import it."""
+    name = f"repro_ephemeral_{os.getpid()}"
+    mod = types.ModuleType(name)
+    exec("import time\n"
+         "def main(seconds):\n"
+         "    time.sleep(seconds)\n", mod.__dict__)
+    monkeypatch.setitem(sys.modules, name, mod)
+    return mod.main
+
+
+def test_worker_dying_before_hello_fails_the_first_boot_at_once(monkeypatch):
+    m = Machine(2, machine_backend="mp", timeout=60.0, start_method="spawn")
+    try:
+        m.launch(_ephemeral_main(monkeypatch), 0.0)
+        t0 = time.monotonic()
+        with pytest.raises(SimulationError) as exc:
+            m.run()
+        assert time.monotonic() - t0 < 5.0
+    finally:
+        m.shutdown()
+    msg = str(exc.value)
+    assert "epoch 0" in msg and "exited with code 1 before its hello" in msg
+    assert "on PE 0" in msg or "on PE 1" in msg
+
+
+def test_respawn_dying_before_hello_fails_the_run_at_once(monkeypatch):
+    plan = FaultPlan(seed=2,
+                     crashes=[CrashSpec(pe=1, at=0.1, restart_after=0.05)])
+    m = Machine(2, machine_backend="mp", faults=plan, reliable=True,
+                ft=FTConfig(), timeout=60.0)
+    try:
+        m.launch(_ephemeral_main(monkeypatch), 2.0)
+        t0 = time.monotonic()
+        with pytest.raises(SimulationError) as exc:
+            m.run()
+        assert time.monotonic() - t0 < 5.0
+    finally:
+        m.shutdown()
+    msg = str(exc.value)
+    assert "on PE 1" in msg
+    assert "epoch 1" in msg and "exited with code 1 before its hello" in msg

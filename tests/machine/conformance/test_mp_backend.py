@@ -237,7 +237,7 @@ def test_worker_receiver_reports_an_undecodable_frame():
         b.settimeout(5.0)
         mp_mod._worker_receive_loop(link, node)  # returns: it stopped
         assert link.stop.is_set()
-        kind, why = mp_mod._recv_frame(b)
+        [(kind, why)] = mp_mod._decode(bytearray(b.recv(1 << 16)))
         assert kind == "fatal"
         assert "PE 1 could not decode a frame" in why and "Traceback" in why
         assert not node._arrivals
