@@ -59,11 +59,17 @@ class ReliableConfig:
 
 @dataclass
 class RelStats:
-    """Per-PE counters of the reliability protocol (also traced)."""
+    """Per-PE counters of the reliability protocol (also traced).
+
+    ``acks_sent`` counts standalone ack packets and ``acks_piggybacked``
+    data packets that carried an owed cumulative ack, so their sum is
+    every ack this PE gave; ``acks_received`` counts data packets an ack
+    released from the pending set (each exactly once)."""
 
     data_sent: int = 0
     retransmits: int = 0
     acks_sent: int = 0
+    acks_piggybacked: int = 0
     acks_received: int = 0
     stale_acks: int = 0
     #: app messages released, in order, exactly once.
@@ -77,31 +83,42 @@ class RelPacket:
     """What the reliable layer puts on the wire: a data packet carrying
     one generalized message under a (src, seq) header, or a bare ack.
 
+    ``ack`` is the sender's cumulative acknowledgement of the reverse
+    direction — every sequence number below it was delivered — and 0
+    when a data packet carries none.  A bare ack may also name one
+    ``seq`` (an out-of-order or duplicate arrival); -1 when it does not.
+
     Deliberately *not* a :class:`Message` — it never reaches a handler
     table; the receiving node's arrival interceptor consumes it the way
     a NIC driver consumes protocol frames."""
 
-    __slots__ = ("kind", "src", "dst", "seq", "inner", "size", "corrupted")
+    __slots__ = ("kind", "src", "dst", "seq", "ack", "inner", "size",
+                 "corrupted")
 
-    def __init__(self, kind: str, src: int, dst: int, seq: int,
+    def __init__(self, kind: str, src: int, dst: int, seq: int, ack: int,
                  inner: Optional[Message], size: int) -> None:
         self.kind = kind          # "data" | "ack"
         self.src = src
         self.dst = dst
         self.seq = seq
+        self.ack = ack
         self.inner = inner
         self.size = size
         self.corrupted = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         bad = " CORRUPT" if self.corrupted else ""
-        return f"<RelPacket {self.kind} {self.src}->{self.dst} seq={self.seq}{bad}>"
+        return (f"<RelPacket {self.kind} {self.src}->{self.dst} "
+                f"seq={self.seq} ack={self.ack}{bad}>")
+
+
+_NEVER = float("inf")
 
 
 class _Pending:
     """Sender-side state of one unacknowledged data packet."""
 
-    __slots__ = ("dst", "seq", "inner", "nbytes", "retries", "rto", "timer",
+    __slots__ = ("dst", "seq", "inner", "nbytes", "retries", "rto", "due",
                  "sent_at")
 
     def __init__(self, dst: int, seq: int, inner: Message, nbytes: int,
@@ -112,7 +129,9 @@ class _Pending:
         self.nbytes = nbytes
         self.retries = 0
         self.rto = rto
-        self.timer: Any = None
+        #: engine time at which this packet is retransmitted unless acked
+        #: (never while its first transmission is still being charged).
+        self.due = _NEVER
         #: virtual send time of the *first* transmission, for RTT metering.
         self.sent_at = sent_at
 
@@ -126,17 +145,27 @@ class ReliableDelivery:
     need-based-cost principle.
 
     Protocol: every outgoing message is wrapped in a :class:`RelPacket`
-    stamped with a per-destination sequence number; the receiver acks
-    every uncorrupted data packet (acks are repeated for duplicates, so
-    a lost ack is healed by the retransmission it provokes), drops
+    stamped with a per-destination sequence number.  The receiver drops
     duplicates, holds out-of-order packets in a reassembly buffer, and
     releases messages to the normal delivery path strictly in sequence
-    order.  The sender retransmits on a timer with exponential backoff
-    and a retry cap.
+    order.  Acks are cumulative: one number, the count of messages
+    released in order from that peer.  An in-order arrival only records
+    that an ack is owed; the next data packet to that peer carries it,
+    and when no reverse data comes within ``rto / 4`` one lazy
+    delayed-ack timer per peer sends it as a standalone ack packet.  So
+    a fault-free exchange puts no ack packet on the wire beyond the
+    last one per direction.  An out-of-order or duplicate arrival is
+    acked at once by a standalone packet naming that one sequence (plus
+    the cumulative number), so a lost ack is healed by the
+    retransmission it provokes.  The sender keeps one ordered pending
+    map and one retransmit timer per peer: the timer retransmits the
+    packets whose deadline passed (exponential backoff, retry cap) and
+    re-arms for the earliest remaining deadline; an ack never cancels
+    it, a timer that finds nothing pending just stops.
 
     The receive side runs in the node's arrival interceptor and the
-    retransmit side in engine callbacks, both in whatever context the
-    layer delivers and fires timers in, and never two at once on a PE:
+    timers in engine callbacks, both in whatever context the layer
+    delivers and fires timers in, and never two at once on a PE:
     outside any tasklet on the simulator, so acknowledgements flow even
     when the PE never polls; on the PE's main thread at its next runtime
     entry on ``mp``, where a PE whose mains have returned stays parked
@@ -155,9 +184,18 @@ class ReliableDelivery:
         self.config = config or ReliableConfig()
         self.stats = RelStats()
         self._next_seq: Dict[int, int] = {}
-        self._pending: Dict[Tuple[int, int], _Pending] = {}
+        #: ``dst -> {seq: _Pending}``, in ascending seq order.
+        self._pending: Dict[int, Dict[int, _Pending]] = {}
+        #: ``dst -> (timer, deadline)``: the peer's one retransmit timer,
+        #: armed no later than its earliest pending deadline.
+        self._rtx: Dict[int, Tuple[Any, float]] = {}
         self._expected: Dict[int, int] = {}
         self._held: Dict[int, Dict[int, Message]] = {}
+        #: ``src -> engine time`` since when an ack to ``src`` is owed.
+        self._owed: Dict[int, float] = {}
+        #: ``src -> timer``: the peer's one lazy delayed-ack timer.
+        self._ack_timers: Dict[int, Any] = {}
+        self._ack_delay = self.config.rto / 4
         if runtime.metering:
             from repro.metrics.registry import TIME_BUCKETS
 
@@ -205,7 +243,10 @@ class ReliableDelivery:
         nbytes = msg.size + self.config.header_bytes
         pending = _Pending(dest_pe, seq, msg, nbytes, self.config.rto,
                            sent_at=self.node.now)
-        self._pending[(dest_pe, seq)] = pending
+        pend = self._pending.get(dest_pe)
+        if pend is None:
+            pend = self._pending[dest_pe] = {}
+        pend[seq] = pending
         if self._ft_log is not None:
             # Sender-based message logging: keep a pristine clone so the
             # destination can be replayed after a crash (the wire object
@@ -218,7 +259,8 @@ class ReliableDelivery:
             self.runtime.trace_event("rel_data", dest=dest_pe, seq=seq, size=msg.size)
         if self.runtime.metering:
             self._mx_data_sent.inc(self.node.pe)
-        pkt = RelPacket("data", self.node.pe, dest_pe, seq, msg, nbytes)
+        pkt = RelPacket("data", self.node.pe, dest_pe, seq,
+                        self._piggyback(dest_pe), msg, nbytes)
         handle: Optional[SendHandle] = None
         if asynchronous:
             handle = self.network.async_send(
@@ -228,18 +270,56 @@ class ReliableDelivery:
             self.network.sync_send(
                 self.node, dest_pe, nbytes, pkt, extra_send_cost=extra_send_cost
             )
-        self._arm_timer(pending)
+        pending.due = self.engine.now + pending.rto
+        self._arm_rtx(dest_pe, pending.due)
         return handle
 
-    def _arm_timer(self, pending: _Pending) -> None:
-        pending.timer = self.engine.schedule(pending.rto, self._on_timeout, pending)
+    def _piggyback(self, dst: int) -> int:
+        """The cumulative ack a data packet to ``dst`` carries: the owed
+        one (which it then settles), else 0 (acknowledges nothing)."""
+        if self._owed.pop(dst, None) is None:
+            return 0
+        ack = self._expected.get(dst, 0)
+        self.stats.acks_piggybacked += 1
+        if self.runtime.tracing:
+            self.runtime.trace_event("rel_ack_out", dest=dst, seq=-1,
+                                     ack=ack, piggyback=True)
+        return ack
 
-    def _on_timeout(self, pending: _Pending) -> None:
-        key = (pending.dst, pending.seq)
-        if key not in self._pending:  # acked in the meantime
+    def _arm_rtx(self, dst: int, due: float) -> None:
+        """Arm ``dst``'s retransmit timer for ``due`` unless it is already
+        armed no later."""
+        armed = self._rtx.get(dst)
+        if armed is not None:
+            if armed[1] <= due:
+                return
+            armed[0].cancel()
+        engine = self.engine
+        self._rtx[dst] = (
+            engine.schedule(max(0.0, due - engine.now), self._on_rtx_timer,
+                            dst, due),
+            due,
+        )
+
+    def _on_rtx_timer(self, dst: int, due: float) -> None:
+        """Retransmit every packet to ``dst`` whose deadline is ``due`` or
+        earlier, then re-arm for the earliest remaining one (or stop:
+        nothing pending)."""
+        del self._rtx[dst]
+        pend = self._pending.get(dst)
+        if not pend:
             return
+        for p in [p for p in pend.values() if p.due <= due]:
+            self._retransmit(pend, p)
+        pend = self._pending.get(dst)
+        if pend:
+            due = min(p.due for p in pend.values())
+            if due != _NEVER:  # else the send being charged arms it
+                self._arm_rtx(dst, due)
+
+    def _retransmit(self, pend: Dict[int, _Pending], pending: _Pending) -> None:
         if pending.retries >= self.config.max_retries:
-            del self._pending[key]
+            del pend[pending.seq]
             if self.runtime.tracing:
                 self.runtime.trace_event(
                     "rel_giveup", dest=pending.dst, seq=pending.seq,
@@ -279,11 +359,11 @@ class ReliableDelivery:
             if logged is not None:
                 inner = self._clone(logged[0])
         pkt = RelPacket("data", self.node.pe, pending.dst, pending.seq,
-                        inner, pending.nbytes)
+                        self._piggyback(pending.dst), inner, pending.nbytes)
         self.network.inject(self.node.pe, pending.dst, pending.nbytes, pkt)
         pending.rto = min(pending.rto * self.config.backoff,
                           self.config.max_rto)
-        self._arm_timer(pending)
+        pending.due = self.engine.now + pending.rto
 
     # ------------------------------------------------------------------
     # receiver side (arrival interceptor: engine-callback context)
@@ -301,81 +381,135 @@ class ReliableDelivery:
                     ack=payload.kind == "ack",
                 )
             return True
+        if payload.corrupted:
+            # A failed checksum: no ack, the sender will retransmit.
+            self.stats.corrupt_dropped += 1
+            if self.runtime.tracing:
+                self.runtime.trace_event("rel_corrupt", src=payload.src,
+                                         seq=payload.seq,
+                                         ack=payload.kind == "ack")
+            return True
         if payload.kind == "ack":
-            self._on_ack(payload)
+            self._on_ack(payload.src, payload.ack, payload.seq, False)
         else:
+            if payload.ack:
+                self._on_ack(payload.src, payload.ack, -1, True)
             self._on_data(payload)
         return True
 
-    def _on_ack(self, pkt: RelPacket) -> None:
-        if pkt.corrupted:
-            self.stats.corrupt_dropped += 1
-            if self.runtime.tracing:
-                self.runtime.trace_event("rel_corrupt", src=pkt.src,
-                                         seq=pkt.seq, ack=True)
-            return
-        pending = self._pending.pop((pkt.src, pkt.seq), None)
+    def _on_ack(self, src: int, ack: int, seq: int, piggyback: bool) -> None:
+        """Settle pending packets to ``src``: everything below the
+        cumulative ``ack``, plus the one named ``seq`` (-1: none)."""
+        pend = self._pending.get(src)
+        acked = 0
+        while pend:
+            first = next(iter(pend))
+            if first >= ack:
+                break
+            self._acked(pend.pop(first))
+            acked += 1
+        if seq >= 0 and pend:
+            p = pend.pop(seq, None)
+            if p is not None:
+                self._acked(p)
+                acked += 1
         if self.runtime.tracing:
-            self.runtime.trace_event("rel_ack", src=pkt.src, seq=pkt.seq,
-                                     stale=pending is None)
-        if pending is None:
-            # An ack for a packet already acked (the receiver re-acks
+            self.runtime.trace_event("rel_ack", src=src, seq=seq, ack=ack,
+                                     stale=acked == 0, piggyback=piggyback)
+        if not acked:
+            # An ack for packets already acked (the receiver re-acks
             # duplicates); harmless.
             self.stats.stale_acks += 1
-            return
+
+    def _acked(self, pending: _Pending) -> None:
         self.stats.acks_received += 1
         if self.runtime.metering and pending.retries == 0:
             # Karn's rule: only unambiguous (never-retransmitted) samples
             # enter the RTT distribution.
             self._mx_rtt.observe(self.node.pe, self.node.now - pending.sent_at)
-        if pending.timer is not None:
-            pending.timer.cancel()
 
     def _on_data(self, pkt: RelPacket) -> None:
         src = pkt.src
-        if pkt.corrupted:
-            # A failed checksum: no ack, the sender will retransmit.
-            self.stats.corrupt_dropped += 1
-            if self.runtime.tracing:
-                self.runtime.trace_event("rel_corrupt", src=src, seq=pkt.seq)
-            return
-        self._send_ack(src, pkt.seq)
         expected = self._expected.get(src, 0)
         if pkt.seq < expected:
             self._note_dup(src, pkt.seq)
             return
-        held = self._held.setdefault(src, {})
-        if pkt.seq in held:
+        held = self._held.get(src)
+        if held is not None and pkt.seq in held:
             self._note_dup(src, pkt.seq)
             return
         if pkt.seq > expected:
+            if held is None:
+                held = self._held[src] = {}
             held[pkt.seq] = pkt.inner
             self.stats.held_out_of_order += 1
             if self.runtime.tracing:
                 self.runtime.trace_event("rel_hold", src=src, seq=pkt.seq,
                                          expected=expected)
+            self._send_ack(src, pkt.seq)
             return
         # In sequence: release it plus any consecutive run it unblocks.
-        self._release(src, pkt.seq, pkt.inner)
+        # Each release is owed-acked first, so a reply its handler sends
+        # at once already carries the ack.
         nxt = expected + 1
-        while nxt in held:
-            self._release(src, nxt, held.pop(nxt))
-            nxt += 1
         self._expected[src] = nxt
+        self._owe(src)
+        self._release(src, pkt.seq, pkt.inner)
+        if held:
+            while nxt in held:
+                self._expected[src] = nxt + 1
+                self._owe(src)
+                self._release(src, nxt, held.pop(nxt))
+                nxt += 1
+
+    def _owe(self, src: int) -> None:
+        """Record that ``src`` is owed a cumulative ack; the first owed
+        ack arms the peer's delayed-ack timer unless it already runs."""
+        if src not in self._owed:
+            now = self.engine.now
+            self._owed[src] = now
+            if src not in self._ack_timers:
+                self._ack_timers[src] = self.engine.schedule(
+                    self._ack_delay, self._on_ack_timer, src,
+                    now + self._ack_delay)
+
+    def _on_ack_timer(self, src: int, due: float) -> None:
+        """Flush the ack owed to ``src`` once it has waited ``rto / 4``
+        (``due`` is this timer's deadline); re-arm while a younger one is
+        owed, stop when none is."""
+        del self._ack_timers[src]
+        since = self._owed.get(src)
+        if since is None:
+            return  # reverse data carried it
+        later = since + self._ack_delay
+        if later <= due:
+            self._send_ack(src, -1)
+        else:
+            self._ack_timers[src] = self.engine.schedule(
+                max(0.0, later - self.engine.now), self._on_ack_timer, src,
+                later)
 
     def _note_dup(self, src: int, seq: int) -> None:
-        """Record one suppressed duplicate (stats, trace, metrics)."""
+        """Record one suppressed duplicate (stats, trace, metrics) and
+        ack it at once."""
         self.stats.dup_dropped += 1
         if self.runtime.tracing:
             self.runtime.trace_event("rel_dup", src=src, seq=seq)
         if self.runtime.metering:
             self._mx_dups.inc(self.node.pe)
+        self._send_ack(src, seq)
 
     def _send_ack(self, dest: int, seq: int) -> None:
+        """A standalone ack packet: the cumulative number (settling any
+        owed ack) plus, for an out-of-order or duplicate arrival, its
+        ``seq``."""
+        self._owed.pop(dest, None)
+        ack = self._expected.get(dest, 0)
         self.stats.acks_sent += 1
         if self.runtime.tracing:
-            self.runtime.trace_event("rel_ack_out", dest=dest, seq=seq)
-        pkt = RelPacket("ack", self.node.pe, dest, seq, None,
+            self.runtime.trace_event("rel_ack_out", dest=dest, seq=seq,
+                                     ack=ack, piggyback=False)
+        pkt = RelPacket("ack", self.node.pe, dest, seq, ack, None,
                         self.config.ack_bytes)
         self.network.inject(self.node.pe, dest, self.config.ack_bytes, pkt)
 
@@ -406,8 +540,10 @@ class ReliableDelivery:
     def pause(self) -> None:
         """Stop releasing (and acking) incoming data until :meth:`resume`
         — armed on a restarted PE so nothing reaches the application
-        before its checkpoint state is back."""
+        before its checkpoint state is back.  Owed acks are forgotten:
+        the post-restore replay re-provokes them."""
         self._paused = True
+        self._owed.clear()
 
     def resume(self) -> None:
         """Re-open the receive side after recovery."""
@@ -418,14 +554,16 @@ class ReliableDelivery:
         send sequences, per-source expected sequences, the identities of
         still-unacknowledged packets, and the recovery message log.  The
         snapshot shares (pristine, never-delivered) message clones with
-        the live log; both sides only ever copy them, never mutate."""
+        the live log; both sides only ever copy them, never mutate.
+        Deadlines and owed acks are not carried: a restore resends the
+        pending packets on fresh timers and acks what the replay brings."""
         log: Dict[int, Dict[int, Tuple[Message, int]]] = {}
         ft_log = self._ft_log
         if ft_log is not None:
             log = {dst: dict(entries) for dst, entries in ft_log.items()}
         pend = sorted(
-            (p.dst, p.seq) for p in self._pending.values()
-            if p.seq in log.get(p.dst, {})
+            (dst, seq) for dst, entries in self._pending.items()
+            for seq in entries if seq in log.get(dst, {})
         )
         return {
             "next_seq": dict(self._next_seq),
@@ -437,12 +575,13 @@ class ReliableDelivery:
     def import_state(self, state: Dict[str, Any]) -> None:
         """Restore a checkpoint snapshot onto this (freshly restarted)
         PE's protocol instance and put every packet that was pending at
-        checkpoint time back on the wire.  Out-of-order holdings gathered
-        before the restore are discarded — the peers' replay resends
-        them, and the restored ``expected`` map dedups."""
+        checkpoint time back on the wire.  Out-of-order holdings and
+        owed acks gathered before the restore are discarded — the peers'
+        replay resends them, and the restored ``expected`` map dedups."""
         self._next_seq = dict(state["next_seq"])
         self._expected = dict(state["expected"])
         self._held.clear()
+        self._owed.clear()
         if self._ft_log is not None:
             self._ft_log = {
                 dst: dict(entries) for dst, entries in state["log"].items()
@@ -456,21 +595,31 @@ class ReliableDelivery:
         """(Re)create sender state for a logged packet and transmit a
         fresh copy, NIC-level (no CPU charge — recovery runs at interrupt
         level).  No-op when the packet is already pending."""
-        key = (dst, seq)
-        if key in self._pending:
+        pend = self._pending.get(dst)
+        if pend is None:
+            pend = self._pending[dst] = {}
+        elif seq in pend:
             return
         nbytes = size + self.config.header_bytes
         pending = _Pending(dst, seq, self._clone(msg), nbytes,
                            self.config.rto, sent_at=self.node.now)
         pending.retries = 1  # Karn's rule: never an RTT sample
-        self._pending[key] = pending
+        pending.due = due = self.engine.now + pending.rto
+        if pend and seq < next(reversed(pend)):
+            # A replay below still-pending sends: keep the map in seq
+            # order, which cumulative acks rely on.
+            pend[seq] = pending
+            self._pending[dst] = dict(sorted(pend.items()))
+        else:
+            pend[seq] = pending
         self.stats.retransmits += 1
         if self.runtime.tracing:
             self.runtime.trace_event("rel_retransmit", dest=dst, seq=seq,
                                      attempt=1, recovery=True)
-        pkt = RelPacket("data", self.node.pe, dst, seq, pending.inner, nbytes)
+        pkt = RelPacket("data", self.node.pe, dst, seq, self._piggyback(dst),
+                        pending.inner, nbytes)
         self.network.inject(self.node.pe, dst, nbytes, pkt)
-        self._arm_timer(pending)
+        self._arm_rtx(dst, due)
 
     def resend_logged(self, dst: int, from_seq: int) -> int:
         """Replay this PE's logged sends to ``dst`` with their original
@@ -497,8 +646,8 @@ class ReliableDelivery:
         entries = None if self._ft_log is None else self._ft_log.get(dst)
         if not entries:
             return 0
-        stale = [s for s in entries
-                 if s < below and (dst, s) not in self._pending]
+        pend = self._pending.get(dst, {})
+        stale = [s for s in entries if s < below and s not in pend]
         for s in stale:
             del entries[s]
         return len(stale)
@@ -506,25 +655,30 @@ class ReliableDelivery:
     def reset_peer(self, dst: int) -> None:
         """Reconcile retransmission state after ``dst`` recovered: give
         every packet still pending to it a fresh retry budget and timeout
-        (the backed-off timers were measuring a dead PE)."""
-        cfg = self.config
-        for (d, _seq), p in self._pending.items():
-            if d == dst:
-                p.retries = 1
-                p.rto = cfg.rto
-                if p.timer is not None:
-                    p.timer.cancel()
-                self._arm_timer(p)
+        (the backed-off deadlines were measuring a dead PE)."""
+        pend = self._pending.get(dst)
+        if not pend:
+            return
+        rto = self.config.rto
+        due = self.engine.now + rto
+        for p in pend.values():
+            p.retries = 1
+            p.rto = rto
+            p.due = due
+        self._arm_rtx(dst, due)
 
     def close(self) -> None:
-        """Cancel every outstanding retransmission timer and forget the
-        pending set.  Called on machine shutdown and when this PE
-        crashes — a dead (or torn-down) PE must not retransmit."""
-        for p in self._pending.values():
-            if p.timer is not None:
-                p.timer.cancel()
-                p.timer = None
+        """Cancel every retransmit and delayed-ack timer and forget the
+        pending set and owed acks.  Called on machine shutdown and when
+        this PE crashes — a dead (or torn-down) PE must not retransmit."""
+        for timer, _due in self._rtx.values():
+            timer.cancel()
+        for timer in self._ack_timers.values():
+            timer.cancel()
+        self._rtx.clear()
+        self._ack_timers.clear()
         self._pending.clear()
+        self._owed.clear()
 
     def expected_seq(self, src: int) -> int:
         """The next sequence number expected from ``src`` (what a
@@ -534,7 +688,7 @@ class ReliableDelivery:
     @property
     def in_flight(self) -> int:
         """Number of locally-sent packets not yet acknowledged."""
-        return len(self._pending)
+        return sum(len(pend) for pend in self._pending.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         s = self.stats

@@ -181,19 +181,24 @@ def _encode(frame: Any) -> bytes:
     return _LEN.pack(len(data)) + data
 
 
-def _decode(buf: bytearray) -> List[Any]:
-    """Take every whole frame off the front of ``buf``; a partial one
-    stays for the next read.  Raises whatever unpickling raises."""
-    frames = []
+def _decode(buf: bytearray, frames: Optional[List[Any]] = None) -> List[Any]:
+    """Take every whole frame off the front of ``buf`` and append it to
+    ``frames`` (a new list by default); a partial one stays for the next
+    read.  Raises whatever unpickling raises, after taking the frames
+    before the failing one: a caller that passed ``frames`` keeps them."""
+    if frames is None:
+        frames = []
     pos, end = 0, len(buf)
-    with memoryview(buf) as view:
-        while end - pos >= _LEN.size:
-            stop = pos + _LEN.size + _LEN.unpack_from(view, pos)[0]
-            if stop > end:
-                break
-            frames.append(pickle.loads(view[pos + _LEN.size:stop]))
-            pos = stop
-    del buf[:pos]
+    try:
+        with memoryview(buf) as view:
+            while end - pos >= _LEN.size:
+                stop = pos + _LEN.size + _LEN.unpack_from(view, pos)[0]
+                if stop > end:
+                    break
+                frames.append(pickle.loads(view[pos + _LEN.size:stop]))
+                pos = stop
+    finally:
+        del buf[:pos]
     return frames
 
 
@@ -1189,6 +1194,14 @@ class MpMachine(MachineLayer):
             # readable.
             self._timers.schedule(0.001, self._on_exit, pe, proc)
             return
+        # A worker that exits right after its hello (a main that failed
+        # at once) can wake this sentinel before its connection is
+        # accepted or read: take its hello first.
+        self._on_accept(0)
+        for conn in [c for c in self._links if c.pe is None]:
+            self._on_conn(conn, selectors.EVENT_READ)
+        if self._unborn.get(pe) is not proc:
+            return
         self._fail(pe, f"worker process (epoch {self._epochs[pe]}) exited "
                        f"with code {proc.exitcode} before its hello")
 
@@ -1266,23 +1279,27 @@ class MpMachine(MachineLayer):
             return
         buf = conn.inbuf
         buf += data
-        pe = conn.pe
+        frames: List[Any] = []
         try:
-            frames = _decode(buf)
+            _decode(buf, frames)
+            bad = None
         except Exception:
             # The frame arrived whole (a torn one reads as EOF) and would
             # not decode: a payload whose unpickling raises, or a class
-            # this process cannot import.
-            self._fail(-1 if pe is None else pe,
-                       f"the hub could not decode a frame from PE {pe}:\n"
-                       f"{traceback.format_exc()}")
-            return
-        if pe is None:
-            if not frames:
-                return
+            # this process cannot import.  The frames before it (a hello
+            # among them) still count.
+            bad = traceback.format_exc()
+        pe = conn.pe
+        if pe is None and frames:
             pe = self._greet(conn, frames.pop(0))
             if pe is None:
                 return
+        if bad is not None:
+            self._fail(-1 if pe is None else pe,
+                       f"the hub could not decode a frame from PE {pe}:\n{bad}")
+            return
+        if pe is None:
+            return
         if self._held is not None:
             # No frame is routed before its destination has said hello.
             self._held += [(pe, frame) for frame in frames]
@@ -1335,6 +1352,9 @@ class MpMachine(MachineLayer):
             self._worker_trace_counts[frame[1]] = frame[2]
         elif kind == "fatal":
             self._fail(pe, frame[1])
+        elif kind == "eof" and not (self._shutting_down or self._quiescent):
+            self._fail(pe, "worker process exited unexpectedly (socket "
+                           "EOF / torn frame)", died=True)
 
     def _on_eof(self, conn: _HubConn) -> None:
         """EOF or a torn frame.  Expected once the run is over; otherwise
@@ -1342,12 +1362,21 @@ class MpMachine(MachineLayer):
         WorkerDied from run().  (A hub kill drops the connection first,
         so its EOF is never read.)"""
         self._drop(conn)
-        if conn.pe is not None and not (self._shutting_down or self._quiescent):
-            self._fail(conn.pe, "worker process exited unexpectedly (socket "
-                                "EOF / torn frame)", died=True)
+        if conn.pe is None:
+            return
+        if self._held is not None:
+            # Its frames wait for the other PEs' hellos (a main that
+            # failed at once sent its result before it exited): the EOF
+            # queues behind them, so the result is read first.
+            self._held.append((conn.pe, ("eof",)))
+        else:
+            self._on_frame(conn.pe, ("eof",))
 
     def _drop(self, conn: _HubConn) -> None:
-        """Forget a connection, its out-queue with it."""
+        """Forget a connection, its out-queue with it (once: a wakeup
+        already selected may still name it)."""
+        if conn not in self._links:
+            return
         self._links.discard(conn)
         self._sel.unregister(conn.sock)
         conn.sock.close()
@@ -1578,8 +1607,10 @@ class MpMachine(MachineLayer):
             # means every worker answers the probe *before* it sees the
             # shutdown frame, so the replies always drain.
             self._send_clock_probes()
+        # Every open link, greeted or not (a worker whose first frame
+        # would not decode never named its PE), or it waits out the grace.
         bye = _encode(("shutdown",))
-        for conn in self._conns.values():
+        for conn in self._links:
             self._send(conn, bye)
         # Workers answer with their final frames (metrics, trace counts,
         # cpu) and close: read every socket to its EOF before closing

@@ -60,8 +60,8 @@ FAULT_KINDS = frozenset(
         "rel_dup",         # a duplicate data packet was suppressed
         "rel_hold",        # an out-of-order packet entered the reassembly buffer
         "rel_corrupt",     # a corrupted packet was detected and discarded
-        "rel_ack",         # an acknowledgement arrived (seq, stale)
-        "rel_ack_out",     # an acknowledgement was transmitted (dest, seq)
+        "rel_ack",         # an acknowledgement arrived (seq, ack, stale, piggyback)
+        "rel_ack_out",     # an acknowledgement was transmitted (dest, seq, ack, piggyback)
         "rel_paused_drop", # an arrival swallowed by a paused (recovering) receiver
     }
 )

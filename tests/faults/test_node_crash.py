@@ -153,10 +153,11 @@ class TestCloseCancelsTimers:
             assert rel.in_flight == 1
             assert rel.stats.retransmits > 0
             sent = rel.stats.retransmits
-            pendings = list(rel._pending.values())
+            timers = ([t for t, _due in rel._rtx.values()]
+                      + list(rel._ack_timers.values()))
             rel.close()
             assert rel.in_flight == 0
-            assert all(p.timer is None for p in pendings)
+            assert timers and all(t.cancelled for t in timers)
             # Nothing left to fire: the run drains instead of hanging.
             assert m.run() == "quiescent"
             assert rel.stats.retransmits == sent

@@ -8,6 +8,8 @@ from repro import FaultPlan, FaultSpec, Machine, ReliableConfig, api
 from repro.core.errors import RetryExhaustedError
 from repro.sim.models import GENERIC
 
+from tests.machine.conformance import workers as w
+
 
 def _one_way(faults, reliable, payloads=("a", "b", "c")):
     """PE 0 sends ``payloads`` to PE 1; returns (received, machine stats)."""
@@ -127,3 +129,77 @@ def test_enable_reliability_is_idempotent():
     with Machine(2, model=GENERIC, reliable=True) as m:
         rel = m.runtime(0).reliable
         assert m.runtime(0).enable_reliability() is rel
+
+
+def _pingpong(rounds, **machine_kwargs):
+    """A fault-free reliable ping-pong of ``rounds`` round trips on 2 PEs
+    plus one stop message; returns the (still live) machine."""
+    m = Machine(2, model=GENERIC, reliable=True, **machine_kwargs)
+    m.launch(w.w_pingpong, rounds, 8)
+    return m
+
+
+def test_fault_free_pingpong_puts_no_ack_packet_per_data_packet():
+    """Acks ride the reverse data: N round trips cost 2N + 2 packets on
+    the wire (against 4N + 2 with one ack packet per data packet), with
+    at most one retransmit and one delayed-ack timer armed per peer."""
+    rounds = 200
+    m = _pingpong(rounds)
+    with m:
+        rels = [m.runtime(pe).reliable for pe in range(2)]
+        engine = m.engine
+        schedule = engine.schedule
+        most = [0]
+
+        def counting_schedule(delay, callback, *args):
+            ev = schedule(delay, callback, *args)
+            per_peer = {}
+            for armed in engine._heap:
+                owner = getattr(armed.callback, "__self__", None)
+                if not armed.cancelled and owner in rels:
+                    key = (owner.node.pe, armed.args[0])
+                    per_peer[key] = per_peer.get(key, 0) + 1
+            most[0] = max([most[0], *per_peer.values()])
+            return ev
+
+        engine.schedule = counting_schedule
+        assert m.run() == "quiescent"
+        assert m.network.stats.messages <= 2 * rounds + 2
+        assert 1 <= most[0] <= 2
+        for rel in rels:
+            assert rel.stats.retransmits == 0
+            assert rel.stats.acks_received == rel.stats.data_sent
+            assert rel.in_flight == 0
+        assert sum(r.stats.delivered for r in rels) == 2 * rounds + 1
+
+
+def test_piggybacked_acks_are_traced_and_counted():
+    """A piggybacked ack is as visible as a standalone one: the giver
+    emits ``rel_ack_out`` and the taker ``rel_ack``, both with
+    ``piggyback=True``, and ``acks_sent + acks_piggybacked`` counts every
+    ack a PE gave."""
+    m = _pingpong(20, trace=True)
+    with m:
+        assert m.run() == "quiescent"
+        events = m.tracer.events
+        for pe in range(2):
+            stats = m.runtime(pe).reliable.stats
+            out = [e.fields for e in events
+                   if e.pe == pe and e.kind == "rel_ack_out"]
+            taken = [e.fields for e in events
+                     if e.pe == 1 - pe and e.kind == "rel_ack"]
+            assert stats.acks_piggybacked > 0
+            assert sum(f["piggyback"] for f in out) == stats.acks_piggybacked
+            assert sum(not f["piggyback"] for f in out) == stats.acks_sent
+            assert len(out) == stats.acks_sent + stats.acks_piggybacked
+            # Fault-free, every ack given is taken and settles something.
+            assert ([f["piggyback"] for f in taken]
+                    == [f["piggyback"] for f in out])
+            assert not any(f["stale"] for f in taken)
+        # Each PE's releases were all acknowledged, cumulatively.
+        acked = {pe: max(f["ack"] for e in events
+                         if e.pe == pe and e.kind == "rel_ack_out"
+                         for f in [e.fields])
+                 for pe in range(2)}
+        assert acked == {pe: m.runtime(pe).reliable.stats.delivered
+                         for pe in range(2)}

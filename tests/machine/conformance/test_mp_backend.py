@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.core.errors import SimulationError
+from repro.core.errors import SimulationError, WorkerDied
 from repro.machine.base import (
     machine_backend_available,
     machine_backend_unavailable_reason,
@@ -72,6 +72,23 @@ def test_worker_exception_propagates():
             m.run()
     finally:
         m.shutdown()
+
+
+def test_a_main_failing_at_once_is_reported_as_its_own_error():
+    """A main that raises before the other PE has said hello sends its
+    result and exits; the hub holds that result until every hello is in,
+    and the worker's EOF must queue behind it instead of overtaking it
+    as a ``WorkerDied``."""
+    for _ in range(30):
+        m = Machine(2, machine_backend="mp", timeout=30.0)
+        try:
+            m.launch(w.w_raise, 0)
+            with pytest.raises(SimulationError) as exc:
+                m.run()
+        finally:
+            m.shutdown()
+        assert not isinstance(exc.value, WorkerDied), str(exc.value)
+        assert "deliberate worker failure" in str(exc.value)
 
 
 def test_single_run_per_machine():
@@ -176,6 +193,16 @@ def test_progress_rule_delayed_acks_are_retransmitted_and_deduplicated():
     assert snap["rel.dups_dropped"]["total"] == snap["rel.retransmits"]["total"]
 
 
+def test_reliable_pingpong_forwards_no_ack_frame_per_data_frame():
+    """Acks ride the reverse data: the hub forwards 2N + 2 frames for N
+    reliable round trips (2N + 1 data frames and one final standalone
+    ack), not one ack frame per data frame."""
+    rounds = 100
+    m, results = _run_mp(w.w_pingpong, rounds, 8, reliable=True)
+    assert results == [rounds, rounds]
+    assert sum(h["forwarded"] for h in m.health().values()) <= 2 * rounds + 2
+
+
 def test_timer_armed_by_a_returned_main_fires_while_parked():
     delay = 0.2
     t0 = time.monotonic()
@@ -244,3 +271,17 @@ def test_worker_receiver_reports_an_undecodable_frame():
     finally:
         a.close()
         b.close()
+
+
+def test_decode_keeps_the_frames_before_an_undecodable_one():
+    """A worker's hello and an undecodable frame can share one read; the
+    hub must still greet the worker, or the failure names PE None."""
+    from repro.machine import mp as mp_mod
+
+    bomb = mp_mod._encode(w.ReduceBomb())
+    buf = bytearray(mp_mod._encode(("hello", 0)) + bomb)
+    frames = []
+    with pytest.raises(RuntimeError, match="refuses to unpickle"):
+        mp_mod._decode(buf, frames)
+    assert frames == [("hello", 0)]
+    assert buf == bomb
