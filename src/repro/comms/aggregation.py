@@ -153,7 +153,7 @@ class Aggregator:
         self.config = config or AggregationConfig()
         self.config.validate()
         self.stats = AggStats()
-        self._handler = runtime.register_handler(self._on_batch, "agg.batch")
+        self.handler_id = runtime.register_handler(self._on_batch, "agg.batch")
         #: next-hop PE -> list of buffered records.
         self._buffers: Dict[int, List[Tuple]] = {}
         #: next-hop PE -> buffered payload bytes (envelopes included).
@@ -298,7 +298,7 @@ class Aggregator:
         if rt.tracing:
             rt.trace_event("agg_flush", dest=hop, nmsgs=len(records),
                            size=nbytes, cause=cause)
-        wire = Message(self._handler, tuple(records), size=nbytes,
+        wire = Message(self.handler_id, tuple(records), size=nbytes,
                        src_pe=self.node.pe)
         # One batch = one machine-layer message: counted sent here, once,
         # and received once at the destination's inbox — conservation
@@ -371,11 +371,19 @@ class Aggregator:
     # receive side
     # ------------------------------------------------------------------
     def _on_batch(self, wrapper: Message) -> None:
-        """Decode one batch: deliver local messages, re-buffer mesh
-        transits.  Runs as an ordinary handler (scheduler context), so
-        the batch already paid one receive overhead + dispatch; each
-        additional local message is charged only the Converse dispatch
-        cost, in a single combined charge."""
+        """The batch handler (scheduler context): open the batch, then
+        run each local message's handler in order."""
+        invoke = self.runtime.invoke_handler
+        for inner in self.unpack(wrapper):
+            invoke(inner, from_queue=False)
+
+    def unpack(self, wrapper: Message) -> List[Message]:
+        """Open one batch: re-buffer mesh transits and return the local
+        messages, in order, rebuilt as ordinary messages.  The batch
+        already paid one receive overhead + dispatch; each additional
+        local message is charged only the Converse dispatch cost, in a
+        single combined charge.  An SPM receive opens batches with this
+        too (:meth:`~repro.core.runtime.ConverseRuntime.next_msg_for`)."""
         records = wrapper.payload
         me = self.node.pe
         rt = self.runtime
@@ -395,11 +403,13 @@ class Aggregator:
                 self._mx_forwarded.inc(me)
             self._put(r)
         self.stats.delivered += len(locals_)
+        out = []
         for r in locals_:
             inner = Message(r[_HANDLER], r[_PAYLOAD], size=r[_SIZE],
                             src_pe=r[_SRC])
             inner.msg_id = r[_MSGID]
-            rt.invoke_handler(inner, from_queue=False)
+            out.append(inner)
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         s = self.stats

@@ -93,9 +93,9 @@ class ConverseRuntime:
         self._dispatch: Optional[list] = None
         self.handlers.add_listener(self._invalidate_dispatch)
         self.scheduler = CsdScheduler(self, queue)
-        #: messages received while an SPM module waited inside
-        #: ``CmiGetSpecificMsg`` for a different handler; drained ahead of
-        #: the inbox by the scheduler.
+        #: messages an SPM receive (:meth:`next_msg_for`) set aside while
+        #: it waited for a different handler, opened aggregation batches
+        #: included; drained ahead of the inbox by the scheduler.
         self._buffered: Deque[Message] = deque()
         #: intake filters (e.g. EMI scatter advance-receives): each gets a
         #: chance to consume an incoming message before normal delivery.
@@ -258,9 +258,48 @@ class ConverseRuntime:
                 return msg
         return None
 
-    def buffer_msg(self, msg: Message) -> None:
-        """Stash a message for later delivery (``CmiGetSpecificMsg``)."""
-        self._buffered.append(msg)
+    def next_msg_for(self, handler_id: int) -> Optional[Message]:
+        """The oldest undelivered message for ``handler_id`` — side-
+        buffered first, then fresh arrivals — or ``None`` once the inbox
+        is empty.  Fresh arrivals for other handlers are side-buffered on
+        the way; an aggregation batch (whose own handler is never the one
+        waited for) is opened into the side buffer, in order, and claimed
+        from there."""
+        msg = self.take_buffered(handler_id)
+        if msg is not None:
+            return msg
+        agg = self.aggregation
+        while True:
+            msg = self.poll_network_filtered()
+            if msg is None or msg.handler == handler_id:
+                return msg
+            if agg is not None and msg.handler == agg.handler_id:
+                self._buffered.extend(agg.unpack(msg))
+                msg = self.take_buffered(handler_id)
+                if msg is not None:
+                    return msg
+            else:
+                self._buffered.append(msg)
+
+    def drain_for(self, handler_id: int, file: Callable[[Message], Any],
+                  until: Optional[Callable[[], bool]] = None) -> None:
+        """The SPM receive loop (``CmiGetSpecificMsg``, the languages'
+        probes and blocking waits): charge ``recv_overhead`` for each
+        message :meth:`next_msg_for` yields and ``file`` it.  Returns once
+        the inbox is empty, or with ``until``, once ``until()`` holds,
+        parking meanwhile — after an aggregation flush, since a partner
+        may be waiting on a batch buffered here."""
+        node = self.node
+        while until is None or not until():
+            msg = self.next_msg_for(handler_id)
+            if msg is None:
+                if until is None:
+                    return
+                self.cmi.flush_aggregation("idle")
+                node.wait_until(lambda: bool(node.inbox))
+                continue
+            node.charge(self.model.recv_overhead)
+            file(msg)
 
     @property
     def has_pending_network(self) -> bool:

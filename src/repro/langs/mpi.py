@@ -181,7 +181,8 @@ class Communicator:
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG
                ) -> Optional[Status]:
         """Nonblocking probe (drains fresh arrivals first)."""
-        self.mpi._drain_fresh()
+        mpi = self.mpi
+        mpi.runtime.drain_for(mpi.handler_id, mpi._on_message)
         return self._peek(tag, source)
 
     # -- matching internals ------------------------------------------------
@@ -397,32 +398,10 @@ class MPI(LanguageRuntime):
     # ------------------------------------------------------------------
     # blocking machinery (shared by every communicator)
     # ------------------------------------------------------------------
-    def _drain_fresh(self) -> None:
-        rt = self.runtime
-        while True:
-            msg = rt.poll_network_filtered()
-            if msg is None:
-                return
-            if msg.handler == self.handler_id:
-                rt.node.charge(rt.model.recv_overhead)
-                self._on_message(msg)
-            else:
-                rt.buffer_msg(msg)
-
     def _block_until(self, predicate: Callable[[], bool]) -> None:
         """SPM-style wait: drain MPI arrivals (side-buffering foreign
         handlers) until the predicate holds."""
-        rt = self.runtime
-        while not predicate():
-            msg = rt.poll_network_filtered()
-            if msg is None:
-                rt.node.wait_until(lambda: bool(rt.node.inbox))
-                continue
-            if msg.handler == self.handler_id:
-                rt.node.charge(rt.model.recv_overhead)
-                self._on_message(msg)
-            else:
-                rt.buffer_msg(msg)
+        self.runtime.drain_for(self.handler_id, self._on_message, until=predicate)
 
     def _recv_blocking(self, comm: Communicator, tag: Any, source: Any
                        ) -> Tuple[Any, Status]:

@@ -202,6 +202,8 @@ class NX(LanguageRuntime):
             if rt.has_pending_network:
                 rt.scheduler.deliver_network_msgs(limit=1)
             else:
+                # About to block: our own send may sit in a batch.
+                self.cmi.flush_aggregation("idle")
                 rt.node.wait_until(lambda: rt.has_pending_network or handle.done)
         if isinstance(handle, NxRecvHandle):
             self._last_count = handle.count
@@ -212,15 +214,7 @@ class NX(LanguageRuntime):
     def iprobe(self, typesel: int = NX_ANY) -> bool:
         """True when a matching message has arrived (drains fresh
         arrivals first)."""
-        while True:
-            msg = self.runtime.poll_network_filtered()
-            if msg is None:
-                break
-            if msg.handler == self.handler_id:
-                self.runtime.node.charge(self.runtime.model.recv_overhead)
-                self._on_message(msg)
-            else:
-                self.runtime.buffer_msg(msg)
+        self.runtime.drain_for(self.handler_id, self._on_message)
         return self.mailbox.probe(_norm(typesel), CMM_WILDCARD) >= 0
 
     def infocount(self) -> int:

@@ -166,24 +166,16 @@ class PVM(LanguageRuntime):
                 self._waiting.append((_norm(tag), _norm(tid), me))
                 self.runtime.cth.suspend()
             else:
-                msg = self.cmi.get_specific_msg(self.handler_id)
-                msg.grab()
-                mtag, data = msg.payload
-                self.mailbox.put(data, mtag, msg.src_pe, size=msg.size)
+                self._file(self.cmi.get_specific_msg(self.handler_id).grab())
+
+    def _file(self, msg: Message) -> None:
+        mtag, data = msg.payload
+        self.mailbox.put(data, mtag, msg.src_pe, size=msg.size)
 
     def probe(self, tid: int = PVM_ANY, tag: int = PVM_ANY) -> int:
         """``pvm_probe``: size of the oldest matching arrived message, or
         -1.  Drains fresh arrivals for this runtime first (non-blocking)."""
-        while True:
-            msg = self.runtime.poll_network_filtered()
-            if msg is None:
-                break
-            if msg.handler == self.handler_id:
-                self.runtime.node.charge(self.runtime.model.recv_overhead)
-                mtag, data = msg.payload
-                self.mailbox.put(data, mtag, msg.src_pe, size=msg.size)
-            else:
-                self.runtime.buffer_msg(msg)
+        self.runtime.drain_for(self.handler_id, self._file)
         return self.mailbox.probe(_norm(tag), _norm(tid))
 
     # ------------------------------------------------------------------

@@ -109,31 +109,14 @@ class SM(LanguageRuntime):
             if got is not None:
                 return got
             # Block for the next SM message; others stay CMI-buffered.
-            msg = self.cmi.get_specific_msg(self.handler_id)
-            msg.grab()
-            mtag, data = msg.payload
-            self.mailbox.put(data, mtag, msg.src_pe, size=msg.size)
+            self._on_message(self.cmi.get_specific_msg(self.handler_id).grab())
 
     def probe(self, tag: Any = SM_ANY, source: Any = SM_ANY) -> int:
         """Size of the oldest matching already-arrived message, or -1.
         Drains fresh arrivals non-blockingly first so the answer reflects
         everything the wire has delivered."""
-        self._drain_fresh_arrivals()
+        self.runtime.drain_for(self.handler_id, self._on_message)
         return self.mailbox.probe(tag, source)
-
-    def _drain_fresh_arrivals(self) -> None:
-        """File every fresh arrival for this runtime into the mailbox,
-        side-buffering other handlers' messages for the scheduler."""
-        while True:
-            msg = self.runtime.poll_network_filtered()
-            if msg is None:
-                break
-            if msg.handler == self.handler_id:
-                self.runtime.node.charge(self.runtime.model.recv_overhead)
-                mtag, data = msg.payload
-                self.mailbox.put(data, mtag, msg.src_pe, size=msg.size)
-            else:
-                self.runtime.buffer_msg(msg)
 
     @property
     def pending(self) -> int:

@@ -1150,30 +1150,11 @@ class CMI:
         """``CmiGetSpecificMsg``: block until a message for ``handler_id``
         arrives, side-buffering messages meant for other handlers (the
         no-concurrency / SPM receive primitive)."""
-        rt = self.runtime
-        # A matching message may already sit in the side buffer.
-        msg = rt.take_buffered(handler_id)
-        if msg is not None:
-            self.node.charge(self.model.recv_overhead)
-            msg.mark_cmi_owned()
-            return msg
-        # Otherwise scan fresh arrivals only — messages we side-buffer
-        # below must not be handed straight back to this very loop.
-        while True:
-            msg = rt.poll_network_filtered()
-            if msg is None:
-                # About to block: push out anything this PE still has
-                # buffered in the aggregation layer, or a rendezvous
-                # partner may be waiting on a message sitting here.
-                if self._aggregation is not None:
-                    self._aggregation.flush_all("idle")
-                rt.node.wait_until(lambda: bool(rt.node.inbox))
-                continue
-            if msg.handler == handler_id:
-                self.node.charge(self.model.recv_overhead)
-                msg.mark_cmi_owned()
-                return msg
-            rt.buffer_msg(msg)
+        got: List[Message] = []
+        self.runtime.drain_for(handler_id, got.append, until=lambda: got)
+        msg = got[0]
+        msg.mark_cmi_owned()
+        return msg
 
     @staticmethod
     def grab_buffer(msg: Message) -> Message:

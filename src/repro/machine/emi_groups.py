@@ -14,9 +14,11 @@ Modelling note: group descriptors are registered machine-wide at creation
 world group and the gid counter are the ``pgrp_*`` attributes every
 :class:`~repro.machine.interface.PEHost` declares).  On a real machine the
 descriptor is distributed once at group-build time; the registry is the
-zero-cost idealization of that one-time distribution.  All *per-operation*
-traffic — multicast forwarding, reduction contributions — travels through
-the simulated network and pays full message costs.
+zero-cost idealization of that one-time distribution, so a layer whose
+PEs do not share it refuses ``CmiPgrpCreate`` up front
+(:meth:`~repro.machine.interface.PEHost.user_pgrp_registry`).  All
+*per-operation* traffic — multicast forwarding, reduction contributions —
+travels through the simulated network and pays full message costs.
 """
 
 from __future__ import annotations
@@ -162,9 +164,12 @@ class GroupInterface:
     # group lifecycle
     # ------------------------------------------------------------------
     def create(self) -> Pgrp:
-        """``CmiPgrpCreate``: new group rooted at the calling PE."""
-        g = Pgrp(self.cmi.my_pe(), gid=_alloc_gid(self.runtime.machine))
-        self._registry[g.gid] = g
+        """``CmiPgrpCreate``: new group rooted at the calling PE (refused
+        on a layer whose PEs cannot share the descriptor)."""
+        machine = self.runtime.machine
+        registry = machine.user_pgrp_registry()
+        g = Pgrp(self.cmi.my_pe(), gid=_alloc_gid(machine))
+        registry[g.gid] = g
         return g
 
     def destroy(self, group: Pgrp) -> None:

@@ -603,3 +603,12 @@ class PEHost:
         address space."""
         raise unsupported(
             self.layer_name, "one-sided get/put on node memory (CmiGet/CmiPut)")
+
+    def user_pgrp_registry(self) -> Dict[int, Any]:
+        """The registry a user-built group (``CmiPgrpCreate``) joins so
+        that every member resolves its gid — a capability of layers whose
+        PEs share one registry.  The world group needs none: every PE
+        derives it locally."""
+        raise unsupported(
+            self.layer_name, "a user-built processor group (CmiPgrpCreate)",
+            "group descriptors are registered per process")

@@ -6,9 +6,9 @@ interpreter (and GIL), wired to the parent over loopback TCP sockets.
 The layers above the machine interface — :class:`ConverseRuntime`, the
 Csd scheduler, the CMI, the message manager — run in each worker process
 **unmodified**: the worker derives the five machine-interface classes
-(:mod:`repro.machine.interface` — a wall-clock engine, a
-condition-variable node, a socket-backed network, a forwarding console
-and a one-PE host) and adds only what real threads and sockets need.
+(:mod:`repro.machine.interface` — a wall-clock engine, a node that
+reads its own hub socket, a socket-backed network, a forwarding console
+and a one-PE host) and adds only what real processes and sockets need.
 
 Topology is hub-and-spoke: the parent process routes length-prefixed
 pickled frames between workers and runs the machine-level services —
@@ -26,10 +26,10 @@ at least as fresh as the reports, so "every PE idle, every report equal
 to the forward count, zero timers" cannot hold while anything is in
 flight.  The only wake sources a parked worker has are hub deliveries
 (counted) and local timers (reported), so the check is also complete.
-Both numbers are the main thread's own: it counts an arrival when it
-has finished dispatching it and reports only while parked with nothing
-delivered to the process still undispatched, so no report can describe
-a state some other thread is in the middle of changing.
+Both numbers are the main thread's own, and so is the socket's read
+side: it counts an arrival once dispatched and reports only on its way
+to park, with every frame it has read dispatched, so no report can
+describe a state some other thread is in the middle of changing.
 
 **Observability** works distributed: with ``trace=``/``metrics=`` each
 worker runs the ordinary per-PE tracer and metrics registry *in its own
@@ -63,11 +63,11 @@ the spec has a ``restart_after``.  Self-sends never cross the hub, so
 link faults do not apply to them.  The CMI reliable-delivery layer
 (``reliable=True``) and the fault-tolerance layer (``ft=FTConfig()``)
 run *inside each worker* unmodified and, like everything else on a PE,
-on its main thread only: the receiver thread just queues what the hub
-sends, and acks, retransmissions, heartbeats and checkpoint custody
-happen when the main thread next enters the runtime (the progress rule,
-see :class:`_MpNode`).  Each worker carries its own
-distributed :class:`~repro.ft.manager.FTCoordinator` replica fed by the
+on its main thread only, which reads the hub socket itself: acks,
+retransmissions, heartbeats and checkpoint custody happen when it next
+enters the runtime (the progress rule, see :class:`_MpNode`).  Each
+worker carries its own distributed
+:class:`~repro.ft.manager.FTCoordinator` replica fed by the
 shipped crash schedule.  Protocol timeouts are floored to socket scale
 at construction (the simulator's microsecond RTOs would retransmit
 thousands of times per real RTT).
@@ -89,6 +89,7 @@ from __future__ import annotations
 import os
 import pickle
 import random
+import select
 import selectors
 import socket
 import struct
@@ -124,10 +125,6 @@ __all__ = ["MpMachine", "MP_MODEL", "MP_START_METHOD_ENV_VAR"]
 
 #: environment override for the multiprocessing start method.
 MP_START_METHOD_ENV_VAR = "REPRO_MP_START_METHOD"
-
-#: how often a parked worker re-checks for shutdown and re-reports idle
-#: state that changed without a wakeup (seconds).
-_IDLE_RECHECK = 0.05
 
 #: default cadence of worker health snapshots (seconds).
 _HEALTH_INTERVAL = 0.25
@@ -281,22 +278,34 @@ class _MpEngine(Engine):
                 # while protocol work is pending.
                 self.pending_timers -= 1
 
-    def next_deadline_in(self, cap: float) -> float:
-        """Seconds until the earliest deadline, at most ``cap``."""
+    def due(self) -> bool:
+        """True when the earliest deadline has passed."""
+        heap = self._heap
+        return bool(heap) and heap[0][0] <= time.monotonic()
+
+    def next_deadline_in(self, cap: Optional[float] = None) -> Optional[float]:
+        """Seconds until the earliest deadline, at most ``cap`` (None
+        with no cap and nothing armed)."""
         if not self._heap:
             return cap
-        return min(cap, max(0.0, self._heap[0][0] - time.monotonic()))
+        due = max(0.0, self._heap[0][0] - time.monotonic())
+        return due if cap is None else min(cap, due)
 
 
 class _WorkerLink:
-    """A worker's connection to the hub plus the idle-report state."""
+    """A worker's connection to the hub plus the idle-report state.  The
+    main thread alone reads it; the health thread only writes."""
 
     def __init__(self, sock: socket.socket, pe: int) -> None:
         self.sock = sock
         self.pe = pe
-        #: socket writes: the main thread, the health thread and the
-        #: receiver's clock echo share one stream.
+        #: the main and health threads share the socket's write side.
         self.wlock = threading.Lock()
+        #: bytes read from the hub that are not yet a whole frame.
+        self.buf = bytearray()
+        #: what a parked main thread waits on: the socket turning readable.
+        self.poller = select.poll()
+        self.poller.register(sock, select.POLLIN)
         #: hub-forwarded messages the main thread has finished
         #: dispatching (part of the quiescence protocol).
         self.net_recv = 0
@@ -329,29 +338,49 @@ class _WorkerLink:
             pass
         self.stop.set()
 
+    def read(self, frames: deque) -> None:
+        """One non-blocking ``recv``, decoded by the hub's own decoder
+        onto ``frames``.  EOF or a dead socket stops the worker."""
+        try:
+            data = self.sock.recv(_RECV_BYTES, socket.MSG_DONTWAIT)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            data = b""
+        if not data:
+            self.stop.set()
+            return
+        self.buf += data
+        try:
+            _decode(self.buf, frames)
+        except Exception:
+            # The frame arrived whole and would not decode (a payload
+            # whose unpickling raises, a class this process cannot
+            # import): a structured failure.  The frames before it stay.
+            self.fail(f"PE {self.pe} could not decode a frame from the "
+                      f"hub:\n{traceback.format_exc()}")
+
 
 class _MpNode(PENode):
-    """A PE whose main thread is the only thread that touches runtime,
-    protocol, inbox or timer state.  The receiver thread appends
-    ``(payload, immediate)`` to :attr:`_arrivals` under the condition
-    and does nothing else with a message; :meth:`pump` — at the top of
-    every :meth:`wait_until` iteration and of :meth:`poll` — is where
-    arrivals meet the interceptors and due timers fire.
+    """A PE whose main thread is the only thread that reads its hub
+    socket or touches runtime, protocol, inbox or timer state.
+    :meth:`pump` — at the top of every :meth:`wait_until` iteration, and
+    in :meth:`poll` once the inbox is empty or a timer is due — reads the
+    socket, runs what it decoded through the interceptors, then fires
+    due timers.  A parked PE waits on its socket and its timer heap, the
+    only two things that can wake it.
 
     The progress rule that follows: acks, retransmissions, heartbeats,
     Ccd callbacks and immediate handlers happen when the PE is inside
     the runtime (scheduler loop, blocking receive, ``poll``, or parked
     after its mains returned), not beside a compute-only handler.  An
-    immediate message overtakes everything queued in the inbox and the
-    Csd queue; it does not interrupt user code."""
+    immediate message overtakes the Csd queue and everything that
+    arrives after it; it does not interrupt user code."""
 
     def __init__(self, machine: "_WorkerMachine", pe: int) -> None:
         super().__init__(machine, pe)
-        #: guards :attr:`_arrivals` appends against the park decision.
-        self._cond = threading.Condition()
-        #: delivered to this process, not yet dispatched by the main
-        #: thread (which pops without the condition: one consumer).
-        self._arrivals: deque = deque()
+        #: frames read off the hub socket, not yet dispatched.
+        self._frames: deque = deque()
         #: True while the main thread is parked in :meth:`wait_until`
         #: (read lock-free by the health thread — a stale value is fine).
         self._parked = False
@@ -366,43 +395,56 @@ class _MpNode(PENode):
         self._arrived(payload)
 
     def pump(self) -> None:
-        """Dispatch queued arrivals in order, *then* fire due timers:
-        an ack must cancel its retransmit timer, and a heartbeat refresh
-        the failure detector's evidence, before either timer looks."""
-        arrivals = self._arrivals
-        if arrivals:
-            link = self.machine.worker
-            # What is here now; later arrivals wait for the next pump, so
-            # a flood cannot keep the timers (or the caller) from running.
-            for _ in range(len(arrivals)):
-                payload, immediate = arrivals.popleft()
-                if immediate:
-                    self.deliver_immediate(payload)
+        """Read the socket when no decoded frame waits, dispatch frames in
+        order, *then* fire due timers: an ack must cancel its retransmit
+        timer, and a heartbeat refresh the failure detector's evidence,
+        before either timer looks.  One ``recv`` per pump, so a flood
+        cannot starve the timers; a re-entrant pump continues the queue."""
+        link, frames = self.machine.worker, self._frames
+        if not frames:
+            link.read(frames)
+        while frames:
+            frame = frames.popleft()
+            kind = frame[0]
+            if kind == "msg":
+                if frame[2]:
+                    self.deliver_immediate(frame[1])
                 else:
-                    self.deliver(payload)
+                    self.deliver(frame[1])
                 link.net_recv += 1
+            elif kind == "clock_probe":
+                # Clock-alignment echo: the hub's timestamp back with this
+                # worker's engine clock.  Not a forwarded message, so the
+                # quiescence counters never see it.
+                try:
+                    link.send(("clock", frame[1], frame[2], self.engine.now))
+                except OSError:
+                    pass
+            elif kind == "shutdown":
+                link.stop.set()
         self.engine.fire_due()
 
     def poll(self) -> Optional[Any]:
-        self.pump()
+        # A busy scheduler reads the socket once per inbox drain, and in
+        # between only when a timer is due: heartbeats go out, and peers'
+        # evidence comes in, between handlers of a long drain.
+        if not self.inbox or self.engine.due():
+            self.pump()
         return super().poll()
 
     def wait_until(self, predicate: Callable[[], bool]) -> None:
-        link = self.machine.worker
-        cond, arrivals, engine = self._cond, self._arrivals, self.engine
+        link, engine = self.machine.worker, self.engine
         while True:
             self.pump()
             if predicate():
                 return
             if link.stop.is_set():
                 raise _WorkerStop()
-            with cond:
-                if arrivals:
-                    continue  # landed while the pump ran
-                self._parked = True
-                link.report_idle()
-                cond.wait(engine.next_deadline_in(_IDLE_RECHECK))
-                self._parked = False
+            self._parked = True
+            link.report_idle()
+            timeout = engine.next_deadline_in()
+            link.poller.poll(None if timeout is None else timeout * 1e3)
+            self._parked = False
 
     def kick(self) -> None:
         """Nothing to wake: every caller is the PE's main thread, which
@@ -532,52 +574,6 @@ class _WorkerMachine(PEHost):
         return None
 
 
-def _worker_receive_loop(link: _WorkerLink, node: _MpNode) -> None:
-    """Reader thread in a worker: one ``recv`` per burst, decoded by the
-    hub's own decoder, and the burst's messages queued for the main
-    thread under one condition hold.  It runs no interceptor, no handler
-    and no protocol send."""
-    cond, arrivals, buf = node._cond, node._arrivals, bytearray()
-    stop = False
-    while not stop:
-        try:
-            data = link.sock.recv(_RECV_BYTES)
-            buf += data
-            frames = _decode(buf) if data else [("shutdown",)]
-        except OSError:
-            frames = [("shutdown",)]
-        except Exception:
-            # The frame arrived whole and would not decode (a payload
-            # whose unpickling raises, a class this process cannot
-            # import): a structured failure, not a dead thread.
-            link.fail(f"PE {link.pe} could not decode a frame from the "
-                      f"hub:\n{traceback.format_exc()}")
-            frames = [("shutdown",)]
-        msgs = []
-        for frame in frames:
-            if frame[0] == "msg":
-                msgs.append(frame[1:])  # (payload, immediate)
-            elif frame[0] == "clock_probe":
-                # Clock-alignment echo: bounce the hub's timestamp back
-                # with this worker's engine clock.  Bypasses the
-                # quiescence counters entirely (not a forwarded message)
-                # and is answered on the receiver thread, so the round
-                # trip measures socket latency, not scheduler occupancy.
-                _, probe_id, hub_now = frame
-                try:
-                    link.send(("clock", probe_id, hub_now, link.engine.now))
-                except OSError:
-                    pass
-            elif frame[0] == "shutdown":
-                stop = True
-        if msgs or stop:
-            with cond:
-                arrivals.extend(msgs)
-                if stop:
-                    link.stop.set()
-                cond.notify()
-
-
 def _worker_health_loop(link: _WorkerLink, machine: "_WorkerMachine",
                         node: _MpNode, interval: float) -> None:
     """Health thread in a worker: periodically snapshot progress counters
@@ -588,9 +584,9 @@ def _worker_health_loop(link: _WorkerLink, machine: "_WorkerMachine",
     while not link.stop.wait(interval):
         snap = {
             "delivered": link.net_recv,
-            # delivered to this process, not yet consumed: a PE stuck in
-            # a compute-only handler shows this growing.
-            "inbox": len(node._arrivals) + len(node.inbox),
+            # dispatched, not yet consumed; the hub adds what it forwarded
+            # that this PE has not read (MpMachine.health).
+            "inbox": len(node.inbox),
             "idle": node._parked,
             "timers": machine.engine.pending_timers,
             "handlers": stats.handlers_run,
@@ -625,8 +621,8 @@ def _worker_main(pe: int, port: int, specs: list, cfg: MachineConfig,
                 raise
             time.sleep(delay)
             delay *= 2
-    # The connect timeout must not linger: a parked worker's receiver
-    # can legitimately see no frame for longer than any fixed timeout.
+    # The connect timeout must not linger: sends block (reads never do:
+    # each one is a single non-blocking recv).
     sock.settimeout(None)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     link = _WorkerLink(sock, pe)
@@ -654,11 +650,6 @@ def _worker_main(pe: int, port: int, specs: list, cfg: MachineConfig,
     context.bind_node(node)
     try:
         link.send(("hello", pe))
-        receiver = threading.Thread(
-            target=_worker_receive_loop, args=(link, node),
-            name=f"mp-recv-pe{pe}", daemon=True,
-        )
-        receiver.start()
         health = threading.Thread(
             target=_worker_health_loop,
             args=(link, machine, node, health_interval),
@@ -1333,6 +1324,8 @@ class MpMachine(MachineLayer):
             self._worker_cpu[pe] = frame[1]
         elif kind == "health":
             _, wpe, snap = frame
+            # What the PE has not read yet still waits in its socket.
+            snap["inbox"] += self._forwarded[wpe] - snap["delivered"]
             self._health[wpe] = snap
             self._flight.append((time.monotonic(), wpe, snap))
         elif kind == "clock":
@@ -1503,8 +1496,10 @@ class MpMachine(MachineLayer):
         """The hub's latest view of every PE: the most recent worker
         health snapshot (delivered/inbox/idle/timers/handlers/sent/cpu)
         plus the hub's own forwarded counter — the two sides of the
-        quiescence ledger.  It reads what the loop wrote as of its last
-        wakeup (the loop runs inside run() and shutdown())."""
+        quiescence ledger.  ``inbox`` is the PE's backlog: its inbox plus
+        the frames the hub forwarded that it has not read.  It reads what
+        the loop wrote as of its last wakeup (the loop runs inside run()
+        and shutdown())."""
         out: Dict[int, Dict[str, Any]] = {}
         for pe in range(self.num_pes):
             snap = dict(self._health.get(pe, ()))

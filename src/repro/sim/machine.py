@@ -27,7 +27,7 @@ SPMD mains with :meth:`Machine.launch_schedulers`.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.core.errors import SimulationError
 from repro.core.runtime import ConverseRuntime
@@ -279,6 +279,10 @@ class Machine(MachineLayer, PEHost):
         """Every PE lives in this process, so one-sided get/put reaches
         its node's memory directly."""
         return self.nodes[pe]
+
+    def user_pgrp_registry(self) -> Dict[int, Any]:
+        """Every PE lives in this process, so one registry serves all."""
+        return self.pgrp_registry
 
     @property
     def now(self) -> float:

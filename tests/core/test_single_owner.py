@@ -16,8 +16,8 @@ import re
 
 from tests.core.test_import_direction import SRC, _imports
 
-#: who may ``import threading``: the mp worker (a socket shared by a
-#: receiver, a health reporter and the PE's main thread) and the
+#: who may ``import threading``: the mp worker (a socket the PE's main
+#: thread reads and shares for writing with a health reporter) and the
 #: simulator's tasklet baton.  The mp hub is one loop on the caller's
 #: thread, so the console log it appends to needs no lock.
 MAY_IMPORT_THREADING = ("machine/mp.py", "sim/tasklet.py")
@@ -54,6 +54,16 @@ def test_the_mp_hub_names_no_thread_primitive():
 
     src = inspect.getsource(MpMachine)
     named = re.findall(r"\b(threading|Lock|Condition|Timer|Thread)\b", src)
+    assert not named, named
+
+
+def test_an_mp_node_names_no_thread_primitive():
+    """A worker's main thread reads its own socket: no receiver thread
+    hands it arrivals, so the node has no condition or lock to share."""
+    from repro.machine.mp import _MpNode
+
+    src = inspect.getsource(_MpNode)
+    named = re.findall(r"\b(Condition|Thread|Lock)\b", src)
     assert not named, named
 
 

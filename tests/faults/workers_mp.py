@@ -208,5 +208,9 @@ def w_ft_all2all(count, checkpoint_every=6, sleep_s=0.002):
     else:
         init_sends()
         api.CftCheckpoint()
-    api.CsdScheduler(-1)
+    # The last arrival checkpoints too: a crash between that checkpoint
+    # and the main's return restores a finished run, and no further
+    # message would come to exit the scheduler.
+    if state["seen"] < total:
+        api.CsdScheduler(-1)
     return {src: list(v) for src, v in mine.items()}

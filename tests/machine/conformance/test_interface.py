@@ -124,6 +124,7 @@ PROVIDED_BY = {
     "CmiScanfAsync": {"sim"},
     "CmiSyncGet": {"sim"},
     "CmiSyncPut": {"sim"},
+    "CmiPgrpCreate": {"sim"},
     "register_quiescence": {"sim"},
     "console.feed": {"sim"},
 }
@@ -135,6 +136,7 @@ IN_WORKER = {
     "CmiScanfAsync": (w.w_cap_scanf_async, (), ("7", "7"), [["7"], ["7"]]),
     "CmiSyncGet": (w.w_cap_rma, ("get",), (), [b"abcd", b"abcd"]),
     "CmiSyncPut": (w.w_cap_rma, ("put",), (), [b"WXYZ", b"WXYZ"]),
+    "CmiPgrpCreate": (w.w_cap_pgrp, (), (), [[], ["hi"]]),
 }
 
 #: capabilities of the machine object itself, called on the driver.

@@ -180,6 +180,20 @@ def test_everything_on_a_pe_runs_on_its_main_thread():
     assert before == after
 
 
+def test_a_worker_runs_two_threads():
+    """The main thread reads its own socket: beside it runs only the
+    health reporter."""
+    _m, results = _run_mp(w.w_thread_count)
+    assert results == [2, 2]
+
+
+def test_arrival_order_holds_when_an_immediate_handler_polls():
+    count = 20
+    _m, (_, (got, inside)) = _run_mp(w.w_reentrant_immediate, count)
+    assert got == list(range(count))
+    assert len(inside) == 1 and inside[0] > 0, inside
+
+
 def test_progress_rule_delayed_acks_are_retransmitted_and_deduplicated():
     """Protocol work happens when the PE is inside the runtime: a
     compute-only handler on the receiver delays its acks, the sender
@@ -262,12 +276,12 @@ def test_worker_receiver_reports_an_undecodable_frame():
         body = b"not a pickle"
         b.sendall(mp_mod._LEN.pack(len(body)) + body)
         b.settimeout(5.0)
-        mp_mod._worker_receive_loop(link, node)  # returns: it stopped
+        assert node.poll() is None
         assert link.stop.is_set()
         [(kind, why)] = mp_mod._decode(bytearray(b.recv(1 << 16)))
         assert kind == "fatal"
         assert "PE 1 could not decode a frame" in why and "Traceback" in why
-        assert not node._arrivals
+        assert not node.inbox
     finally:
         a.close()
         b.close()

@@ -579,6 +579,53 @@ def w_thread_affinity(timers):
             **{k: sorted(v) for k, v in seen.items()}}
 
 
+def w_thread_count():
+    """How many threads this PE's process runs, seen from its main."""
+    import threading
+
+    return threading.active_count()
+
+
+def w_reentrant_immediate(count):
+    """PE 0 fires one immediate message at PE 1 and then ``count``
+    ordinary ones.  PE 1 sleeps before entering the runtime, so one read
+    decodes them all; the immediate handler calls ``CsdSchedulePoll()``
+    while the later frames are decoded but not yet dispatched.  PE 1
+    returns the ordinary payloads in dispatch order and how many of them
+    the nested poll ran."""
+    import time
+
+    me = api.CmiMyPe()
+    got = []
+    inside = []
+
+    def on_imm(_msg):
+        api.CsdSchedulePoll()
+        inside.append(len(got))
+
+    def on_data(msg):
+        got.append(msg.payload)
+        if len(got) == count:
+            api.CsdExitScheduler()
+
+    def on_ready(_msg):
+        api.CmiImmediateSend(1, api.CmiNew(h_imm, None, size=8))
+        for i in range(count):
+            api.CmiSyncSend(1, api.CmiNew(h_data, i, size=8))
+        api.CsdExitScheduler()
+
+    h_imm = api.CmiRegisterHandler(on_imm, "reent.imm")
+    h_data = api.CmiRegisterHandler(on_data, "reent.data")
+    h_ready = api.CmiRegisterHandler(on_ready, "reent.ready")
+    if me == 0:
+        api.CsdScheduler(-1)
+        return None
+    api.CmiSyncSend(0, api.CmiNew(h_ready, None, size=8))
+    time.sleep(0.3)
+    api.CsdScheduler(-1)
+    return got, inside
+
+
 def w_busy_handler(busy_s):
     """PE 1's handler for ``a`` tells PE 0 to send ``b`` and ``c``, then
     computes for ``busy_s`` without entering the runtime while they pile
@@ -713,6 +760,25 @@ def w_cap_rma(op):
     data = bytes(api.CmiSyncGet(gptr, 4))
     api.CmiSyncSend(0, api.CmiNew(h_mail, None, size=8))
     return data
+
+
+def w_cap_pgrp():
+    """PE 0 builds a two-PE group with ``CmiPgrpCreate`` and multicasts
+    over it; PE 1 resolves the group's id when the multicast lands."""
+    got = []
+
+    def on_msg(msg):
+        got.append(msg.payload)
+        api.CsdExitScheduler()
+
+    h = api.CmiRegisterHandler(on_msg, "cap.pgrp")
+    if api.CmiMyPe() == 0:
+        group = api.CmiPgrpCreate()
+        api.CmiAddChildren(group, 0, [1])
+        api.CmiAsyncMulticast(group, api.CmiNew(h, "hi"))
+    else:
+        api.CsdScheduler(-1)
+    return got
 
 
 def w_gptr_local():
