@@ -42,7 +42,6 @@ from repro.machine.base import (
 from repro.machine.cmi import ReliableConfig
 from repro.machine.faults import CrashSpec, FaultPlan, FaultSpec
 from repro.sim.machine import Machine, run_spmd
-from repro.sim.switching import available_backends, best_backend_name
 from repro.sim.models import (
     ALL_MODELS,
     ATM_HP,
@@ -67,8 +66,6 @@ __all__ = [
     "FTConfig",
     "ReliableConfig",
     "AggregationConfig",
-    "available_backends",
-    "best_backend_name",
     "available_machine_backends",
     "machine_backend_available",
     "create_machine",

@@ -18,11 +18,9 @@ it offers the stack built on it, is :mod:`repro.machine.interface`):
   re-checking them by hand.
 * :func:`build_pe_stack` — the one place that knows the order in which
   a PE's Converse software stack is built on top of a layer's node.
-* a **backend registry** mapping names to machine-layer classes, with
-  the same selection discipline as the tasklet switch backends
-  (:mod:`repro.sim.switching`): explicit argument, then the
-  ``REPRO_MACHINE_BACKEND`` environment variable, then the portable
-  default ``"sim"``.
+* a **backend registry** mapping names to machine-layer classes:
+  explicit argument, then the ``REPRO_MACHINE_BACKEND`` environment
+  variable, then the portable default ``"sim"``.
 
 Registered layers:
 
@@ -37,9 +35,7 @@ Registered layers:
 
 Selection errors are uniform: an *unknown* name raises ``ValueError``
 listing the choices; a known name that is *unavailable* on this platform
-raises :class:`~repro.core.errors.SimulationError` with the reason —
-mirroring how naming ``"greenlet"`` explicitly behaves without the
-package installed.
+raises :class:`~repro.core.errors.SimulationError` with the reason.
 """
 
 from __future__ import annotations
@@ -51,7 +47,8 @@ from importlib import import_module
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.errors import SimulationError
-from repro.loadbalance.strategies import make_balancer
+from repro.core.queueing import QUEUE_STRATEGIES, make_queue
+from repro.loadbalance.strategies import BALANCERS, make_balancer
 from repro.machine.faults import FaultPlan
 from repro.machine.interface import GENERIC, unsupported
 
@@ -71,8 +68,7 @@ __all__ = [
     "create_machine",
 ]
 
-#: environment variable consulted when no explicit backend is requested
-#: (mirrors ``REPRO_SIM_BACKEND`` for the tasklet switch layer).
+#: environment variable consulted when no explicit backend is requested.
 MACHINE_BACKEND_ENV_VAR = "REPRO_MACHINE_BACKEND"
 
 #: the portable default backend — every environment can run it.
@@ -98,9 +94,11 @@ class MachineConfig:
     (documented on :class:`repro.sim.machine.Machine`); construction
     owns every check and default, so a layer reads resolved values:
     ``reliable`` / ``ft`` / ``aggregation`` are their config objects or
-    ``None``, ``pool`` and ``inline`` are plain bools, ``model`` is a
-    cost model, ``faults`` is a ``FaultPlan`` or ``None``, and ``trace``
-    / ``metrics`` are specs :func:`~repro.tracing.tracer.make_tracer` /
+    ``None``, ``inline`` is a plain bool, ``model`` is a cost model,
+    ``faults`` is a ``FaultPlan`` or ``None``, ``queue`` and ``ldb``
+    name registered strategies (or ``queue`` is a per-PE factory), and
+    ``trace`` / ``metrics`` are specs
+    :func:`~repro.tracing.tracer.make_tracer` /
     :func:`~repro.metrics.registry.make_registry` accept.
     Resolution is idempotent, so ``dataclasses.replace`` is safe.
 
@@ -118,21 +116,31 @@ class MachineConfig:
     seed: int = 0
     faults: Any = None
     reliable: Any = False
-    backend: Any = None
     metrics: Any = False
     aggregation: Any = False
     ft: Any = False
-    pool: Any = None
     inline: Any = False
     machine_backend: Any = None
 
     def __post_init__(self) -> None:
         from repro.tracing.tracer import parse_trace_spec
 
+        for name in ("num_pes", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise TypeError(
+                    f"{name} must be an int, got {type(value).__name__}")
         if self.num_pes < 1:
             raise SimulationError(
                 f"a machine needs at least one PE, got {self.num_pes}"
             )
+        # Checked here, in the driver, so a bad name fails at construction
+        # on every layer instead of inside each mp worker; the factories
+        # raise the error that names the choices.
+        if not callable(self.queue) and self.queue not in QUEUE_STRATEGIES:
+            make_queue(self.queue)
+        if self.ldb not in BALANCERS:
+            make_balancer(self.ldb, None)
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
             raise SimulationError(
                 f"faults must be a FaultPlan or None, got "
@@ -164,18 +172,18 @@ class MachineConfig:
         put(self, "inline", bool(self.inline))
         if self.model is None:
             put(self, "model", GENERIC)
-        pool = self.pool
-        if pool is None:
-            # Pooling defaults on — except under an unreliable faulty
-            # network, where duplicate faults re-deliver the *same* wire
-            # object; today that fails loudly (the second delivery sees
-            # a poisoned buffer) and a pool must never convert it into a
-            # silent resurrection with some newer message's contents.
-            # The reliable layer dedups by sequence number before
-            # touching the inner message, so faults+reliable stays
-            # pool-safe.
-            pool = self.faults is None or reliable is not None
-        put(self, "pool", bool(pool))
+
+    @property
+    def pool(self) -> bool:
+        """Whether each PE pools its wire-copy messages
+        (:mod:`repro.core.pool`): on, except under an unreliable faulty
+        network, where duplicate faults re-deliver the *same* wire
+        object.  That fails loudly today (the second delivery sees a
+        poisoned buffer), and a pool must never turn it into a silent
+        resurrection with some newer message's contents.  The reliable
+        layer dedups by sequence number before touching the inner
+        message, so faults with ``reliable`` stay pool-safe."""
+        return self.faults is None or self.reliable is not None
 
     @property
     def crash_schedule(self) -> list:

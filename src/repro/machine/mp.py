@@ -121,12 +121,11 @@ from repro.tracing.tracer import (
     parse_trace_spec,
 )
 
-__all__ = ["MpMachine", "MP_MODEL", "MP_START_METHOD_ENV_VAR"]
+__all__ = ["MpMachine", "MP_MODEL"]
 
-#: environment override for the multiprocessing start method.
-MP_START_METHOD_ENV_VAR = "REPRO_MP_START_METHOD"
-
-#: default cadence of worker health snapshots (seconds).
+#: cadence of worker health snapshots (seconds); also the resolution of
+#: the flight recorder attached to timeout errors.  Read when the hub
+#: starts a worker, which gets it as an argument.
 _HEALTH_INTERVAL = 0.25
 
 #: flight-recorder depth: most recent health snapshots the hub retains
@@ -600,7 +599,7 @@ def _worker_health_loop(link: _WorkerLink, machine: "_WorkerMachine",
 
 
 def _worker_main(pe: int, port: int, specs: list, cfg: MachineConfig,
-                 health_interval: float, epoch: int = 0) -> None:
+                 health_period: float, epoch: int = 0) -> None:
     """Entry point of one PE process.
 
     Builds the *machine-independent* runtime stack
@@ -652,7 +651,7 @@ def _worker_main(pe: int, port: int, specs: list, cfg: MachineConfig,
         link.send(("hello", pe))
         health = threading.Thread(
             target=_worker_health_loop,
-            args=(link, machine, node, health_interval),
+            args=(link, machine, node, health_period),
             name=f"mp-health-pe{pe}", daemon=True,
         )
         health.start()
@@ -769,6 +768,17 @@ _SIM_ONLY = "a simulator-only subsystem (use machine_backend='sim')"
 _SHUTDOWN_GRACE = 15.0
 
 
+def _first_boot_method() -> str:
+    """The start method of a first boot: ``fork`` where the platform has
+    it (cheapest, and the child inherits ``sys.path``), else ``spawn``.
+    The hub starts no thread, and every first incarnation is forked
+    before the hub accepts a connection, so a child inherits only the
+    listener."""
+    import multiprocessing
+
+    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+
+
 class MpMachine(MachineLayer):
     """An N-PE machine where each PE is an OS process.
 
@@ -786,26 +796,22 @@ class MpMachine(MachineLayer):
         Wall-clock cap for :meth:`run`; a deadlocked or hung worker
         fails the run with :class:`SimulationError` instead of stalling
         forever (default 60 s).
-    start_method:
-        ``multiprocessing`` start method (default: the
-        ``REPRO_MP_START_METHOD`` env var, else ``fork`` where
-        available, else the platform default).
     watch:
         Live-health ticker: ``True`` (1 s) or a float interval in
         seconds.  While :meth:`run` waits, a line of per-PE progress
         (delivered counts, idle states, CPU time) is printed to stderr
         each tick — the hub's view of the same snapshots
         :meth:`health` serves.
-    health_interval:
-        Cadence of worker health snapshots (default 0.25 s); also the
-        resolution of the flight recorder attached to timeout errors.
+
+    A first boot forks where the platform can and spawns otherwise
+    (:func:`_first_boot_method`); a respawn always spawns.  Workers send
+    health snapshots every ``_HEALTH_INTERVAL`` (0.25 s).
     """
 
     layer_name = "mp"
 
     restricted_options = {
         "aggregation": ((type(None),), _SIM_ONLY),
-        "backend": ((type(None),), "tasklet switching is " + _SIM_ONLY),
         "queue": ((str,), "queue strategies reach the workers by name "
                           "(per-PE factories live in the driver process)"),
         "trace": (_PLAIN, "a live tracer or file object cannot be shared "
@@ -820,8 +826,7 @@ class MpMachine(MachineLayer):
     }
 
     def __init__(self, num_pes: int = 1, model: Any = None, *,
-                 timeout: float = 60.0, start_method: Optional[str] = None,
-                 watch: Any = False, health_interval: float = _HEALTH_INTERVAL,
+                 timeout: float = 60.0, watch: Any = False,
                  **shared: Any) -> None:
         cfg = self.make_config(num_pes, model, **shared)
         # Protocol timeouts floored to socket scale (see the _MP_*_FLOOR
@@ -857,7 +862,6 @@ class MpMachine(MachineLayer):
         self._watch_interval = (
             1.0 if watch is True else float(watch) if watch else 0.0
         )
-        self._health_interval = max(0.01, float(health_interval))
         #: merged trace sink; populated by :meth:`shutdown` when tracing
         #: (``None`` before then, and always ``None`` with tracing off —
         #: the same attribute surface the simulator machine exposes).
@@ -869,7 +873,6 @@ class MpMachine(MachineLayer):
         #: inspection instead of masking the primary error in shutdown().
         self.trace_merge_error: Optional[str] = None
         self._timeout = timeout
-        self._start_method = start_method
         self._mains: List[MpMain] = []
         self._specs: Dict[int, list] = {}
         self._next_index = 0
@@ -974,23 +977,6 @@ class MpMachine(MachineLayer):
     # ------------------------------------------------------------------
     # hub internals
     # ------------------------------------------------------------------
-    def _resolve_start_method(self) -> str:
-        import multiprocessing
-
-        methods = multiprocessing.get_all_start_methods()
-        wanted = self._start_method or os.environ.get(MP_START_METHOD_ENV_VAR)
-        if wanted:
-            if wanted not in methods:
-                raise SimulationError(
-                    f"multiprocessing start method {wanted!r} not available "
-                    f"here; choose from {', '.join(methods)}"
-                )
-            return wanted
-        # fork is cheapest and inherits sys.path.  The hub starts no
-        # thread, and every first incarnation is forked before the hub
-        # accepts a connection, so a child inherits only the listener.
-        return "fork" if "fork" in methods else methods[0]
-
     def _check_quiescent(self) -> None:
         if self._delayed:
             return  # fault-delayed frames still parked on the heap
@@ -1130,10 +1116,7 @@ class MpMachine(MachineLayer):
         # Spawn, never fork: a forked child would inherit every live hub
         # socket and hold each open after the hub closes it; a fresh
         # interpreter inherits none.
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "spawn" if "spawn" in methods else methods[0]
-        )
+        ctx = multiprocessing.get_context("spawn")
         self._epochs[pe] += 1
         try:
             self._procs[pe] = self._spawn(ctx, pe)
@@ -1152,7 +1135,7 @@ class MpMachine(MachineLayer):
         proc = ctx.Process(
             target=_worker_main,
             args=(pe, self._port, self._specs.get(pe, []), self._worker_cfg,
-                  self._health_interval, epoch),
+                  _HEALTH_INTERVAL, epoch),
             name=f"repro-mp-pe{pe}" + (f"e{epoch}" if epoch else ""),
             daemon=True,
         )
@@ -1379,7 +1362,7 @@ class MpMachine(MachineLayer):
     def _start(self) -> None:
         import multiprocessing
 
-        ctx = multiprocessing.get_context(self._resolve_start_method())
+        ctx = multiprocessing.get_context(_first_boot_method())
         self._sel = selectors.DefaultSelector()
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener = listener
@@ -1618,6 +1601,10 @@ class MpMachine(MachineLayer):
             self._listener.close()
             self._listener = None
         sel.close()
+        # An incarnation that never said hello has no final frames, and
+        # with the listener closed it would only retry its connect.
+        for proc in self._unborn.values():
+            proc.terminate()
         # Killed-and-replaced incarnations are reaped too.
         for proc in self._dead_procs + self._procs:
             proc.join(timeout=max(1.0, deadline - time.monotonic()))

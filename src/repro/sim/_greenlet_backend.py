@@ -1,8 +1,8 @@
 """Greenlet-backed tasklets: baton passing as in-process stack switches.
 
 This module imports ``greenlet`` at module import time; it is only loaded
-by :class:`~repro.sim.switching.GreenletSwitchBackend.create`, which is
-only reachable after the backend's availability check passed.
+by :func:`repro.sim.engine.detect_tasklet_class`, after ``import
+greenlet`` succeeded.
 
 The baton discipline is exactly the thread backend's — the engine resumes
 a tasklet, the tasklet runs until it parks or finishes, control returns
@@ -37,6 +37,9 @@ __all__ = ["GreenletTasklet"]
 
 class GreenletTasklet(BaseTasklet):
     """A tasklet whose context is a greenlet of the driver's thread."""
+
+    #: the switch's name (what ``Machine.backend_name`` reports).
+    switch = "greenlet"
 
     def __init__(self, engine: Any, fn: Callable[[], Any], name: str = "tasklet",
                  node: Any = None) -> None:

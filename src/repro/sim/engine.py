@@ -30,10 +30,32 @@ from typing import Any, Callable, Deque, List, Optional
 from repro.core.context import _set_current
 from repro.core.errors import NotInTaskletError, SimulationError
 from repro.machine.interface import Engine
-from repro.sim.switching import SwitchBackend, resolve_backend
 from repro.sim.tasklet import BaseTasklet as Tasklet
 
-__all__ = ["ScheduledEvent", "SimEngine"]
+__all__ = ["ScheduledEvent", "SimEngine", "detect_tasklet_class"]
+
+
+def detect_tasklet_class() -> type:
+    """The tasklet switch this interpreter can run: greenlet stack
+    switching (~100 ns a hand-off) where ``import greenlet`` succeeds
+    (the ``repro[fast]`` extra), else the portable OS-thread baton
+    (~10 us).  The two are observationally identical — same schedules,
+    byte-identical traces — so the runtime picks, not the program."""
+    try:
+        import greenlet  # noqa: F401
+    except ImportError:
+        from repro.sim.tasklet import Tasklet as thread_tasklet
+
+        return thread_tasklet
+    from repro.sim._greenlet_backend import GreenletTasklet
+
+    return GreenletTasklet
+
+
+#: the tasklet class every engine builds, decided once per process at
+#: import: a failed ``import greenlet`` searches the whole ``sys.path``,
+#: which would be a sizeable share of building a small machine.
+TASKLET_CLASS = detect_tasklet_class()
 
 
 class ScheduledEvent:
@@ -96,10 +118,10 @@ class SimEngine(Engine):
     #: would exceed the memory it reclaims).
     COMPACT_MIN_HEAP = 64
 
-    def __init__(self, backend: Any = None) -> None:
-        #: the tasklet switch backend (see :mod:`repro.sim.switching`):
-        #: ``None``/name/"fast"/instance, resolved once at construction.
-        self.backend: SwitchBackend = resolve_backend(backend)
+    def __init__(self) -> None:
+        #: the tasklet class this engine spawns (:data:`TASKLET_CLASS`
+        #: when the engine was built).
+        self.tasklet_class: type = TASKLET_CLASS
         self.now: float = 0.0
         self._heap: List[ScheduledEvent] = []
         self._cancelled: int = 0
@@ -206,7 +228,7 @@ class SimEngine(Engine):
         transfer resumes it — this is how ``CthCreate`` builds threads that
         are not yet awakened.
         """
-        t = self.backend.create(self, fn, name=name, node=node)
+        t = self.tasklet_class(self, fn, name=name, node=node)
         self._tasklets.append(t)
         if start:
             self.make_ready(t)

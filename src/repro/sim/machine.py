@@ -116,13 +116,6 @@ class Machine(MachineLayer, PEHost):
         ``reliable=True`` (recovery replays the reliable layer's send
         log).  Crash *injection* needs only a fault plan with crashes;
         ``ft=`` is what makes the machine live through them.
-    pool:
-        ``None`` (default — on, except under ``faults`` without
-        ``reliable`` where duplicate faults must keep failing loudly);
-        ``True``/``False`` — force per-PE pooled wire-copy message
-        allocation on or off (see :mod:`repro.core.pool`).  Pooling
-        never weakens the buffer ownership protocol: recycled buffers
-        stay poisoned until reused.
     inline:
         ``False`` (default); ``True`` enables inline dispatch: an
         outermost ``CsdScheduler`` loop delegates its drain to the
@@ -133,13 +126,6 @@ class Machine(MachineLayer, PEHost):
         schedulers raise ``NotInTaskletError`` from a delegated handler.
         Tracing or metering machines keep the tasklet path regardless,
         so idle spans trace exactly as before.
-    backend:
-        Tasklet switch backend (see :mod:`repro.sim.switching`):
-        ``None`` (default — the ``REPRO_SIM_BACKEND`` env var, else the
-        portable ``"thread"`` baton), ``"thread"``, ``"greenlet"``, or
-        ``"fast"``/``"auto"`` for the quickest available.  Backends are
-        observationally identical — same schedules, byte-identical
-        traces — and differ only in wall-clock switch cost.
     machine_backend:
         Machine *layer* (see :mod:`repro.machine.base`): ``None``
         (default — the ``REPRO_MACHINE_BACKEND`` env var, else
@@ -147,6 +133,14 @@ class Machine(MachineLayer, PEHost):
         ``"mp"`` for the multiprocess layer (one OS process per PE,
         real parallelism).  Selecting another layer returns an instance
         of that layer's machine class.
+
+    What the machine decides itself: per-PE message pooling is on
+    except under ``faults`` without ``reliable``
+    (:attr:`MachineConfig.pool <repro.machine.base.MachineConfig.pool>`),
+    and the tasklet switch is greenlet where ``import greenlet``
+    succeeds, else the portable thread baton
+    (:func:`repro.sim.engine.detect_tasklet_class`; read it back as
+    :attr:`backend_name`).
     """
 
     layer_name = "sim"
@@ -171,7 +165,7 @@ class Machine(MachineLayer, PEHost):
         cfg = self.config = self.make_config(num_pes, *args, **kwargs)
         self.num_pes = num_pes
         self.model = cfg.model
-        self.engine = SimEngine(backend=cfg.backend)
+        self.engine = SimEngine()
         self.topology = make_topology(cfg.model.topology, num_pes)
         self.network = Network(self.engine, cfg.model, self.topology)
         self.console = Console(self.engine, echo=cfg.echo)
@@ -291,8 +285,9 @@ class Machine(MachineLayer, PEHost):
 
     @property
     def backend_name(self) -> str:
-        """Name of the tasklet switch backend this machine runs on."""
-        return self.engine.backend.name
+        """Name of the tasklet switch this machine runs on (``"thread"``
+        or ``"greenlet"``)."""
+        return self.engine.tasklet_class.switch
 
     def metrics_snapshot(self) -> dict:
         """Plain-data snapshot of the metrics registry (raises when the

@@ -9,13 +9,13 @@ roughly half the cost of the ``threading.Event`` pair it replaced).  The
 GIL therefore never introduces nondeterminism: execution is fully
 serialized and scheduled by the engine.
 
-Where the optional ``greenlet`` package is installed, the engine can use
+Where the optional ``greenlet`` package is installed, the engine uses
 :class:`~repro.sim._greenlet_backend.GreenletTasklet` instead, which
 performs the same baton discipline as an in-thread stack switch (~100 ns
-instead of ~10 µs).  Both implementations share :class:`BaseTasklet` and
-are selected by a :class:`~repro.sim.switching.SwitchBackend`; they are
-observationally identical — same park/resume/kill semantics, same trace
-bytes.
+instead of ~10 µs).  Both implementations share :class:`BaseTasklet`, and
+:func:`repro.sim.engine.detect_tasklet_class` picks one per process; they
+are observationally identical — same park/resume/kill semantics, same
+trace bytes.
 
 A tasklet runs until it *parks* (via the engine's sleep/suspend/transfer
 primitives) or finishes.  Parking hands the baton back to the engine's
@@ -126,7 +126,7 @@ class BaseTasklet:
 
 
 class Tasklet(BaseTasklet):
-    """The portable OS-thread tasklet (the ``"thread"`` backend).
+    """The portable OS-thread tasklet (the ``"thread"`` switch).
 
     The baton is a pair of ``threading.Lock`` objects, both created held:
     releasing the peer's lock wakes it, acquiring one's own lock blocks
@@ -134,6 +134,9 @@ class Tasklet(BaseTasklet):
     most once before its next acquire — strict alternation, no lost or
     duplicated wake-ups.
     """
+
+    #: the switch's name (what ``Machine.backend_name`` reports).
+    switch = "thread"
 
     def __init__(self, engine: Any, fn: Callable[[], Any], name: str = "tasklet",
                  node: Any = None) -> None:

@@ -21,20 +21,23 @@ from repro.machine.base import MACHINE_LAYERS, MachineConfig
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
-ENV_VARS = {"REPRO_SIM_BACKEND", "REPRO_MACHINE_BACKEND", "REPRO_MP_START_METHOD"}
+ENV_VARS = {"REPRO_MACHINE_BACKEND"}
 
 #: the keywords every machine layer shares (MachineConfig's fields).
 SHARED = {
     "num_pes", "model", "queue", "ldb", "trace", "echo", "seed", "faults",
-    "reliable", "backend", "metrics", "aggregation", "ft", "pool", "inline",
-    "machine_backend",
+    "reliable", "metrics", "aggregation", "ft", "inline", "machine_backend",
 }
 
 #: keywords a layer adds on top of the shared table.
 EXTRAS = {
     "sim": set(),
-    "mp": {"timeout", "start_method", "watch", "health_interval"},
+    "mp": {"timeout", "watch"},
 }
+
+#: keywords that were removed because the code decides their values;
+#: each must stay an unknown keyword on every layer.
+REMOVED = {"csd_batch", "backend", "pool", "start_method", "health_interval"}
 
 #: ``python -m repro.bench``: first-argument subcommands, the names
 #: ``gate`` accepts, and the flags of each parser.
@@ -73,8 +76,9 @@ def test_layer_keywords_are_shared_plus_declared_extras(layer):
              if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)} - {"self"}
     assert named - SHARED == EXTRAS[layer]
     assert set(cls.restricted_options) <= SHARED
-    with pytest.raises(TypeError, match="unexpected keyword argument"):
-        cls(1, csd_batch=4)
+    for name in sorted(REMOVED):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            cls(1, **{name: 4})
 
 
 def _flags(parser):

@@ -120,10 +120,20 @@ def test_max_free_cap_drops_excess():
 # ----------------------------------------------------------------------
 # integration: the CMI draws wire copies from the pool
 # ----------------------------------------------------------------------
-def _run_pingpong(n, **machine_kwargs):
+def _unpooled(m):
+    """Turn message pooling off on every PE of ``m``: the machine
+    decides pooling itself, so the off path is reached through the
+    runtime's ``pool`` slot."""
+    for rt in m.runtimes:
+        rt.pool = None
+
+
+def _run_pingpong(n, pool=True):
     """2-PE ping-pong; returns (received payload log per PE, machine)."""
     log = [[], []]
-    with Machine(2, model=GENERIC, **machine_kwargs) as m:
+    with Machine(2, model=GENERIC) as m:
+        if not pool:
+            _unpooled(m)
         def main():
             me = api.CmiMyPe()
             other = 1 - me
@@ -160,7 +170,7 @@ def test_pool_off_matches_pool_on_exactly():
     on, _ = _run_pingpong(30, pool=True)
     off, stats_off = _run_pingpong(30, pool=False)
     assert on == off
-    assert stats_off == [None, None]         # knob off: no pool objects
+    assert stats_off == [None, None]         # pooling off: no pool objects
 
 
 def test_stale_reference_fails_loudly_then_resurrects_clean():
@@ -175,7 +185,7 @@ def test_stale_reference_fails_loudly_then_resurrects_clean():
     """
     stashed = []
     state = {}
-    with Machine(2, model=GENERIC, pool=True) as m:
+    with Machine(2, model=GENERIC) as m:
         def main():
             me = api.CmiMyPe()
 
@@ -212,7 +222,7 @@ def test_grabbed_buffer_is_never_pooled():
     must survive arbitrarily more pooled traffic untouched and must
     never appear in any free list."""
     grabbed = []
-    with Machine(2, model=GENERIC, pool=True) as m:
+    with Machine(2, model=GENERIC) as m:
         def main():
             me = api.CmiMyPe()
 
@@ -251,7 +261,7 @@ def test_no_stale_resurrection_across_many_cycles():
     occupant of the (heavily reused) buffers."""
     n = 300
     seen = []
-    with Machine(2, model=GENERIC, pool=True) as m:
+    with Machine(2, model=GENERIC) as m:
         def main():
             me = api.CmiMyPe()
 
@@ -291,13 +301,15 @@ def test_no_stale_resurrection_across_many_cycles():
 # ----------------------------------------------------------------------
 # fuzz-style parity: pooling must be observationally invisible
 # ----------------------------------------------------------------------
-def _run_seeded_scatter(seed, num_pes=4, per_pe=25, **machine_kwargs):
+def _run_seeded_scatter(seed, pool, num_pes=4, per_pe=25):
     """Every PE sends ``per_pe`` messages to seeded-random destinations
     with seeded-random payloads/prios; returns each PE's receive log."""
     total = num_pes * per_pe
     logs = [[] for _ in range(num_pes)]
     got = [0]
-    with Machine(num_pes, model=GENERIC, **machine_kwargs) as m:
+    with Machine(num_pes, model=GENERIC) as m:
+        if not pool:
+            _unpooled(m)
         def main():
             me = api.CmiMyPe()
             rng = random.Random(seed * 1000 + me)
@@ -332,12 +344,13 @@ def test_seeded_fuzz_parity_pool_on_vs_off():
 # ----------------------------------------------------------------------
 # seed forwarding: the Cld wrapper rides pooled wire buffers
 # ----------------------------------------------------------------------
-def _run_seed_forwarding(ldb, seeds=64, num_pes=4, seed=9, **machine_kwargs):
+def _run_seed_forwarding(ldb, pool=True, seeds=64, num_pes=4, seed=9):
     """PE 0 CldEnqueues tagged seeds that charge time wherever they
     root; returns (per-PE payload logs, per-PE pool stats)."""
     logs = [[] for _ in range(num_pes)]
-    with Machine(num_pes, model=GENERIC, ldb=ldb, seed=seed,
-                 **machine_kwargs) as m:
+    with Machine(num_pes, model=GENERIC, ldb=ldb, seed=seed) as m:
+        if not pool:
+            _unpooled(m)
         def main():
             me = api.CmiMyPe()
 
@@ -390,14 +403,13 @@ def test_seed_placement_parity_pool_on_vs_off(ldb):
 
 
 def test_pool_forced_on_under_hostile_faults_with_reliable():
-    """Pooling defaults off under an unreliable fault plan, but forcing
-    it on with the reliability layer must still deliver every logical
+    """Pooling is off under an unreliable fault plan but stays on with
+    the reliability layer, which must still deliver every logical
     message exactly once, in per-sender order."""
     n = 12
     plan = FaultPlan(41, drop=0.2, duplicate=0.15, reorder=0.2,
                      reorder_max=300e-6)
-    with Machine(2, model=GENERIC, faults=plan, reliable=True,
-                 pool=True) as m:
+    with Machine(2, model=GENERIC, faults=plan, reliable=True) as m:
         got = []
 
         def main():
@@ -416,5 +428,5 @@ def test_pool_forced_on_under_hostile_faults_with_reliable():
 
         m.launch(main)
         m.run()
-        assert m.runtime(1).pool is not None   # the knob really was on
+        assert m.runtime(1).pool is not None   # pooling really was on
     assert got == list(range(n))

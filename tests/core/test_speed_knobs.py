@@ -1,9 +1,10 @@
-"""The raw-speed knobs (``pool=``, ``inline=``) — where they resolve
-(:class:`~repro.machine.base.MachineConfig`, once), the pool default
-policy, and the need-based-cost promise: with a knob off the
-corresponding per-message machinery must simply not exist (no pool
-object, no instrumented dispatch binding), so the only residual cost is
-the flag test at construction time.
+"""The raw-speed settings — the ``inline=`` knob and message pooling,
+which the machine decides itself — where they resolve
+(:class:`~repro.machine.base.MachineConfig`, once), the pool rule, and
+the need-based-cost promise: with a setting off the corresponding
+per-message machinery must simply not exist (no pool object, no
+instrumented dispatch binding), so the only residual cost is the flag
+test at construction time.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.machine.base import MachineConfig
 
 
 # ----------------------------------------------------------------------
-# MachineConfig: explicit beats the default policy; resolved to bools
+# MachineConfig: inline resolves to a bool, pool follows the fault rule
 # ----------------------------------------------------------------------
 def test_resolution_defaults():
     cfg = MachineConfig(2)
@@ -26,9 +27,8 @@ def test_resolution_defaults():
 
 def test_resolution_explicit_args_win():
     plan = FaultPlan(1, duplicate=0.2)
-    assert MachineConfig(2, pool=False).pool is False
     assert MachineConfig(2, faults=plan).pool is False
-    assert MachineConfig(2, faults=plan, pool=True).pool is True
+    assert MachineConfig(2, faults=plan, reliable=True).pool is True
     assert MachineConfig(2, inline=1).inline is True
     assert MachineConfig(2, inline=None).inline is False
 
@@ -45,7 +45,8 @@ def test_resolution_is_idempotent():
 # machine plumbing: off means absent, not dormant
 # ----------------------------------------------------------------------
 def test_pool_off_means_no_pool_object():
-    with Machine(2, pool=False) as m:
+    with Machine(2, faults=FaultPlan(1, duplicate=0.2)) as m:
+        assert m.msg_pooling is False
         assert all(rt.pool is None for rt in m.runtimes)
 
 
@@ -57,13 +58,12 @@ def test_pool_on_by_default_for_clean_runs():
 def test_pool_defaults_off_under_unreliable_faults():
     """An unreliable fault plan duplicates wire buffers; pooling a
     buffer the plan may redeliver would recycle live state, so the
-    default flips to off (still overridable)."""
+    rule turns it off; the reliable layer dedups first, so it stays on
+    there."""
     plan = FaultPlan(1, duplicate=0.2)
     with Machine(2, faults=plan) as m:
         assert all(rt.pool is None for rt in m.runtimes)
     with Machine(2, faults=plan, reliable=True) as m:
-        assert all(rt.pool is not None for rt in m.runtimes)
-    with Machine(2, faults=plan, pool=True) as m:
         assert all(rt.pool is not None for rt in m.runtimes)
 
 

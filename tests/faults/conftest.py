@@ -7,9 +7,10 @@ failure locally, run the failing test id — the seed in its parametrized
 name is the entire repro.
 
 Tests taking a ``sim_backend`` argument are additionally parametrized
-over every *installed* tasklet switch backend (always ``thread``; also
-``greenlet`` when the ``repro[fast]`` extra is present), so the whole
-hostile sweep doubles as a cross-backend equivalence check.
+over every tasklet switch that imports here (always ``thread``; also
+``greenlet`` when the ``repro[fast]`` extra is present), set through the
+engine's ``TASKLET_CLASS`` seam, so the whole hostile sweep doubles as a
+cross-switch equivalence check.
 
 Tests taking a ``machine_backend`` argument run once per *registered*
 machine layer (unavailable layers appear as explicit skips, never as a
@@ -28,7 +29,8 @@ from repro.machine.base import (
     MACHINE_LAYERS,
     machine_backend_unavailable_reason,
 )
-from repro.sim.switching import available_backends
+from repro.sim import engine
+from tests.faults.harness import SWITCHES
 
 #: how many of the sweep's seeds the mp legs run (each is a full
 #: multi-process machine boot).
@@ -41,16 +43,16 @@ MP_TIMEOUT = 120.0
 
 def mp_sweep_guard(machine_backend, fault_seed, sim_backend="thread"):
     """Skip the mp legs the reduced sweep does not cover: seeds past the
-    cap, and tasklet-backend variants (simulator-only inside a worker
-    the parametrization cannot reach)."""
+    cap, and all tasklet switches but the first (an mp worker runs no
+    tasklets, so the legs would be repeats)."""
     if machine_backend != "mp":
         return
     if fault_seed >= MP_SWEEP_SEEDS:
         pytest.skip(f"mp legs run a reduced {MP_SWEEP_SEEDS}-seed sweep "
                     "(one real process per PE per run)")
     if sim_backend != "thread":
-        pytest.skip("tasklet switch backends are per-worker on mp; the "
-                    "sweep pins the default")
+        pytest.skip("mp workers run no tasklets; the thread leg covers "
+                    "the tasklet switches")
 
 
 def _machine_backend_params():
@@ -71,9 +73,18 @@ def pytest_generate_tests(metafunc):
         n = metafunc.config.getoption("--seeds")
         metafunc.parametrize("fault_seed", range(n))
     if "sim_backend" in metafunc.fixturenames:
-        metafunc.parametrize("sim_backend", available_backends())
+        metafunc.parametrize("sim_backend", SWITCHES, indirect=True,
+                             ids=[cls.switch for cls in SWITCHES])
     if "machine_backend" in metafunc.fixturenames:
         metafunc.parametrize("machine_backend", _machine_backend_params())
+
+
+@pytest.fixture
+def sim_backend(request, monkeypatch):
+    """Build the test's simulator machines on the parametrized tasklet
+    class; the value is the switch's name."""
+    monkeypatch.setattr(engine, "TASKLET_CLASS", request.param)
+    return request.param.switch
 
 
 def pytest_collection_modifyitems(items):

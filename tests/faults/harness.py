@@ -17,10 +17,13 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import CrashSpec, FaultPlan, FTConfig, Machine, api
 from repro.core.quiescence import QD
+from repro.sim.engine import detect_tasklet_class
 from repro.sim.models import GENERIC
+from repro.sim.tasklet import Tasklet
 from repro.tracing.tracer import MemoryTracer
 
 __all__ = [
+    "SWITCHES",
     "HOSTILE_RATES",
     "hostile_plan",
     "crashy_plan",
@@ -32,6 +35,12 @@ __all__ = [
     "run_ft_pingpong",
     "run_ft_all2all",
 ]
+
+#: every tasklet class that imports here, the thread baton first (plus
+#: greenlet where the package is installed) — the switches a
+#: cross-switch comparison runs, through ``repro.sim.engine.TASKLET_CLASS``.
+SWITCHES = [Tasklet] + [
+    cls for cls in (detect_tasklet_class(),) if cls is not Tasklet]
 
 #: the default hostile mix: every fault class at once, drop rate 0.2 as
 #: required by the acceptance experiment.
@@ -75,7 +84,7 @@ def trace_bytes(tracer: MemoryTracer) -> bytes:
 # ----------------------------------------------------------------------
 def run_pingpong(rounds: int = 10, *, faults: Optional[FaultPlan] = None,
                  reliable: Any = True, trace: Any = False,
-                 model: Any = GENERIC, backend: Any = None) -> Dict[str, Any]:
+                 model: Any = GENERIC) -> Dict[str, Any]:
     """PE 0 and PE 1 bounce one numbered ball ``2 * rounds`` hops.
 
     Ball ``n`` travels to PE ``1`` when ``n`` is even, PE ``0`` when odd;
@@ -84,7 +93,7 @@ def run_pingpong(rounds: int = 10, *, faults: Optional[FaultPlan] = None,
     through the reliability layer breaks the sequence.
     """
     with Machine(2, model=model, faults=faults, reliable=reliable,
-                 trace=trace, backend=backend) as m:
+                 trace=trace) as m:
         recv: Dict[int, List[int]] = {0: [], 1: []}
 
         def main() -> None:
@@ -123,12 +132,11 @@ def run_pingpong(rounds: int = 10, *, faults: Optional[FaultPlan] = None,
 # ----------------------------------------------------------------------
 def run_broadcast(num_pes: int = 4, count: int = 8, *,
                   faults: Optional[FaultPlan] = None, reliable: Any = True,
-                  trace: Any = False, model: Any = GENERIC,
-                  backend: Any = None) -> Dict[str, Any]:
+                  trace: Any = False, model: Any = GENERIC) -> Dict[str, Any]:
     """PE 0 broadcasts ``count`` numbered messages; every other PE must
     receive exactly ``0 .. count-1`` in order (per-sender FIFO)."""
     with Machine(num_pes, model=model, faults=faults, reliable=reliable,
-                 trace=trace, backend=backend) as m:
+                 trace=trace) as m:
         recv: Dict[int, List[int]] = {pe: [] for pe in range(num_pes)}
 
         def main() -> None:
@@ -161,8 +169,7 @@ def run_broadcast(num_pes: int = 4, count: int = 8, *,
 # ----------------------------------------------------------------------
 def run_quiescence(num_pes: int = 4, seeds_per_pe: int = 2, ttl: int = 5, *,
                    faults: Optional[FaultPlan] = None, reliable: Any = True,
-                   trace: Any = False, model: Any = GENERIC,
-                   backend: Any = None) -> Dict[str, Any]:
+                   trace: Any = False, model: Any = GENERIC) -> Dict[str, Any]:
     """Every PE injects ``seeds_per_pe`` relay messages that hop around
     the ring ``ttl`` further times; PE 0 runs the counter-wave quiescence
     detector, which fires ``CsdExitAll`` when the relays die out.
@@ -173,7 +180,7 @@ def run_quiescence(num_pes: int = 4, seeds_per_pe: int = 2, ttl: int = 5, *,
     the detector, a duplicate inflates the tally.
     """
     with Machine(num_pes, model=model, faults=faults, reliable=reliable,
-                 trace=trace, backend=backend) as m:
+                 trace=trace) as m:
         QD.attach(m)
         handled: Dict[int, int] = {pe: 0 for pe in range(num_pes)}
         declared: List[int] = []
@@ -216,13 +223,12 @@ def run_quiescence(num_pes: int = 4, seeds_per_pe: int = 2, ttl: int = 5, *,
 # ----------------------------------------------------------------------
 def run_quickstart_workload(*, faults: Optional[FaultPlan] = None,
                             reliable: Any = False,
-                            model: Any = GENERIC,
-                            backend: Any = None) -> Tuple[bytes, int]:
+                            model: Any = GENERIC) -> Tuple[bytes, int]:
     """The greet/reply workload of ``examples/quickstart.py``, traced to
     memory.  Returns ``(trace_bytes, replies_seen)``."""
     tracer = MemoryTracer()
     with Machine(4, model=model, trace=tracer, faults=faults,
-                 reliable=reliable, backend=backend) as m:
+                 reliable=reliable) as m:
         state = {"replies": 0}
 
         def main() -> None:
@@ -257,8 +263,7 @@ def run_quickstart_workload(*, faults: Optional[FaultPlan] = None,
 # ----------------------------------------------------------------------
 def run_ft_pingpong(rounds: int = 40, *, faults: Optional[FaultPlan] = None,
                     ft: Any = True, checkpoint_every: int = 8,
-                    trace: Any = False, model: Any = GENERIC,
-                    backend: Any = None) -> Dict[str, Any]:
+                    trace: Any = False, model: Any = GENERIC) -> Dict[str, Any]:
     """The ping-pong workload written against the ``Cft*`` API so it
     survives a whole-PE crash injected by the fault plan.
 
@@ -270,7 +275,7 @@ def run_ft_pingpong(rounds: int = 40, *, faults: Optional[FaultPlan] = None,
     """
     ft_cfg = FTConfig() if ft is True else ft
     with Machine(2, model=model, faults=faults, reliable=True, ft=ft_cfg,
-                 metrics=True, trace=trace, backend=backend) as m:
+                 metrics=True, trace=trace) as m:
         recv: Dict[int, List[int]] = {0: [], 1: []}
 
         def main() -> None:
@@ -325,7 +330,7 @@ def run_ft_pingpong(rounds: int = 40, *, faults: Optional[FaultPlan] = None,
 def run_ft_all2all(num_pes: int = 4, count: int = 6, *,
                    faults: Optional[FaultPlan] = None, ft: Any = True,
                    checkpoint_every: int = 6, trace: Any = False,
-                   model: Any = GENERIC, backend: Any = None) -> Dict[str, Any]:
+                   model: Any = GENERIC) -> Dict[str, Any]:
     """Every PE sends ``count`` numbered messages to every other PE and
     exits once it has received ``count * (num_pes - 1)``.
 
@@ -336,7 +341,7 @@ def run_ft_all2all(num_pes: int = 4, count: int = 6, *,
     that already consumed them)."""
     ft_cfg = FTConfig() if ft is True else ft
     with Machine(num_pes, model=model, faults=faults, reliable=True,
-                 ft=ft_cfg, metrics=True, trace=trace, backend=backend) as m:
+                 ft=ft_cfg, metrics=True, trace=trace) as m:
         recv: Dict[int, Dict[int, List[int]]] = {
             pe: {src: [] for src in range(num_pes) if src != pe}
             for pe in range(num_pes)

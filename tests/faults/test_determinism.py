@@ -5,18 +5,20 @@ must produce byte-identical traces; changing the seed must change the
 trace.  This is the property that makes every fuzz failure reproducible
 from its seed alone.
 
-The switch backend must be invisible to this property: the same workload
-and seed produce byte-identical traces on *every* installed backend
+The tasklet switch must be invisible to this property: the same workload
+and seed produce byte-identical traces on *every* switch that imports
 (thread vs greenlet), because both run the same engine code in the same
-order — only the baton hand-off mechanism differs.
+order — only the baton hand-off mechanism differs.  The tests below run
+each switch through the engine's ``TASKLET_CLASS`` seam.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim.switching import available_backends
+from repro.sim import engine
 from tests.faults.harness import (
+    SWITCHES,
     hostile_plan,
     run_pingpong,
     run_quickstart_workload,
@@ -51,42 +53,43 @@ def test_quickstart_trace_differs_across_fault_seeds():
 
 
 # ----------------------------------------------------------------------
-# cross-backend equivalence
+# cross-switch equivalence
 # ----------------------------------------------------------------------
+def _on_each_switch(monkeypatch, run):
+    """``{switch name: run()}`` with the engine on each switch in turn."""
+    out = {}
+    for cls in SWITCHES:
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "TASKLET_CLASS", cls)
+            out[cls.switch] = run()
+    return out
+
+
 @pytest.mark.parametrize("seed", range(3))
-def test_quickstart_trace_identical_across_backends(seed):
+def test_quickstart_trace_identical_across_backends(seed, monkeypatch):
     """Same workload + same fault seed -> byte-identical trace on every
-    installed switch backend.  (With only the thread backend installed
-    this degenerates to a same-backend rerun, which must still hold.)"""
-    ref = None
-    for backend in available_backends():
-        t, replies = run_quickstart_workload(faults=hostile_plan(seed),
-                                             reliable=True, backend=backend)
-        assert replies == 3
-        if ref is None:
-            ref = t
-        else:
-            assert t == ref, f"backend {backend!r} diverged from reference"
+    switch that imports.  (With only the thread switch this degenerates
+    to a same-switch rerun, which must still hold.)"""
+    runs = _on_each_switch(monkeypatch, lambda: run_quickstart_workload(
+        faults=hostile_plan(seed), reliable=True))
+    assert all(replies == 3 for _t, replies in runs.values())
+    assert len({t for t, _replies in runs.values()}) == 1, sorted(runs)
 
 
-def test_pingpong_trace_identical_across_backends():
-    traces = {
-        backend: trace_bytes(
-            run_pingpong(rounds=6, faults=hostile_plan(2), reliable=True,
-                         trace=True, backend=backend)["tracer"]
-        )
-        for backend in available_backends()
-    }
+def test_pingpong_trace_identical_across_backends(monkeypatch):
+    traces = _on_each_switch(monkeypatch, lambda: trace_bytes(
+        run_pingpong(rounds=6, faults=hostile_plan(2), reliable=True,
+                     trace=True)["tracer"]))
     assert len(set(traces.values())) == 1, sorted(traces)
 
 
-def test_greenlet_backend_matches_thread_traces():
-    """The headline tentpole claim, run only where greenlet is installed:
-    the fast backend is observationally identical to the portable one."""
+def test_greenlet_backend_matches_thread_traces(monkeypatch):
+    """The headline claim, run only where greenlet is installed: the
+    fast switch is observationally identical to the portable one."""
     pytest.importorskip("greenlet")
+    assert [cls.switch for cls in SWITCHES] == ["thread", "greenlet"]
     for seed in range(3):
-        a, _ = run_quickstart_workload(faults=hostile_plan(seed),
-                                       reliable=True, backend="thread")
-        b, _ = run_quickstart_workload(faults=hostile_plan(seed),
-                                       reliable=True, backend="greenlet")
-        assert a == b, f"seed {seed}: greenlet trace diverged from thread"
+        runs = _on_each_switch(monkeypatch, lambda: run_quickstart_workload(
+            faults=hostile_plan(seed), reliable=True))
+        assert runs["thread"] == runs["greenlet"], (
+            f"seed {seed}: greenlet trace diverged from thread")

@@ -74,7 +74,7 @@ def test_ft_pingpong_survives_crash(fault_seed, sim_backend, machine_backend):
         assert _recoveries(met) == 1
         return
     plan = crashy_plan(fault_seed, crash_pe=1, crash_at=_crash_at(fault_seed))
-    r = run_ft_pingpong(rounds=30, faults=plan, backend=sim_backend)
+    r = run_ft_pingpong(rounds=30, faults=plan)
     assert r["reason"] == "quiescent"
     assert r["recv"] == r["expected"]
     assert _recoveries(r["metrics"]) == 1
@@ -103,7 +103,7 @@ def test_ft_all2all_survives_crash(fault_seed, sim_backend, machine_backend):
     crash_pe = fault_seed % 4
     plan = crashy_plan(fault_seed, crash_pe=crash_pe,
                        crash_at=_crash_at(fault_seed))
-    r = run_ft_all2all(num_pes=4, count=5, faults=plan, backend=sim_backend)
+    r = run_ft_all2all(num_pes=4, count=5, faults=plan)
     assert r["reason"] == "quiescent"
     assert r["recv"] == r["expected"]
     assert _recoveries(r["metrics"]) == 1

@@ -50,7 +50,7 @@ def test_pingpong_exactly_once(fault_seed, sim_backend, machine_backend):
         assert res[1] == list(range(0, 16, 2))
         return
     r = run_pingpong(rounds=8, faults=hostile_plan(fault_seed),
-                     reliable=True, backend=sim_backend)
+                     reliable=True)
     assert r["reason"] == "quiescent"
     assert r["recv"] == r["expected"]
     # the protocol must fully drain: nothing left awaiting an ack
@@ -69,7 +69,7 @@ def test_broadcast_exactly_once_in_order(fault_seed, sim_backend,
             assert res[pe] == list(range(6)), f"PE {pe}: {res[pe]}"
         return
     r = run_broadcast(num_pes=4, count=6, faults=hostile_plan(fault_seed),
-                      reliable=True, backend=sim_backend)
+                      reliable=True)
     assert r["reason"] == "quiescent"
     for pe in range(1, 4):
         assert r["recv"][pe] == r["expected"], f"PE {pe}: {r['recv'][pe]}"
@@ -88,8 +88,7 @@ def test_quiescence_correct_under_faults(fault_seed, sim_backend,
         assert sum(res) == 4 * 2 * (4 + 1), res
         return
     r = run_quiescence(num_pes=4, seeds_per_pe=2, ttl=4,
-                       faults=hostile_plan(fault_seed), reliable=True,
-                       backend=sim_backend)
+                       faults=hostile_plan(fault_seed), reliable=True)
     assert r["reason"] == "quiescent"
     assert r["total_handled"] == r["expected_total"], r["handled"]
     assert r["declared"] == 1

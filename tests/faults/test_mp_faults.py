@@ -113,11 +113,10 @@ def test_permanent_crash_detected_and_drains():
 
 
 def test_mp_pool_default_rule():
-    """Satellite: the simulator's knob-resolution rule applies on the mp
-    construction path too — pooling defaults *off* under an unreliable
-    fault plan (fault-injected payloads outlive the handler via
-    duplicates/delays), stays on otherwise, and an explicit pool=True
-    always wins."""
+    """The simulator's pooling rule applies on the mp construction path
+    too — pooling is *off* under an unreliable fault plan
+    (fault-injected payloads outlive the handler via duplicates/delays)
+    and on otherwise."""
     plan = FaultPlan(seed=1, drop=0.2, duplicate=0.15)
 
     m = Machine(2, machine_backend="mp")
@@ -129,10 +128,6 @@ def test_mp_pool_default_rule():
     m.shutdown()
 
     m = Machine(2, machine_backend="mp", faults=plan, reliable=True)
-    assert m.msg_pooling is True
-    m.shutdown()
-
-    m = Machine(2, machine_backend="mp", faults=plan, pool=True)
     assert m.msg_pooling is True
     m.shutdown()
 
@@ -182,7 +177,11 @@ def _ephemeral_main(monkeypatch):
 
 
 def test_worker_dying_before_hello_fails_the_first_boot_at_once(monkeypatch):
-    m = Machine(2, machine_backend="mp", timeout=60.0, start_method="spawn")
+    from repro.machine import mp
+
+    # A spawned first boot cannot import the ephemeral main's module.
+    monkeypatch.setattr(mp, "_first_boot_method", lambda: "spawn")
+    m = Machine(2, machine_backend="mp", timeout=60.0)
     try:
         m.launch(_ephemeral_main(monkeypatch), 0.0)
         t0 = time.monotonic()

@@ -263,6 +263,33 @@ def test_undecodable_frame_fails_the_run_with_evidence():
     assert "payload refuses to unpickle" in msg
 
 
+def test_a_run_failing_before_every_hello_stops_promptly(monkeypatch):
+    """PE 1 boots late, so PE 0's undecodable frame fails the run before
+    PE 1 ever connects: shutdown must stop the unconnected worker, not
+    wait out its drain grace while it retries a closed listener."""
+    from repro.machine import mp
+
+    if mp._first_boot_method() != "fork":
+        pytest.skip("the late-boot patch reaches only a forked worker")
+    boot = mp._worker_main
+
+    def late_pe1(pe, *args):
+        if pe == 1:
+            time.sleep(0.5)
+        return boot(pe, *args)
+
+    monkeypatch.setattr(mp, "_worker_main", late_pe1)
+    m = Machine(2, machine_backend="mp", timeout=20.0)
+    try:
+        m.launch(w.w_send_reduce_bomb)
+        t0 = time.monotonic()
+        with pytest.raises(SimulationError, match="could not decode"):
+            m.run()
+        assert time.monotonic() - t0 < 5.0
+    finally:
+        m.shutdown()
+
+
 def test_worker_receiver_reports_an_undecodable_frame():
     import socket
 

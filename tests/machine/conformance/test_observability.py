@@ -217,9 +217,17 @@ def test_worker_on_config_builds_instrumentation():
 # ----------------------------------------------------------------------
 # live health & the flight recorder
 # ----------------------------------------------------------------------
-def test_health_reports_every_pe():
-    m = Machine(2, machine_backend="mp", timeout=MP_TIMEOUT,
-                health_interval=0.05)
+@pytest.fixture
+def fast_health(monkeypatch):
+    """Workers snapshot health every 50 ms instead of every 250 ms: the
+    hub passes the module's cadence to each worker it starts."""
+    from repro.machine import mp
+
+    monkeypatch.setattr(mp, "_HEALTH_INTERVAL", 0.05)
+
+
+def test_health_reports_every_pe(fast_health):
+    m = Machine(2, machine_backend="mp", timeout=MP_TIMEOUT)
     try:
         m.launch(w.w_burn, 0.5)
         m.run()
@@ -233,12 +241,11 @@ def test_health_reports_every_pe():
         m.shutdown()
 
 
-def test_health_shows_arrivals_piling_up_behind_a_stuck_handler():
+def test_health_shows_arrivals_piling_up_behind_a_stuck_handler(fast_health):
     """``inbox`` counts what was delivered to the process and not yet
     consumed — including arrivals the main thread has not dispatched —
     so a PE stuck in a compute-only handler reads busy with a backlog."""
-    m = Machine(2, machine_backend="mp", timeout=MP_TIMEOUT,
-                health_interval=0.05)
+    m = Machine(2, machine_backend="mp", timeout=MP_TIMEOUT)
     try:
         m.launch(w.w_busy_handler, 0.5)
         m.run()
@@ -252,8 +259,8 @@ def test_health_shows_arrivals_piling_up_behind_a_stuck_handler():
         m.shutdown()
 
 
-def test_timeout_error_carries_flight_recorder():
-    m = Machine(2, machine_backend="mp", timeout=2.0, health_interval=0.05)
+def test_timeout_error_carries_flight_recorder(fast_health):
+    m = Machine(2, machine_backend="mp", timeout=2.0)
     try:
         m.launch(w.w_hang)
         with pytest.raises(SimulationError) as exc:

@@ -2,15 +2,19 @@
 
 These tests pin the selection contract itself: default, env override,
 explicit argument, unknown-name and unavailable-layer errors, and the
-``Machine(machine_backend=...)`` dispatch — mirroring the simulator's
-``REPRO_SIM_BACKEND`` switching idiom.
+``Machine(machine_backend=...)`` dispatch.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import SimulationError, TraceSpecError
+from repro.core.errors import (
+    LoadBalanceError,
+    QueueingError,
+    SimulationError,
+    TraceSpecError,
+)
 from repro.core.scheduler import CSD_BATCH
 from repro.machine.base import (
     DEFAULT_MACHINE_BACKEND,
@@ -149,7 +153,6 @@ def test_machine_env_dispatches_to_mp(monkeypatch):
     "kwargs",
     [
         {"aggregation": True},
-        {"backend": "greenlet"},
     ],
     ids=lambda kw: next(iter(kw)),
 )
@@ -167,7 +170,7 @@ def test_mp_accepts_simulator_only_features_at_off_defaults():
     m = Machine(
         2, machine_backend="mp",
         trace=False, metrics=False, faults=None, reliable=False,
-        aggregation=False, ft=False, backend=None,
+        aggregation=False, ft=False,
     )
     m.shutdown()
 
@@ -220,8 +223,13 @@ def test_mp_rejects_callable_queue():
         ({"ft": True}, SimulationError, "requires the reliable-delivery"),
         ({"trace": "counting"}, TraceSpecError, "unknown tracer spec"),
         ({"bogus": 1}, TypeError, "unexpected keyword argument 'bogus'"),
+        ({"ldb": "nope"}, LoadBalanceError, "unknown load-balancing"),
+        ({"queue": "nope"}, QueueingError, "unknown queueing strategy"),
+        ({"seed": "x"}, TypeError, "seed must be an int"),
+        ({"num_pes": 2.5}, TypeError, "num_pes must be an int"),
     ],
-    ids=["num_pes", "faults", "ft", "trace", "unknown"],
+    ids=["num_pes", "faults", "ft", "trace", "unknown", "ldb", "queue",
+         "seed", "num_pes_type"],
 )
 def test_bad_arguments_fail_alike_on_every_layer(machine_backend, kwargs,
                                                  exc, phrase):
@@ -234,8 +242,9 @@ def test_bad_arguments_fail_alike_on_every_layer(machine_backend, kwargs,
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{}, {"pool": False}, {"faults": FaultPlan(1, drop=0.0)}],
-    ids=["default", "pool-off", "unreliable-faults"],
+    [{}, {"faults": FaultPlan(1, drop=0.0)},
+     {"faults": FaultPlan(1, drop=0.0), "reliable": True}],
+    ids=["default", "unreliable-faults", "reliable-faults"],
 )
 def test_workers_see_the_driver_resolved_speed_state(spmd, kwargs):
     """What the driver resolved is what every PE runs with — on mp that

@@ -18,9 +18,9 @@ imports ``repro.sim._greenlet_backend``; on exit both the fake module and
 the backend module are evicted from ``sys.modules`` so later tests (or a
 real greenlet install) see a clean slate.
 
-This is emulation, not acceleration — it exists so availability checks,
-backend resolution and the GreenletTasklet baton logic run end-to-end in
-environments without the extra.  Real-greenlet behaviour is covered by
+This is emulation, not acceleration — it exists so switch detection and
+the GreenletTasklet baton logic run end-to-end in environments without
+the extra.  Real-greenlet behaviour is covered by
 the ``importorskip("greenlet")`` tests, which activate wherever the extra
 is installed.
 """

@@ -1,133 +1,97 @@
-"""Switch-backend resolution and cross-backend tasklet semantics.
+"""Tasklet switch detection and cross-switch tasklet semantics.
 
-The resolution tests exercise :mod:`repro.sim.switching` directly.  The
-GreenletTasklet tests run against the real ``greenlet`` package when the
-``repro[fast]`` extra is installed, and otherwise against
+The engine picks its tasklet class once per process
+(:func:`repro.sim.engine.detect_tasklet_class`): greenlet stack switching
+where ``import greenlet`` succeeds, else the portable thread baton.  Tests
+reach either one through the ``repro.sim.engine.TASKLET_CLASS`` seam.
+The GreenletTasklet tests run against the real ``greenlet`` package when
+the ``repro[fast]`` extra is installed, and otherwise against
 :mod:`tests.sim.fake_greenlet` — a thread-emulated stand-in with the same
-control-transfer semantics — so the backend's baton logic is covered in
+control-transfer semantics — so the switch's baton logic is covered in
 every environment.
 """
 
 from __future__ import annotations
 
-import os
+import sys
 
 import pytest
 
 from repro.core.errors import SimulationError
-from repro.sim.engine import SimEngine
+from repro.sim import engine
+from repro.sim.engine import SimEngine, detect_tasklet_class
 from repro.sim.machine import Machine
-from repro.sim.switching import (
-    ENV_VAR,
-    BACKENDS,
-    GreenletSwitchBackend,
-    SwitchBackend,
-    ThreadSwitchBackend,
-    available_backends,
-    best_backend_name,
-    resolve_backend,
-)
+from repro.sim.tasklet import Tasklet
 from tests.sim.fake_greenlet import installed as fake_greenlet_installed
 
 
+def _greenlet_imports() -> bool:
+    try:
+        import greenlet  # noqa: F401
+    except ImportError:
+        return False
+    return True
+
+
 # ----------------------------------------------------------------------
-# resolution
+# detection
 # ----------------------------------------------------------------------
-def test_thread_backend_always_available():
-    assert "thread" in available_backends()
-    assert ThreadSwitchBackend.available()
-
-
-def test_default_resolution_is_thread(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    assert resolve_backend(None).name == "thread"
-    assert resolve_backend("thread").name == "thread"
-
-
-@pytest.mark.parametrize("alias", ["fast", "auto", "best", "FAST", " auto "])
-def test_fast_aliases_resolve_and_never_fail(alias):
-    assert resolve_backend(alias).name == best_backend_name()
-
-
-def test_backend_instance_passes_through():
-    backend = ThreadSwitchBackend()
-    assert resolve_backend(backend) is backend
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(SimulationError, match="unknown switch backend"):
-        resolve_backend("fibers")
-
-
-def test_unavailable_backend_names_the_fix():
-    if GreenletSwitchBackend.available():
-        pytest.skip("greenlet installed; no unavailable backend to test")
-    with pytest.raises(SimulationError, match=r"repro\[fast\]"):
-        resolve_backend("greenlet")
-
-
-def test_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "thread")
-    assert resolve_backend(None).name == "thread"
-    monkeypatch.setenv(ENV_VAR, "fast")
-    assert resolve_backend(None).name == best_backend_name()
-    monkeypatch.setenv(ENV_VAR, "no-such-backend")
-    with pytest.raises(SimulationError, match="unknown switch backend"):
-        resolve_backend(None)
-
-
-def test_explicit_argument_beats_env_var(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "no-such-backend")
-    assert resolve_backend("thread").name == "thread"
-
-
-def test_machine_exposes_backend_name():
-    with Machine(1, backend="thread") as m:
-        assert m.backend_name == "thread"
-    with Machine(1, backend="auto") as m:
-        assert m.backend_name == best_backend_name()
-
-
-def test_registry_preference_order():
-    """"fast" must prefer greenlet over thread whenever it is present."""
-    assert list(BACKENDS) == ["greenlet", "thread"]
-
-
-def test_custom_backend_is_pluggable():
-    """Third implementations slot in without touching the engine: the
-    seam is the SwitchBackend factory, nothing else."""
-    created = []
-
-    class CountingBackend(SwitchBackend):
-        name = "counting"
-
-        def create(self, engine, fn, name="tasklet", node=None):
-            from repro.sim.tasklet import Tasklet
-
-            created.append(name)
-            return Tasklet(engine, fn, name=name, node=node)
-
-    eng = SimEngine(backend=CountingBackend())
+def test_thread_backend_always_available(monkeypatch):
+    """The portable switch needs nothing beyond the standard library and
+    runs whatever the detection picked for this process."""
+    monkeypatch.setattr(engine, "TASKLET_CLASS", Tasklet)
+    eng = SimEngine()
     t = eng.spawn(lambda: 7, name="probe")
     eng.run()
     eng.shutdown()
     assert t.result == 7
-    assert created == ["probe"]
+    assert type(t) is Tasklet and Tasklet.switch == "thread"
+
+
+def test_default_resolution_is_thread(monkeypatch):
+    """Where ``import greenlet`` fails, detection falls back to the
+    thread baton and a default machine runs on it."""
+    monkeypatch.setitem(sys.modules, "greenlet", None)  # import fails
+    assert detect_tasklet_class() is Tasklet
+    monkeypatch.setattr(engine, "TASKLET_CLASS", detect_tasklet_class())
+    with Machine(1) as m:
+        assert m.backend_name == "thread"
+
+
+def test_greenlet_is_detected_where_it_imports(monkeypatch):
+    with fake_greenlet_installed():
+        cls = detect_tasklet_class()
+        assert cls.__name__ == "GreenletTasklet" and cls.switch == "greenlet"
+        monkeypatch.setattr(engine, "TASKLET_CLASS", cls)
+        with Machine(1) as m:
+            assert m.backend_name == "greenlet"
+
+
+def test_machine_exposes_backend_name():
+    """A default machine runs the switch this process detected at
+    import, and says which."""
+    want = "greenlet" if _greenlet_imports() else "thread"
+    assert engine.TASKLET_CLASS.switch == want
+    with Machine(1) as m:
+        assert m.backend_name == want
 
 
 # ----------------------------------------------------------------------
 # GreenletTasklet semantics (real greenlet, or the thread-emulated fake)
 # ----------------------------------------------------------------------
 @pytest.fixture
-def greenlet_backend():
-    """A usable greenlet switch backend: real where installed, otherwise
-    the fake module is injected for the duration of the test."""
+def greenlet_backend(monkeypatch):
+    """Engines built in the test spawn GreenletTasklets: real greenlet
+    where installed, otherwise the fake module is injected for the
+    duration of the test."""
     with fake_greenlet_installed():
-        yield GreenletSwitchBackend()
+        cls = detect_tasklet_class()
+        monkeypatch.setattr(engine, "TASKLET_CLASS", cls)
+        yield cls
 
 
 def test_greenlet_result_captured(greenlet_backend):
-    eng = SimEngine(backend=greenlet_backend)
+    eng = SimEngine()
     t = eng.spawn(lambda: 41 + 1)
     eng.run()
     eng.shutdown()
@@ -137,7 +101,7 @@ def test_greenlet_result_captured(greenlet_backend):
 
 
 def test_greenlet_error_captured_and_reported(greenlet_backend):
-    eng = SimEngine(backend=greenlet_backend)
+    eng = SimEngine()
 
     def boom():
         raise RuntimeError("x")
@@ -151,7 +115,7 @@ def test_greenlet_error_captured_and_reported(greenlet_backend):
 
 
 def test_greenlet_park_from_foreign_context_rejected(greenlet_backend):
-    eng = SimEngine(backend=greenlet_backend)
+    eng = SimEngine()
     t = eng.spawn(lambda: eng.suspend(), start=False)
     with pytest.raises(SimulationError, match="foreign context"):
         t.park()  # we are the driver, not the tasklet's greenlet
@@ -159,7 +123,7 @@ def test_greenlet_park_from_foreign_context_rejected(greenlet_backend):
 
 
 def test_greenlet_kill_before_start_never_runs_user_code(greenlet_backend):
-    eng = SimEngine(backend=greenlet_backend)
+    eng = SimEngine()
     ran = []
     t = eng.spawn(lambda: ran.append(1), start=False)
     t.kill()
@@ -169,7 +133,7 @@ def test_greenlet_kill_before_start_never_runs_user_code(greenlet_backend):
 
 
 def test_greenlet_finally_blocks_run_on_kill(greenlet_backend):
-    eng = SimEngine(backend=greenlet_backend)
+    eng = SimEngine()
     cleanup = []
 
     def body():
@@ -185,7 +149,7 @@ def test_greenlet_finally_blocks_run_on_kill(greenlet_backend):
 
 
 def test_greenlet_kill_is_not_catchable_as_exception(greenlet_backend):
-    eng = SimEngine(backend=greenlet_backend)
+    eng = SimEngine()
     swallowed = []
 
     def body():
@@ -201,14 +165,17 @@ def test_greenlet_kill_is_not_catchable_as_exception(greenlet_backend):
     assert t.finished
 
 
-def test_greenlet_machine_workload_matches_thread(greenlet_backend):
-    """One full message-driven workload per backend: identical results."""
+def test_greenlet_machine_workload_matches_thread(greenlet_backend,
+                                                  monkeypatch):
+    """One full message-driven workload per switch: identical results."""
     from repro import api
     from repro.sim.models import GENERIC
 
-    def run(backend):
+    def run(switch):
         recv = []
-        with Machine(2, model=GENERIC, backend=backend) as m:
+        with Machine(2, model=GENERIC) as m:
+            assert m.backend_name == switch
+
             def main():
                 me = api.CmiMyPe()
 
@@ -228,4 +195,6 @@ def test_greenlet_machine_workload_matches_thread(greenlet_backend):
             m.run()
         return recv
 
-    assert run(greenlet_backend) == run("thread")
+    on_greenlet = run("greenlet")
+    monkeypatch.setattr(engine, "TASKLET_CLASS", Tasklet)
+    assert on_greenlet == run("thread")
