@@ -5,15 +5,15 @@ message layer cannot.  A :class:`FaultPlan` makes a machine hostile on
 purpose: per-link, seeded probabilities of dropping, duplicating,
 delaying, reordering and corrupting in-flight packets, plus a schedule
 of whole-PE crashes.  It is pure data and one ``random.Random(seed)``
-consumed in a fixed per-packet order, so every machine layer applies the
-*same* plan with its own mechanics (the simulator's network, the mp hub).
+consumed in a fixed per-packet order.  Every machine layer applies it
+where a packet leaves its sender, through :meth:`FaultPlan.apply`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.errors import SimulationError
 
@@ -102,6 +102,13 @@ class FaultStats:
         key = (src, dst)
         self.per_link[key] = self.per_link.get(key, 0) + 1
 
+    def add(self, other: "FaultStats") -> None:
+        """Fold one sender's counts into this sum."""
+        for f in fields(self)[:-1]:  # every counter but per_link
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for key, n in other.per_link.items():
+            self.per_link[key] = self.per_link.get(key, 0) + n
+
 
 class FaultPlan:
     """A seeded, per-link schedule of network faults.
@@ -112,7 +119,7 @@ class FaultPlan:
         Seed of the plan's private RNG.  Two runs of the same workload
         with the same seed inject *identical* faults (the simulation
         engine is deterministic, so packets reach the plan in the same
-        order); this is what makes fuzz failures reproducible.
+        order); on mp each sender's verdicts repeat (:meth:`reseed`).
     drop, duplicate, delay, reorder, corrupt, delay_max, reorder_max:
         Default :class:`FaultSpec` rates applied to every link.
     links:
@@ -172,6 +179,13 @@ class FaultPlan:
                 spec.validate()
             self.crashes = items
         self.rng = random.Random(seed)
+        self.stats = FaultStats()
+
+    def reseed(self, pe: int, epoch: int = 0) -> None:
+        """Make this copy the private plan of one sender: an RNG stream
+        of its own from ``(seed, pe, epoch)`` and zeroed counters, so its
+        verdicts depend on its own send order alone."""
+        self.rng = random.Random(f"{self.seed}-{pe}-{epoch}")
         self.stats = FaultStats()
 
     def spec_for(self, src: int, dst: int) -> FaultSpec:
@@ -240,6 +254,27 @@ class FaultPlan:
                 # never part of the channel's FIFO bookkeeping.
                 copies.append((r.uniform(0.0, spec.delay_max), False, "duplicate"))
         return False, corrupted, copies
+
+    def apply(self, src: int, dst: int, nbytes: int, payload: Any,
+              emit: Callable[[float, bool], None], tracer: Any = None,
+              now: float = 0.0) -> None:
+        """Carry out one packet's fate on link ``src -> dst``: draw the
+        verdict (:meth:`decide`), trace each fault on ``tracer`` at
+        ``now``, flag a corrupted ``payload`` that has the slot (one
+        without arrives undetectably damaged) and call the machine
+        layer's ``emit(extra_delay, keep_fifo)`` per delivered copy."""
+        dropped, corrupted, copies = self.decide(src, dst)
+        if tracer is not None:
+            actions = ["drop"] if dropped else (
+                ["corrupt"] * corrupted
+                + [action for _e, _k, action in copies if action])
+            for action in actions:
+                tracer.record(src, now, "fault",
+                              {"action": action, "dst": dst, "size": nbytes})
+        if corrupted and hasattr(payload, "corrupted"):
+            payload.corrupted = True
+        for extra, keep_fifo, _action in copies:
+            emit(extra, keep_fifo)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         s = self.stats

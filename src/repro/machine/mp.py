@@ -12,8 +12,8 @@ and a one-PE host) and adds only what real processes and sockets need.
 
 Topology is hub-and-spoke: the parent process routes length-prefixed
 pickled frames between workers and runs the machine-level services —
-console aggregation, result collection, quiescence detection, fault
-injection and respawn — from one selector loop and one deadline heap,
+console aggregation, result collection, quiescence detection, crash
+kills and respawn — from one selector loop and one deadline heap,
 driven by :meth:`MpMachine.run` and :meth:`MpMachine.shutdown` on the
 caller's thread.
 
@@ -51,30 +51,27 @@ health snapshots; the hub keeps a bounded flight-recorder ring of them,
 serves :meth:`MpMachine.health`, and attaches the last snapshots to
 timeout/crash errors so hung runs die with evidence.
 
-**Faults and fault tolerance** are real on this layer: with
-``faults=FaultPlan(...)`` the hub applies the unchanged seeded plan to
-every frame in flight between processes (per-link drop / duplicate /
-delay / reorder / corrupt, decided by the same RNG stream as the
-simulator), and ``CrashSpec`` entries drive the hub to **SIGKILL**
-worker processes at their appointed wall-clock times (``at`` /
-``restart_after`` count seconds from the start of ``run()``) —
-respawning a fresh incarnation (epoch bump, restart-with-amnesia) when
-the spec has a ``restart_after``.  Self-sends never cross the hub, so
-link faults do not apply to them.  The CMI reliable-delivery layer
-(``reliable=True``) and the fault-tolerance layer (``ft=FTConfig()``)
-run *inside each worker* unmodified and, like everything else on a PE,
-on its main thread only, which reads the hub socket itself: acks,
-retransmissions, heartbeats and checkpoint custody happen when it next
-enters the runtime (the progress rule, see :class:`_MpNode`).  Each
-worker carries its own distributed
-:class:`~repro.ft.manager.FTCoordinator` replica fed by the
-shipped crash schedule.  Protocol timeouts are floored to socket scale
-at construction (the simulator's microsecond RTOs would retransmit
-thousands of times per real RTT).
-An *unscheduled* worker death (an outside SIGKILL, an OOM kill) is
-classified from the torn socket and surfaces as a structured
-:class:`~repro.core.errors.WorkerDied` carrying the PE id and the
-flight-recorder's last health snapshot.
+**Faults and fault tolerance** are real on this layer.  With
+``faults=FaultPlan(...)`` each worker applies the seeded plan where a
+remote packet leaves it (:meth:`_MpNetwork._transmit_faulty`, through
+the simulator's own :meth:`~repro.machine.faults.FaultPlan.apply`); a
+delayed copy waits on the sender's timer heap, so the idle report's
+timer count holds quiescence until it has left.  Self-sends are exempt.
+``CrashSpec`` entries make the hub **SIGKILL** workers at their
+wall-clock times (counted from the start of ``run()``) and respawn a
+fresh incarnation (epoch bump, restart-with-amnesia) after
+``restart_after``.  The reliable-delivery (``reliable=True``) and
+fault-tolerance (``ft=FTConfig()``) layers run *inside each worker*
+unmodified, on its main thread: acks, retransmissions, heartbeats and
+checkpoint custody happen when it next enters the runtime (the progress
+rule, see :class:`_MpNode`), and each worker's
+:class:`~repro.ft.manager.FTCoordinator` replica is fed the crash
+schedule.  Protocol timeouts are floored to socket scale at
+construction (the simulator's microsecond RTOs would retransmit
+thousands of times per real RTT).  An *unscheduled* worker death (an
+outside SIGKILL, an OOM kill) is classified from the torn socket and
+surfaces as a structured :class:`~repro.core.errors.WorkerDied` carrying
+the PE id and the flight-recorder's last health snapshot.
 
 Scope (documented in the README machine-layer matrix): cost models and
 aggregation are restricted options; Cth threads/tasklets, console input,
@@ -252,10 +249,15 @@ class _MpEngine(Engine):
         return time.monotonic() - self._t0
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> _Timer:
+        return self.schedule_until(time.monotonic() + max(0.0, delay), fn, *args)
+
+    def schedule_until(self, deadline: float, fn: Callable[..., Any],
+                       *args: Any) -> _Timer:
+        """Arm ``fn(*args)`` for a ``time.monotonic()`` deadline (ties
+        fire in arming order)."""
         timer = _Timer(self, fn, args)
         self._seq += 1
-        heappush(self._heap,
-                 (time.monotonic() + max(0.0, delay), self._seq, timer))
+        heappush(self._heap, (deadline, self._seq, timer))
         self.pending_timers += 1
         return timer
 
@@ -314,6 +316,11 @@ class _WorkerLink:
 
     def send(self, frame: Any) -> None:
         data = _encode(frame)
+        with self.wlock:
+            self.sock.sendall(data)
+
+    def sendall(self, data: bytes) -> None:
+        """Send an already encoded frame."""
         with self.wlock:
             self.sock.sendall(data)
 
@@ -456,12 +463,19 @@ class _MpNetwork(Interconnect):
     becomes a pickled frame routed through the hub; self-sends stay
     local.  ``sendall`` returns before a send call does, so the
     interface's complete-at-once ``async_send`` and per-destination
-    ``broadcast`` are already right for this layer."""
+    ``broadcast`` are already right for this layer.  A fault plan binds
+    :meth:`_transmit_faulty` over :meth:`_transmit` at construction."""
 
-    def __init__(self, machine: "_WorkerMachine", link: _WorkerLink) -> None:
+    def __init__(self, machine: "_WorkerMachine", link: _WorkerLink,
+                 plan: Optional[FaultPlan] = None) -> None:
         super().__init__()
         self.machine = machine
         self.link = link
+        if plan is not None:
+            self.plan = plan
+            #: dst -> ``(deadline, timer)`` of its last FIFO-kept copy.
+            self._fifo_tail: Dict[int, tuple] = {}
+            self._transmit = self._transmit_faulty
 
     def _transmit(self, src_pe: int, dst: int, nbytes: int, payload: Any,
                   immediate: bool = False) -> bool:
@@ -479,6 +493,45 @@ class _MpNetwork(Interconnect):
                 f"the mp machine layer could not pickle an outgoing message "
                 f"for PE {dst}: {exc}"
             ) from exc
+        return True
+
+    def _transmit_faulty(self, src_pe: int, dst: int, nbytes: int,
+                         payload: Any, immediate: bool = False) -> bool:
+        """:meth:`_transmit` under a fault plan, applied where a remote
+        packet leaves its sender.  Each copy is encoded when its verdict
+        is drawn, so a later pool release or flag reset cannot reach it.
+        A copy that leaves later waits on this PE's timer heap, whose
+        count in the idle report holds quiescence; a FIFO-kept copy
+        leaves no earlier than the one before it on its channel."""
+        if dst == src_pe:  # self-sends are exempt
+            return _MpNetwork._transmit(self, src_pe, dst, nbytes, payload, immediate)
+        self.stats.record(src_pe, dst, nbytes)
+        engine, sendall, fifo = self.machine.engine, self.link.sendall, self._fifo_tail
+
+        def emit(extra: float, keep_fifo: bool) -> None:
+            data = _encode(("send", dst, payload, immediate))
+            tail = fifo.get(dst) if keep_fifo else None
+            queued = tail is not None and tail[1].fn is not None  # unsent
+            if extra <= 0.0 and not queued:
+                sendall(data)
+                return
+            deadline = max(time.monotonic() + extra, tail[0] if queued else 0.0)
+            timer = engine.schedule_until(deadline, sendall, data)
+            if keep_fifo:
+                fifo[dst] = (deadline, timer)
+
+        flag = getattr(payload, "corrupted", None)
+        try:
+            self.plan.apply(src_pe, dst, nbytes, payload, emit,
+                            self.machine.tracer, engine.now)
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:
+            raise SimulationError(
+                f"the mp machine layer could not pickle an outgoing message "
+                f"for PE {dst}: {exc}"
+            ) from exc
+        finally:
+            if flag is not None:
+                payload.corrupted = flag  # only the encoded copies carry it
         return True
 
     def sync_send(self, src_node: _MpNode, dst: int, nbytes: int, payload: Any,
@@ -539,9 +592,9 @@ class _WorkerMachine(PEHost):
         self.engine = _MpEngine()
         link.engine = self.engine
         self.worker = link
-        self.network = _MpNetwork(self, link)
-        self.console = _WorkerConsole(link, self.engine)
         self.tracer = self._make_tracer(pe, cfg.trace)
+        self.network = _MpNetwork(self, link, cfg.faults)
+        self.console = _WorkerConsole(link, self.engine)
         if cfg.metrics:
             from repro.metrics.registry import MetricsRegistry
 
@@ -625,6 +678,8 @@ def _worker_main(pe: int, port: int, specs: list, cfg: MachineConfig,
     sock.settimeout(None)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     link = _WorkerLink(sock, pe)
+    if cfg.faults is not None:
+        cfg.faults.reseed(pe, epoch)
     machine = _WorkerMachine(pe, link, cfg)
     node = machine.node_obj
     if epoch > 0:
@@ -684,32 +739,27 @@ def _worker_main(pe: int, port: int, specs: list, cfg: MachineConfig,
     except BaseException:
         link.fail(traceback.format_exc())
     finally:
-        # Ship the observability payloads before the cpu frame (the
-        # hub reads everything up to EOF): the metrics
-        # snapshot, and — for count-mode tracing — the event counters.
-        # Jsonl spools just need a flush; the hub reads the files.
+        # The final frames, read by the hub up to EOF.  Jsonl spools
+        # just need a flush; the hub reads the files.
+        finals: List[Callable[[], tuple]] = []
         if machine.metrics is not None:
-            try:
-                link.send(("metrics", pe, machine.metrics.snapshot()))
-            except Exception:
-                # A snapshot/serialization failure must not cost the cpu
-                # frame and the orderly close below.
-                pass
+            finals.append(lambda: ("metrics", pe, machine.metrics.snapshot()))
+        if cfg.faults is not None:
+            finals.append(lambda: ("faults", pe, cfg.faults.stats))
         tracer = machine.tracer
+        if isinstance(tracer, CountingTracer):
+            finals.append(lambda: ("trace_counts", pe, dict(tracer.counts)))
+        finals.append(lambda: ("cpu", time.process_time()))
+        for final in finals:
+            try:
+                link.send(final())
+            except Exception:
+                pass  # a failed frame must not cost the ones after it
         if tracer is not None:
-            if isinstance(tracer, CountingTracer):
-                try:
-                    link.send(("trace_counts", pe, dict(tracer.counts)))
-                except OSError:
-                    pass
             try:
                 tracer.close()
             except OSError:
                 pass
-        try:
-            link.send(("cpu", time.process_time()))
-        except OSError:
-            pass
         try:
             sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -855,7 +905,6 @@ class MpMachine(MachineLayer):
         self.model = MP_MODEL
         self.console = MpConsole(echo=cfg.echo)
         self.fault_plan = cfg.faults
-        self._crash_schedule = cfg.crash_schedule
         self.msg_pooling = cfg.pool
         # -- observability configuration --------------------------------
         self._trace_mode, self._trace_base = parse_trace_spec(cfg.trace)
@@ -902,24 +951,15 @@ class MpMachine(MachineLayer):
         #: run is not over until the fresh incarnation rejoins and the
         #: FT layer replays into it.
         self._respawn_owed: set = set()
-        #: per-PE incarnation counter (bumped by every respawn); delayed
-        #: frames carry the epoch they were parked under.
+        #: per-PE incarnation counter (bumped by every respawn).
         self._epochs = [0] * num_pes
-        #: fault-delayed frames parked on the deadline heap (their
-        #: forwarded count lands at delivery, so quiescence must wait).
-        self._delayed = 0
         #: killed incarnations, reaped at shutdown.
         self._dead_procs: List[Any] = []
-        #: per-frame routing entry, bound once: the plain counted forward
-        #: with no fault plan (zero new per-frame work), the fault-
-        #: injecting variant otherwise.
-        self._route = (self._forward if cfg.faults is None
-                       else self._forward_faulty)
         self._port: Optional[int] = None
         self._worker_cfg: Optional[MachineConfig] = None
         # -- plumbing ---------------------------------------------------
-        #: the loop's deadline heap: fault-delayed frames, crash kills,
-        #: respawns, connect deadlines and watch ticks.
+        #: the loop's deadline heap: crash kills, respawns, connect
+        #: deadlines and watch ticks.
         self._timers = _MpEngine()
         self._sel: Optional[selectors.BaseSelector] = None
         self._listener: Optional[socket.socket] = None
@@ -978,21 +1018,12 @@ class MpMachine(MachineLayer):
     # hub internals
     # ------------------------------------------------------------------
     def _check_quiescent(self) -> None:
-        if self._delayed:
-            return  # fault-delayed frames still parked on the heap
         if self._respawn_owed:
             return  # a killed PE is promised back; the run is not over
-        down = self._down
-        if len(self._idle) < self.num_pes - len(down):
-            return
+        idle, forwarded, down = self._idle, self._forwarded, self._down
         for pe in range(self.num_pes):
-            if pe in down:
-                continue  # a dead PE neither receives nor reports
-            entry = self._idle.get(pe)
-            if entry is None:
-                return
-            recv, timers = entry
-            if timers != 0 or recv != self._forwarded[pe]:
+            # A dead PE neither receives nor reports.
+            if pe not in down and idle.get(pe) != (forwarded[pe], 0):
                 return
         self._quiescent = True
 
@@ -1035,46 +1066,6 @@ class MpMachine(MachineLayer):
         if writing != bool(out):
             self._sel.modify(conn.sock, selectors.EVENT_READ | (
                 selectors.EVENT_WRITE if out else 0), conn.on_ready)
-
-    # ------------------------------------------------------------------
-    # hub-level fault injection (bound as _route only with a fault plan)
-    # ------------------------------------------------------------------
-    def _forward_faulty(self, src: int, dst: int, payload: Any,
-                        immediate: bool) -> None:
-        if dst in self._down:
-            return  # packets to a dead host vanish, uncounted
-        dropped, corrupted, copies = self.fault_plan.decide(src, dst)
-        if dropped:
-            return  # neither forwarded nor received: the ledger never sees it
-        if corrupted:
-            try:
-                # Flagged on the hub-side unpickled object; the flag
-                # rides the re-pickle to the receiver, whose protocol
-                # layers treat it as a checksum failure.
-                payload.corrupted = True
-            except AttributeError:
-                pass  # payload type carries no corruption slot
-        for extra_delay, _keep_fifo, _action in copies:
-            if extra_delay <= 0.0:
-                self._forward(src, dst, payload, immediate)
-            else:
-                # Counted on the ledger only when its heap entry fires;
-                # until then _delayed holds quiescence.
-                self._delayed += 1
-                self._timers.schedule(extra_delay, self._deliver_delayed,
-                                      src, dst, payload, immediate,
-                                      self._epochs[dst])
-
-    def _deliver_delayed(self, src: int, dst: int, payload: Any,
-                         immediate: bool, epoch: int) -> None:
-        self._delayed -= 1
-        if dst in self._down or self._epochs[dst] != epoch:
-            # The destination died (or was reborn) while the frame was
-            # parked: drop it.  This may have been the last thing the
-            # ledger was waiting on.
-            self._check_quiescent()
-            return
-        self._forward(src, dst, payload, immediate)
 
     # ------------------------------------------------------------------
     # scheduled crashes: SIGKILL + respawn (CrashSpec entries)
@@ -1227,7 +1218,7 @@ class MpMachine(MachineLayer):
             # while the sockets are quiet (the mains are still booting).
             self._send_clock_probes()
         # spec.at counts wall-clock seconds from here (= run start).
-        for spec in self._crash_schedule:
+        for spec in self.config.crash_schedule:
             self._timers.schedule(max(0.0, spec.at), self._crash_worker, spec)
         for pe, frame in held:
             self._on_frame(pe, frame)
@@ -1287,7 +1278,7 @@ class MpMachine(MachineLayer):
         kind = frame[0]
         if kind == "send":
             _, dst, payload, immediate = frame
-            self._route(pe, dst, payload, immediate)
+            self._forward(pe, dst, payload, immediate)
         elif kind == "idle":
             self._idle[pe] = (frame[1], frame[2])
             self._check_quiescent()
@@ -1324,6 +1315,8 @@ class MpMachine(MachineLayer):
                 self._clock[pe] = (rtt, (t_send + t_recv) / 2.0 - worker_now)
         elif kind == "metrics":
             self._worker_metrics[frame[1]] = frame[2]
+        elif kind == "faults":
+            self.fault_plan.stats.add(frame[2])
         elif kind == "trace_counts":
             self._worker_trace_counts[frame[1]] = frame[2]
         elif kind == "fatal":
@@ -1382,13 +1375,6 @@ class MpMachine(MachineLayer):
                 self._trace_base = os.path.join(self._spool_dir, "trace.jsonl")
             # Workers spool to per-PE siblings of the base; the hub merges.
             cfg = replace(cfg, trace="jsonl:" + self._trace_base)
-        if cfg.faults is not None:
-            # Workers get the crash half of the plan only (it feeds their
-            # coordinator replicas).  Link faults are applied here, and
-            # the live plan — RNG, counters — is the hub's, so a respawn
-            # must never pickle it.
-            cfg = replace(cfg, faults=FaultPlan(
-                cfg.faults.seed, crashes=self._crash_schedule))
         self._worker_cfg = cfg
         for pe in range(self.num_pes):
             self._procs.append(self._spawn(ctx, pe))

@@ -14,10 +14,12 @@ machine.
 
 **Deterministic fault injection.**  A
 :class:`~repro.machine.faults.FaultPlan` makes this network hostile on
-purpose.  The engine is deterministic, so packets reach the plan's RNG
-in the same order on every run with a given plan seed — a failing fuzz
-seed is a deterministic test case.  With no plan installed (the default)
-the delivery path is byte-for-byte the pre-fault code: need-based cost.
+purpose: :meth:`_launch` hands each packet to
+:meth:`~repro.machine.faults.FaultPlan.apply` as it leaves its sender.
+The engine is deterministic, so packets reach the plan's RNG in the same
+order on every run with a given plan seed — a failing fuzz seed is a
+deterministic test case.  With no plan installed (the default) the
+delivery path is byte-for-byte the pre-fault code: need-based cost.
 """
 
 from __future__ import annotations
@@ -111,14 +113,10 @@ class Network(Interconnect):
             # Async send: the wire transfer starts once the local engine
             # finishes with the buffer.
             self.engine.schedule(
-                depart_delay, self._depart_later, src, dst, nbytes, payload, deliver
+                depart_delay, self._launch, src, dst, nbytes, payload, deliver
             )
         else:
             self._launch(src, dst, nbytes, payload, deliver)
-
-    def _depart_later(self, src: int, dst: int, nbytes: int, payload: Any,
-                      deliver: Any = None) -> None:
-        self._launch(src, dst, nbytes, payload, deliver or self.nodes[dst].deliver)
 
     def _launch(self, src: int, dst: int, nbytes: int, payload: Any,
                 deliver: Any) -> None:
@@ -128,36 +126,15 @@ class Network(Interconnect):
             t = self._arrival_time(src, dst, nbytes)
             self.engine.schedule_at(t, deliver, payload)
             return
-        dropped, corrupted, copies = plan.decide(src, dst)
-        if dropped:
-            self._trace_fault(src, dst, "drop", nbytes)
-            return
-        if corrupted:
-            self._trace_fault(src, dst, "corrupt", nbytes)
-            if hasattr(payload, "corrupted"):
-                payload.corrupted = True
-            # Payloads without a corruption flag (raw native-layer sends)
-            # arrive damaged but undetectably so, like checksum-less
-            # hardware; the decision still burned RNG draws so the
-            # schedule stays seed-reproducible.
-        for extra, keep_fifo, action in copies:
-            if keep_fifo:
-                t = self._arrival_time(src, dst, nbytes, extra=extra)
-            else:
-                # Reordered/duplicate copies leave the channel's FIFO
-                # bookkeeping: later sends may overtake them.
-                wire = self.model.wire_time(nbytes, self.topology.hops(src, dst))
-                t = self.engine.now + wire + extra
-            if action is not None:
-                self._trace_fault(src, dst, action, nbytes)
+
+        def emit(extra: float, keep_fifo: bool) -> None:
+            # Reordered/duplicate copies leave the channel's FIFO
+            # bookkeeping: later sends may overtake them.
+            t = (self._arrival_time(src, dst, nbytes, extra) if keep_fifo
+                 else self.engine.now + self._wire(src, dst, nbytes) + extra)
             self.engine.schedule_at(t, deliver, payload)
 
-    def _trace_fault(self, src: int, dst: int, action: str, nbytes: int) -> None:
-        if self.tracer is not None:
-            self.tracer.record(
-                src, self.engine.now, "fault",
-                {"action": action, "dst": dst, "size": nbytes},
-            )
+        plan.apply(src, dst, nbytes, payload, emit, self.tracer, self.engine.now)
 
     # ------------------------------------------------------------------
     # protocol injection (reliable-delivery layer)

@@ -9,8 +9,8 @@ workload exactly-once, per-sender-FIFO delivery and correct quiescence.
 The sweep also runs per machine layer: the simulator legs keep their
 full-determinism assertions; the mp legs (reduced seed count, see
 ``conftest.MP_SWEEP_SEEDS``) run the same workloads over real sockets
-with the hub injecting the same seeded fault plan, asserting the
-delivery and conservation invariants.
+with each sending worker applying the same seeded fault plan, asserting
+the delivery and conservation invariants.
 """
 
 from __future__ import annotations

@@ -4,8 +4,10 @@ The parametrized sweeps in ``test_fuzz_workloads.py`` and
 ``test_ft_crash.py`` run the shared invariants on every machine layer;
 this file pins the behaviours only the multiprocess layer has — real
 SIGKILLs, structured unscheduled-death reporting, the message-pool
-default rule on the mp construction path, and epoch bookkeeping across
-a respawn.
+default rule on the mp construction path, epoch bookkeeping across a
+respawn, and link faults applied where a packet leaves its sender
+(per-channel FIFO under delay, traced verdicts, summed counts,
+per-sender reproducible verdicts).
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ from repro.machine.base import (
 )
 from repro.sim.machine import Machine
 from repro.machine.faults import CrashSpec, FaultPlan
+from repro.tracing.analysis import summarize
 
 from tests.faults import workers_mp
+from tests.faults.harness import hostile_plan
 
 pytestmark = [
     pytest.mark.skipif(
@@ -134,7 +138,7 @@ def test_mp_pool_default_rule():
 
 def test_the_hub_adds_no_thread():
     """One thread owns the hub: under a plan that delays, duplicates and
-    reorders (frames parked on the hub's deadline heap), the parent runs
+    reorders (copies parked on the senders' timer heaps), the parent runs
     no thread beyond the caller's — during run() or after it."""
     plan = FaultPlan(seed=3, delay=0.3, duplicate=0.2, reorder=0.3,
                      delay_max=5e-3, reorder_max=5e-3)
@@ -211,3 +215,76 @@ def test_respawn_dying_before_hello_fails_the_run_at_once(monkeypatch):
     msg = str(exc.value)
     assert "on PE 1" in msg
     assert "epoch 1" in msg and "exited with code 1 before its hello" in msg
+
+
+# ----------------------------------------------------------------------
+# link faults, applied where a packet leaves its sender
+# ----------------------------------------------------------------------
+def test_delay_keeps_per_channel_fifo():
+    """``FaultSpec`` documents that ``delay`` keeps per-channel FIFO: with
+    no reliable layer to restore order, a numbered stream under a
+    delay-only plan must still arrive in send order."""
+    m = Machine(2, machine_backend="mp", timeout=MP_TIMEOUT,
+                faults=FaultPlan(seed=7, delay=0.5, delay_max=2e-3))
+    try:
+        m.launch(workers_mp.w_numbered_stream, 200)
+        assert m.run() == "quiescent"
+        got = m.results()[1]
+    finally:
+        m.shutdown()
+    inversions = sum(a > b for a, b in zip(got, got[1:]))
+    assert inversions == 0
+    assert got == list(range(200))
+    assert m.fault_plan.stats.delays > 0  # the plan really delayed frames
+
+
+def test_fault_trace_matches_summed_fault_stats():
+    """Each worker traces its own verdicts and ships its counts at
+    shutdown: the merged trace's fault totals equal the hub's sum."""
+    m = Machine(2, machine_backend="mp", faults=hostile_plan(3),
+                reliable=True, trace=True, timeout=MP_TIMEOUT)
+    try:
+        m.launch(workers_mp.w_fuzz_pingpong, 12)
+        assert m.run() == "quiescent"
+    finally:
+        m.shutdown()
+    totals = summarize(m.tracer).fault_totals()
+    stats = m.fault_plan.stats
+    assert stats.packets > 0
+    assert stats.drops + stats.delays + stats.reorders > 0
+    assert ({a: totals.get(a, 0) for a in ("drop", "corrupt", "delay", "reorder")}
+            == {"drop": stats.drops, "corrupt": stats.corruptions,
+                "delay": stats.delays, "reorder": stats.reorders})
+    # A duplicate copy that draws a timing fault is traced under that
+    # fault (on sim too), so the trace can show fewer duplicates.
+    assert totals.get("duplicate", 0) <= stats.duplicates
+    assert sum(stats.per_link.values()) == (
+        stats.drops + stats.corruptions + stats.duplicates + stats.delays
+        + stats.reorders)
+
+
+def _verdicts_by_sender(seed):
+    plan = FaultPlan(seed, delay=0.3, reorder=0.3, delay_max=1e-3,
+                     reorder_max=1e-3)
+    m = Machine(3, machine_backend="mp", faults=plan, trace=True,
+                timeout=MP_TIMEOUT)
+    try:
+        m.launch(workers_mp.w_numbered_all2all, 50)
+        assert m.run() == "quiescent"
+        assert m.results() == [100, 100, 100]
+    finally:
+        m.shutdown()
+    verdicts = {pe: [] for pe in range(3)}
+    for ev in m.tracer.by_kind("fault"):
+        verdicts[ev.pe].append((ev.fields["action"], ev.fields["dst"]))
+    return verdicts
+
+
+def test_fault_verdicts_repeat_per_sender():
+    """Each worker draws from its own ``(seed, pe, epoch)`` stream, so a
+    sender's verdicts depend on its own send order alone: two runs with
+    the same seed give every sender the same ``(action, dst)`` sequence,
+    however the three senders interleave."""
+    first = _verdicts_by_sender(5)
+    assert all(first.values())
+    assert _verdicts_by_sender(5) == first

@@ -214,3 +214,44 @@ def w_ft_all2all(count, checkpoint_every=6, sleep_s=0.002):
     if state["seen"] < total:
         api.CsdScheduler(-1)
     return {src: list(v) for src, v in mine.items()}
+
+
+def w_numbered_stream(count):
+    """PE 0 sends ``count`` numbered messages to PE 1, which returns them
+    in arrival order (unreliable: a FIFO-keeping plan must keep it)."""
+    me = api.CmiMyPe()
+    mine = []
+
+    def on_num(msg):
+        mine.append(msg.payload)
+        if len(mine) == count:
+            api.CsdExitScheduler()
+
+    h = api.CmiRegisterHandler(on_num, "fifo.num")
+    if me == 0:
+        for i in range(count):
+            api.CmiSyncSend(1, api.CmiNew(h, i))
+        return None
+    api.CsdScheduler(-1)
+    return mine
+
+
+def w_numbered_all2all(count):
+    """Every PE sends ``count`` numbered messages to every other PE, in
+    one fixed order, and exits once ``count * (n - 1)`` have arrived.
+    Returns how many arrived."""
+    me, n = api.CmiMyPe(), api.CmiNumPes()
+    state = {"seen": 0}
+
+    def on_num(_msg):
+        state["seen"] += 1
+        if state["seen"] == count * (n - 1):
+            api.CsdExitScheduler()
+
+    h = api.CmiRegisterHandler(on_num, "a2a.num")
+    for i in range(count):
+        for dst in range(n):
+            if dst != me:
+                api.CmiSyncSend(dst, api.CmiNew(h, (me, i)))
+    api.CsdScheduler(-1)
+    return state["seen"]

@@ -159,7 +159,7 @@ def test_machine_env_dispatches_to_mp(monkeypatch):
 def test_mp_rejects_simulator_only_features(kwargs):
     # trace=/metrics= and faults=/reliable=/ft= are *not* in this list:
     # the mp layer supports them first-class (per-PE spools and
-    # registries; hub-level fault injection, in-worker reliable/ft) —
+    # registries; sender-side fault injection, in-worker reliable/ft) —
     # see test_observability.py and tests/faults/.
     with pytest.raises(SimulationError, match="simulator-only"):
         Machine(2, machine_backend="mp", **kwargs)

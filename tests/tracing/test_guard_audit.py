@@ -219,17 +219,18 @@ def test_instrumented_variant_still_guards_every_site():
 
 
 # ----------------------------------------------------------------------
-# mp-hub extension: fault injection and crash/respawn ride the hub's
-# routing path via a *bound-at-construction* router (`_route`), the same
-# bind-the-variant discipline as the instrumented/fast runtime twins.
-# With faults off, the per-frame path is `_forward` — it must contain no
-# fault branch, no delayed-frame bookkeeping, and no allocation beyond
-# the frame itself.
+# mp extension: fault injection rides a worker's transmit path via a
+# *bound-at-construction* variant (`_MpNetwork._transmit_faulty` over
+# `_transmit`), the same bind-the-variant discipline as the
+# instrumented/fast runtime twins.  The hub's per-frame path is
+# `_forward` — it must contain no fault branch, no delayed-frame
+# bookkeeping, and no allocation beyond the frame itself; with faults
+# off, so must the worker's `_transmit`.
 # ----------------------------------------------------------------------
 
 
 def test_mp_fault_free_forward_has_no_fault_hooks():
-    from repro.machine.mp import MpMachine
+    from repro.machine.mp import MpMachine, _MpNetwork
 
     src = inspect.getsource(MpMachine._forward)
     for marker in ("fault", "decide", "_delayed", "Timer", "corrupt",
@@ -239,12 +240,21 @@ def test_mp_fault_free_forward_has_no_fault_hooks():
             f"fault-free per-frame router:\n{src}"
         )
     assert not _body_calls(MpMachine._forward)
-    # The faulty twin exists and is where that machinery lives.
-    faulty = inspect.getsource(MpMachine._forward_faulty)
-    assert "decide" in faulty and "_delayed" in faulty
+    # The worker-side twin exists and is where that machinery lives; the
+    # fault-free transmit carries none of it.
+    clean = inspect.getsource(_MpNetwork._transmit)
+    for marker in ("fault", "plan", "apply", "corrupt", "schedule"):
+        assert marker not in clean, (
+            f"fault-machinery reference {marker!r} leaked into the "
+            f"fault-free transmit:\n{clean}"
+        )
+    faulty = inspect.getsource(_MpNetwork._transmit_faulty)
+    assert "plan.apply" in faulty and "schedule_until" in faulty
 
 
-def test_mp_route_binding_picks_variant_at_construction():
+def test_mp_transmit_binding_picks_variant_at_construction():
+    import socket
+
     import pytest
 
     from repro.machine.base import (
@@ -256,19 +266,23 @@ def test_mp_route_binding_picks_variant_at_construction():
         pytest.skip("mp layer unavailable: "
                     + machine_backend_unavailable_reason("mp"))
 
-    from repro.machine.mp import MpMachine
+    from repro.machine.mp import _MpNetwork, _WorkerLink, _WorkerMachine
     from repro.sim.machine import Machine
     from repro.sim.network import FaultPlan
 
-    m = Machine(2, machine_backend="mp")
-    try:
-        assert m._route.__func__ is MpMachine._forward
-    finally:
-        m.shutdown()
+    def worker_transmit(**kwargs):
+        """The transmit a worker built from this machine's config binds."""
+        m = Machine(2, machine_backend="mp", **kwargs)
+        a, b = socket.socketpair()
+        try:
+            assert not hasattr(m, "_route")  # the hub forwards one way
+            net = _WorkerMachine(0, _WorkerLink(a, 0), m.config).network
+            return net._transmit.__func__
+        finally:
+            a.close()
+            b.close()
+            m.shutdown()
 
-    m = Machine(2, machine_backend="mp", faults=FaultPlan(seed=0, drop=0.1),
-                reliable=True)
-    try:
-        assert m._route.__func__ is MpMachine._forward_faulty
-    finally:
-        m.shutdown()
+    assert worker_transmit() is _MpNetwork._transmit
+    assert worker_transmit(faults=FaultPlan(seed=0, drop=0.1),
+                           reliable=True) is _MpNetwork._transmit_faulty
