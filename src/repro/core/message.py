@@ -16,6 +16,10 @@ This module provides:
   an explicit modelled byte size, and a payload.
 * header ``pack()`` / ``unpack()`` — a concrete wire representation for
   ``bytes`` payloads, proving the handler-index-in-first-word layout.
+* :func:`wire_fields` / :func:`from_wire_fields` — every field of a plain
+  message except its payload as fixed-width integers, for a transport
+  header (the ``mp`` machine layer's data frames) that carries the
+  payload beside them.
 * the CMI **buffer-ownership protocol**: a delivered message is owned by
   the CMI; a handler that wants to keep it must call ``grab()``
   (``CmiGrabBuffer``).  Buffers not grabbed are recycled when the handler
@@ -42,6 +46,9 @@ __all__ = [
     "Message",
     "estimate_size",
     "HEADER_BYTES",
+    "WIRE_FIELDS",
+    "wire_fields",
+    "from_wire_fields",
 ]
 
 _HEADER_MAGIC = 0xC51996  # 'Converse, IPPS 1996'
@@ -51,6 +58,17 @@ HEADER_BYTES = struct.calcsize(_HEADER_FMT)
 _PRIO_NONE = 0
 _PRIO_INT = 1
 _PRIO_BITVEC = 2
+
+#: an integer priority travels as its unsigned 64-bit two's complement
+#: word, in ``pack()``'s header and in :data:`WIRE_FIELDS` alike.
+_PRIO_WORD = (1 << 64) - 1
+_PRIO_SIGN = 1 << 63
+
+
+def _prio_from_word(word: int) -> int:
+    """The integer priority a 64-bit header word carries (undoes the
+    unsigned wrap of a negative one)."""
+    return word if word < _PRIO_SIGN else word - (1 << 64)
 
 
 @total_ordering
@@ -302,7 +320,7 @@ class Message:
         if self.prio is None:
             kind, ival, bits = _PRIO_NONE, 0, b""
         elif isinstance(self.prio, int):
-            kind, ival, bits = _PRIO_INT, self.prio & 0xFFFFFFFFFFFFFFFF, b""
+            kind, ival, bits = _PRIO_INT, self.prio & _PRIO_WORD, b""
         else:
             bitstr = self.prio.bits
             kind, ival, bits = _PRIO_BITVEC, 0, bitstr.encode("ascii")
@@ -322,8 +340,7 @@ class Message:
         if kind == _PRIO_NONE:
             prio = None
         elif kind == _PRIO_INT:
-            # Undo the unsigned wrap for negative priorities.
-            prio = ival if ival < 1 << 63 else ival - (1 << 64)
+            prio = _prio_from_word(ival)
         elif kind == _PRIO_BITVEC:
             prio = BitVector(wire[pos:pos + nbits].decode("ascii"))
         else:
@@ -340,3 +357,70 @@ class Message:
             f"<Message h={self.handler} size={self.size} prio={self.prio!r}"
             f" src={self.src_pe}{own}{val}>"
         )
+
+
+# ----------------------------------------------------------------------
+# a plain message's fields as fixed-width integers
+# ----------------------------------------------------------------------
+#: ``struct`` codes, without a byte-order prefix (the embedding header
+#: supplies it), of what :func:`wire_fields` returns: flags, handler,
+#: size, msg_id, priority word.
+WIRE_FIELDS = "BIQqQ"
+
+_F_CORRUPTED = 1
+_F_POOLED = 2
+_F_STEAL_OK = 4
+_F_PRIO = 8
+_F_MSG_ID = 16
+
+
+def wire_fields(msg: Any, src_pe: int) -> Optional[Tuple[int, int, int, int, int]]:
+    """Every field of ``msg`` but its payload, as :data:`WIRE_FIELDS`
+    packs them, when ``msg`` is a plain :class:`Message` sent by
+    ``src_pe`` whose other state a receiver can rebuild from them (see
+    :func:`from_wire_fields`): unowned and valid, no ``enq_time`` stamp,
+    an integer or no priority.  ``None`` otherwise — the caller then
+    ships the whole object.  A field too wide for its code (a handler
+    past 32 bits, a ``msg_id`` past 64) makes ``struct.pack`` raise
+    ``struct.error``, which the caller treats the same way."""
+    if (type(msg) is not Message or msg.src_pe != src_pe or msg._cmi_owned
+            or not msg._valid or msg.enq_time is not None):
+        return None
+    flags = (msg.corrupted * _F_CORRUPTED | msg._pooled * _F_POOLED
+             | msg.steal_ok * _F_STEAL_OK)
+    prio = msg.prio
+    if prio is None:
+        word = 0
+    elif type(prio) is int and -_PRIO_SIGN <= prio < _PRIO_SIGN:
+        flags |= _F_PRIO
+        word = prio & _PRIO_WORD
+    else:
+        return None  # a BitVector, or an int past 64 bits
+    msg_id = msg.msg_id
+    if msg_id is None:
+        msg_id = 0
+    else:
+        flags |= _F_MSG_ID
+    return flags, msg.handler, msg.size, msg_id, word
+
+
+def from_wire_fields(flags: int, handler: int, size: int, msg_id: int,
+                     word: int, payload: Any, src_pe: int) -> Message:
+    """The message :func:`wire_fields` described, around ``payload``:
+    every slot equal to what pickling the sender's message would have
+    rebuilt.  Skips ``__init__`` validation, like the message pool: the
+    sender's message was validated when it was built."""
+    msg = Message.__new__(Message)
+    msg.handler = handler
+    msg._payload = payload
+    msg.size = size
+    msg.prio = _prio_from_word(word) if flags & _F_PRIO else None
+    msg.src_pe = src_pe
+    msg._cmi_owned = False
+    msg._valid = True
+    msg.msg_id = msg_id if flags & _F_MSG_ID else None
+    msg.enq_time = None
+    msg.corrupted = bool(flags & _F_CORRUPTED)
+    msg._pooled = bool(flags & _F_POOLED)
+    msg.steal_ok = bool(flags & _F_STEAL_OK)
+    return msg

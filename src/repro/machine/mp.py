@@ -10,12 +10,13 @@ Csd scheduler, the CMI, the message manager — run in each worker process
 reads its own hub socket, a socket-backed network, a forwarding console
 and a one-PE host) and adds only what real processes and sockets need.
 
-Topology is hub-and-spoke: the parent process routes length-prefixed
-pickled frames between workers and runs the machine-level services —
-console aggregation, result collection, quiescence detection, crash
-kills and respawn — from one selector loop and one deadline heap,
-driven by :meth:`MpMachine.run` and :meth:`MpMachine.shutdown` on the
-caller's thread.
+Topology is hub-and-spoke: the parent process relays data frames
+between workers — a struct header it routes by and forwards unread,
+then the message's payload pickled once by its sender (see "framing"
+below) — and runs the machine-level services — console aggregation,
+result collection, quiescence detection, crash kills and respawn — from
+one selector loop and one deadline heap, driven by :meth:`MpMachine.run`
+and :meth:`MpMachine.shutdown` on the caller's thread.
 
 **Quiescence** uses counting over FIFO channels: the hub counts every
 message it forwards to each PE; a worker, whenever it parks idle, reports
@@ -101,6 +102,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.core import context
 from repro.core.errors import SimulationError, WorkerDied
+from repro.core.message import WIRE_FIELDS, from_wire_fields, wire_fields
 from repro.machine.base import MachineConfig, MachineLayer, build_pe_stack
 from repro.machine.faults import FaultPlan
 from repro.machine.interface import (
@@ -166,33 +168,105 @@ _RECV_BYTES = 1 << 16
 
 
 # ----------------------------------------------------------------------
-# framing: length-prefixed pickles over a stream socket.  These two are
-# the only code that knows the frame format, on both sides.
+# framing.  Every frame is a length prefix (_LEN) and a body whose first
+# byte says what it is:
+#
+# * a control frame (hello, idle, result, printf, health, shutdown, ...)
+#   is a pickled tuple, so its first byte is pickle's PROTO opcode;
+# * a data frame — one packet from a sending PE to a destination PE — is
+#   a fixed header (tag, immediate, destination, sender) and then either
+#   a plain Message's fields (repro.core.message.WIRE_FIELDS) and a
+#   pickle of its payload alone (_TAG_MSG), or a pickle of the whole
+#   packet (_TAG_OBJ: reliable-delivery and fault-tolerance packets,
+#   Message subclasses, a set enq_time, a BitVector priority, a field
+#   too wide for the header).
+#
+# The hub routes a data frame by its header and forwards its bytes as
+# they are; only the destination unpickles anything in it.  These
+# functions are the only code that knows the frame format, on both sides.
 # ----------------------------------------------------------------------
+_PICKLE = pickle.PROTO[0]
+_TAG_MSG = 0x01
+_TAG_OBJ = 0x02
+#: a data frame's length prefix and header.
+_ROUTE = struct.Struct("<IBBii")
+#: ... followed by a plain Message's fields (_TAG_MSG only).
+_DATA = struct.Struct(_ROUTE.format + WIRE_FIELDS)
+
+
 def _encode(frame: Any) -> bytes:
+    """A control frame."""
     data = pickle.dumps(frame, protocol=pickle.HIGHEST_PROTOCOL)
     return _LEN.pack(len(data)) + data
 
 
-def _decode(buf: bytearray, frames: Optional[List[Any]] = None) -> List[Any]:
+def _encode_data(src: int, dst: int, packet: Any, immediate: bool) -> bytes:
+    """A data frame carrying ``packet`` from PE ``src`` to PE ``dst``."""
+    fields = wire_fields(packet, src)
+    if fields is not None:
+        body = pickle.dumps(packet._payload, protocol=pickle.HIGHEST_PROTOCOL)
+        try:
+            return _DATA.pack(_DATA.size - _LEN.size + len(body), _TAG_MSG,
+                              immediate, dst, src, *fields) + body
+        except struct.error:
+            pass  # a field too wide for the header
+    body = pickle.dumps(packet, protocol=pickle.HIGHEST_PROTOCOL)
+    return _ROUTE.pack(_ROUTE.size - _LEN.size + len(body), _TAG_OBJ,
+                       immediate, dst, src) + body
+
+
+def _decode(buf: bytearray, frames: Optional[List[Any]] = None,
+            relay: bool = False) -> List[Any]:
     """Take every whole frame off the front of ``buf`` and append it to
     ``frames`` (a new list by default); a partial one stays for the next
-    read.  Raises whatever unpickling raises, after taking the frames
-    before the failing one: a caller that passed ``frames`` keeps them."""
+    read.  A control frame becomes its tuple.  A data frame becomes
+    ``("msg", packet, immediate)`` — or, with ``relay`` (the hub),
+    ``("send", dst, frame bytes)``, with nothing in it unpickled.  Raises
+    whatever unpickling raises, or ``UnpicklingError`` for an unknown
+    tag, after taking the frames before the failing one: a caller that
+    passed ``frames`` keeps them, and :func:`_sender` names the failing
+    frame's sender."""
     if frames is None:
         frames = []
     pos, end = 0, len(buf)
     try:
         with memoryview(buf) as view:
             while end - pos >= _LEN.size:
-                stop = pos + _LEN.size + _LEN.unpack_from(view, pos)[0]
+                head = pos + _LEN.size
+                stop = head + _LEN.unpack_from(view, pos)[0]
                 if stop > end:
                     break
-                frames.append(pickle.loads(view[pos + _LEN.size:stop]))
+                tag = view[head] if stop > head else None
+                if tag == _PICKLE:
+                    frame = pickle.loads(view[head:stop])
+                elif tag != _TAG_MSG and tag != _TAG_OBJ:
+                    raise pickle.UnpicklingError(f"unknown frame tag {tag!r}")
+                elif relay:
+                    frame = ("send", _ROUTE.unpack_from(view, pos)[3],
+                             bytes(view[pos:stop]))
+                elif tag == _TAG_MSG:
+                    (_, _, imm, _, src, flags, handler, size, msg_id,
+                     word) = _DATA.unpack_from(view, pos)
+                    payload = pickle.loads(view[pos + _DATA.size:stop])
+                    frame = ("msg", from_wire_fields(flags, handler, size,
+                                                     msg_id, word, payload, src),
+                             imm)
+                else:
+                    frame = ("msg", pickle.loads(view[pos + _ROUTE.size:stop]),
+                             _ROUTE.unpack_from(view, pos)[2])
+                frames.append(frame)
                 pos = stop
     finally:
         del buf[:pos]
     return frames
+
+
+def _sender(buf: bytearray) -> Optional[int]:
+    """The sending PE of the data frame at the front of ``buf`` (None
+    when it is a control frame: those come from the hub)."""
+    if len(buf) >= _ROUTE.size and buf[_LEN.size] in (_TAG_MSG, _TAG_OBJ):
+        return _ROUTE.unpack_from(buf)[4]
+    return None
 
 
 # ======================================================================
@@ -345,8 +419,8 @@ class _WorkerLink:
         self.stop.set()
 
     def read(self, frames: deque) -> None:
-        """One non-blocking ``recv``, decoded by the hub's own decoder
-        onto ``frames``.  EOF or a dead socket stops the worker."""
+        """One non-blocking ``recv``, decoded onto ``frames``.  EOF or a
+        dead socket stops the worker."""
         try:
             data = self.sock.recv(_RECV_BYTES, socket.MSG_DONTWAIT)
         except (BlockingIOError, InterruptedError):
@@ -363,8 +437,10 @@ class _WorkerLink:
             # The frame arrived whole and would not decode (a payload
             # whose unpickling raises, a class this process cannot
             # import): a structured failure.  The frames before it stay.
-            self.fail(f"PE {self.pe} could not decode a frame from the "
-                      f"hub:\n{traceback.format_exc()}")
+            src = _sender(self.buf)
+            self.fail(f"PE {self.pe} could not decode a frame from "
+                      f"{'the hub' if src is None else f'PE {src}'}:\n"
+                      f"{traceback.format_exc()}")
 
 
 class _MpNode(PENode):
@@ -460,10 +536,10 @@ class _MpNode(PENode):
 
 class _MpNetwork(Interconnect):
     """The worker-side view of the interconnect: every remote payload
-    becomes a pickled frame routed through the hub; self-sends stay
-    local.  ``sendall`` returns before a send call does, so the
-    interface's complete-at-once ``async_send`` and per-destination
-    ``broadcast`` are already right for this layer.  A fault plan binds
+    becomes a data frame (:func:`_encode_data`) routed through the hub;
+    self-sends stay local.  ``sendall`` returns before a send call does,
+    so the interface's complete-at-once ``async_send`` and
+    per-destination ``broadcast`` are already right for this layer.  A fault plan binds
     :meth:`_transmit_faulty` over :meth:`_transmit` at construction."""
 
     def __init__(self, machine: "_WorkerMachine", link: _WorkerLink,
@@ -487,7 +563,7 @@ class _MpNetwork(Interconnect):
             (node.deliver_immediate if immediate else node.deliver)(payload)
             return False
         try:
-            self.link.send(("send", dst, payload, immediate))
+            self.link.sendall(_encode_data(src_pe, dst, payload, immediate))
         except (pickle.PicklingError, TypeError, AttributeError) as exc:
             raise SimulationError(
                 f"the mp machine layer could not pickle an outgoing message "
@@ -509,7 +585,7 @@ class _MpNetwork(Interconnect):
         engine, sendall, fifo = self.machine.engine, self.link.sendall, self._fifo_tail
 
         def emit(extra: float, keep_fifo: bool) -> None:
-            data = _encode(("send", dst, payload, immediate))
+            data = _encode_data(src_pe, dst, payload, immediate)
             tail = fifo.get(dst) if keep_fifo else None
             queued = tail is not None and tail[1].fn is not None  # unsent
             if extra <= 0.0 and not queued:
@@ -539,7 +615,7 @@ class _MpNetwork(Interconnect):
         src_node.charge(extra_send_cost)
         framed = self._transmit(src_node.pe, dst, nbytes, payload, immediate)
         if framed and getattr(payload, "_pooled", False):
-            # The frame is on the wire (pickled by value); the local wire
+            # The frame is on the wire (encoded by value); the local wire
             # copy is dead.  Reclaim pooled copies so the send side reuses
             # buffers instead of leaking them to the garbage collector.
             rt = src_node.runtime
@@ -550,7 +626,7 @@ class _MpNetwork(Interconnect):
 
     def inject(self, src_pe: int, dst: int, nbytes: int, payload: Any) -> None:
         # Protocol packets are never pooled, so there is nothing to
-        # reclaim after the frame is pickled onto the wire.
+        # reclaim after the frame is encoded onto the wire.
         self._transmit(src_pe, dst, nbytes, payload)
 
 
@@ -1031,14 +1107,16 @@ class MpMachine(MachineLayer):
         if self._worker_error is None:
             self._worker_error = (pe, why, died)
 
-    def _forward(self, src: int, dst: int, payload: Any, immediate: bool) -> None:
+    def _forward(self, dst: int, data: bytes) -> None:
+        """Queue a data frame's bytes, as the sender encoded them, to
+        PE ``dst``."""
         conn = self._conns.get(dst)
         if conn is None:
             if not 0 <= dst < self.num_pes:
                 self._fail(-1, f"routing frame addressed to PE {dst}")
             return  # the PE's connection is gone; its EOF said why
         self._forwarded[dst] += 1
-        self._send(conn, _encode(("msg", payload, immediate)))
+        self._send(conn, data)
 
     def _send(self, conn: _HubConn, data: bytes) -> None:
         """Queue ``data`` on ``conn``; the loop sends each connection's
@@ -1228,7 +1306,8 @@ class MpMachine(MachineLayer):
     # ------------------------------------------------------------------
     def _on_conn(self, conn: _HubConn, mask: int) -> None:
         """One wakeup on one connection: flush what waits to go out, then
-        one ``recv``, decoded into every whole frame it completed."""
+        one ``recv``, decoded into every whole frame it completed (data
+        frames only as far as their destination)."""
         if mask & selectors.EVENT_WRITE:
             self._flush(conn, True)
         if not mask & selectors.EVENT_READ:
@@ -1246,13 +1325,14 @@ class MpMachine(MachineLayer):
         buf += data
         frames: List[Any] = []
         try:
-            _decode(buf, frames)
+            _decode(buf, frames, relay=True)
             bad = None
         except Exception:
             # The frame arrived whole (a torn one reads as EOF) and would
-            # not decode: a payload whose unpickling raises, or a class
-            # this process cannot import.  The frames before it (a hello
-            # among them) still count.
+            # not decode: a control frame whose unpickling raises (a
+            # main's result, say), or a class this process cannot
+            # import.  The frames before it (a hello among them) still
+            # count.
             bad = traceback.format_exc()
         pe = conn.pe
         if pe is None and frames:
@@ -1277,8 +1357,7 @@ class MpMachine(MachineLayer):
         """Dispatch one frame from PE ``pe``."""
         kind = frame[0]
         if kind == "send":
-            _, dst, payload, immediate = frame
-            self._forward(pe, dst, payload, immediate)
+            self._forward(frame[1], frame[2])
         elif kind == "idle":
             self._idle[pe] = (frame[1], frame[2])
             self._check_quiescent()

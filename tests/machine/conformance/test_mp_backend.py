@@ -264,9 +264,11 @@ def test_undecodable_frame_fails_the_run_with_evidence():
 
 
 def test_a_run_failing_before_every_hello_stops_promptly(monkeypatch):
-    """PE 1 boots late, so PE 0's undecodable frame fails the run before
-    PE 1 ever connects: shutdown must stop the unconnected worker, not
-    wait out its drain grace while it retries a closed listener."""
+    """PE 1 boots late, so PE 0's undecodable result fails the run in
+    the hub before PE 1 ever connects: shutdown must stop the unconnected
+    worker, not wait out its drain grace while it retries a closed
+    listener.  (A data frame would not do: the hub relays it unread, and
+    holds it for its destination's hello.)"""
     from repro.machine import mp
 
     if mp._first_boot_method() != "fork":
@@ -281,7 +283,7 @@ def test_a_run_failing_before_every_hello_stops_promptly(monkeypatch):
     monkeypatch.setattr(mp, "_worker_main", late_pe1)
     m = Machine(2, machine_backend="mp", timeout=20.0)
     try:
-        m.launch(w.w_send_reduce_bomb)
+        m.launch(w.w_return_reduce_bomb)
         t0 = time.monotonic()
         with pytest.raises(SimulationError, match="could not decode"):
             m.run()

@@ -707,6 +707,13 @@ def w_send_reduce_bomb():
         api.CmiSyncSend(1, api.CmiNew(h, ReduceBomb(), size=8))
 
 
+def w_return_reduce_bomb():
+    """PE 0's main returns a value that will not unpickle: a result
+    frame, which the hub decodes itself."""
+    if api.CmiMyPe() == 0:
+        return ReduceBomb()
+
+
 # ----------------------------------------------------------------------
 # capabilities a layer may refuse (test_interface.py)
 # ----------------------------------------------------------------------
