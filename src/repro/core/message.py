@@ -205,7 +205,7 @@ class Message:
     __slots__ = (
         "handler", "_payload", "size", "prio", "src_pe",
         "_cmi_owned", "_valid", "corrupted", "msg_id", "enq_time",
-        "_pooled", "steal_ok",
+        "_pooled", "steal_ok", "seq", "ack",
     )
 
     def __init__(self, handler: int, payload: Any = None, size: Optional[int] = None,
@@ -246,6 +246,10 @@ class Message:
         #: Ordinary messages — including seeds under non-migrating
         #: strategies — are never touched once enqueued.
         self.steal_ok = False
+        #: the reliable-delivery header: sequence number (-1:
+        #: unsequenced) and the cumulative ack riding on it (0: none).
+        self.seq = -1
+        self.ack = 0
         #: set by the simulated network's fault injector when this wire
         #: copy was damaged in flight.  The raw (unreliable) machine layer
         #: delivers the message anyway — exactly like real hardware
@@ -364,8 +368,8 @@ class Message:
 # ----------------------------------------------------------------------
 #: ``struct`` codes, without a byte-order prefix (the embedding header
 #: supplies it), of what :func:`wire_fields` returns: flags, handler,
-#: size, msg_id, priority word.
-WIRE_FIELDS = "BIQqQ"
+#: size, msg_id, priority word, seq, ack.
+WIRE_FIELDS = "BIQqQqq"
 
 _F_CORRUPTED = 1
 _F_POOLED = 2
@@ -374,7 +378,7 @@ _F_PRIO = 8
 _F_MSG_ID = 16
 
 
-def wire_fields(msg: Any, src_pe: int) -> Optional[Tuple[int, int, int, int, int]]:
+def wire_fields(msg: Any, src_pe: int) -> Optional[Tuple[int, ...]]:
     """Every field of ``msg`` but its payload, as :data:`WIRE_FIELDS`
     packs them, when ``msg`` is a plain :class:`Message` sent by
     ``src_pe`` whose other state a receiver can rebuild from them (see
@@ -401,15 +405,16 @@ def wire_fields(msg: Any, src_pe: int) -> Optional[Tuple[int, int, int, int, int
         msg_id = 0
     else:
         flags |= _F_MSG_ID
-    return flags, msg.handler, msg.size, msg_id, word
+    return flags, msg.handler, msg.size, msg_id, word, msg.seq, msg.ack
 
 
-def from_wire_fields(flags: int, handler: int, size: int, msg_id: int,
-                     word: int, payload: Any, src_pe: int) -> Message:
-    """The message :func:`wire_fields` described, around ``payload``:
-    every slot equal to what pickling the sender's message would have
-    rebuilt.  Skips ``__init__`` validation, like the message pool: the
-    sender's message was validated when it was built."""
+def from_wire_fields(fields: Tuple[int, ...], payload: Any,
+                     src_pe: int) -> Message:
+    """The message whose :func:`wire_fields` were ``fields``, around
+    ``payload``: every slot equal to what pickling the sender's message
+    would have rebuilt.  Skips ``__init__`` validation, like the message
+    pool: the sender's message was validated when it was built."""
+    flags, handler, size, msg_id, word, seq, ack = fields
     msg = Message.__new__(Message)
     msg.handler = handler
     msg._payload = payload
@@ -423,4 +428,6 @@ def from_wire_fields(flags: int, handler: int, size: int, msg_id: int,
     msg.corrupted = bool(flags & _F_CORRUPTED)
     msg._pooled = bool(flags & _F_POOLED)
     msg.steal_ok = bool(flags & _F_STEAL_OK)
+    msg.seq = seq
+    msg.ack = ack
     return msg

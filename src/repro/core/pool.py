@@ -17,12 +17,13 @@ Ownership-protocol invariants the pool must never weaken:
 * ``grab()`` (``CmiGrabBuffer``) transfers ownership to the program, so
   a grabbed buffer is never recycled and therefore never pooled.
 * :meth:`acquire` resets **every** slot — payload, priority, size,
-  ``src_pe``, ``msg_id``, ``enq_time``, ``corrupted``, ownership bits —
-  so no state leaks from a previous life.
+  ``src_pe``, ``msg_id``, ``enq_time``, ``corrupted``, ``seq``/``ack``,
+  ownership bits — so no state leaks from a previous life.
 
 Only the CMI's wire-copy paths draw from the pool; user-constructed
-messages (``CmiNew``), reliable-layer clones and aggregation batch
-wrappers are ordinary garbage-collected objects.
+messages (``CmiNew``), aggregation batch wrappers and reliable sends
+(a duplicate may arrive after the receiver recycled one) are ordinary
+garbage-collected objects.
 """
 
 from __future__ import annotations
@@ -87,6 +88,8 @@ class MessagePool:
         msg.enq_time = None
         msg.corrupted = False
         msg.steal_ok = False
+        msg.seq = -1
+        msg.ack = 0
         msg._pooled = True
         return msg
 

@@ -282,8 +282,8 @@ class FTAgent:
         )
         self._ckpt_msg_out = False
         # Front of the chain: liveness evidence must be gathered from
-        # *every* arrival, including the RelPackets the reliability
-        # interceptor consumes.
+        # *every* arrival, including the acks and duplicates the
+        # reliability interceptor consumes.
         self.node.set_interceptor(self._on_arrival, front=True)
         coordinator.register(self)
 
@@ -619,9 +619,7 @@ class FTAgent:
     def _on_arrival(self, payload: Any) -> bool:
         """Front-of-chain interceptor: every delivery is liveness
         evidence; FT protocol packets are consumed here."""
-        src = getattr(payload, "src", None)
-        if src is None:
-            src = getattr(payload, "src_pe", None)
+        src = payload.src if type(payload) is FTPacket else payload.src_pe
         if src is not None and src >= 0:
             self._last_heard[src] = self.engine.now
         if type(payload) is FTPacket:

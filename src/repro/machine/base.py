@@ -181,8 +181,8 @@ class MachineConfig:
         object.  That fails loudly today (the second delivery sees a
         poisoned buffer), and a pool must never turn it into a silent
         resurrection with some newer message's contents.  The reliable
-        layer dedups by sequence number before touching the inner
-        message, so faults with ``reliable`` stay pool-safe."""
+        layer never pools what it sends and dedups by sequence number,
+        so faults with ``reliable`` stay pool-safe."""
         return self.faults is None or self.reliable is not None
 
     @property

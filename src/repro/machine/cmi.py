@@ -25,7 +25,7 @@ from repro.core.errors import MessageError, RetryExhaustedError
 from repro.core.message import HEADER_BYTES, Message
 from repro.machine.interface import SendHandle
 
-__all__ = ["CMI", "ReliableConfig", "RelStats", "RelPacket", "ReliableDelivery"]
+__all__ = ["CMI", "ReliableConfig", "RelStats", "ReliableDelivery"]
 
 
 # ----------------------------------------------------------------------
@@ -79,53 +79,19 @@ class RelStats:
     held_out_of_order: int = 0
 
 
-class RelPacket:
-    """What the reliable layer puts on the wire: a data packet carrying
-    one generalized message under a (src, seq) header, or a bare ack.
-
-    ``ack`` is the sender's cumulative acknowledgement of the reverse
-    direction — every sequence number below it was delivered — and 0
-    when a data packet carries none.  A bare ack may also name one
-    ``seq`` (an out-of-order or duplicate arrival); -1 when it does not.
-
-    Deliberately *not* a :class:`Message` — it never reaches a handler
-    table; the receiving node's arrival interceptor consumes it the way
-    a NIC driver consumes protocol frames."""
-
-    __slots__ = ("kind", "src", "dst", "seq", "ack", "inner", "size",
-                 "corrupted")
-
-    def __init__(self, kind: str, src: int, dst: int, seq: int, ack: int,
-                 inner: Optional[Message], size: int) -> None:
-        self.kind = kind          # "data" | "ack"
-        self.src = src
-        self.dst = dst
-        self.seq = seq
-        self.ack = ack
-        self.inner = inner
-        self.size = size
-        self.corrupted = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        bad = " CORRUPT" if self.corrupted else ""
-        return (f"<RelPacket {self.kind} {self.src}->{self.dst} "
-                f"seq={self.seq} ack={self.ack}{bad}>")
-
-
 _NEVER = float("inf")
 
 
 class _Pending:
-    """Sender-side state of one unacknowledged data packet."""
+    """Sender-side state of one unacknowledged data packet (keyed by its
+    destination and sequence number in ``ReliableDelivery._pending``)."""
 
-    __slots__ = ("dst", "seq", "inner", "nbytes", "retries", "rto", "due",
-                 "sent_at")
+    __slots__ = ("msg", "nbytes", "retries", "rto", "due", "sent_at")
 
-    def __init__(self, dst: int, seq: int, inner: Message, nbytes: int,
-                 rto: float, sent_at: float = 0.0) -> None:
-        self.dst = dst
-        self.seq = seq
-        self.inner = inner
+    def __init__(self, msg: Message, nbytes: int, rto: float,
+                 sent_at: float = 0.0) -> None:
+        #: what a retransmission clones (the first transmission itself).
+        self.msg = msg
         self.nbytes = nbytes
         self.retries = 0
         self.rto = rto
@@ -144,8 +110,11 @@ class ReliableDelivery:
     reliability never construct it and pay nothing, per the paper's
     need-based-cost principle.
 
-    Protocol: every outgoing message is wrapped in a :class:`RelPacket`
-    stamped with a per-destination sequence number.  The receiver drops
+    Protocol: every outgoing message carries the reliable header in its
+    own slots — ``seq``, a per-destination sequence number, and ``ack``,
+    a piggybacked cumulative acknowledgement — and a bare ack is a
+    payload-less :class:`~repro.core.message.Message` for a handler index
+    this layer registers.  The receiver drops
     duplicates, holds out-of-order packets in a reassembly buffer, and
     releases messages to the normal delivery path strictly in sequence
     order.  Acks are cumulative: one number, the count of messages
@@ -163,17 +132,27 @@ class ReliableDelivery:
     re-arms for the earliest remaining deadline; an ack never cancels
     it, a timer that finds nothing pending just stops.
 
-    The receive side runs in the node's arrival interceptor and the
+    The receive side is the node's arrival interceptor, and the
     timers in engine callbacks, both in whatever context the layer
     delivers and fires timers in, and never two at once on a PE:
     outside any tasklet on the simulator, so acknowledgements flow even
     when the PE never polls; on the PE's main thread at its next runtime
     entry on ``mp``, where a PE whose mains have returned stays parked
-    in the runtime and keeps acknowledging.  Protocol
-    packets are invisible to the node's message counters: an application
+    in the runtime and keeps acknowledging.  Acks and suppressed
+    copies are invisible to the node's message counters: an application
     message is counted sent once (by the CMI) and received once (when
     released), which keeps message-conservation invariants — and hence
     quiescence detection — exact under loss, duplication and reordering.
+
+    Ownership rules the header riding in the message depends on.  On
+    the simulator a duplicate fault re-delivers *the same object*, so
+    dedup reads only fields nobody writes after the send: the receive
+    side never writes ``seq``/``ack``.  A message this layer sends is
+    never pooled (``send`` clears ``_pooled``): a receiver could
+    otherwise recycle and reuse it before its duplicate lands, and on
+    ``mp`` the sender would reclaim it right after encoding, still
+    pending.  Every retransmission is a fresh clone with ``corrupted``
+    clear (of the pristine log entry when crash recovery is armed).
     """
 
     def __init__(self, runtime: Any, config: Optional[ReliableConfig] = None) -> None:
@@ -183,6 +162,11 @@ class ReliableDelivery:
         self.engine = runtime.machine.engine
         self.config = config or ReliableConfig()
         self.stats = RelStats()
+        #: bare acks' handler index.  The arrival hook consumes every ack
+        #: (and would handle one dispatched here just the same).
+        self._h_ack = runtime.register_handler(self._on_arrival, "rel.ack")
+        #: the message :meth:`_release` hands back to ``node.deliver``.
+        self._releasing: Optional[Message] = None
         self._next_seq: Dict[int, int] = {}
         #: ``dst -> {seq: _Pending}``, in ascending seq order.
         self._pending: Dict[int, Dict[int, _Pending]] = {}
@@ -236,20 +220,21 @@ class ReliableDelivery:
     def send(self, dest_pe: int, msg: Message, extra_send_cost: float = 0.0,
              asynchronous: bool = False) -> Optional[SendHandle]:
         """Transmit ``msg`` reliably.  ``msg`` must already be the wire
-        copy (the reliable layer keeps a reference for retransmission).
-        Returns a completion handle for asynchronous sends."""
+        copy: the reliable layer writes its header into it, takes it out
+        of the pool and keeps it for retransmission.  Returns a
+        completion handle for asynchronous sends."""
         seq = self._next_seq.get(dest_pe, 0)
         self._next_seq[dest_pe] = seq + 1
         nbytes = msg.size + self.config.header_bytes
-        pending = _Pending(dest_pe, seq, msg, nbytes, self.config.rto,
-                           sent_at=self.node.now)
+        msg._pooled = False
+        pending = _Pending(msg, nbytes, self.config.rto, sent_at=self.node.now)
         pend = self._pending.get(dest_pe)
         if pend is None:
             pend = self._pending[dest_pe] = {}
         pend[seq] = pending
         if self._ft_log is not None:
             # Sender-based message logging: keep a pristine clone so the
-            # destination can be replayed after a crash (the wire object
+            # destination can be replayed after a crash (the message
             # itself gets delivered and recycled at the receiver).
             self._ft_log.setdefault(dest_pe, {})[seq] = (
                 self._clone(msg), msg.size
@@ -259,16 +244,16 @@ class ReliableDelivery:
             self.runtime.trace_event("rel_data", dest=dest_pe, seq=seq, size=msg.size)
         if self.runtime.metering:
             self._mx_data_sent.inc(self.node.pe)
-        pkt = RelPacket("data", self.node.pe, dest_pe, seq,
-                        self._piggyback(dest_pe), msg, nbytes)
+        msg.seq = seq
+        msg.ack = self._piggyback(dest_pe)
         handle: Optional[SendHandle] = None
         if asynchronous:
             handle = self.network.async_send(
-                self.node, dest_pe, nbytes, pkt, extra_send_cost=extra_send_cost
+                self.node, dest_pe, nbytes, msg, extra_send_cost=extra_send_cost
             )
         else:
             self.network.sync_send(
-                self.node, dest_pe, nbytes, pkt, extra_send_cost=extra_send_cost
+                self.node, dest_pe, nbytes, msg, extra_send_cost=extra_send_cost
             )
         pending.due = self.engine.now + pending.rto
         self._arm_rtx(dest_pe, pending.due)
@@ -309,24 +294,23 @@ class ReliableDelivery:
         pend = self._pending.get(dst)
         if not pend:
             return
-        for p in [p for p in pend.values() if p.due <= due]:
-            self._retransmit(pend, p)
+        for seq, p in [(s, p) for s, p in pend.items() if p.due <= due]:
+            self._retransmit(dst, seq, p, pend)
         pend = self._pending.get(dst)
         if pend:
             due = min(p.due for p in pend.values())
             if due != _NEVER:  # else the send being charged arms it
                 self._arm_rtx(dst, due)
 
-    def _retransmit(self, pend: Dict[int, _Pending], pending: _Pending) -> None:
+    def _retransmit(self, dst: int, seq: int, pending: _Pending,
+                    pend: Dict[int, _Pending]) -> None:
         if pending.retries >= self.config.max_retries:
-            del pend[pending.seq]
+            del pend[seq]
             if self.runtime.tracing:
-                self.runtime.trace_event(
-                    "rel_giveup", dest=pending.dst, seq=pending.seq,
-                    retries=pending.retries,
-                )
+                self.runtime.trace_event("rel_giveup", dest=dst, seq=seq,
+                                         retries=pending.retries)
             err = RetryExhaustedError(
-                self.node.pe, pending.dst, pending.seq, pending.retries,
+                self.node.pe, dst, seq, pending.retries,
                 self.node.now - pending.sent_at, stats=replace(self.stats),
             )
             if self._ft_giveup is not None:
@@ -338,29 +322,25 @@ class ReliableDelivery:
         pending.retries += 1
         self.stats.retransmits += 1
         if self.runtime.tracing:
-            self.runtime.trace_event(
-                "rel_retransmit", dest=pending.dst, seq=pending.seq,
-                attempt=pending.retries,
-            )
+            self.runtime.trace_event("rel_retransmit", dest=dst, seq=seq,
+                                     attempt=pending.retries)
         if self.runtime.metering:
             self._mx_retransmits.inc(self.node.pe)
-        # A fresh wire object per transmission: fault corruption flags one
-        # copy without poisoning the packet for later attempts.
-        inner = pending.inner
+        # A fresh clone per transmission: fault corruption flags one copy
+        # without poisoning the message for later attempts.
+        msg = pending.msg
         if self._ft_log is not None:
             # With crash recovery armed, a peer's expected sequences can
             # roll back to its checkpoint — a retransmission may then be
-            # *released* a second time, so never re-wire an object the
-            # receiver may already have consumed and recycled.  Clone
-            # from the pristine log entry (the first delivery nulled the
-            # wire object's payload when the handler returned).
-            entries = self._ft_log.get(pending.dst)
-            logged = None if entries is None else entries.get(pending.seq)
+            # *released* a second time, so clone the pristine log entry,
+            # not the first transmission (whose payload its delivery
+            # nulled when the handler returned).
+            entries = self._ft_log.get(dst)
+            logged = None if entries is None else entries.get(seq)
             if logged is not None:
-                inner = self._clone(logged[0])
-        pkt = RelPacket("data", self.node.pe, pending.dst, pending.seq,
-                        self._piggyback(pending.dst), inner, pending.nbytes)
-        self.network.inject(self.node.pe, pending.dst, pending.nbytes, pkt)
+                msg = logged[0]
+        wire = self._clone(msg, seq, self._piggyback(dst))
+        self.network.inject(self.node.pe, dst, pending.nbytes, wire)
         pending.rto = min(pending.rto * self.config.backoff,
                           self.config.max_rto)
         pending.due = self.engine.now + pending.rto
@@ -368,34 +348,36 @@ class ReliableDelivery:
     # ------------------------------------------------------------------
     # receiver side (arrival interceptor: engine-callback context)
     # ------------------------------------------------------------------
-    def _on_arrival(self, payload: Any) -> bool:
-        if not isinstance(payload, RelPacket):
+    def _on_arrival(self, msg: Message) -> bool:
+        """The node's arrival hook: True consumes ``msg`` (an ack, a
+        suppressed or held copy), False lets it on to the inbox."""
+        if msg is self._releasing:
+            self._releasing = None
             return False
+        is_ack = msg.handler == self._h_ack
+        if msg.seq < 0 and not is_ack:
+            return False  # unsequenced: immediate sends, Ccd ticks, ...
         if self._paused:
             # Mid-recovery: consume silently with no acks and no state
             # changes — senders keep retransmitting, and the post-restore
             # replay covers anything that arrived too early.
             if self.runtime.tracing:
-                self.runtime.trace_event(
-                    "rel_paused_drop", src=payload.src, seq=payload.seq,
-                    ack=payload.kind == "ack",
-                )
+                self.runtime.trace_event("rel_paused_drop", src=msg.src_pe,
+                                         seq=msg.seq, ack=is_ack)
             return True
-        if payload.corrupted:
+        if msg.corrupted:
             # A failed checksum: no ack, the sender will retransmit.
             self.stats.corrupt_dropped += 1
             if self.runtime.tracing:
-                self.runtime.trace_event("rel_corrupt", src=payload.src,
-                                         seq=payload.seq,
-                                         ack=payload.kind == "ack")
+                self.runtime.trace_event("rel_corrupt", src=msg.src_pe,
+                                         seq=msg.seq, ack=is_ack)
             return True
-        if payload.kind == "ack":
-            self._on_ack(payload.src, payload.ack, payload.seq, False)
-        else:
-            if payload.ack:
-                self._on_ack(payload.src, payload.ack, -1, True)
-            self._on_data(payload)
-        return True
+        if is_ack:
+            self._on_ack(msg.src_pe, msg.ack, msg.seq, False)
+            return True
+        if msg.ack:
+            self._on_ack(msg.src_pe, msg.ack, -1, True)
+        return self._on_data(msg)
 
     def _on_ack(self, src: int, ack: int, seq: int, piggyback: bool) -> None:
         """Settle pending packets to ``src``: everything below the
@@ -428,39 +410,43 @@ class ReliableDelivery:
             # enter the RTT distribution.
             self._mx_rtt.observe(self.node.pe, self.node.now - pending.sent_at)
 
-    def _on_data(self, pkt: RelPacket) -> None:
-        src = pkt.src
+    def _on_data(self, msg: Message) -> bool:
+        src, seq = msg.src_pe, msg.seq
         expected = self._expected.get(src, 0)
-        if pkt.seq < expected:
-            self._note_dup(src, pkt.seq)
-            return
+        if seq < expected:
+            self._note_dup(src, seq)
+            return True
         held = self._held.get(src)
-        if held is not None and pkt.seq in held:
-            self._note_dup(src, pkt.seq)
-            return
-        if pkt.seq > expected:
+        if held is not None and seq in held:
+            self._note_dup(src, seq)
+            return True
+        if seq > expected:
             if held is None:
                 held = self._held[src] = {}
-            held[pkt.seq] = pkt.inner
+            held[seq] = msg
             self.stats.held_out_of_order += 1
             if self.runtime.tracing:
-                self.runtime.trace_event("rel_hold", src=src, seq=pkt.seq,
+                self.runtime.trace_event("rel_hold", src=src, seq=seq,
                                          expected=expected)
-            self._send_ack(src, pkt.seq)
-            return
-        # In sequence: release it plus any consecutive run it unblocks.
-        # Each release is owed-acked first, so a reply its handler sends
-        # at once already carries the ack.
+            self._send_ack(src, seq)
+            return True
+        # In sequence.  Each release is owed-acked first, so a reply its
+        # handler sends at once already carries the ack.
         nxt = expected + 1
         self._expected[src] = nxt
         self._owe(src)
-        self._release(src, pkt.seq, pkt.inner)
-        if held:
-            while nxt in held:
-                self._expected[src] = nxt + 1
-                self._owe(src)
-                self._release(src, nxt, held.pop(nxt))
-                nxt += 1
+        if not held or nxt not in held:
+            self._release(src, seq)
+            return False  # on to the inbox in this same delivery
+        # A gap filled: release it and the consecutive run it unblocks,
+        # in order, each through ``node.deliver``.
+        self._release(src, seq, msg)
+        while nxt in held:
+            self._expected[src] = nxt + 1
+            self._owe(src)
+            self._release(src, nxt, held.pop(nxt))
+            nxt += 1
+        return True
 
     def _owe(self, src: int) -> None:
         """Record that ``src`` is owed a cumulative ack; the first owed
@@ -509,32 +495,37 @@ class ReliableDelivery:
         if self.runtime.tracing:
             self.runtime.trace_event("rel_ack_out", dest=dest, seq=seq,
                                      ack=ack, piggyback=False)
-        pkt = RelPacket("ack", self.node.pe, dest, seq, ack, None,
-                        self.config.ack_bytes)
-        self.network.inject(self.node.pe, dest, self.config.ack_bytes, pkt)
+        msg = Message(self._h_ack, None, size=self.config.ack_bytes,
+                      src_pe=self.node.pe)
+        msg.seq, msg.ack = seq, ack
+        self.network.inject(self.node.pe, dest, self.config.ack_bytes, msg)
 
-    def _release(self, src: int, seq: int, inner: Message) -> None:
-        """Hand one in-order message to the normal delivery path.  Going
-        back through ``node.deliver`` keeps stats, tracing hooks and
-        blocked-tasklet wakeups identical to unreliable delivery (the
-        interceptor passes plain Messages straight through)."""
+    def _release(self, src: int, seq: int,
+                 msg: Optional[Message] = None) -> None:
+        """Release one message in order, exactly once; a held ``msg``
+        goes back through ``node.deliver``, which the hook lets it
+        pass."""
         self.stats.delivered += 1
         if self.runtime.tracing:
             self.runtime.trace_event("rel_release", src=src, seq=seq)
-        self.node.deliver(inner)
+        if msg is not None:
+            self._releasing = msg
+            self.node.deliver(msg)
+            self._releasing = None
 
     # ------------------------------------------------------------------
     # crash recovery (driven by the fault-tolerance layer)
     # ------------------------------------------------------------------
     @staticmethod
-    def _clone(msg: Message) -> Message:
-        """A pristine copy of a wire message: same header and (shared,
+    def _clone(msg: Message, seq: int = -1, ack: int = 0) -> Message:
+        """A pristine copy of a wire message: same header but for the
+        reliable one (``seq``/``ack``), the same (shared,
         by-convention-immutable) payload, fresh ownership state — so the
-        log and checkpoints survive the original being delivered and
-        recycled at the receiver."""
+        log, checkpoints and each retransmission survive the original
+        being delivered and recycled at the receiver."""
         c = Message(msg.handler, msg._payload, size=msg.size, prio=msg.prio,
                     src_pe=msg.src_pe)
-        c.msg_id = msg.msg_id
+        c.msg_id, c.seq, c.ack = msg.msg_id, seq, ack
         return c
 
     def pause(self) -> None:
@@ -601,8 +592,7 @@ class ReliableDelivery:
         elif seq in pend:
             return
         nbytes = size + self.config.header_bytes
-        pending = _Pending(dst, seq, self._clone(msg), nbytes,
-                           self.config.rto, sent_at=self.node.now)
+        pending = _Pending(msg, nbytes, self.config.rto, sent_at=self.node.now)
         pending.retries = 1  # Karn's rule: never an RTT sample
         pending.due = due = self.engine.now + pending.rto
         if pend and seq < next(reversed(pend)):
@@ -616,9 +606,8 @@ class ReliableDelivery:
         if self.runtime.tracing:
             self.runtime.trace_event("rel_retransmit", dest=dst, seq=seq,
                                      attempt=1, recovery=True)
-        pkt = RelPacket("data", self.node.pe, dst, seq, self._piggyback(dst),
-                        pending.inner, nbytes)
-        self.network.inject(self.node.pe, dst, nbytes, pkt)
+        wire = self._clone(msg, seq, self._piggyback(dst))
+        self.network.inject(self.node.pe, dst, nbytes, wire)
         self._arm_rtx(dst, due)
 
     def resend_logged(self, dst: int, from_seq: int) -> int:
@@ -742,7 +731,7 @@ class CMI:
     # ------------------------------------------------------------------
     def enable_reliability(self, config: Optional[ReliableConfig] = None) -> ReliableDelivery:
         """Build (idempotently) the reliable-delivery layer for this PE.
-        All point-to-point and broadcast sends from this PE are wrapped
+        All point-to-point and broadcast sends from this PE are sequenced
         from now on; ``immediate_send`` stays raw (an interrupt-style
         message that tolerated loss would not be worth preempting for)."""
         if self._reliable is None:
@@ -1025,6 +1014,7 @@ class CMI:
         pieces into one message for ``handler_id`` on ``dest_pe``.  The
         pieces must stay untouched until the returned handle completes."""
         self._check_dest(dest_pe)
+        self.runtime.check_active()
         for i, p in enumerate(pieces):
             if not isinstance(p, (bytes, bytearray, memoryview)):
                 raise MessageError(

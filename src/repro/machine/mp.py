@@ -175,11 +175,11 @@ _RECV_BYTES = 1 << 16
 #   is a pickled tuple, so its first byte is pickle's PROTO opcode;
 # * a data frame — one packet from a sending PE to a destination PE — is
 #   a fixed header (tag, immediate, destination, sender) and then either
-#   a plain Message's fields (repro.core.message.WIRE_FIELDS) and a
-#   pickle of its payload alone (_TAG_MSG), or a pickle of the whole
-#   packet (_TAG_OBJ: reliable-delivery and fault-tolerance packets,
-#   Message subclasses, a set enq_time, a BitVector priority, a field
-#   too wide for the header).
+#   a plain Message's fields (repro.core.message.WIRE_FIELDS, reliable
+#   delivery's seq/ack among them) and a pickle of its payload alone
+#   (_TAG_MSG), or a pickle of the whole packet (_TAG_OBJ: fault-tolerance
+#   packets, Message subclasses, a set enq_time, a BitVector priority, a
+#   field too wide for the header).
 #
 # The hub routes a data frame by its header and forwards its bytes as
 # they are; only the destination unpickles anything in it.  These
@@ -245,12 +245,10 @@ def _decode(buf: bytearray, frames: Optional[List[Any]] = None,
                     frame = ("send", _ROUTE.unpack_from(view, pos)[3],
                              bytes(view[pos:stop]))
                 elif tag == _TAG_MSG:
-                    (_, _, imm, _, src, flags, handler, size, msg_id,
-                     word) = _DATA.unpack_from(view, pos)
+                    fields = _DATA.unpack_from(view, pos)
                     payload = pickle.loads(view[pos + _DATA.size:stop])
-                    frame = ("msg", from_wire_fields(flags, handler, size,
-                                                     msg_id, word, payload, src),
-                             imm)
+                    frame = ("msg", from_wire_fields(fields[5:], payload,
+                                                     fields[4]), fields[2])
                 else:
                     frame = ("msg", pickle.loads(view[pos + _ROUTE.size:stop]),
                              _ROUTE.unpack_from(view, pos)[2])

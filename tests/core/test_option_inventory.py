@@ -17,7 +17,10 @@ from pathlib import Path
 import pytest
 
 from repro.bench import __main__ as bench_cli, gates
+from repro.comms.aggregation import AggregationConfig
+from repro.ft.config import FTConfig
 from repro.machine.base import MACHINE_LAYERS, MachineConfig
+from repro.machine.cmi import ReliableConfig
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -27,6 +30,25 @@ ENV_VARS = {"REPRO_MACHINE_BACKEND"}
 SHARED = {
     "num_pes", "model", "queue", "ldb", "trace", "echo", "seed", "faults",
     "reliable", "metrics", "aggregation", "ft", "inline", "machine_backend",
+}
+
+#: the fields of the config objects shared keywords take — each one an
+#: option as much as a keyword is.
+CONFIG_FIELDS = {
+    ReliableConfig: {
+        "rto", "backoff", "max_rto", "max_retries", "header_bytes",
+        "ack_bytes",
+    },
+    FTConfig: {
+        "heartbeat_period", "suspect_after", "down_after",
+        "checkpoint_interval", "buddy_offset", "ctl_rto", "ctl_retries",
+        "ctl_header_bytes", "heartbeat_bytes",
+    },
+    AggregationConfig: {
+        "max_msg_bytes", "max_batch_msgs", "max_batch_bytes",
+        "flush_period", "flush_on_idle", "route", "header_bytes",
+        "envelope_bytes", "per_msg_cost",
+    },
 }
 
 #: keywords a layer adds on top of the shared table.
@@ -56,6 +78,12 @@ def test_env_var_inventory():
 
 def test_machine_config_fields_are_the_shared_keywords():
     assert {f.name for f in dataclasses.fields(MachineConfig)} == SHARED
+
+
+@pytest.mark.parametrize("config", list(CONFIG_FIELDS),
+                         ids=lambda config: config.__name__)
+def test_config_object_fields(config):
+    assert {f.name for f in dataclasses.fields(config)} == CONFIG_FIELDS[config]
 
 
 def test_every_registered_layer_is_inventoried():

@@ -57,13 +57,15 @@ def test_parked_buffer_stays_poisoned():
 
 def test_acquire_resets_every_slot():
     """A resurrected buffer must carry zero state from its previous
-    life: payload, prio, msg_id, enq_time, corrupted, ownership bits."""
+    life: payload, prio, msg_id, enq_time, corrupted, seq/ack, ownership
+    bits."""
     pool = MessagePool()
     msg = pool.acquire(7, "stale-payload", 64, 9, 2)
-    # simulate a full life: queued (enq_time/msg_id stamped), corrupted
-    # on the wire, then recycled by the CMI.
+    # simulate a full life: queued (enq_time/msg_id stamped), sequenced
+    # and corrupted on the wire, then recycled by the CMI.
     msg.msg_id = 12345
     msg.enq_time = 1.5
+    msg.seq, msg.ack = 4, 2
     msg.corrupted = True
     msg.mark_cmi_owned()
     msg.recycle()
@@ -77,6 +79,7 @@ def test_acquire_resets_every_slot():
     assert fresh.msg_id is None
     assert fresh.enq_time is None
     assert fresh.corrupted is False
+    assert fresh.seq == -1 and fresh.ack == 0
     assert fresh._cmi_owned is False and fresh._valid and fresh._pooled
 
 

@@ -83,12 +83,27 @@ def test_unknown_handler_raises_at_delivery():
             m.run()
 
 
-def test_converse_exit_blocks_further_calls():
+#: every CMI send entry, called with a fresh message for handler 1.
+SENDS = {
+    "sync": lambda msg: api.CmiSyncSend(0, msg),
+    "async": lambda msg: api.CmiAsyncSend(0, msg),
+    "immediate": lambda msg: api.CmiImmediateSend(0, msg),
+    "vector": lambda msg: api.CmiVectorSend(0, msg.handler, [b"a", b"b"]),
+    "broadcast": api.CmiSyncBroadcast,
+    "broadcast-all": api.CmiSyncBroadcastAll,
+    "broadcast-all-and-free": api.CmiSyncBroadcastAllAndFree,
+    "async-broadcast": api.CmiAsyncBroadcast,
+    "async-broadcast-all": api.CmiAsyncBroadcastAll,
+}
+
+
+@pytest.mark.parametrize("send", list(SENDS.values()), ids=list(SENDS))
+def test_converse_exit_blocks_further_calls(send):
     def main():
         api.ConverseInit()
         api.ConverseExit()
         try:
-            api.CmiSyncSend(0, Message(1, None, size=0))
+            send(Message(1, None, size=0))
         except ConverseError as e:
             return str(e)
 

@@ -131,6 +131,38 @@ def test_enable_reliability_is_idempotent():
         assert m.runtime(0).enable_reliability() is rel
 
 
+def test_in_order_data_passes_the_arrival_chain_once():
+    """The reliable header rides the message itself: an in-order data
+    message reaches the receiver's interceptors once, on its way to the
+    inbox, not once as a protocol packet and again when released."""
+    payloads = ("a", "b", "c")
+    with Machine(2, model=GENERIC, reliable=True) as m:
+        passes = []
+        m.runtime(1).node.set_interceptor(
+            lambda pkt: passes.append(getattr(pkt, "payload", pkt)) and False,
+            front=True)
+        got = []
+
+        def on_msg(msg):
+            got.append(msg.payload)
+            if len(got) == len(payloads):
+                api.CsdExitScheduler()
+
+        def main():
+            h = api.CmiRegisterHandler(on_msg, "t.msg")
+            if api.CmiMyPe() == 0:
+                for p in payloads:
+                    api.CmiSyncSend(1, api.CmiNew(h, p))
+            else:
+                api.CsdScheduler(-1)
+
+        m.launch(main)
+        assert m.run() == "quiescent"
+        assert m.runtime(1).reliable.stats.delivered == len(payloads)
+    assert got == list(payloads)
+    assert passes == list(payloads)
+
+
 def _pingpong(rounds, **machine_kwargs):
     """A fault-free reliable ping-pong of ``rounds`` round trips on 2 PEs
     plus one stop message; returns the (still live) machine."""

@@ -22,7 +22,6 @@ from repro.machine.base import (
     machine_backend_available,
     machine_backend_unavailable_reason,
 )
-from repro.machine.cmi import RelPacket
 from repro.sim.machine import Machine
 from tests.machine.conformance.workers import ReduceBomb
 
@@ -44,6 +43,12 @@ def _tagged() -> _Tagged:
     msg = _Tagged(7, b"ball", src_pe=SRC)
     msg.tag = "sub"
     return msg
+
+
+def _bare_ack() -> Message:
+    """A reliable-delivery bare ack: no payload, a cumulative ``ack`` and
+    the one out-of-order ``seq`` it names."""
+    return _msg(payload=None, size=16, seq=5, ack=9)
 
 
 def _recycled() -> Message:
@@ -71,10 +76,13 @@ CASES = [
     ("payload-tuple", lambda: _msg(payload=(1, "two", [3.0])), True),
     ("payload-numpy", lambda: _msg(payload=np.arange(12.0).reshape(3, 4)), True),
     ("payload-message", lambda: _msg(payload=_msg(payload=b"inner")), True),
+    ("reliable", lambda: _msg(seq=4, ack=2), True),
+    ("reliable-ack", _bare_ack, True),
     # the whole-object fallback
     ("prio-bitvector", lambda: _msg(prio=BitVector("011")), False),
     ("prio-2**70", lambda: _msg(prio=2**70), False),
     ("msg-id-2**64", lambda: _msg(msg_id=2**64), False),
+    ("seq-2**63", lambda: _msg(seq=2**63), False),
     ("handler-2**33", lambda: Message(2**33, b"ball", src_pe=SRC), False),
     ("src-pe-none", lambda: _msg(src_pe=None), False),
     ("src-pe-other", lambda: _msg(src_pe=0), False),
@@ -82,8 +90,6 @@ CASES = [
     ("cmi-owned", lambda: _msg(_cmi_owned=True), False),
     ("recycled", _recycled, False),
     ("subclass", _tagged, False),
-    ("relpacket", lambda: RelPacket("data", SRC, DST, 4, 2, _msg(), 40), False),
-    ("relpacket-ack", lambda: RelPacket("ack", SRC, DST, -1, 9, None, 8), False),
 ]
 
 
@@ -138,8 +144,8 @@ def hub():
 @needs_mp
 @pytest.mark.parametrize("packet", [
     Message(7, ReduceBomb(), size=8, src_pe=0),
-    RelPacket("data", 0, 1, 0, 0, Message(7, ReduceBomb(), size=8, src_pe=0), 40),
-], ids=["message", "relpacket"])
+    _msg(payload=ReduceBomb(), size=8, src_pe=0, seq=0, ack=3),
+], ids=["message", "reliable"])
 def test_hub_relays_a_data_frame_without_unpickling_it(hub, packet, monkeypatch):
     """A payload that will not unpickle is the destination's problem: the
     hub forwards the sender's bytes untouched and counts them, and never
