@@ -1020,7 +1020,11 @@ class CMI:
                 raise MessageError(
                     f"vector_send piece {i} must be bytes-like, got {type(p).__name__}"
                 )
-        payload = b"".join(bytes(p) for p in pieces)
+        # join copies each piece once; only a strided view, which it
+        # refuses, is flattened first.
+        payload = b"".join(
+            p if not isinstance(p, memoryview) or p.c_contiguous else p.tobytes()
+            for p in pieces)
         msg = Message(handler_id, payload, size=len(payload), src_pe=self.node.pe)
         self.node.stats.msgs_sent += 1
         self.node.stats.bytes_sent += msg.size

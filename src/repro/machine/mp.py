@@ -11,12 +11,12 @@ reads its own hub socket, a socket-backed network, a forwarding console
 and a one-PE host) and adds only what real processes and sockets need.
 
 Topology is hub-and-spoke: the parent process relays data frames
-between workers — a struct header it routes by and forwards unread,
-then the message's payload pickled once by its sender (see "framing"
-below) — and runs the machine-level services — console aggregation,
-result collection, quiescence detection, crash kills and respawn — from
-one selector loop and one deadline heap, driven by :meth:`MpMachine.run`
-and :meth:`MpMachine.shutdown` on the caller's thread.
+between workers — a struct header it routes by, then the payload pickled
+once by its sender; sent by gather writes, read and relayed in place (see
+"framing" below) — and runs the machine-level services — console
+aggregation, result collection, quiescence detection, crash kills and
+respawn — from one selector loop and one deadline heap, driven by
+:meth:`MpMachine.run` and :meth:`MpMachine.shutdown` on the caller's thread.
 
 **Quiescence** uses counting over FIFO channels: the hub counts every
 message it forwards to each PE; a worker, whenever it parks idle, reports
@@ -84,6 +84,7 @@ byte-identical traces).
 
 from __future__ import annotations
 
+import mmap
 import os
 import pickle
 import random
@@ -98,7 +99,7 @@ from collections import deque
 from dataclasses import replace
 from functools import partial
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.core import context
 from repro.core.errors import SimulationError, WorkerDied
@@ -163,8 +164,11 @@ MP_MODEL = MachineModel(
 
 _LEN = struct.Struct("<I")
 
-#: bytes one ``recv`` asks for: a burst of small frames in one read.
-_RECV_BYTES = 1 << 16
+#: a connection's standing read buffer (anonymous memory: resident as reads
+#: reach it): small frames or a 64 KiB message per ``recv_into``.  A larger
+#: frame gets an exact-size buffer of its own.
+_BUF_BYTES = 1 << 17
+_IOV_MAX = 1024  #: most chunks one ``sendmsg`` takes; the hub joins more
 
 
 # ----------------------------------------------------------------------
@@ -182,8 +186,16 @@ _RECV_BYTES = 1 << 16
 #   field too wide for the header).
 #
 # The hub routes a data frame by its header and forwards its bytes as
-# they are; only the destination unpickles anything in it.  These
-# functions are the only code that knows the frame format, on both sides.
+# they are; only the destination unpickles anything in it.  This section
+# is the only code that knows the frame format, on both sides.
+#
+# A data frame is sent as header and payload pickle by one gather
+# ``sendmsg`` (CmiVectorSend's lowering), and read by a _Reader, which
+# decodes in place.  Nothing a worker decodes aliases the buffer (pickle
+# copies), but the hub relays views of it: **no view outlives the next
+# read of its source buffer.**  The hub sends every queue before it reads
+# again, and copies what waits longer: a short write's tail, a frame held
+# before every hello, a frame for a queue waiting on write interest.
 # ----------------------------------------------------------------------
 _PICKLE = pickle.PROTO[0]
 _TAG_MSG = 0x01
@@ -200,37 +212,79 @@ def _encode(frame: Any) -> bytes:
     return _LEN.pack(len(data)) + data
 
 
-def _encode_data(src: int, dst: int, packet: Any, immediate: bool) -> bytes:
-    """A data frame carrying ``packet`` from PE ``src`` to PE ``dst``."""
-    fields = wire_fields(packet, src)
-    if fields is not None:
-        body = pickle.dumps(packet._payload, protocol=pickle.HIGHEST_PROTOCOL)
-        try:
-            return _DATA.pack(_DATA.size - _LEN.size + len(body), _TAG_MSG,
-                              immediate, dst, src, *fields) + body
-        except struct.error:
-            pass  # a field too wide for the header
-    body = pickle.dumps(packet, protocol=pickle.HIGHEST_PROTOCOL)
-    return _ROUTE.pack(_ROUTE.size - _LEN.size + len(body), _TAG_OBJ,
-                       immediate, dst, src) + body
-
-
-def _decode(buf: bytearray, frames: Optional[List[Any]] = None,
-            relay: bool = False) -> List[Any]:
-    """Take every whole frame off the front of ``buf`` and append it to
-    ``frames`` (a new list by default); a partial one stays for the next
-    read.  A control frame becomes its tuple.  A data frame becomes
-    ``("msg", packet, immediate)`` — or, with ``relay`` (the hub),
-    ``("send", dst, frame bytes)``, with nothing in it unpickled.  Raises
-    whatever unpickling raises, or ``UnpicklingError`` for an unknown
-    tag, after taking the frames before the failing one: a caller that
-    passed ``frames`` keeps them, and :func:`_sender` names the failing
-    frame's sender."""
-    if frames is None:
-        frames = []
-    pos, end = 0, len(buf)
+def _encode_data(src: int, dst: int, packet: Any, immediate: bool) -> tuple:
+    """A data frame carrying ``packet`` from PE ``src`` to PE ``dst``, as
+    its two chunks: the header and the body pickle."""
     try:
-        with memoryview(buf) as view:
+        fields = wire_fields(packet, src)
+        if fields is not None:
+            body = pickle.dumps(packet._payload, protocol=pickle.HIGHEST_PROTOCOL)
+            try:
+                return _DATA.pack(_DATA.size - _LEN.size + len(body), _TAG_MSG,
+                                  immediate, dst, src, *fields), body
+            except struct.error:
+                pass  # a field too wide for the header
+        body = pickle.dumps(packet, protocol=pickle.HIGHEST_PROTOCOL)
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        raise SimulationError(f"the mp machine layer could not pickle an "
+                              f"outgoing message for PE {dst}: {exc}") from exc
+    return _ROUTE.pack(_ROUTE.size - _LEN.size + len(body), _TAG_OBJ,
+                       immediate, dst, src), body
+
+
+def _unsent(chunks: Sequence[Any], sent: int) -> List[Any]:
+    """What a gather write of ``chunks`` left after ``sent`` bytes, as views."""
+    for i, chunk in enumerate(chunks):
+        size = len(chunk)
+        if sent < size:
+            return [memoryview(chunk)[sent:], *chunks[i + 1:]]
+        sent -= size
+    return []
+
+
+class _Reader:
+    """One socket's read side, at either end: one ``recv_into`` the free
+    tail of a standing buffer per :meth:`read`, whole frames decoded in
+    place.  Compacted only when the partial frame at the front needs room."""
+
+    __slots__ = ("sock", "flags", "standing", "view", "start", "end")
+
+    def __init__(self, sock: Optional[socket.socket], flags: int = 0) -> None:
+        self.sock, self.flags = sock, flags
+        self.standing = self.view = memoryview(
+            mmap.mmap(-1, _BUF_BYTES, flags=mmap.MAP_PRIVATE))
+        self.start = self.end = 0  # view[start:end]: read, not decoded
+
+    def read(self, frames: Any, relay: bool = False) -> bool:
+        """One ``recv_into``, decoded onto ``frames``; False at EOF or on a
+        dead socket.  It reuses decoded bytes: no earlier view survives it."""
+        view, start, end = self.view, self.start, self.end
+        need = _LEN.size + (_LEN.unpack_from(view, start)[0]
+                            if end - start >= _LEN.size else 0)
+        if start + need > len(view):  # the partial frame at the front needs room
+            new = self.standing if need <= _BUF_BYTES else memoryview(bytearray(need))
+            new[:end - start] = view[start:end]
+            view, start, end = new, 0, end - start
+            self.view, self.start, self.end = view, start, end
+        try:
+            n = self.sock.recv_into(view[end:], 0, self.flags)
+        except (BlockingIOError, InterruptedError):
+            return True
+        except OSError:
+            return False
+        self.end = end + n
+        if n:
+            self.decode(frames, relay)
+            if self.start == self.end:  # the next read starts at the front
+                self.view, self.start, self.end = self.standing, 0, 0
+        return n > 0
+
+    def decode(self, frames: Any, relay: bool = False) -> Any:
+        """Append every whole frame read to ``frames``: a control frame's
+        tuple, ``("msg", packet, immediate)``, or with ``relay`` (the hub)
+        ``("send", dst, view)``.  A bad frame raises after those before it."""
+        view, pos, end = self.view, self.start, self.end
+        try:
             while end - pos >= _LEN.size:
                 head = pos + _LEN.size
                 stop = head + _LEN.unpack_from(view, pos)[0]
@@ -243,7 +297,7 @@ def _decode(buf: bytearray, frames: Optional[List[Any]] = None,
                     raise pickle.UnpicklingError(f"unknown frame tag {tag!r}")
                 elif relay:
                     frame = ("send", _ROUTE.unpack_from(view, pos)[3],
-                             bytes(view[pos:stop]))
+                             view[pos:stop])
                 elif tag == _TAG_MSG:
                     fields = _DATA.unpack_from(view, pos)
                     payload = pickle.loads(view[pos + _DATA.size:stop])
@@ -254,12 +308,24 @@ def _decode(buf: bytearray, frames: Optional[List[Any]] = None,
                              _ROUTE.unpack_from(view, pos)[2])
                 frames.append(frame)
                 pos = stop
+        finally:
+            self.start = pos
+        return frames
+
+
+def _decode(buf: bytearray, frames: Optional[List[Any]] = None,
+            relay: bool = False) -> List[Any]:
+    """:meth:`_Reader.decode` of the stream in ``buf``, whose decoded
+    bytes it deletes.  Relayed frames are views of a copy of ``buf``."""
+    reader = _Reader(None)
+    reader.view, reader.end = memoryview(bytes(buf)), len(buf)
+    try:
+        return reader.decode([] if frames is None else frames, relay)
     finally:
-        del buf[:pos]
-    return frames
+        del buf[:reader.start]
 
 
-def _sender(buf: bytearray) -> Optional[int]:
+def _sender(buf: Any) -> Optional[int]:
     """The sending PE of the data frame at the front of ``buf`` (None
     when it is a control frame: those come from the hub)."""
     if len(buf) >= _ROUTE.size and buf[_LEN.size] in (_TAG_MSG, _TAG_OBJ):
@@ -374,8 +440,8 @@ class _WorkerLink:
         self.pe = pe
         #: the main and health threads share the socket's write side.
         self.wlock = threading.Lock()
-        #: bytes read from the hub that are not yet a whole frame.
-        self.buf = bytearray()
+        #: the receive side, the main thread's alone.
+        self.reader = _Reader(sock, socket.MSG_DONTWAIT)
         #: what a parked main thread waits on: the socket turning readable.
         self.poller = select.poll()
         self.poller.register(sock, select.POLLIN)
@@ -391,10 +457,13 @@ class _WorkerLink:
         with self.wlock:
             self.sock.sendall(data)
 
-    def sendall(self, data: bytes) -> None:
-        """Send an already encoded frame."""
+    def sendall(self, frame: tuple) -> None:
+        """Send a data frame's two chunks by one gather write."""
         with self.wlock:
-            self.sock.sendall(data)
+            sent = self.sock.sendmsg(frame)
+            if sent < len(frame[0]) + len(frame[1]):  # blocking, yet short
+                for chunk in _unsent(frame, sent):
+                    self.sock.sendall(chunk)
 
     def report_idle(self) -> None:
         """Tell the hub this PE is parked.  Deduplicated: only state
@@ -417,25 +486,16 @@ class _WorkerLink:
         self.stop.set()
 
     def read(self, frames: deque) -> None:
-        """One non-blocking ``recv``, decoded onto ``frames``.  EOF or a
-        dead socket stops the worker."""
+        """One non-blocking read, decoded onto ``frames``.  EOF or a dead
+        socket stops the worker."""
         try:
-            data = self.sock.recv(_RECV_BYTES, socket.MSG_DONTWAIT)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
-            data = b""
-        if not data:
-            self.stop.set()
-            return
-        self.buf += data
-        try:
-            _decode(self.buf, frames)
+            if not self.reader.read(frames):
+                self.stop.set()
         except Exception:
             # The frame arrived whole and would not decode (a payload
             # whose unpickling raises, a class this process cannot
             # import): a structured failure.  The frames before it stay.
-            src = _sender(self.buf)
+            src = _sender(self.reader.view[self.reader.start:self.reader.end])
             self.fail(f"PE {self.pe} could not decode a frame from "
                       f"{'the hub' if src is None else f'PE {src}'}:\n"
                       f"{traceback.format_exc()}")
@@ -478,7 +538,7 @@ class _MpNode(PENode):
         """Read the socket when no decoded frame waits, dispatch frames in
         order, *then* fire due timers: an ack must cancel its retransmit
         timer, and a heartbeat refresh the failure detector's evidence,
-        before either timer looks.  One ``recv`` per pump, so a flood
+        before either timer looks.  One read per pump, so a flood
         cannot starve the timers; a re-entrant pump continues the queue."""
         link, frames = self.machine.worker, self._frames
         if not frames:
@@ -560,13 +620,7 @@ class _MpNetwork(Interconnect):
             node = self.machine.node_obj
             (node.deliver_immediate if immediate else node.deliver)(payload)
             return False
-        try:
-            self.link.sendall(_encode_data(src_pe, dst, payload, immediate))
-        except (pickle.PicklingError, TypeError, AttributeError) as exc:
-            raise SimulationError(
-                f"the mp machine layer could not pickle an outgoing message "
-                f"for PE {dst}: {exc}"
-            ) from exc
+        self.link.sendall(_encode_data(src_pe, dst, payload, immediate))
         return True
 
     def _transmit_faulty(self, src_pe: int, dst: int, nbytes: int,
@@ -598,11 +652,6 @@ class _MpNetwork(Interconnect):
         try:
             self.plan.apply(src_pe, dst, nbytes, payload, emit,
                             self.machine.tracer, engine.now)
-        except (pickle.PicklingError, TypeError, AttributeError) as exc:
-            raise SimulationError(
-                f"the mp machine layer could not pickle an outgoing message "
-                f"for PE {dst}: {exc}"
-            ) from exc
         finally:
             if flag is not None:
                 payload.corrupted = flag  # only the encoded copies carry it
@@ -748,7 +797,7 @@ def _worker_main(pe: int, port: int, specs: list, cfg: MachineConfig,
             time.sleep(delay)
             delay *= 2
     # The connect timeout must not linger: sends block (reads never do:
-    # each one is a single non-blocking recv).
+    # each one is a single non-blocking recv_into).
     sock.settimeout(None)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     link = _WorkerLink(sock, pe)
@@ -864,18 +913,19 @@ class MpMain:
 
 
 class _HubConn:
-    """One worker connection as the hub's loop sees it: bytes read but
-    not yet a whole frame, chunks queued to go out, and the PE it serves
-    from its hello on.  Queued chunks die with the connection; they never
-    follow a PE to its next incarnation."""
+    """One worker connection as the hub's loop sees it: its reader,
+    chunks queued to go out (and whether they wait on write interest),
+    and the PE it serves from its hello on.  Queued chunks die with the
+    connection; they never follow a PE to its next incarnation."""
 
-    __slots__ = ("sock", "pe", "inbuf", "out", "on_ready")
+    __slots__ = ("sock", "pe", "reader", "out", "waiting", "on_ready")
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self.pe: Optional[int] = None
-        self.inbuf = bytearray()
+        self.reader = _Reader(sock)
         self.out: List[Any] = []
+        self.waiting = False
         self.on_ready: Callable[[int], None]
 
 
@@ -1105,7 +1155,7 @@ class MpMachine(MachineLayer):
         if self._worker_error is None:
             self._worker_error = (pe, why, died)
 
-    def _forward(self, dst: int, data: bytes) -> None:
+    def _forward(self, dst: int, data: Any) -> None:
         """Queue a data frame's bytes, as the sender encoded them, to
         PE ``dst``."""
         conn = self._conns.get(dst)
@@ -1116,32 +1166,38 @@ class MpMachine(MachineLayer):
         self._forwarded[dst] += 1
         self._send(conn, data)
 
-    def _send(self, conn: _HubConn, data: bytes) -> None:
-        """Queue ``data`` on ``conn``; the loop sends each connection's
-        queue with one ``send`` before it next waits."""
-        if not conn.out:
+    def _send(self, conn: _HubConn, data: Any) -> None:
+        """Queue ``data`` (bytes, or a relayed frame's view) on ``conn``: the
+        loop sends it before the next read, or, on write interest, a copy."""
+        if conn.waiting:
+            data = bytes(data)
+        elif not conn.out:
             self._dirty.append(conn)
         conn.out.append(data)
 
-    def _flush(self, conn: _HubConn, writing: bool) -> None:
-        """One ``send`` of ``conn``'s whole queue.  Write interest is
-        registered only while a short write leaves something behind;
-        ``writing`` says it is now (a write wakeup: a queue with write
-        interest is never in the dirty list)."""
+    def _flush(self, conn: _HubConn) -> None:
+        """One gather ``sendmsg`` of ``conn``'s queue.  A short write's tail
+        is copied, and waits on write interest (registered only then)."""
         out = conn.out
-        data = out[0] if len(out) == 1 else b"".join(out)
-        out.clear()
+        chunks = out if len(out) <= _IOV_MAX else [b"".join(out)]
         try:
-            sent = conn.sock.send(data)
+            rest = _unsent(chunks, conn.sock.sendmsg(chunks))
         except (BlockingIOError, InterruptedError):
-            sent = 0
+            rest = chunks
         except OSError:
-            sent = len(data)  # broken or dropped: the queue goes with it
-        if sent < len(data):
-            out.append(memoryview(data)[sent:])
-        if writing != bool(out):
+            rest = []  # broken or dropped: the queue goes with it
+        out[:] = [b"".join(rest)] if rest else ()
+        if conn.waiting != bool(out):
+            conn.waiting = bool(out)
             self._sel.modify(conn.sock, selectors.EVENT_READ | (
                 selectors.EVENT_WRITE if out else 0), conn.on_ready)
+
+    def _flush_dirty(self) -> None:
+        """Send every queue that gained a chunk: then no view is queued."""
+        dirty = self._dirty
+        for conn in dirty:
+            self._flush(conn)
+        dirty.clear()
 
     # ------------------------------------------------------------------
     # scheduled crashes: SIGKILL + respawn (CrashSpec entries)
@@ -1241,6 +1297,8 @@ class MpMachine(MachineLayer):
         self._on_accept(0)
         for conn in [c for c in self._links if c.pe is None]:
             self._on_conn(conn, selectors.EVENT_READ)
+        # The same wakeup may read these connections again.
+        self._flush_dirty()
         if self._unborn.get(pe) is not proc:
             return
         self._fail(pe, f"worker process (epoch {self._epochs[pe]}) exited "
@@ -1304,26 +1362,17 @@ class MpMachine(MachineLayer):
     # ------------------------------------------------------------------
     def _on_conn(self, conn: _HubConn, mask: int) -> None:
         """One wakeup on one connection: flush what waits to go out, then
-        one ``recv``, decoded into every whole frame it completed (data
+        one read, decoded into every whole frame it completed (data
         frames only as far as their destination)."""
         if mask & selectors.EVENT_WRITE:
-            self._flush(conn, True)
+            self._flush(conn)
         if not mask & selectors.EVENT_READ:
             return
-        try:
-            data = conn.sock.recv(_RECV_BYTES)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
-            data = b""
-        if not data:
-            self._on_eof(conn)
-            return
-        buf = conn.inbuf
-        buf += data
         frames: List[Any] = []
         try:
-            _decode(buf, frames, relay=True)
+            if not conn.reader.read(frames, relay=True):
+                self._on_eof(conn)
+                return
             bad = None
         except Exception:
             # The frame arrived whole (a torn one reads as EOF) and would
@@ -1344,8 +1393,10 @@ class MpMachine(MachineLayer):
         if pe is None:
             return
         if self._held is not None:
-            # No frame is routed before its destination has said hello.
-            self._held += [(pe, frame) for frame in frames]
+            # No frame is routed before its destination has said hello;
+            # a held data frame outlives this read, so it takes a copy.
+            self._held += [(pe, ("send", f[1], bytes(f[2])) if f[0] == "send"
+                            else f) for f in frames]
             return
         on_frame = self._on_frame
         for frame in frames:
@@ -1426,6 +1477,7 @@ class MpMachine(MachineLayer):
         self._links.discard(conn)
         self._sel.unregister(conn.sock)
         conn.sock.close()
+        conn.on_ready = None  # no cycle: its read buffer is freed now
         if self._conns.get(conn.pe) is conn:
             del self._conns[conn.pe]
 
@@ -1471,12 +1523,10 @@ class MpMachine(MachineLayer):
         and one deadline heap.  Each wakeup runs the ready handlers, then the
         due deadlines, then sends every queue that gained a chunk — until
         ``done()`` or ``seconds`` pass.  Nothing else writes hub state."""
-        select, timers, dirty = self._sel.select, self._timers, self._dirty
+        select, timers = self._sel.select, self._timers
         deadline = time.monotonic() + seconds
         while True:
-            for conn in dirty:
-                self._flush(conn, False)
-            dirty.clear()
+            self._flush_dirty()
             if done():
                 return
             left = deadline - time.monotonic()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from tests.helpers import run_on, run_spmd_collect
@@ -9,6 +10,7 @@ from tests.helpers import run_on, run_spmd_collect
 from repro.core import api
 from repro.core.errors import MessageError, NotInTaskletError
 from repro.core.message import HEADER_BYTES, Message
+from repro.machine.base import MACHINE_LAYERS, machine_backend_unavailable_reason
 from repro.sim.machine import Machine
 from repro.sim.models import GENERIC
 
@@ -131,26 +133,33 @@ def test_sender_buffer_reusable_after_sync_send():
         assert t.result is True
 
 
+def _vector_receiver():
+    got = []
+
+    def h(msg):
+        api.CmiGrabBuffer(msg)
+        got.append(msg.payload)
+
+    api.CmiRegisterHandler(h, "h")
+    api.CsdScheduler(1)
+    return got
+
+
+def _vector_sender():
+    hid = api.CmiRegisterHandler(lambda m_: None, "h")
+    strided = memoryview(np.arange(ord("g"), ord("g") + 6, dtype=np.uint8))[::2]
+    api.CmiVectorSend(0, hid, [b"ab", b"", b"cd", bytearray(b"ef"), strided])
+
+
 def test_vector_send_concatenates_pieces():
-    with Machine(2) as m:
-        got = []
-
-        def receiver():
-            def h(msg):
-                api.CmiGrabBuffer(msg)
-                got.append(msg.payload)
-
-            api.CmiRegisterHandler(h, "h")
-            api.CsdScheduler(1)
-
-        def sender():
-            hid = api.CmiRegisterHandler(lambda m_: None, "h")
-            api.CmiVectorSend(0, hid, [b"ab", b"", b"cd", bytearray(b"ef")])
-
-        m.launch_on(0, receiver)
-        m.launch_on(1, sender)
-        m.run()
-        assert got == [b"abcdef"]
+    for layer in MACHINE_LAYERS:
+        if machine_backend_unavailable_reason(layer):
+            continue
+        with Machine(2, machine_backend=layer) as m:
+            m.launch_on(0, _vector_receiver)
+            m.launch_on(1, _vector_sender)
+            m.run()
+            assert m.results()[0] == [b"abcdefgik"], layer
 
 
 def test_vector_send_rejects_non_bytes():

@@ -4,21 +4,29 @@ A data frame carries a plain ``Message`` as a struct header plus a pickle
 of its payload, and anything else as one pickle of the whole packet; the
 receiver must rebuild exactly what pickling the packet whole would have.
 The hub routes a data frame by its header and forwards its bytes
-without unpickling them.
+without unpickling them.  Both ends read with one ``_Reader``, which
+decodes in place: a stream must decode the same wherever it is split,
+and a relayed view must never outlive the next read of its buffer.
 """
 
 from __future__ import annotations
 
+import itertools
 import pickle
+import random
 import selectors
 import socket
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.message import BitVector, Message
 from repro.machine import mp
 from repro.machine.base import (
+    MachineConfig,
     machine_backend_available,
     machine_backend_unavailable_reason,
 )
@@ -113,7 +121,7 @@ def _state(obj):
 def test_data_frame_rebuilds_what_a_whole_pickle_would(make, fast, immediate):
     packet = make()
     expected = pickle.loads(pickle.dumps(packet, protocol=pickle.HIGHEST_PROTOCOL))
-    data = mp._encode_data(SRC, DST, packet, immediate)
+    data = b"".join(mp._encode_data(SRC, DST, packet, immediate))
     assert data[mp._LEN.size] == (mp._TAG_MSG if fast else mp._TAG_OBJ)
     buf = bytearray(data + mp._encode(("idle", 0, 0)))
     [(kind, got, imm), idle] = mp._decode(buf)
@@ -160,7 +168,7 @@ def test_hub_relays_a_data_frame_without_unpickling_it(hub, packet, monkeypatch)
         m._conns[pe] = conn
         conns.append((conn, theirs))
     m._held = None  # every PE has said hello
-    data = mp._encode_data(0, 1, packet, False)
+    data = b"".join(mp._encode_data(0, 1, packet, False))
     conns[0][1].sendall(data)
 
     def refuse(*_args, **_kwargs):
@@ -171,3 +179,351 @@ def test_hub_relays_a_data_frame_without_unpickling_it(hub, packet, monkeypatch)
     assert m._worker_error is None
     assert conns[1][0].out == [data]
     assert m._forwarded == [0, 1]
+
+
+# ----------------------------------------------------------------------
+# the reader: in-place decode at every split point
+# ----------------------------------------------------------------------
+def _data(src, dst, packet, immediate=False) -> bytes:
+    return b"".join(mp._encode_data(src, dst, packet, immediate))
+
+
+_BLOB = random.Random(7).randbytes(64 << 10)
+_HUGE = random.Random(8).randbytes(4 << 20)
+_ARRAY = np.arange(512, dtype=np.int64)
+#: control frames, 8-byte data frames, a NumPy payload, a 64 KiB
+#: message, a whole-object frame and one frame larger than the standing
+#: buffer.
+_FRAMES = [
+    mp._encode(("hello", 3)),
+    _data(SRC, DST, _msg(payload=b"8 bytes!")),
+    _data(SRC, DST, _msg(payload=_ARRAY), immediate=True),
+    mp._encode(("idle", 3, 0)),
+    _data(SRC, DST, _msg(payload=_BLOB)),
+    _data(SRC, DST, _tagged()),
+    _data(SRC, DST, _msg(payload=_HUGE)),
+    mp._encode(("printf", "out", 3, "done", 1.5)),
+    _data(SRC, DST, _msg(payload=b"tail 8 b")),
+]
+_STREAM = b"".join(_FRAMES)
+_BOUNDS = list(itertools.accumulate(map(len, _FRAMES), initial=0))
+
+#: where the stream is cut: anywhere, and a few bytes either side of a
+#: frame boundary (inside a length prefix or a header).
+_cuts = st.tuples(
+    st.lists(st.integers(0, len(_STREAM)), max_size=24),
+    st.lists(st.tuples(st.sampled_from(_BOUNDS), st.integers(-12, 12)),
+             max_size=12),
+).map(lambda c: sorted({min(max(0, p), len(_STREAM))
+                        for p in c[0] + [b + d for b, d in c[1]]}))
+
+
+def _norm(frame):
+    if frame[0] == "msg":
+        return ("msg", _state(frame[1]), bool(frame[2]))
+    if frame[0] == "send":
+        return ("send", frame[1], bytes(frame[2]))
+    return frame
+
+
+def _shares(payload, reader) -> bool:
+    whole = np.frombuffer(reader.standing, np.uint8)
+    return np.shares_memory(np.frombuffer(payload, np.uint8), whole)
+
+
+class _Counted:
+    """A socket that counts the bytes ``recv_into`` returned."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.got = 0
+
+    def recv_into(self, buf, nbytes, flags):
+        n = self.sock.recv_into(buf, nbytes, flags)
+        self.got += n
+        return n
+
+
+@pytest.mark.parametrize("relay", [False, True], ids=["worker", "hub"])
+@settings(max_examples=15, deadline=None)
+@given(cuts=_cuts)
+def test_reader_decodes_a_stream_cut_anywhere(relay, cuts):
+    ours, theirs = socket.socketpair()
+    try:
+        ours.setblocking(False)
+        theirs.setblocking(False)
+        # the worker reads with MSG_DONTWAIT, the hub from a
+        # non-blocking socket: either way one recv_into per read().
+        sock = _Counted(ours)
+        reader = mp._Reader(sock, 0 if relay else socket.MSG_DONTWAIT)
+        got = []
+        sent = 0
+
+        def drain():
+            while sock.got < sent:
+                frames = []
+                assert reader.read(frames, relay)
+                # A relayed view is good until the next read: take its
+                # bytes now.
+                got.extend(map(_norm, frames))
+
+        pos = 0
+        for cut in cuts + [len(_STREAM)]:
+            chunk = memoryview(_STREAM)[pos:cut]
+            while chunk:
+                try:
+                    n = theirs.send(chunk)
+                except BlockingIOError:
+                    n = 0
+                chunk, sent = chunk[n:], sent + n
+                drain()
+            pos = cut
+        assert reader.start == reader.end
+        assert got == [_norm(f) for f in mp._decode(bytearray(_STREAM), relay=relay)]
+        if relay:
+            data = [f for f in _FRAMES if f[mp._LEN.size] != mp._PICKLE]
+            assert [f[2] for f in got if f[0] == "send"] == data
+        else:
+            # Decoded payloads own their bytes: they read the same after
+            # later reads reused the buffer, and alias none of it.
+            small, array = got[1][1], got[2][1]
+            assert small[1]["_payload"] == (bytes, b"8 bytes!")
+            assert array[1]["_payload"] == _state(_ARRAY)
+    finally:
+        ours.close()
+        theirs.close()
+
+
+def test_decoded_payloads_alias_nothing_of_the_read_buffer():
+    a, b = socket.socketpair()
+    try:
+        reader = mp._Reader(a, socket.MSG_DONTWAIT)
+        payload = (b"x" * 1000, np.arange(1000.0), bytearray(b"y" * 100))
+        b.sendall(_data(SRC, DST, _msg(payload=payload)))
+        frames = []
+        while not frames:
+            reader.read(frames)
+        got = frames[0][1].payload
+        assert [_shares(p, reader) for p in got] == [False] * 3
+        assert _state(got) == _state(payload)
+    finally:
+        a.close()
+        b.close()
+
+
+@pytest.mark.parametrize("taken", [0, 3, "head", "head+5"])
+def test_worker_send_finishes_a_short_gather_write(taken):
+    frame = mp._encode_data(SRC, DST, _msg(payload=b"x" * 100), False)
+    taken = {"head": len(frame[0]), "head+5": len(frame[0]) + 5}.get(taken, taken)
+
+    class Short:
+        """Takes ``taken`` bytes of the gather write, then the rest."""
+        got = bytearray()
+
+        def sendmsg(self, chunks):
+            self.got += b"".join(chunks)[:taken]
+            return taken
+
+        def sendall(self, data):
+            self.got += data
+
+    a, b = socket.socketpair()
+    try:
+        link = mp._WorkerLink(a, SRC)
+        link.sock = Short()
+        link.sendall(frame)
+        assert bytes(link.sock.got) == b"".join(frame)
+    finally:
+        a.close()
+        b.close()
+
+
+# ----------------------------------------------------------------------
+# the hub: no view outlives the next read of its source buffer
+# ----------------------------------------------------------------------
+class _Trickle:
+    """A destination socket whose first ``sendmsg`` takes only ``first``
+    bytes, and every later one everything."""
+
+    def __init__(self, first):
+        self.first = first
+        self.got = bytearray()
+
+    def sendmsg(self, chunks):
+        data = b"".join(chunks)[:self.first]
+        self.first = None
+        self.got += data
+        return len(data)
+
+
+def _source(m, socks, pe=0):
+    ours, theirs = socket.socketpair()
+    socks += [ours, theirs]
+    conn = mp._HubConn(ours)
+    conn.pe = pe
+    m._conns[pe] = conn
+    return conn, theirs
+
+
+def _ball(fill: bytes) -> bytes:
+    """A data frame PE 0 -> PE 1; every ball has the same length."""
+    return _data(0, 1, _msg(payload=fill * 1000, src_pe=0))
+
+
+@needs_mp
+def test_hub_copies_a_short_writes_tail_before_reading_again(hub, monkeypatch):
+    """The destination takes a few bytes of the first frame; the source's
+    next reads reuse the region the frame was read into.  What waits
+    must be the bytes as they were sent, not a view of that region."""
+    m, socks = hub
+    src, feed = _source(m, socks)
+    dst = mp._HubConn(_Trickle(10))
+    dst.pe = 1
+    dst.on_ready = None
+    m._conns[1] = dst
+    m._held = None
+    monkeypatch.setattr(m, "_sel", types.SimpleNamespace(modify=lambda *a: None))
+    balls = [_ball(c) for c in (b"a", b"b", b"c")]
+    feed.sendall(balls[0])
+    m._on_conn(src, selectors.EVENT_READ)
+    m._flush_dirty()
+    assert dst.waiting and bytes(dst.sock.got) == balls[0][:10]
+    # Two more reads while the destination waits on write interest.
+    for ball in balls[1:]:
+        feed.sendall(ball)
+        m._on_conn(src, selectors.EVENT_READ)
+    # The region the first ball was read into now holds the last one.
+    assert bytes(src.reader.standing[:len(balls[2])]) == balls[2]
+    m._on_conn(dst, selectors.EVENT_WRITE)
+    assert not dst.waiting and not dst.out
+    assert bytes(dst.sock.got) == b"".join(balls)
+    assert m._forwarded == [0, 3]
+
+
+@needs_mp
+def test_hub_copies_frames_held_before_the_last_hello(hub):
+    """Frames read before every PE said hello wait across later reads of
+    their source; they are routed, intact, once the last hello lands."""
+    m, socks = hub
+    src, feed = _source(m, socks)
+    balls = [_ball(c) for c in (b"a", b"b")]
+    for ball in balls:
+        feed.sendall(ball)
+        m._on_conn(src, selectors.EVENT_READ)
+    assert len(m._held) == 2
+    ours, theirs = socket.socketpair()
+    socks += [ours, theirs]
+    dst = mp._HubConn(ours)
+    m._links.add(dst)
+    m._unborn[1] = object()  # PE 1's incarnation, not yet greeted
+    theirs.sendall(mp._encode(("hello", 1)))
+    m._on_conn(dst, selectors.EVENT_READ)
+    assert m._held is None and dst.pe == 1
+    m._flush_dirty()
+    want = b"".join(balls)
+    got = bytearray()
+    theirs.settimeout(5.0)
+    while len(got) < len(want):
+        got += theirs.recv(len(want) - len(got))
+    assert bytes(got) == want
+    assert m._forwarded == [0, 2]
+
+
+@needs_mp
+def test_hub_flushes_after_an_exit_reads_a_connection_early(hub, monkeypatch):
+    """A worker exiting right after its hello wakes its sentinel, whose
+    handler reads the connection; the same wakeup may then read it
+    again.  The frames the first read relayed must arrive intact."""
+    m, socks = hub
+    dst, dst_far = _source(m, socks, pe=1)
+    m._held = None
+    monkeypatch.setattr(m, "_listener", types.SimpleNamespace(
+        accept=lambda: (_ for _ in ()).throw(BlockingIOError())))
+    ours, feed = socket.socketpair()
+    socks += [ours, feed]
+    src = mp._HubConn(ours)
+    m._links.add(src)
+    proc = types.SimpleNamespace(exitcode=0)
+    m._unborn[0] = proc
+    balls = [_ball(c) for c in (b"a", b"b")]
+    feed.sendall(mp._encode(("hello", 0)) + balls[0])
+    m._on_exit(0, proc)
+    assert src.pe == 0 and m._worker_error is None
+    feed.sendall(balls[1])
+    m._on_conn(src, selectors.EVENT_READ)  # later in the same wakeup
+    m._flush_dirty()
+    want = b"".join(balls)
+    got = bytearray()
+    dst_far.settimeout(5.0)
+    while len(got) < len(want):
+        got += dst_far.recv(len(want) - len(got))
+    assert bytes(got) == want
+
+
+# ----------------------------------------------------------------------
+# an undecodable frame larger than the read buffer still names its sender
+# ----------------------------------------------------------------------
+def _feed(sock, data, step):
+    """Write ``data`` to the non-blocking ``sock``, calling ``step()``
+    (the reading side) between writes; then ``step()`` until it says
+    done."""
+    view = memoryview(data)
+    while view:
+        try:
+            view = view[sock.send(view):]
+        except BlockingIOError:
+            pass
+        step()
+    for _ in range(1000):
+        if step():
+            return
+    raise AssertionError("the reader never finished")
+
+
+_BIG_BOMB = (ReduceBomb(), b"x" * (2 * mp._BUF_BYTES))
+
+
+def test_worker_names_the_sender_of_an_undecodable_large_frame():
+    a, b = socket.socketpair()
+    try:
+        b.setblocking(False)
+        link = mp._WorkerLink(a, 1)
+        node = mp._WorkerMachine(1, link, MachineConfig(2)).node_obj
+        data = _data(0, 1, _msg(payload=_BIG_BOMB, src_pe=0, size=8))
+        assert len(data) > mp._BUF_BYTES
+
+        def step():
+            assert node.poll() is None
+            return link.stop.is_set()
+
+        _feed(b, data, step)
+        b.settimeout(5.0)
+        [(kind, why)] = mp._decode(bytearray(b.recv(1 << 16)))
+        assert kind == "fatal"
+        assert "PE 1 could not decode a frame from PE 0" in why
+        assert "refuses to unpickle" in why
+        assert not node.inbox
+    finally:
+        a.close()
+        b.close()
+
+
+@needs_mp
+def test_hub_names_the_sender_of_an_undecodable_large_frame(hub):
+    m, socks = hub
+    src, feed = _source(m, socks)
+    src.sock.setblocking(False)
+    feed.setblocking(False)
+    m._held = None
+    data = mp._encode(("result", 0, True, _BIG_BOMB))
+    assert len(data) > mp._BUF_BYTES
+
+    def step():
+        m._on_conn(src, selectors.EVENT_READ)
+        return m._worker_error is not None
+
+    _feed(feed, data, step)
+    pe, why, died = m._worker_error
+    assert (pe, died) == (0, False)
+    assert "the hub could not decode a frame from PE 0" in why
+    assert "refuses to unpickle" in why
