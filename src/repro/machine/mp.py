@@ -22,10 +22,11 @@ respawn — from one selector loop and one deadline heap, driven by
 message it forwards to each PE; a worker, whenever it parks idle, reports
 how many hub messages it has consumed and how many local timers are
 armed.  Because a worker's sends reach the hub *before* its subsequent
-idle report (same socket, FIFO), the hub's forwarded counters are always
-at least as fresh as the reports, so "every PE idle, every report equal
-to the forward count, zero timers" cannot hold while anything is in
-flight.  The only wake sources a parked worker has are hub deliveries
+idle report (same socket, FIFO; a held send leaves with the report at
+the latest), the hub's forwarded counters are always at least as fresh
+as the reports, so "every PE idle, every report equal to the forward
+count, zero timers" cannot hold while anything is in flight.  The only
+wake sources a parked worker has are hub deliveries
 (counted) and local timers (reported), so the check is also complete.
 Both numbers are the main thread's own, and so is the socket's read
 side: it counts an arrival once dispatched and reports only on its way
@@ -90,12 +91,15 @@ import pickle
 import random
 import select
 import selectors
+import signal
 import socket
 import struct
+import sys
 import threading
 import time
 import traceback
 from collections import deque
+from contextlib import suppress
 from dataclasses import replace
 from functools import partial
 from heapq import heappop, heappush
@@ -190,12 +194,13 @@ _IOV_MAX = 1024  #: most chunks one ``sendmsg`` takes; the hub joins more
 # is the only code that knows the frame format, on both sides.
 #
 # A data frame is sent as header and payload pickle by one gather
-# ``sendmsg`` (CmiVectorSend's lowering), and read by a _Reader, which
-# decodes in place.  Nothing a worker decodes aliases the buffer (pickle
-# copies), but the hub relays views of it: **no view outlives the next
-# read of its source buffer.**  The hub sends every queue before it reads
-# again, and copies what waits longer: a short write's tail, a frame held
-# before every hello, a frame for a queue waiting on write interest.
+# ``sendmsg`` (CmiVectorSend's lowering; a worker's held frames share
+# one), and read by a _Reader, which decodes in place.  Nothing a worker
+# decodes aliases the buffer (pickle copies), but the hub relays views of
+# it: **no view outlives the next read of its source buffer.**  The hub
+# sends every queue before it reads again, and copies what waits longer:
+# a short write's tail, a frame held before every hello, a frame for a
+# queue waiting on write interest.
 # ----------------------------------------------------------------------
 _PICKLE = pickle.PROTO[0]
 _TAG_MSG = 0x01
@@ -433,13 +438,16 @@ class _MpEngine(Engine):
 
 class _WorkerLink:
     """A worker's connection to the hub plus the idle-report state.  The
-    main thread alone reads it; the health thread only writes."""
+    main thread alone reads it or holds frames; the health thread writes."""
 
     def __init__(self, sock: socket.socket, pe: int) -> None:
         self.sock = sock
         self.pe = pe
         #: the main and health threads share the socket's write side.
         self.wlock = threading.Lock()
+        #: held data-frame chunks and their size, changed under wlock.
+        self.out, self.out_bytes = [], 0
+        self.arm: Callable[[], Any] = lambda: None
         #: the receive side, the main thread's alone.
         self.reader = _Reader(sock, socket.MSG_DONTWAIT)
         #: what a parked main thread waits on: the socket turning readable.
@@ -453,36 +461,57 @@ class _WorkerLink:
         self._last_idle: Optional[tuple] = None
 
     def send(self, frame: Any) -> None:
-        data = _encode(frame)
-        with self.wlock:
-            self.sock.sendall(data)
+        self.flush((_encode(frame),))
 
-    def sendall(self, frame: tuple) -> None:
-        """Send a data frame's two chunks by one gather write."""
+    def hold(self, chunks: tuple) -> None:
+        """Hold a data frame's two chunks (a new batch arms the alarm);
+        write them now if one more frame might not fit in one ``sendmsg``."""
         with self.wlock:
-            sent = self.sock.sendmsg(frame)
-            if sent < len(frame[0]) + len(frame[1]):  # blocking, yet short
-                for chunk in _unsent(frame, sent):
+            if not self.out:
+                self.arm()
+            self.out += chunks
+            self.out_bytes += len(chunks[0]) + len(chunks[1])
+            if len(self.out) < _IOV_MAX - 1 and self.out_bytes < _BUF_BYTES:
+                return
+        self.flush()
+
+    def flush(self, chunks: Sequence[Any] = ()) -> None:
+        """Write the held frames, then ``chunks``, by one gather ``sendmsg``."""
+        with self.wlock:
+            size = self.out_bytes + sum(map(len, chunks))
+            if self.out:
+                chunks, self.out, self.out_bytes = [*self.out, *chunks], [], 0
+            sent = self.sock.sendmsg(chunks)
+            if sent < size:  # blocking, yet short
+                for chunk in _unsent(chunks, sent):
                     self.sock.sendall(chunk)
 
+    def on_alarm(self, *_: Any) -> None:
+        """SIGALRM, a switch interval after a batch began: write what the
+        main thread holds, unless the code it interrupted (or the health
+        thread) is writing."""
+        if self.wlock.locked():
+            self.arm()  # look again later
+        elif self.out:
+            with suppress(OSError):  # the next read finds the hub gone
+                self.flush()
+
     def report_idle(self) -> None:
-        """Tell the hub this PE is parked.  Deduplicated: only state
-        changes cross the wire."""
+        """Tell the hub this PE is parked, after every held frame.
+        Deduplicated: only state changes cross the wire."""
         snap = (self.net_recv, self.engine.pending_timers)
-        if snap == self._last_idle:
-            return
+        frame = () if snap == self._last_idle else (_encode(("idle", *snap)),)
         self._last_idle = snap
         try:
-            self.send(("idle", snap[0], snap[1]))
+            if frame or self.out:
+                self.flush(frame)
         except OSError:
             self.stop.set()
 
     def fail(self, why: str) -> None:
         """Ship a structured failure to the hub and stop this worker."""
-        try:
+        with suppress(OSError):
             self.send(("fatal", why))
-        except OSError:
-            pass
         self.stop.set()
 
     def read(self, frames: deque) -> None:
@@ -513,9 +542,10 @@ class _MpNode(PENode):
     The progress rule that follows: acks, retransmissions, heartbeats,
     Ccd callbacks and immediate handlers happen when the PE is inside
     the runtime (scheduler loop, blocking receive, ``poll``, or parked
-    after its mains returned), not beside a compute-only handler.  An
-    immediate message overtakes the Csd queue and everything that
-    arrives after it; it does not interrupt user code."""
+    after its mains returned), not beside a compute-only handler.  A
+    send made while arrivals wait is held, for a switch interval at
+    most.  An immediate message overtakes the Csd queue and everything
+    that arrives after it; it does not interrupt user code."""
 
     def __init__(self, machine: "_WorkerMachine", pe: int) -> None:
         super().__init__(machine, pe)
@@ -556,13 +586,13 @@ class _MpNode(PENode):
                 # Clock-alignment echo: the hub's timestamp back with this
                 # worker's engine clock.  Not a forwarded message, so the
                 # quiescence counters never see it.
-                try:
+                with suppress(OSError):
                     link.send(("clock", frame[1], frame[2], self.engine.now))
-                except OSError:
-                    pass
             elif kind == "shutdown":
                 link.stop.set()
         self.engine.fire_due()
+        if link.out:  # what the frames and timers sent
+            link.flush()
 
     def poll(self) -> Optional[Any]:
         # A busy scheduler reads the socket once per inbox drain, and in
@@ -595,8 +625,8 @@ class _MpNode(PENode):
 class _MpNetwork(Interconnect):
     """The worker-side view of the interconnect: every remote payload
     becomes a data frame (:func:`_encode_data`) routed through the hub;
-    self-sends stay local.  ``sendall`` returns before a send call does,
-    so the interface's complete-at-once ``async_send`` and
+    self-sends stay local.  A frame is encoded before a send call returns,
+    held or not, so the interface's complete-at-once ``async_send`` and
     per-destination ``broadcast`` are already right for this layer.  A fault plan binds
     :meth:`_transmit_faulty` over :meth:`_transmit` at construction."""
 
@@ -620,8 +650,14 @@ class _MpNetwork(Interconnect):
             node = self.machine.node_obj
             (node.deliver_immediate if immediate else node.deliver)(payload)
             return False
-        self.link.sendall(_encode_data(src_pe, dst, payload, immediate))
+        self._write(_encode_data(src_pe, dst, payload, immediate), immediate)
         return True
+
+    def _write(self, frame: tuple, immediate: bool) -> None:
+        """Send a frame, or hold it while arrivals wait to be dispatched."""
+        node = self.machine.node_obj
+        held = not immediate and (node.inbox or node._frames)
+        (self.link.hold if held else self.link.flush)(frame)
 
     def _transmit_faulty(self, src_pe: int, dst: int, nbytes: int,
                          payload: Any, immediate: bool = False) -> bool:
@@ -634,17 +670,17 @@ class _MpNetwork(Interconnect):
         if dst == src_pe:  # self-sends are exempt
             return _MpNetwork._transmit(self, src_pe, dst, nbytes, payload, immediate)
         self.stats.record(src_pe, dst, nbytes)
-        engine, sendall, fifo = self.machine.engine, self.link.sendall, self._fifo_tail
+        engine, write, fifo = self.machine.engine, self._write, self._fifo_tail
 
         def emit(extra: float, keep_fifo: bool) -> None:
             data = _encode_data(src_pe, dst, payload, immediate)
             tail = fifo.get(dst) if keep_fifo else None
             queued = tail is not None and tail[1].fn is not None  # unsent
             if extra <= 0.0 and not queued:
-                sendall(data)
+                write(data, immediate)
                 return
             deadline = max(time.monotonic() + extra, tail[0] if queued else 0.0)
-            timer = engine.schedule_until(deadline, sendall, data)
+            timer = engine.schedule_until(deadline, write, data, immediate)
             if keep_fifo:
                 fifo[dst] = (deadline, timer)
 
@@ -769,7 +805,8 @@ def _worker_health_loop(link: _WorkerLink, machine: "_WorkerMachine",
             "cpu": time.process_time(),
         }
         try:
-            link.send(("health", node.pe, snap))
+            with link.wlock:  # past the held frames
+                link.sock.sendall(_encode(("health", node.pe, snap)))
         except OSError:
             return
 
@@ -801,6 +838,9 @@ def _worker_main(pe: int, port: int, specs: list, cfg: MachineConfig,
     sock.settimeout(None)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     link = _WorkerLink(sock, pe)
+    # A held batch waits one switch interval at most: a writer thread's GIL wait.
+    signal.signal(signal.SIGALRM, link.on_alarm)
+    link.arm = partial(signal.setitimer, signal.ITIMER_REAL, sys.getswitchinterval())
     if cfg.faults is not None:
         cfg.faults.reseed(pe, epoch)
     machine = _WorkerMachine(pe, link, cfg)

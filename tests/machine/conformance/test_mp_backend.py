@@ -194,6 +194,18 @@ def test_arrival_order_holds_when_an_immediate_handler_polls():
     assert len(inside) == 1 and inside[0] > 0, inside
 
 
+@pytest.mark.parametrize("where", ["handler", "main"])
+def test_a_send_held_behind_arrivals_leaves_during_a_long_compute(where):
+    """A send made while an arrival waits is held, but not for the
+    computation that follows it: the frame leaves within a switch
+    interval, not when the sender next enters the runtime."""
+    busy = 0.5
+    _m, (got, (waiting, sent, done)) = _run_mp(w.w_send_then_compute, busy, where)
+    assert waiting == 1  # the send was made with ``b`` queued behind it
+    assert done - sent >= busy
+    assert got - sent < busy / 2, (got - sent, done - sent)
+
+
 def test_progress_rule_delayed_acks_are_retransmitted_and_deduplicated():
     """Protocol work happens when the PE is inside the runtime: a
     compute-only handler on the receiver delays its acks, the sender

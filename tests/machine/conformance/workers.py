@@ -586,6 +586,59 @@ def w_thread_count():
     return threading.active_count()
 
 
+def w_send_then_compute(busy_s, where):
+    """PE 1 asks PE 0 for ``a`` and ``b`` and sleeps, so one read decodes
+    both.  Given ``a`` — by the scheduler (``where="handler"``) or by
+    ``CmiGetMsg`` in its main (``"main"``) — PE 1 replies while ``b``
+    waits, then computes for ``busy_s`` without entering the runtime.
+    PE 0 returns when the reply reached it; PE 1 how many arrivals waited
+    at its send, and when the send and the compute ended (the monotonic
+    clock is one clock for every process on the host)."""
+    import time
+
+    from repro.core import context
+
+    me = api.CmiMyPe()
+    st = {}
+
+    def reply_and_compute():
+        st["waiting"] = len(context.current_runtime().node.inbox)
+        st["sent"] = time.monotonic()
+        api.CmiSyncSend(0, api.CmiNew(h_reply, None, size=8))
+        while time.monotonic() < st["sent"] + busy_s:
+            pass
+        st["done"] = time.monotonic()
+
+    def on_data(msg):
+        if msg.payload == "a":
+            reply_and_compute()
+        else:
+            api.CsdExitScheduler()
+
+    def on_ask(_msg):
+        api.CmiSyncSend(1, api.CmiNew(h_data, "a", size=8))
+        api.CmiSyncSend(1, api.CmiNew(h_data, "b", size=8))
+
+    def on_reply(_msg):
+        st["got"] = time.monotonic()
+        api.CsdExitScheduler()
+
+    h_data = api.CmiRegisterHandler(on_data, "compute.data")
+    h_ask = api.CmiRegisterHandler(on_ask, "compute.ask")
+    h_reply = api.CmiRegisterHandler(on_reply, "compute.reply")
+    if me == 0:
+        api.CsdScheduler(-1)
+        return st["got"]
+    api.CmiSyncSend(0, api.CmiNew(h_ask, None, size=8))
+    time.sleep(0.3)
+    if where == "handler":
+        api.CsdScheduler(-1)
+    else:
+        assert api.CmiGetMsg().payload == "a"
+        reply_and_compute()
+    return st["waiting"], st["sent"], st["done"]
+
+
 def w_reentrant_immediate(count):
     """PE 0 fires one immediate message at PE 1 and then ``count``
     ordinary ones.  PE 1 sleeps before entering the runtime, so one read

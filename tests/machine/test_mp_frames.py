@@ -15,7 +15,11 @@ import itertools
 import pickle
 import random
 import selectors
+import signal
 import socket
+import sys
+import threading
+import time
 import types
 
 import numpy as np
@@ -311,31 +315,256 @@ def test_decoded_payloads_alias_nothing_of_the_read_buffer():
         b.close()
 
 
+class _Spy:
+    """A worker socket's write side that records each ``sendmsg`` call's
+    chunk count and takes at most ``taken`` bytes of it (all by default);
+    ``sendall`` takes everything."""
+
+    def __init__(self, taken=None):
+        self.taken = taken
+        self.writes = []
+        self.got = bytearray()
+        self.probe = None  # called at each sendmsg; its results: seen
+        self.seen = []
+
+    def sendmsg(self, chunks):
+        data = b"".join(chunks)[:self.taken]
+        self.writes.append(len(chunks))
+        if self.probe is not None:
+            self.seen.append(self.probe())
+        self.got += data
+        return len(data)
+
+    def sendall(self, data):
+        self.got += data
+
+    def frames(self):
+        """What the hub would read: control tuples and payloads."""
+        return [f[1].payload if f[0] == "msg" else f
+                for f in mp._decode(bytearray(self.got))]
+
+
 @pytest.mark.parametrize("taken", [0, 3, "head", "head+5"])
 def test_worker_send_finishes_a_short_gather_write(taken):
     frame = mp._encode_data(SRC, DST, _msg(payload=b"x" * 100), False)
     taken = {"head": len(frame[0]), "head+5": len(frame[0]) + 5}.get(taken, taken)
 
-    class Short:
-        """Takes ``taken`` bytes of the gather write, then the rest."""
-        got = bytearray()
-
-        def sendmsg(self, chunks):
-            self.got += b"".join(chunks)[:taken]
-            return taken
-
-        def sendall(self, data):
-            self.got += data
-
     a, b = socket.socketpair()
     try:
         link = mp._WorkerLink(a, SRC)
-        link.sock = Short()
-        link.sendall(frame)
+        link.sock = _Spy(taken)  # takes that much of the gather write
+        link.flush(frame)
         assert bytes(link.sock.got) == b"".join(frame)
     finally:
         a.close()
         b.close()
+
+
+# ----------------------------------------------------------------------
+# the worker's outbox: sends made while arrivals wait leave together
+# ----------------------------------------------------------------------
+@pytest.fixture
+def worker():
+    """PE 1 of 2 as its worker process builds it, its writes spied on."""
+    made = []
+
+    def build(faults=None):
+        a, b = socket.socketpair()
+        made.extend((a, b))
+        link = mp._WorkerLink(a, 1)
+        machine = mp._WorkerMachine(1, link, MachineConfig(2, faults=faults))
+        link.sock = _Spy()
+        return machine, machine.node_obj, link.sock, b
+
+    yield build
+    for sock in made:
+        sock.close()
+
+
+def _arrive(node, feed, k):
+    """``k`` data frames PE 0 -> PE 1, read and delivered to the inbox."""
+    feed.sendall(b"".join(_data(0, 1, _msg(payload=("in", i), src_pe=0))
+                          for i in range(k)))
+    while len(node.inbox) < k:
+        node.pump()
+
+
+def _reply(machine, node, i, immediate=False, size=0):
+    payload = ("out", i) if not size else bytes(size)
+    machine.network.sync_send(node, 0, 8, _msg(payload=payload, src_pe=1),
+                              immediate=immediate)
+
+
+@pytest.mark.parametrize("k", [2, 16])
+def test_sends_made_while_arrivals_wait_leave_in_one_write(worker, k):
+    machine, node, spy, feed = worker()
+    _arrive(node, feed, k)
+    for i in range(k):  # the scheduler's drain: one handler per arrival
+        assert node.poll().payload == ("in", i)
+        _reply(machine, node, i)
+        assert spy.writes == ([2 * k] if i == k - 1 else [])
+    assert spy.frames() == [("out", i) for i in range(k)]
+
+
+def test_a_send_with_an_empty_inbox_writes_at_once(worker):
+    machine, node, spy, _feed = worker()
+    for i in range(3):
+        _reply(machine, node, i)
+        assert spy.writes == [2] * (i + 1)
+    assert spy.frames() == [("out", i) for i in range(3)]
+
+
+def test_the_idle_report_follows_the_held_frames_in_one_write(worker):
+    machine, node, spy, feed = worker()
+    _arrive(node, feed, 2)
+    _reply(machine, node, 0)
+    _reply(machine, node, 1)
+    assert spy.writes == []
+    node.machine.worker.report_idle()
+    assert spy.writes == [5]
+    assert spy.frames() == [("out", 0), ("out", 1), ("idle", 2, 0)]
+    # An unchanged report is not repeated, but the held frames still leave.
+    _reply(machine, node, 2)
+    node.machine.worker.report_idle()
+    assert spy.writes == [5, 2]
+    assert spy.frames()[3:] == [("out", 2)]
+
+
+@pytest.mark.parametrize("size, cap", [(0, "iov"), (16 << 10, "bytes")])
+def test_a_full_outbox_is_written_while_arrivals_wait(worker, size, cap):
+    machine, node, spy, feed = worker()
+    _arrive(node, feed, 1)
+    link = node.machine.worker
+    for sent in range(1, mp._IOV_MAX):
+        _reply(machine, node, sent, size=size)
+        if spy.writes:
+            break
+    [chunks] = spy.writes
+    assert chunks == 2 * sent and chunks <= mp._IOV_MAX
+    if cap == "iov":
+        assert chunks >= mp._IOV_MAX - 1 and len(spy.got) < mp._BUF_BYTES
+    else:
+        assert len(spy.got) >= mp._BUF_BYTES > len(spy.got) - 2 * size
+    assert not link.out and link.out_bytes == 0
+    assert len(spy.frames()) == sent
+
+
+def test_held_frames_leave_when_the_drain_ends_without_a_send(worker):
+    """... as the scheduler's next look at the socket, a pump, returns."""
+    machine, node, spy, feed = worker()
+    _arrive(node, feed, 2)
+    node.poll()
+    _reply(machine, node, 0)
+    node.poll()  # its handler sends nothing
+    assert spy.writes == [] and not node.inbox
+    assert node.poll() is None
+    assert spy.writes == [2]
+    assert spy.frames() == [("out", 0)]
+
+
+def test_an_immediate_frame_is_never_held(worker):
+    machine, node, spy, feed = worker()
+    _arrive(node, feed, 2)
+    _reply(machine, node, 0)
+    assert spy.writes == []
+    _reply(machine, node, 1, immediate=True)
+    # It leaves at once, behind the frame held before it.
+    assert spy.writes == [4]
+    assert spy.frames() == [("out", 0), ("out", 1)]
+
+
+def test_delayed_copies_are_held_and_leave_in_order(worker):
+    """Under a fault plan a delayed copy leaves from a timer; fired while
+    arrivals wait it is held like any send, and leaves as the pump that
+    fired it returns, in channel order."""
+    plan = mp.FaultPlan(seed=5, delay=1.0, delay_max=1e-3)
+    machine, node, spy, feed = worker(faults=plan)
+    _arrive(node, feed, 1)
+    for i in range(3):
+        _reply(machine, node, i)
+    assert spy.writes == [] and plan.stats.delays == 3
+    time.sleep(0.01)  # every copy comes due (delay_max is 1 ms)
+    node.pump()
+    assert spy.writes == [6] and not machine.engine.pending_timers
+    assert spy.frames() == [("out", i) for i in range(3)]
+
+
+def test_the_alarm_writes_a_batch_the_main_thread_still_holds(worker):
+    """A worker arms SIGALRM as a batch begins; its handler writes what
+    is still held, unless it interrupted a write, and then re-arms."""
+    machine, node, spy, feed = worker()
+    link = node.machine.worker
+    armed = []
+    link.arm = lambda: armed.append(len(link.out))
+    _arrive(node, feed, 2)
+    _reply(machine, node, 0)
+    _reply(machine, node, 1)
+    assert armed == [0] and spy.writes == []
+    with link.wlock:
+        link.on_alarm()
+    assert armed == [0, 4] and spy.writes == []
+    link.on_alarm()
+    assert spy.writes == [4] and not link.out
+    link.on_alarm()  # nothing held
+    assert spy.writes == [4] and len(armed) == 2
+    assert spy.frames() == [("out", 0), ("out", 1)]
+
+
+def test_alarms_among_holds_and_writes_lose_and_repeat_no_frame(worker):
+    """Stress: a 50 us SIGALRM lands anywhere in drains of held replies,
+    flushes and idle reports while a second thread writes health frames
+    under the write lock; every frame reaches the hub whole and once, the
+    replies in send order."""
+    machine, node, spy, feed = worker()
+    link = node.machine.worker
+    stop, health = threading.Event(), []
+
+    def write_health():
+        while not stop.is_set():
+            with link.wlock:
+                spy.sendall(mp._encode(("health", len(health))))
+                health.append(len(health))
+
+    old_handler = signal.signal(signal.SIGALRM, link.on_alarm)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    writer = threading.Thread(target=write_health)
+    try:
+        writer.start()
+        signal.setitimer(signal.ITIMER_REAL, 5e-5, 5e-5)
+        sent = 0
+        for k in (1, 3, 8) * 150:
+            _arrive(node, feed, k)
+            while node.inbox:
+                node.poll()
+                _reply(machine, node, sent)
+                sent += 1
+            link.report_idle()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old_handler)
+        stop.set()
+        writer.join(10)
+        sys.setswitchinterval(old_interval)
+    assert not writer.is_alive() and not link.out
+    frames = spy.frames()
+    assert [f for f in frames if f[0] == "out"] == [("out", i) for i in range(sent)]
+    assert [f[1] for f in frames if f[0] == "health"] == health
+    assert len(frames) == sent + len(health) + sum(f[0] == "idle" for f in frames)
+
+
+@pytest.mark.parametrize("taken", [0, 5, 100, "all-but-one"])
+def test_a_short_write_of_a_held_batch_delivers_every_frame(worker, taken):
+    machine, node, spy, feed = worker()
+    _arrive(node, feed, 4)
+    for i in range(4):
+        node.poll()
+        _reply(machine, node, i, size=200 * i)
+        if i == 2:  # the last send finds the inbox empty
+            held = b"".join(node.machine.worker.out)
+            spy.taken = len(held) - 1 if taken == "all-but-one" else taken
+    assert len(spy.writes) == 1
+    assert spy.frames() == [("out", 0), bytes(200), bytes(400), bytes(600)]
 
 
 # ----------------------------------------------------------------------
