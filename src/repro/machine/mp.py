@@ -7,31 +7,30 @@ The layers above the machine interface — :class:`ConverseRuntime`, the
 Csd scheduler, the CMI, the message manager — run in each worker process
 **unmodified**: the worker derives the five machine-interface classes
 (:mod:`repro.machine.interface` — a wall-clock engine, a node that
-reads its own hub socket, a socket-backed network, a forwarding console
+reads its own sockets, a socket-backed network, a forwarding console
 and a one-PE host) and adds only what real processes and sockets need.
 
-Topology is hub-and-spoke: the parent process relays data frames
-between workers — a struct header it routes by, then the payload pickled
-once by its sender; sent by gather writes, read and relayed in place (see
-"framing" below) — and runs the machine-level services — console
-aggregation, result collection, quiescence detection, crash kills and
-respawn — from one selector loop and one deadline heap, driven by
-:meth:`MpMachine.run` and :meth:`MpMachine.shutdown` on the caller's thread.
+Topology is a full mesh beside a hub: a worker writes each data frame
+— a struct header, then the payload pickled once by its sender — by
+gather writes to a link of its own to the destination worker, which
+decodes it in place (see "framing" below).  The parent process (the
+hub) is the control plane: membership and respawn, console, results,
+health, clock probes and quiescence detection, run from one selector
+loop and one deadline heap driven by :meth:`MpMachine.run` and
+:meth:`MpMachine.shutdown` on the caller's thread.
 
-**Quiescence** uses counting over FIFO channels: the hub counts every
-message it forwards to each PE; a worker, whenever it parks idle, reports
-how many hub messages it has consumed and how many local timers are
-armed.  Because a worker's sends reach the hub *before* its subsequent
-idle report (same socket, FIFO; a held send leaves with the report at
-the latest), the hub's forwarded counters are always at least as fresh
-as the reports, so "every PE idle, every report equal to the forward
-count, zero timers" cannot hold while anything is in flight.  The only
-wake sources a parked worker has are hub deliveries
+**Quiescence** uses counting over FIFO channels: each worker counts, per
+peer, the data frames it sent there (when written or held) and the ones
+it dispatched from there; as its mains return, and once a park has
+lasted ``_IDLE_GRACE`` with nothing arriving, it reports both vectors,
+the peer epochs they refer to and its armed timers.  The hub declares
+quiescence when no
+respawn is owed and every live PE's last report is idle, timer-free and
+of the hub's epochs, with ``sent_i[j] == recv_j[i]`` for every ordered
+pair.  That cannot hold while a frame is in flight: a PE woken after its
+report was woken by a frame sent before its sender's report, which that
+pair's counts still show.  A parked worker wakes only on arrivals
 (counted) and local timers (reported), so the check is also complete.
-Both numbers are the main thread's own, and so is the socket's read
-side: it counts an arrival once dispatched and reports only on its way
-to park, with every frame it has read dispatched, so no report can
-describe a state some other thread is in the middle of changing.
 
 **Observability** works distributed: with ``trace=``/``metrics=`` each
 worker runs the ordinary per-PE tracer and metrics registry *in its own
@@ -62,18 +61,20 @@ timer count holds quiescence until it has left.  Self-sends are exempt.
 ``CrashSpec`` entries make the hub **SIGKILL** workers at their
 wall-clock times (counted from the start of ``run()``) and respawn a
 fresh incarnation (epoch bump, restart-with-amnesia) after
-``restart_after``.  The reliable-delivery (``reliable=True``) and
-fault-tolerance (``ft=FTConfig()``) layers run *inside each worker*
-unmodified, on its main thread: acks, retransmissions, heartbeats and
-checkpoint custody happen when it next enters the runtime (the progress
-rule, see :class:`_MpNode`), and each worker's
-:class:`~repro.ft.manager.FTCoordinator` replica is fed the crash
-schedule.  Protocol timeouts are floored to socket scale at
-construction (the simulator's microsecond RTOs would retransmit
-thousands of times per real RTT).  An *unscheduled* worker death (an
-outside SIGKILL, an OOM kill) is classified from the torn socket and
-surfaces as a structured :class:`~repro.core.errors.WorkerDied` carrying
-the PE id and the flight-recorder's last health snapshot.
+``restart_after``; frames sent to a dead incarnation are dropped at
+their sender, and the hub announces the fresh one's hello to every live
+worker, which restarts its link and counts for that peer.  The
+reliable-delivery (``reliable=True``) and fault-tolerance
+(``ft=FTConfig()``) layers run *inside each worker* unmodified, on its
+main thread: acks, retransmissions, heartbeats and checkpoint custody
+happen when it next enters the runtime (the progress rule, see
+:class:`_MpNode`), and each worker's :class:`~repro.ft.manager.FTCoordinator`
+replica is fed the crash schedule.  Protocol timeouts are floored to
+socket scale at construction (the simulator's microsecond RTOs would
+retransmit thousands of times per real RTT).  An *unscheduled* worker
+death (an outside SIGKILL, an OOM kill) is classified from the torn
+socket and surfaces as a structured :class:`~repro.core.errors.WorkerDied`
+carrying the PE id and the flight-recorder's last health snapshot.
 
 Scope (documented in the README machine-layer matrix): cost models and
 aggregation are restricted options; Cth threads/tasklets, console input,
@@ -172,7 +173,11 @@ _LEN = struct.Struct("<I")
 #: reach it): small frames or a 64 KiB message per ``recv_into``.  A larger
 #: frame gets an exact-size buffer of its own.
 _BUF_BYTES = 1 << 17
-_IOV_MAX = 1024  #: most chunks one ``sendmsg`` takes; the hub joins more
+_IOV_MAX = 1024  #: most chunks one ``sendmsg`` takes; a longer queue is joined
+
+#: how long a park lasts, with nothing arriving, before a worker reports
+#: idle (else every park would wake the hub once per message).
+_IDLE_GRACE = 1e-3
 
 
 # ----------------------------------------------------------------------
@@ -187,34 +192,38 @@ _IOV_MAX = 1024  #: most chunks one ``sendmsg`` takes; the hub joins more
 #   delivery's seq/ack among them) and a pickle of its payload alone
 #   (_TAG_MSG), or a pickle of the whole packet (_TAG_OBJ: fault-tolerance
 #   packets, Message subclasses, a set enq_time, a BitVector priority, a
-#   field too wide for the header).
+#   field too wide for the header);
+# * a link header (_TAG_LINK: sender, its epoch, the target's epoch, the
+#   sender's listener port) opens every worker-to-worker link.
 #
-# The hub routes a data frame by its header and forwards its bytes as
-# they are; only the destination unpickles anything in it.  This section
-# is the only code that knows the frame format, on both sides.
-#
-# A data frame is sent as header and payload pickle by one gather
-# ``sendmsg`` (CmiVectorSend's lowering; a worker's held frames share
-# one), and read by a _Reader, which decodes in place.  Nothing a worker
-# decodes aliases the buffer (pickle copies), but the hub relays views of
-# it: **no view outlives the next read of its source buffer.**  The hub
-# sends every queue before it reads again, and copies what waits longer:
-# a short write's tail, a frame held before every hello, a frame for a
-# queue waiting on write interest.
+# Control frames pass between a worker and the hub; data frames go from
+# one worker to another on a link only the sender writes and only the
+# destination reads.  A data frame is sent as header and payload pickle by
+# one gather ``sendmsg`` (CmiVectorSend's lowering; held frames share
+# one), and read by a _Reader, which decodes in place (pickle copies).
+# This section is the only code that knows the frame format.
 # ----------------------------------------------------------------------
 _PICKLE = pickle.PROTO[0]
 _TAG_MSG = 0x01
 _TAG_OBJ = 0x02
+_TAG_LINK = 0x03
 #: a data frame's length prefix and header.
 _ROUTE = struct.Struct("<IBBii")
 #: ... followed by a plain Message's fields (_TAG_MSG only).
 _DATA = struct.Struct(_ROUTE.format + WIRE_FIELDS)
+#: a link header: prefix, tag, sender, its epoch, target epoch, its port.
+_LINK = struct.Struct("<IBiiiH")
 
 
 def _encode(frame: Any) -> bytes:
     """A control frame."""
     data = pickle.dumps(frame, protocol=pickle.HIGHEST_PROTOCOL)
     return _LEN.pack(len(data)) + data
+
+
+def _encode_link(src: int, epoch: int, target: int, port: int) -> bytes:
+    """The header of a link from PE ``src`` to a peer's incarnation ``target``."""
+    return _LINK.pack(_LINK.size - _LEN.size, _TAG_LINK, src, epoch, target, port)
 
 
 def _encode_data(src: int, dst: int, packet: Any, immediate: bool) -> tuple:
@@ -250,19 +259,20 @@ def _unsent(chunks: Sequence[Any], sent: int) -> List[Any]:
 class _Reader:
     """One socket's read side, at either end: one ``recv_into`` the free
     tail of a standing buffer per :meth:`read`, whole frames decoded in
-    place.  Compacted only when the partial frame at the front needs room."""
+    place.  Compacted only when the partial frame at the front needs room.
+    ``origin``: a link's header ``(sender, epoch, target epoch, port)``."""
 
-    __slots__ = ("sock", "flags", "standing", "view", "start", "end")
+    __slots__ = ("sock", "flags", "standing", "view", "start", "end", "origin")
 
     def __init__(self, sock: Optional[socket.socket], flags: int = 0) -> None:
         self.sock, self.flags = sock, flags
         self.standing = self.view = memoryview(
             mmap.mmap(-1, _BUF_BYTES, flags=mmap.MAP_PRIVATE))
         self.start = self.end = 0  # view[start:end]: read, not decoded
+        self.origin: Optional[tuple] = None
 
-    def read(self, frames: Any, relay: bool = False) -> bool:
-        """One ``recv_into``, decoded onto ``frames``; False at EOF or on a
-        dead socket.  It reuses decoded bytes: no earlier view survives it."""
+    def read(self, frames: Any) -> bool:
+        """One ``recv_into``, decoded onto ``frames``; False at EOF or error."""
         view, start, end = self.view, self.start, self.end
         need = _LEN.size + (_LEN.unpack_from(view, start)[0]
                             if end - start >= _LEN.size else 0)
@@ -279,15 +289,15 @@ class _Reader:
             return False
         self.end = end + n
         if n:
-            self.decode(frames, relay)
+            self.decode(frames)
             if self.start == self.end:  # the next read starts at the front
                 self.view, self.start, self.end = self.standing, 0, 0
         return n > 0
 
-    def decode(self, frames: Any, relay: bool = False) -> Any:
+    def decode(self, frames: Any) -> Any:
         """Append every whole frame read to ``frames``: a control frame's
-        tuple, ``("msg", packet, immediate)``, or with ``relay`` (the hub)
-        ``("send", dst, view)``.  A bad frame raises after those before it."""
+        tuple, or ``("msg", packet, immediate, origin)``; a link header
+        sets ``origin``.  A bad frame raises after those before it."""
         view, pos, end = self.view, self.start, self.end
         try:
             while end - pos >= _LEN.size:
@@ -296,46 +306,36 @@ class _Reader:
                 if stop > end:
                     break
                 tag = view[head] if stop > head else None
-                if tag == _PICKLE:
-                    frame = pickle.loads(view[head:stop])
-                elif tag != _TAG_MSG and tag != _TAG_OBJ:
-                    raise pickle.UnpicklingError(f"unknown frame tag {tag!r}")
-                elif relay:
-                    frame = ("send", _ROUTE.unpack_from(view, pos)[3],
-                             view[pos:stop])
-                elif tag == _TAG_MSG:
+                if tag == _TAG_MSG:
                     fields = _DATA.unpack_from(view, pos)
                     payload = pickle.loads(view[pos + _DATA.size:stop])
-                    frame = ("msg", from_wire_fields(fields[5:], payload,
-                                                     fields[4]), fields[2])
+                    frames.append(("msg", from_wire_fields(fields[5:], payload,
+                                                           fields[4]),
+                                   fields[2], self.origin))
+                elif tag == _PICKLE:
+                    frames.append(pickle.loads(view[head:stop]))
+                elif tag == _TAG_OBJ:
+                    frames.append(("msg", pickle.loads(view[pos + _ROUTE.size:stop]),
+                                   _ROUTE.unpack_from(view, pos)[2], self.origin))
+                elif tag == _TAG_LINK and stop - pos == _LINK.size:
+                    self.origin = _LINK.unpack_from(view, pos)[2:]
                 else:
-                    frame = ("msg", pickle.loads(view[pos + _ROUTE.size:stop]),
-                             _ROUTE.unpack_from(view, pos)[2])
-                frames.append(frame)
+                    raise pickle.UnpicklingError(f"unknown frame tag {tag!r}")
                 pos = stop
         finally:
             self.start = pos
         return frames
 
 
-def _decode(buf: bytearray, frames: Optional[List[Any]] = None,
-            relay: bool = False) -> List[Any]:
+def _decode(buf: bytearray, frames: Optional[List[Any]] = None) -> List[Any]:
     """:meth:`_Reader.decode` of the stream in ``buf``, whose decoded
-    bytes it deletes.  Relayed frames are views of a copy of ``buf``."""
+    bytes it deletes."""
     reader = _Reader(None)
     reader.view, reader.end = memoryview(bytes(buf)), len(buf)
     try:
-        return reader.decode([] if frames is None else frames, relay)
+        return reader.decode([] if frames is None else frames)
     finally:
         del buf[:reader.start]
-
-
-def _sender(buf: Any) -> Optional[int]:
-    """The sending PE of the data frame at the front of ``buf`` (None
-    when it is a control frame: those come from the hub)."""
-    if len(buf) >= _ROUTE.size and buf[_LEN.size] in (_TAG_MSG, _TAG_OBJ):
-        return _ROUTE.unpack_from(buf)[4]
-    return None
 
 
 # ======================================================================
@@ -436,55 +436,151 @@ class _MpEngine(Engine):
         return due if cap is None else min(cap, due)
 
 
-class _WorkerLink:
-    """A worker's connection to the hub plus the idle-report state.  The
-    main thread alone reads it or holds frames; the health thread writes."""
+class _Peer:
+    """The sending side toward one peer incarnation: its link and queue."""
 
-    def __init__(self, sock: socket.socket, pe: int) -> None:
+    __slots__ = ("pe", "port", "sock", "out", "out_bytes", "polled")
+
+    def __init__(self, pe: int, port: Optional[int]) -> None:
+        self.pe, self.port = pe, port  # port None: the incarnation is gone
+        self.sock: Optional[socket.socket] = None
+        self.out: List[Any] = []
+        self.out_bytes, self.polled = 0, False
+
+
+class _WorkerLink:
+    """A worker's sockets — to the hub, its listener, links from and to
+    each peer — and the per-peer counts of its idle report, all the main
+    thread's; the health thread also writes the hub socket."""
+
+    def __init__(self, sock: socket.socket, pe: int,
+                 listener: Optional[socket.socket] = None,
+                 peers: Sequence[tuple] = ()) -> None:
         self.sock = sock
         self.pe = pe
-        #: the main and health threads share the socket's write side.
+        #: held to write the hub socket (main, health thread) or a peer queue.
         self.wlock = threading.Lock()
-        #: held data-frame chunks and their size, changed under wlock.
-        self.out, self.out_bytes = [], 0
         self.arm: Callable[[], Any] = lambda: None
-        #: the receive side, the main thread's alone.
         self.reader = _Reader(sock, socket.MSG_DONTWAIT)
-        #: what a parked main thread waits on: the socket turning readable.
+        #: what a parked main thread polls; per fd, its socket and handler.
         self.poller = select.poll()
-        self.poller.register(sock, select.POLLIN)
-        #: hub-forwarded messages the main thread has finished
-        #: dispatching (part of the quiescence protocol).
-        self.net_recv = 0
+        self.watched: Dict[int, tuple] = {}
+        self._watch(sock, select.POLLIN, partial(self._read, self.reader))
+        self.listener, self.port = listener, 0
+        if listener is not None:
+            listener.setblocking(False)
+            self.port = listener.getsockname()[1]
+            self._watch(listener, select.POLLIN, self._accept)
+        #: per PE (``peers``: its ``(port, epoch)``): its incarnation, the data
+        #: frames sent to it and dispatched from it, the sending side.
+        self.epochs = [epoch for _port, epoch in peers]
+        self.sent = [0] * len(peers)
+        self.recv = [0] * len(peers)
+        self.out = [_Peer(pe, port) for pe, (port, _epoch) in enumerate(peers)]
+        #: peers given held frames since the last flush_held.
+        self.held: List[_Peer] = []
         self.stop = threading.Event()
         self.engine: Optional[_MpEngine] = None
         self._last_idle: Optional[tuple] = None
 
+    def _watch(self, sock: socket.socket, events: int, fn: Callable) -> None:
+        self.poller.register(sock, events)
+        self.watched[sock.fileno()] = (sock, fn)
+
+    def _unwatch(self, sock: socket.socket) -> None:
+        self.poller.unregister(sock)
+        del self.watched[sock.fileno()]
+
     def send(self, frame: Any) -> None:
-        self.flush((_encode(frame),))
+        """A control frame to the hub."""
+        data = _encode(frame)
+        with self.wlock:
+            self.sock.sendall(data)
 
-    def hold(self, chunks: tuple) -> None:
+    def hold(self, peer: _Peer, chunks: tuple) -> None:
         """Hold a data frame's two chunks (a new batch arms the alarm);
-        write them now if one more frame might not fit in one ``sendmsg``."""
+        write now if one more frame might not fit in one ``sendmsg``."""
         with self.wlock:
-            if not self.out:
-                self.arm()
-            self.out += chunks
-            self.out_bytes += len(chunks[0]) + len(chunks[1])
-            if len(self.out) < _IOV_MAX - 1 and self.out_bytes < _BUF_BYTES:
+            if not peer.out:
+                if not self.held:
+                    self.arm()
+                self.held.append(peer)
+            peer.out += chunks
+            peer.out_bytes += len(chunks[0]) + len(chunks[1])
+            if len(peer.out) < _IOV_MAX - 1 and peer.out_bytes < _BUF_BYTES:
                 return
-        self.flush()
+        self.flush(peer)
 
-    def flush(self, chunks: Sequence[Any] = ()) -> None:
-        """Write the held frames, then ``chunks``, by one gather ``sendmsg``."""
+    def flush(self, peer: _Peer, chunks: Sequence[Any] = ()) -> None:
+        """Write ``peer``'s queue, then ``chunks``, by one gather ``sendmsg``
+        that never blocks: the rest waits for ``POLLOUT``.  Frames for a
+        gone incarnation are dropped."""
         with self.wlock:
-            size = self.out_bytes + sum(map(len, chunks))
-            if self.out:
-                chunks, self.out, self.out_bytes = [*self.out, *chunks], [], 0
-            sent = self.sock.sendmsg(chunks)
-            if sent < size:  # blocking, yet short
-                for chunk in _unsent(chunks, sent):
-                    self.sock.sendall(chunk)
+            if peer.out:
+                chunks, peer.out, peer.out_bytes = [*peer.out, *chunks], [], 0
+            if not chunks:
+                return
+            sock = peer.sock if peer.sock is not None else self._connect(peer)
+            if sock is None:
+                return
+            if len(chunks) > _IOV_MAX:
+                chunks = [b"".join(chunks)]
+            try:
+                peer.out = _unsent(chunks, sock.sendmsg(chunks))
+            except (BlockingIOError, InterruptedError):
+                peer.out = list(chunks)
+            except OSError:  # the incarnation died
+                self._close(peer)
+                return
+            if bool(peer.out) != peer.polled:
+                peer.polled = bool(peer.out)
+                if peer.polled:
+                    self._watch(sock, select.POLLOUT, lambda _frames: self.flush(peer))
+                else:
+                    self._unwatch(sock)
+
+    def _connect(self, peer: _Peer) -> Optional[socket.socket]:
+        """Open the link to ``peer``, link header first (under ``wlock``);
+        None when its incarnation is gone."""
+        if peer.port is None:
+            return None
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.connect(("127.0.0.1", peer.port))
+            sock.sendall(_encode_link(self.pe, self.epochs[self.pe],
+                                      self.epochs[peer.pe], self.port))
+        except OSError:  # refused: nothing listens for that incarnation
+            sock.close()
+            peer.port = None
+            return None
+        sock.setblocking(False)
+        peer.sock = sock
+        return sock
+
+    def _close(self, peer: _Peer) -> None:
+        """Drop the link to ``peer`` and what waits for it (under ``wlock``)."""
+        if peer.polled:
+            self._unwatch(peer.sock)
+            peer.polled = False
+        if peer.sock is not None:
+            peer.sock.close()
+        peer.sock, peer.port, peer.out, peer.out_bytes = None, None, [], 0
+
+    def close(self) -> None:
+        """Close every socket, the hub's last (shut down: the hub reads EOF)."""
+        socks = [s for s, _fn in self.watched.values()] + [p.sock for p in self.out]
+        for sock in socks:
+            if sock is not None and sock is not self.sock:
+                sock.close()
+        with suppress(OSError):
+            self.sock.shutdown(socket.SHUT_RDWR)
+        self.sock.close()
+
+    def flush_held(self) -> None:
+        held, self.held = self.held, []
+        for peer in held:
+            self.flush(peer)
 
     def on_alarm(self, *_: Any) -> None:
         """SIGALRM, a switch interval after a batch began: write what the
@@ -492,19 +588,31 @@ class _WorkerLink:
         thread) is writing."""
         if self.wlock.locked():
             self.arm()  # look again later
-        elif self.out:
-            with suppress(OSError):  # the next read finds the hub gone
-                self.flush()
+        elif self.held:
+            self.flush_held()
+
+    def renew(self, pe: int, epoch: int, port: int) -> None:
+        """Incarnation ``epoch`` of PE ``pe`` listens at ``port``: an older
+        one's link and queue go, and both counts for the peer restart."""
+        if epoch <= self.epochs[pe]:
+            return
+        with self.wlock:
+            self._close(self.out[pe])
+            self.out[pe] = _Peer(pe, port)
+        self.epochs[pe] = epoch
+        self.sent[pe] = self.recv[pe] = 0
 
     def report_idle(self) -> None:
-        """Tell the hub this PE is parked, after every held frame.
-        Deduplicated: only state changes cross the wire."""
-        snap = (self.net_recv, self.engine.pending_timers)
-        frame = () if snap == self._last_idle else (_encode(("idle", *snap)),)
+        """Tell the hub this PE is parked (the counts, their epochs, armed
+        timers), after every held frame; only state changes cross the wire."""
+        self.flush_held()
+        snap = (tuple(self.sent), tuple(self.recv), tuple(self.epochs),
+                self.engine.pending_timers)
+        if snap == self._last_idle:
+            return
         self._last_idle = snap
         try:
-            if frame or self.out:
-                self.flush(frame)
+            self.send(("idle", *snap))
         except OSError:
             self.stop.set()
 
@@ -515,29 +623,64 @@ class _WorkerLink:
         self.stop.set()
 
     def read(self, frames: deque) -> None:
-        """One non-blocking read, decoded onto ``frames``.  EOF or a dead
-        socket stops the worker."""
+        """One ``poll``, then one read (or, on ``POLLOUT``, write) per ready socket."""
+        for fd, _mask in self.poller.poll(0):
+            watched = self.watched.get(fd)  # None: closed earlier in this batch
+            if watched is not None:
+                watched[1](frames)
+
+    def _accept(self, frames: deque) -> None:
+        """Take every waiting link, and read each at once."""
+        while True:
+            try:
+                sock, _addr = self.listener.accept()
+            except OSError:  # BlockingIOError: the backlog is empty
+                return
+            fn = partial(self._read, _Reader(sock, socket.MSG_DONTWAIT))
+            self._watch(sock, select.POLLIN, fn)
+            fn(frames)
+
+    def _read(self, reader: _Reader, frames: deque) -> None:
+        """One read of the hub socket (EOF stops the worker) or of a peer's
+        link, whose header names the sender: a link to an older incarnation
+        of this PE is closed unread; a newer incarnation of the sender renews it."""
+        new, before = reader.origin is None, len(frames)
         try:
-            if not self.reader.read(frames):
-                self.stop.set()
+            alive = reader.read(frames)
         except Exception:
-            # The frame arrived whole and would not decode (a payload
-            # whose unpickling raises, a class this process cannot
-            # import): a structured failure.  The frames before it stay.
-            src = _sender(self.reader.view[self.reader.start:self.reader.end])
+            # The frame arrived whole and would not decode (a payload whose
+            # unpickling raises, a class this process cannot import): a
+            # structured failure.  The frames before it stay.
+            src = reader.origin
             self.fail(f"PE {self.pe} could not decode a frame from "
-                      f"{'the hub' if src is None else f'PE {src}'}:\n"
+                      f"{'the hub' if src is None else f'PE {src[0]}'}:\n"
                       f"{traceback.format_exc()}")
+            return
+        if reader is self.reader:
+            if not alive:
+                self.stop.set()
+            return
+        if new and reader.origin is not None:
+            src, epoch, target, port = reader.origin
+            if target != self.epochs[self.pe]:
+                while len(frames) > before:
+                    frames.pop()
+                alive = False
+            else:
+                self.renew(src, epoch, port)
+        if not alive:
+            self._unwatch(reader.sock)
+            reader.sock.close()
 
 
 class _MpNode(PENode):
-    """A PE whose main thread is the only thread that reads its hub
-    socket or touches runtime, protocol, inbox or timer state.
+    """A PE whose main thread is the only thread that reads its sockets
+    or touches runtime, protocol, inbox or timer state.
     :meth:`pump` — at the top of every :meth:`wait_until` iteration, and
     in :meth:`poll` once the inbox is empty or a timer is due — reads the
-    socket, runs what it decoded through the interceptors, then fires
-    due timers.  A parked PE waits on its socket and its timer heap, the
-    only two things that can wake it.
+    ready sockets, runs what it decoded through the interceptors, then
+    fires due timers.  A parked PE waits on its sockets and its timer
+    heap, the only things that can wake it.
 
     The progress rule that follows: acks, retransmissions, heartbeats,
     Ccd callbacks and immediate handlers happen when the PE is inside
@@ -549,7 +692,7 @@ class _MpNode(PENode):
 
     def __init__(self, machine: "_WorkerMachine", pe: int) -> None:
         super().__init__(machine, pe)
-        #: frames read off the hub socket, not yet dispatched.
+        #: frames read off the sockets, not yet dispatched.
         self._frames: deque = deque()
         #: True while the main thread is parked in :meth:`wait_until`
         #: (read lock-free by the health thread — a stale value is fine).
@@ -565,11 +708,12 @@ class _MpNode(PENode):
         self._arrived(payload)
 
     def pump(self) -> None:
-        """Read the socket when no decoded frame waits, dispatch frames in
-        order, *then* fire due timers: an ack must cancel its retransmit
-        timer, and a heartbeat refresh the failure detector's evidence,
-        before either timer looks.  One read per pump, so a flood
-        cannot starve the timers; a re-entrant pump continues the queue."""
+        """Read the ready sockets when no decoded frame waits, dispatch
+        frames in order, *then* fire due timers: an ack must cancel its
+        retransmit timer, and a heartbeat refresh the failure detector's
+        evidence, before either timer looks.  One read per socket per
+        pump, so a flood cannot starve the timers; a re-entrant pump
+        continues the queue."""
         link, frames = self.machine.worker, self._frames
         if not frames:
             link.read(frames)
@@ -581,18 +725,22 @@ class _MpNode(PENode):
                     self.deliver_immediate(frame[1])
                 else:
                     self.deliver(frame[1])
-                link.net_recv += 1
+                src, epoch, _target, _port = frame[3]
+                if link.epochs[src] == epoch:  # not an older incarnation's
+                    link.recv[src] += 1
+            elif kind == "peer":
+                link.renew(*frame[1:])  # a respawned incarnation said hello
             elif kind == "clock_probe":
                 # Clock-alignment echo: the hub's timestamp back with this
-                # worker's engine clock.  Not a forwarded message, so the
+                # worker's engine clock.  Not a data frame, so the
                 # quiescence counters never see it.
                 with suppress(OSError):
                     link.send(("clock", frame[1], frame[2], self.engine.now))
             elif kind == "shutdown":
                 link.stop.set()
         self.engine.fire_due()
-        if link.out:  # what the frames and timers sent
-            link.flush()
+        if link.held:  # what the frames and timers sent
+            link.flush_held()
 
     def poll(self) -> Optional[Any]:
         # A busy scheduler reads the socket once per inbox drain, and in
@@ -611,9 +759,13 @@ class _MpNode(PENode):
             if link.stop.is_set():
                 raise _WorkerStop()
             self._parked = True
-            link.report_idle()
-            timeout = engine.next_deadline_in()
-            link.poller.poll(None if timeout is None else timeout * 1e3)
+            # Idle is reported once a park has lasted the grace with
+            # nothing arriving, and a timer due sooner ends the park first.
+            grace = engine.next_deadline_in(_IDLE_GRACE)
+            if not link.poller.poll(grace * 1e3) and grace == _IDLE_GRACE:
+                link.report_idle()
+                timeout = engine.next_deadline_in()
+                link.poller.poll(None if timeout is None else timeout * 1e3)
             self._parked = False
 
     def kick(self) -> None:
@@ -624,10 +776,11 @@ class _MpNode(PENode):
 
 class _MpNetwork(Interconnect):
     """The worker-side view of the interconnect: every remote payload
-    becomes a data frame (:func:`_encode_data`) routed through the hub;
-    self-sends stay local.  A frame is encoded before a send call returns,
-    held or not, so the interface's complete-at-once ``async_send`` and
-    per-destination ``broadcast`` are already right for this layer.  A fault plan binds
+    becomes a data frame (:func:`_encode_data`), counted and written to
+    the destination's link; self-sends stay local.  A frame is encoded
+    before a send call returns, held or not, so the interface's
+    complete-at-once ``async_send`` and per-destination ``broadcast`` are
+    already right for this layer.  A fault plan binds
     :meth:`_transmit_faulty` over :meth:`_transmit` at construction."""
 
     def __init__(self, machine: "_WorkerMachine", link: _WorkerLink,
@@ -650,14 +803,16 @@ class _MpNetwork(Interconnect):
             node = self.machine.node_obj
             (node.deliver_immediate if immediate else node.deliver)(payload)
             return False
-        self._write(_encode_data(src_pe, dst, payload, immediate), immediate)
+        self._write(dst, _encode_data(src_pe, dst, payload, immediate), immediate)
         return True
 
-    def _write(self, frame: tuple, immediate: bool) -> None:
-        """Send a frame, or hold it while arrivals wait to be dispatched."""
-        node = self.machine.node_obj
+    def _write(self, dst: int, frame: tuple, immediate: bool) -> None:
+        """Count a frame for PE ``dst`` and send it, or hold it while
+        arrivals wait to be dispatched."""
+        link, node = self.link, self.machine.node_obj
+        link.sent[dst] += 1
         held = not immediate and (node.inbox or node._frames)
-        (self.link.hold if held else self.link.flush)(frame)
+        (link.hold if held else link.flush)(link.out[dst], frame)
 
     def _transmit_faulty(self, src_pe: int, dst: int, nbytes: int,
                          payload: Any, immediate: bool = False) -> bool:
@@ -677,10 +832,10 @@ class _MpNetwork(Interconnect):
             tail = fifo.get(dst) if keep_fifo else None
             queued = tail is not None and tail[1].fn is not None  # unsent
             if extra <= 0.0 and not queued:
-                write(data, immediate)
+                write(dst, data, immediate)
                 return
             deadline = max(time.monotonic() + extra, tail[0] if queued else 0.0)
-            timer = engine.schedule_until(deadline, write, data, immediate)
+            timer = engine.schedule_until(deadline, write, dst, data, immediate)
             if keep_fifo:
                 fifo[dst] = (deadline, timer)
 
@@ -794,8 +949,9 @@ def _worker_health_loop(link: _WorkerLink, machine: "_WorkerMachine",
     stats = node.stats
     while not link.stop.wait(interval):
         snap = {
-            "delivered": link.net_recv,
-            # dispatched, not yet consumed; the hub adds what it forwarded
+            "delivered": sum(link.recv),
+            "sent_to": list(link.sent),  # the hub sums it per destination
+            # dispatched, not yet consumed; the hub adds what peers sent
             # that this PE has not read (MpMachine.health).
             "inbox": len(node.inbox),
             "idle": node._parked,
@@ -805,21 +961,27 @@ def _worker_health_loop(link: _WorkerLink, machine: "_WorkerMachine",
             "cpu": time.process_time(),
         }
         try:
-            with link.wlock:  # past the held frames
-                link.sock.sendall(_encode(("health", node.pe, snap)))
+            link.send(("health", node.pe, snap))
         except OSError:
             return
 
 
 def _worker_main(pe: int, port: int, specs: list, cfg: MachineConfig,
-                 health_period: float, epoch: int = 0) -> None:
+                 health_period: float, epoch: int = 0,
+                 listener: Optional[socket.socket] = None,
+                 peers: Sequence[tuple] = (), inherited: Sequence[Any] = ()) -> None:
     """Entry point of one PE process.
 
     Builds the *machine-independent* runtime stack
     (:func:`~repro.machine.base.build_pe_stack`) on top of the worker
     machine pieces, then runs the launch specs in order and parks until
-    the hub shuts the job down.
+    the hub shuts the job down.  ``peers``: every PE's ``(port, epoch)``
+    at the start; ``inherited``: the peer listeners a forked child got
+    with the hub's memory, closed but for its own.
     """
+    for other in inherited:
+        if other is not listener:
+            other.close()
     # Bounded connect retry: a respawned worker can race the hub's
     # accept loop, and loopback connects occasionally bounce under load.
     sock = None
@@ -837,7 +999,7 @@ def _worker_main(pe: int, port: int, specs: list, cfg: MachineConfig,
     # each one is a single non-blocking recv_into).
     sock.settimeout(None)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    link = _WorkerLink(sock, pe)
+    link = _WorkerLink(sock, pe, listener, peers)
     # A held batch waits one switch interval at most: a writer thread's GIL wait.
     signal.signal(signal.SIGALRM, link.on_alarm)
     link.arm = partial(signal.setitimer, signal.ITIMER_REAL, sys.getswitchinterval())
@@ -891,9 +1053,10 @@ def _worker_main(pe: int, port: int, specs: list, cfg: MachineConfig,
                 link.send(("result", idx, False,
                            f"main returned an unpicklable value: {exc}"))
                 return
-        # All mains finished: stay in the runtime — acking, heartbeating,
-        # serving checkpoint custody and firing timers — until the hub
-        # says shutdown.
+        # All mains finished: report idle at once (the run may be over, so
+        # no grace), then stay in the runtime — acking, heartbeating,
+        # serving checkpoint custody and firing timers — until shutdown.
+        link.report_idle()
         node.wait_until(lambda: False)
     except _WorkerStop:
         pass
@@ -923,11 +1086,7 @@ def _worker_main(pe: int, port: int, specs: list, cfg: MachineConfig,
                 tracer.close()
             except OSError:
                 pass
-        try:
-            sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        sock.close()
+        link.close()
 
 
 # ======================================================================
@@ -986,8 +1145,8 @@ def _first_boot_method() -> str:
     """The start method of a first boot: ``fork`` where the platform has
     it (cheapest, and the child inherits ``sys.path``), else ``spawn``.
     The hub starts no thread, and every first incarnation is forked
-    before the hub accepts a connection, so a child inherits only the
-    listener."""
+    before the hub accepts a connection, so a child inherits only
+    listeners (the peers' it closes: :func:`_worker_main`)."""
     import multiprocessing
 
     return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
@@ -1094,8 +1253,10 @@ class MpMachine(MachineLayer):
         self._shutting_down = False
         # -- hub state: written only by the loop (_loop), which run() and
         # shutdown() drive on the caller's thread ------------------------
-        self._forwarded = [0] * num_pes
+        #: pe -> its last idle report ``(sent, recv, epochs, timers)``.
         self._idle: Dict[int, tuple] = {}
+        #: pe -> what it last said (idle report or health) it sent each PE.
+        self._sent: Dict[int, Sequence[int]] = {}
         self._quiescent = False
         self._worker_error: Optional[tuple] = None
         self._worker_cpu: Dict[int, float] = {}
@@ -1111,12 +1272,13 @@ class MpMachine(MachineLayer):
         self._down: set = set()
         #: PEs whose CrashSpec promises a respawn that has not said hello
         #: yet.  Quiescence must wait for them: the surviving PEs can
-        #: drain to a balanced ledger during the crash window, but the
+        #: drain to balanced counts during the crash window, but the
         #: run is not over until the fresh incarnation rejoins and the
         #: FT layer replays into it.
         self._respawn_owed: set = set()
-        #: per-PE incarnation counter (bumped by every respawn).
+        #: per PE: its incarnation (bumped by every respawn), its listener's port.
         self._epochs = [0] * num_pes
+        self._ports = [0] * num_pes
         #: killed incarnations, reaped at shutdown.
         self._dead_procs: List[Any] = []
         self._port: Optional[int] = None
@@ -1131,15 +1293,12 @@ class MpMachine(MachineLayer):
         self._procs: List[Any] = []
         #: started incarnations that have not said hello: pe -> process.
         self._unborn: Dict[int, Any] = {}
-        #: ``(pe, frame)`` read before every first incarnation said hello,
-        #: routed once they all have; None from then on.
-        self._held: Optional[List[tuple]] = []
+        #: every first incarnation has said hello (:meth:`_boot`).
+        self._booted = False
         #: every open worker connection, greeted or not.
         self._links: set = set()
         #: pe -> the connection of its live incarnation.
         self._conns: Dict[int, _HubConn] = {}
-        #: connections whose out-queue gained its first chunk this wakeup.
-        self._dirty: List[_HubConn] = []
 
     @property
     def now(self) -> float:
@@ -1182,42 +1341,36 @@ class MpMachine(MachineLayer):
     # hub internals
     # ------------------------------------------------------------------
     def _check_quiescent(self) -> None:
-        if self._respawn_owed:
-            return  # a killed PE is promised back; the run is not over
-        idle, forwarded, down = self._idle, self._forwarded, self._down
-        for pe in range(self.num_pes):
-            # A dead PE neither receives nor reports.
-            if pe not in down and idle.get(pe) != (forwarded[pe], 0):
-                return
-        self._quiescent = True
+        """No respawn owed, and every live PE's last report idle, timer-free,
+        of the hub's epochs and matching: ``sent_i[j] == recv_j[i]``."""
+        live = [pe for pe in range(self.num_pes) if pe not in self._down]
+        reports = [self._idle.get(pe) for pe in live]
+        epochs = tuple(self._epochs)
+        if self._respawn_owed or any(r is None or r[3] or r[2] != epochs
+                                     for r in reports):
+            return
+        if all(ri[0][j] == rj[1][i] for i, ri in zip(live, reports)
+               for j, rj in zip(live, reports)):
+            self._quiescent = True
+
+    def _sent_to(self, pe: int) -> int:
+        """What the other PEs last said they sent PE ``pe``."""
+        return sum(sent[pe] for src, sent in self._sent.items() if src != pe)
 
     def _fail(self, pe: int, why: str, died: bool = False) -> None:
         if self._worker_error is None:
             self._worker_error = (pe, why, died)
 
-    def _forward(self, dst: int, data: Any) -> None:
-        """Queue a data frame's bytes, as the sender encoded them, to
-        PE ``dst``."""
-        conn = self._conns.get(dst)
-        if conn is None:
-            if not 0 <= dst < self.num_pes:
-                self._fail(-1, f"routing frame addressed to PE {dst}")
-            return  # the PE's connection is gone; its EOF said why
-        self._forwarded[dst] += 1
-        self._send(conn, data)
-
-    def _send(self, conn: _HubConn, data: Any) -> None:
-        """Queue ``data`` (bytes, or a relayed frame's view) on ``conn``: the
-        loop sends it before the next read, or, on write interest, a copy."""
-        if conn.waiting:
-            data = bytes(data)
-        elif not conn.out:
-            self._dirty.append(conn)
+    def _send(self, conn: _HubConn, data: bytes) -> None:
+        """Send a control frame on ``conn`` now, or behind what waits on
+        write interest."""
         conn.out.append(data)
+        if not conn.waiting:
+            self._flush(conn)
 
     def _flush(self, conn: _HubConn) -> None:
         """One gather ``sendmsg`` of ``conn``'s queue.  A short write's tail
-        is copied, and waits on write interest (registered only then)."""
+        waits on write interest (registered only then)."""
         out = conn.out
         chunks = out if len(out) <= _IOV_MAX else [b"".join(out)]
         try:
@@ -1226,18 +1379,11 @@ class MpMachine(MachineLayer):
             rest = chunks
         except OSError:
             rest = []  # broken or dropped: the queue goes with it
-        out[:] = [b"".join(rest)] if rest else ()
+        out[:] = rest
         if conn.waiting != bool(out):
             conn.waiting = bool(out)
             self._sel.modify(conn.sock, selectors.EVENT_READ | (
                 selectors.EVENT_WRITE if out else 0), conn.on_ready)
-
-    def _flush_dirty(self) -> None:
-        """Send every queue that gained a chunk: then no view is queued."""
-        dirty = self._dirty
-        for conn in dirty:
-            self._flush(conn)
-        dirty.clear()
 
     # ------------------------------------------------------------------
     # scheduled crashes: SIGKILL + respawn (CrashSpec entries)
@@ -1254,6 +1400,7 @@ class MpMachine(MachineLayer):
             return
         self._down.add(pe)
         self._idle.pop(pe, None)
+        self._sent.pop(pe, None)
         if spec.restart_after is not None:
             # Block quiescence until the promised respawn says hello —
             # the survivors going idle mid-crash-window is not the end
@@ -1282,7 +1429,7 @@ class MpMachine(MachineLayer):
         ctx = multiprocessing.get_context("spawn")
         self._epochs[pe] += 1
         try:
-            self._procs[pe] = self._spawn(ctx, pe)
+            self._procs[pe] = self._spawn(ctx, pe, self._bind(pe))
         except Exception as exc:
             self._respawn_owed.discard(pe)
             self._fail(pe, f"worker respawn failed: {exc}")
@@ -1290,19 +1437,31 @@ class MpMachine(MachineLayer):
     # ------------------------------------------------------------------
     # the one handshake path
     # ------------------------------------------------------------------
-    def _spawn(self, ctx: Any, pe: int) -> Any:
-        """Start PE ``pe``'s current incarnation and watch it until its
-        hello: its process sentinel fails the run if it exits first, a
-        deadline entry if it has not connected in time."""
+    def _bind(self, pe: int) -> socket.socket:
+        """The peer listener of PE ``pe``'s next incarnation; every worker
+        started from now on is told its port."""
+        sock = socket.create_server(("127.0.0.1", 0))
+        self._ports[pe] = sock.getsockname()[1]
+        return sock
+
+    def _spawn(self, ctx: Any, pe: int, listener: socket.socket,
+               inherited: Sequence[socket.socket] = ()) -> Any:
+        """Start PE ``pe``'s current incarnation on its peer ``listener`` (the
+        hub's copy closes) and watch it until its hello: its sentinel fails
+        the run if it exits first, a deadline entry if it is late."""
         epoch = self._epochs[pe]
         proc = ctx.Process(
             target=_worker_main,
             args=(pe, self._port, self._specs.get(pe, []), self._worker_cfg,
-                  _HEALTH_INTERVAL, epoch),
+                  _HEALTH_INTERVAL, epoch, listener,
+                  list(zip(self._ports, self._epochs)), inherited),
             name=f"repro-mp-pe{pe}" + (f"e{epoch}" if epoch else ""),
             daemon=True,
         )
-        proc.start()
+        try:
+            proc.start()
+        finally:
+            listener.close()
         self._unborn[pe] = proc
         self._sel.register(proc.sentinel, selectors.EVENT_READ,
                            partial(self._on_exit, pe, proc))
@@ -1337,8 +1496,6 @@ class MpMachine(MachineLayer):
         self._on_accept(0)
         for conn in [c for c in self._links if c.pe is None]:
             self._on_conn(conn, selectors.EVENT_READ)
-        # The same wakeup may read these connections again.
-        self._flush_dirty()
         if self._unborn.get(pe) is not proc:
             return
         self._fail(pe, f"worker process (epoch {self._epochs[pe]}) exited "
@@ -1374,19 +1531,24 @@ class MpMachine(MachineLayer):
             return None
         conn.pe = pe
         self._conns[pe] = conn
-        # Fresh ledger on both sides: the incarnation starts at
-        # net_recv == 0, so the hub's count restarts with it.
-        self._forwarded[pe] = 0
         self._down.discard(pe)
         self._respawn_owed.discard(pe)
-        if self._held is not None and not self._unborn:
+        if self._booted:
+            # A respawn: every live peer learns where it listens, and it
+            # learns every live peer's latest incarnation.
+            epochs, ports = self._epochs, self._ports
+            for q, peer in list(self._conns.items()):
+                if q != pe:
+                    self._send(peer, _encode(("peer", pe, epochs[pe], ports[pe])))
+                    self._send(conn, _encode(("peer", q, epochs[q], ports[q])))
+        elif not self._unborn:
             self._boot()
         return pe
 
     def _boot(self) -> None:
-        """Every first incarnation has said hello: probe clocks, arm the
-        crash schedule, then route what the workers sent meanwhile."""
-        held, self._held = self._held, None
+        """Every first incarnation has said hello: probe clocks and arm
+        the crash schedule."""
+        self._booted = True
         if self._trace_mode in ("memory", "jsonl"):
             # Startup clock probes: sample each worker's monotonic offset
             # while the sockets are quiet (the mains are still booting).
@@ -1394,23 +1556,20 @@ class MpMachine(MachineLayer):
         # spec.at counts wall-clock seconds from here (= run start).
         for spec in self.config.crash_schedule:
             self._timers.schedule(max(0.0, spec.at), self._crash_worker, spec)
-        for pe, frame in held:
-            self._on_frame(pe, frame)
 
     # ------------------------------------------------------------------
     # connections
     # ------------------------------------------------------------------
     def _on_conn(self, conn: _HubConn, mask: int) -> None:
         """One wakeup on one connection: flush what waits to go out, then
-        one read, decoded into every whole frame it completed (data
-        frames only as far as their destination)."""
+        one read, decoded into every whole frame it completed."""
         if mask & selectors.EVENT_WRITE:
             self._flush(conn)
         if not mask & selectors.EVENT_READ:
             return
         frames: List[Any] = []
         try:
-            if not conn.reader.read(frames, relay=True):
+            if not conn.reader.read(frames):
                 self._on_eof(conn)
                 return
             bad = None
@@ -1432,12 +1591,6 @@ class MpMachine(MachineLayer):
             return
         if pe is None:
             return
-        if self._held is not None:
-            # No frame is routed before its destination has said hello;
-            # a held data frame outlives this read, so it takes a copy.
-            self._held += [(pe, ("send", f[1], bytes(f[2])) if f[0] == "send"
-                            else f) for f in frames]
-            return
         on_frame = self._on_frame
         for frame in frames:
             on_frame(pe, frame)
@@ -1445,10 +1598,9 @@ class MpMachine(MachineLayer):
     def _on_frame(self, pe: int, frame: tuple) -> None:
         """Dispatch one frame from PE ``pe``."""
         kind = frame[0]
-        if kind == "send":
-            self._forward(frame[1], frame[2])
-        elif kind == "idle":
-            self._idle[pe] = (frame[1], frame[2])
+        if kind == "idle":
+            self._idle[pe] = frame[1:]
+            self._sent[pe] = frame[1]
             self._check_quiescent()
         elif kind == "result":
             _, index, ok, value = frame
@@ -1466,8 +1618,9 @@ class MpMachine(MachineLayer):
             self._worker_cpu[pe] = frame[1]
         elif kind == "health":
             _, wpe, snap = frame
-            # What the PE has not read yet still waits in its socket.
-            snap["inbox"] += self._forwarded[wpe] - snap["delivered"]
+            # What the PE has not read yet still waits in its sockets.
+            self._sent[wpe] = snap["sent_to"]
+            snap["inbox"] += self._sent_to(wpe) - snap["delivered"]
             self._health[wpe] = snap
             self._flight.append((time.monotonic(), wpe, snap))
         elif kind == "clock":
@@ -1499,14 +1652,7 @@ class MpMachine(MachineLayer):
         WorkerDied from run().  (A hub kill drops the connection first,
         so its EOF is never read.)"""
         self._drop(conn)
-        if conn.pe is None:
-            return
-        if self._held is not None:
-            # Its frames wait for the other PEs' hellos (a main that
-            # failed at once sent its result before it exited): the EOF
-            # queues behind them, so the result is read first.
-            self._held.append((conn.pe, ("eof",)))
-        else:
+        if conn.pe is not None:
             self._on_frame(conn.pe, ("eof",))
 
     def _drop(self, conn: _HubConn) -> None:
@@ -1545,13 +1691,20 @@ class MpMachine(MachineLayer):
             # Workers spool to per-PE siblings of the base; the hub merges.
             cfg = replace(cfg, trace="jsonl:" + self._trace_base)
         self._worker_cfg = cfg
-        for pe in range(self.num_pes):
-            self._procs.append(self._spawn(ctx, pe))
+        # Every worker starts knowing every peer's address.
+        listeners = [self._bind(pe) for pe in range(self.num_pes)]
+        inherited = listeners if ctx.get_start_method() == "fork" else ()
+        try:
+            for pe in range(self.num_pes):
+                self._procs.append(self._spawn(ctx, pe, listeners[pe], inherited))
+        finally:
+            for sock in listeners:
+                sock.close()
 
     def _send_clock_probes(self) -> None:
         """One echo probe per worker (replies land in ``_on_frame``).
-        Probes ride the ordinary frame sockets but bypass the forwarded
-        counters, so quiescence accounting never sees them."""
+        Probes ride the hub sockets, which carry no data frame, so
+        quiescence accounting never sees them."""
         for conn in self._conns.values():
             self._send(conn, _encode(("clock_probe", self._next_probe,
                                       time.monotonic())))
@@ -1561,12 +1714,11 @@ class MpMachine(MachineLayer):
         """The hub: one thread, one selector over the listener, every
         worker connection and every running worker's process sentinel,
         and one deadline heap.  Each wakeup runs the ready handlers, then the
-        due deadlines, then sends every queue that gained a chunk — until
-        ``done()`` or ``seconds`` pass.  Nothing else writes hub state."""
+        due deadlines — until ``done()`` or ``seconds`` pass.  Nothing else
+        writes hub state."""
         select, timers = self._sel.select, self._timers
         deadline = time.monotonic() + seconds
         while True:
-            self._flush_dirty()
             if done():
                 return
             left = deadline - time.monotonic()
@@ -1630,19 +1782,19 @@ class MpMachine(MachineLayer):
     # ------------------------------------------------------------------
     def health(self) -> Dict[int, Dict[str, Any]]:
         """The hub's latest view of every PE: the most recent worker
-        health snapshot (delivered/inbox/idle/timers/handlers/sent/cpu)
-        plus the hub's own forwarded counter — the two sides of the
-        quiescence ledger.  ``inbox`` is the PE's backlog: its inbox plus
-        the frames the hub forwarded that it has not read.  It reads what
-        the loop wrote as of its last wakeup (the loop runs inside run()
-        and shutdown())."""
+        health snapshot (delivered/sent_to/inbox/idle/timers/handlers/sent/
+        cpu) plus ``forwarded``, what the other PEs last said they sent it
+        — the two sides of the quiescence counts.  ``inbox`` is the PE's
+        backlog: its inbox plus what was sent to it and not yet read.  It
+        reads what the loop wrote as of its last wakeup (the loop runs
+        inside run() and shutdown())."""
         out: Dict[int, Dict[str, Any]] = {}
         for pe in range(self.num_pes):
             snap = dict(self._health.get(pe, ()))
-            snap["forwarded"] = self._forwarded[pe]
+            snap["forwarded"] = self._sent_to(pe)
             idle = self._idle.get(pe)
             if idle is not None and "delivered" not in snap:
-                snap["delivered"] = idle[0]
+                snap["delivered"] = sum(idle[1])
             out[pe] = snap
         return out
 
@@ -1680,8 +1832,6 @@ class MpMachine(MachineLayer):
     def _watch_tick(self) -> None:
         """Deadline entry: one stderr line of per-PE progress, re-armed
         until shutdown."""
-        import sys
-
         if self._shutting_down:
             return
         health = self.health()

@@ -206,6 +206,16 @@ def test_a_send_held_behind_arrivals_leaves_during_a_long_compute(where):
     assert got - sent < busy / 2, (got - sent, done - sent)
 
 
+def test_peers_flooding_each_other_before_receiving_do_not_deadlock():
+    """Each PE sends the other 32 x 1 MiB from its main before either
+    receives: far more than a socket buffer holds.  A send never blocks
+    on a peer — what the socket does not take waits in that peer's
+    queue — so both mains get through and every payload arrives."""
+    t0 = time.monotonic()
+    _m, results = _run_mp(w.w_cross_flood, 32, 1 << 20, timeout=30.0)
+    assert results == [True, True], time.monotonic() - t0
+
+
 def test_progress_rule_delayed_acks_are_retransmitted_and_deduplicated():
     """Protocol work happens when the PE is inside the runtime: a
     compute-only handler on the receiver delays its acks, the sender

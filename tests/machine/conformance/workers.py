@@ -74,6 +74,29 @@ def w_pingpong(rounds, nbytes):
     return state["count"]
 
 
+def w_cross_flood(count, nbytes):
+    """PE 0 and PE 1 each send the other ``count`` payloads of ``nbytes``
+    from their mains before either receives anything, then take in all
+    of the other's.  True when they arrived intact and in order."""
+    me = api.CmiMyPe()
+    other = 1 - me
+    got = []
+
+    def on_blob(msg):
+        got.append(msg.payload)
+        if len(got) == count:
+            api.CsdExitScheduler()
+
+    def blob(pe, i):
+        return bytes([pe, i % 256]) * (nbytes // 2)
+
+    h_blob = api.CmiRegisterHandler(on_blob, "conf.flood")
+    for i in range(count):
+        api.CmiSyncSend(other, api.CmiNew(h_blob, blob(me, i), size=nbytes))
+    api.CsdScheduler(-1)
+    return got == [blob(other, i) for i in range(count)]
+
+
 def w_multi_sender(per_sender):
     """Every PE > 0 fires ``per_sender`` numbered messages at PE 0.
 

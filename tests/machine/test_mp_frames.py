@@ -1,12 +1,12 @@
-"""The mp data-frame codec and the hub's relay of it.
+"""The mp data-frame codec and the worker's links to its peers.
 
 A data frame carries a plain ``Message`` as a struct header plus a pickle
 of its payload, and anything else as one pickle of the whole packet; the
 receiver must rebuild exactly what pickling the packet whole would have.
-The hub routes a data frame by its header and forwards its bytes
-without unpickling them.  Both ends read with one ``_Reader``, which
-decodes in place: a stream must decode the same wherever it is split,
-and a relayed view must never outlive the next read of its buffer.
+A worker sends it straight to its destination, on a link that opens with
+a header naming the sender and its incarnation.  Every socket is read
+with one ``_Reader``, which decodes in place: a stream must decode the
+same wherever it is split.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import socket
 import sys
 import threading
 import time
-import types
 
 import numpy as np
 import pytest
@@ -127,14 +126,14 @@ def test_data_frame_rebuilds_what_a_whole_pickle_would(make, fast, immediate):
     expected = pickle.loads(pickle.dumps(packet, protocol=pickle.HIGHEST_PROTOCOL))
     data = b"".join(mp._encode_data(SRC, DST, packet, immediate))
     assert data[mp._LEN.size] == (mp._TAG_MSG if fast else mp._TAG_OBJ)
-    buf = bytearray(data + mp._encode(("idle", 0, 0)))
-    [(kind, got, imm), idle] = mp._decode(buf)
-    assert (kind, bool(imm), idle) == ("msg", immediate, ("idle", 0, 0))
+    # As a link from SRC (incarnation 2) reads it: every data frame after
+    # the link header carries it as its origin.
+    buf = bytearray(mp._encode_link(SRC, 2, 0, 9) + data + mp._encode(("idle", 0, 0)))
+    [(kind, got, imm, origin), idle] = mp._decode(buf)
+    assert (kind, bool(imm), origin, idle) == ("msg", immediate, (SRC, 2, 0, 9),
+                                               ("idle", 0, 0))
     assert _state(got) == _state(expected)
     assert not buf
-    # The hub's view of the same bytes: routed, not rebuilt.
-    assert mp._decode(bytearray(data), relay=True) == [("send", DST, data)]
-    assert mp._sender(bytearray(data)) == SRC
 
 
 needs_mp = pytest.mark.skipif(
@@ -151,38 +150,6 @@ def hub():
     for sock in socks:
         sock.close()
     m.shutdown()
-
-
-@needs_mp
-@pytest.mark.parametrize("packet", [
-    Message(7, ReduceBomb(), size=8, src_pe=0),
-    _msg(payload=ReduceBomb(), size=8, src_pe=0, seq=0, ack=3),
-], ids=["message", "reliable"])
-def test_hub_relays_a_data_frame_without_unpickling_it(hub, packet, monkeypatch):
-    """A payload that will not unpickle is the destination's problem: the
-    hub forwards the sender's bytes untouched and counts them, and never
-    calls ``pickle.loads`` on a data frame."""
-    m, socks = hub
-    conns = []
-    for pe in (0, 1):
-        ours, theirs = socket.socketpair()
-        socks += [ours, theirs]
-        conn = mp._HubConn(ours)
-        conn.pe = pe
-        m._conns[pe] = conn
-        conns.append((conn, theirs))
-    m._held = None  # every PE has said hello
-    data = b"".join(mp._encode_data(0, 1, packet, False))
-    conns[0][1].sendall(data)
-
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("the hub unpickled a data frame")
-
-    monkeypatch.setattr(pickle, "loads", refuse)
-    m._on_conn(conns[0][0], selectors.EVENT_READ)
-    assert m._worker_error is None
-    assert conns[1][0].out == [data]
-    assert m._forwarded == [0, 1]
 
 
 # ----------------------------------------------------------------------
@@ -224,9 +191,7 @@ _cuts = st.tuples(
 
 def _norm(frame):
     if frame[0] == "msg":
-        return ("msg", _state(frame[1]), bool(frame[2]))
-    if frame[0] == "send":
-        return ("send", frame[1], bytes(frame[2]))
+        return ("msg", _state(frame[1]), bool(frame[2]), frame[3])
     return frame
 
 
@@ -248,32 +213,33 @@ class _Counted:
         return n
 
 
-@pytest.mark.parametrize("relay", [False, True], ids=["worker", "hub"])
+
+@pytest.mark.parametrize("link", [False, True], ids=["worker", "link"])
 @settings(max_examples=15, deadline=None)
 @given(cuts=_cuts)
-def test_reader_decodes_a_stream_cut_anywhere(relay, cuts):
+def test_reader_decodes_a_stream_cut_anywhere(link, cuts):
+    """A worker reads its hub socket and its links the same way (one
+    non-blocking ``recv_into`` per read); a link's stream opens with its
+    header, which no frame after it may lose."""
+    stream = (mp._encode_link(SRC, 1, 0, 9) if link else b"") + _STREAM
     ours, theirs = socket.socketpair()
     try:
         ours.setblocking(False)
         theirs.setblocking(False)
-        # the worker reads with MSG_DONTWAIT, the hub from a
-        # non-blocking socket: either way one recv_into per read().
         sock = _Counted(ours)
-        reader = mp._Reader(sock, 0 if relay else socket.MSG_DONTWAIT)
+        reader = mp._Reader(sock, socket.MSG_DONTWAIT)
         got = []
         sent = 0
 
         def drain():
             while sock.got < sent:
                 frames = []
-                assert reader.read(frames, relay)
-                # A relayed view is good until the next read: take its
-                # bytes now.
+                assert reader.read(frames)
                 got.extend(map(_norm, frames))
 
         pos = 0
-        for cut in cuts + [len(_STREAM)]:
-            chunk = memoryview(_STREAM)[pos:cut]
+        for cut in cuts + [len(stream)]:
+            chunk = memoryview(stream)[pos:cut]
             while chunk:
                 try:
                     n = theirs.send(chunk)
@@ -283,16 +249,14 @@ def test_reader_decodes_a_stream_cut_anywhere(relay, cuts):
                 drain()
             pos = cut
         assert reader.start == reader.end
-        assert got == [_norm(f) for f in mp._decode(bytearray(_STREAM), relay=relay)]
-        if relay:
-            data = [f for f in _FRAMES if f[mp._LEN.size] != mp._PICKLE]
-            assert [f[2] for f in got if f[0] == "send"] == data
-        else:
-            # Decoded payloads own their bytes: they read the same after
-            # later reads reused the buffer, and alias none of it.
-            small, array = got[1][1], got[2][1]
-            assert small[1]["_payload"] == (bytes, b"8 bytes!")
-            assert array[1]["_payload"] == _state(_ARRAY)
+        assert got == [_norm(f) for f in mp._decode(bytearray(stream))]
+        origins = {f[3] for f in got if f[0] == "msg"}
+        assert origins == {(SRC, 1, 0, 9) if link else None}
+        # Decoded payloads own their bytes: they read the same after
+        # later reads reused the buffer, and alias none of it.
+        small, array = got[1][1], got[2][1]
+        assert small[1]["_payload"] == (bytes, b"8 bytes!")
+        assert array[1]["_payload"] == _state(_ARRAY)
     finally:
         ours.close()
         theirs.close()
@@ -314,21 +278,24 @@ def test_decoded_payloads_alias_nothing_of_the_read_buffer():
         a.close()
         b.close()
 
-
 class _Spy:
-    """A worker socket's write side that records each ``sendmsg`` call's
-    chunk count and takes at most ``taken`` bytes of it (all by default);
-    ``sendall`` takes everything."""
+    """A socket's write side that records each ``sendmsg`` call's chunk
+    count and takes at most ``taken`` bytes of the next one (all by
+    default); ``sendall`` takes everything.  ``probe``, when set, is
+    called at each write, its results kept in ``seen``.  It polls as the
+    real socket ``fd`` does."""
 
-    def __init__(self, taken=None):
+    def __init__(self, fd, taken=None):
+        self.fileno = fd.fileno
         self.taken = taken
         self.writes = []
         self.got = bytearray()
-        self.probe = None  # called at each sendmsg; its results: seen
+        self.probe = None
         self.seen = []
 
     def sendmsg(self, chunks):
         data = b"".join(chunks)[:self.taken]
+        self.taken = None
         self.writes.append(len(chunks))
         if self.probe is not None:
             self.seen.append(self.probe())
@@ -336,47 +303,45 @@ class _Spy:
         return len(data)
 
     def sendall(self, data):
+        if self.probe is not None:
+            self.seen.append(self.probe())
         self.got += data
 
+    def close(self):
+        pass
+
     def frames(self):
-        """What the hub would read: control tuples and payloads."""
+        """What the reading end would decode: control tuples and payloads."""
         return [f[1].payload if f[0] == "msg" else f
                 for f in mp._decode(bytearray(self.got))]
 
 
-@pytest.mark.parametrize("taken", [0, 3, "head", "head+5"])
-def test_worker_send_finishes_a_short_gather_write(taken):
-    frame = mp._encode_data(SRC, DST, _msg(payload=b"x" * 100), False)
-    taken = {"head": len(frame[0]), "head+5": len(frame[0]) + 5}.get(taken, taken)
-
-    a, b = socket.socketpair()
-    try:
-        link = mp._WorkerLink(a, SRC)
-        link.sock = _Spy(taken)  # takes that much of the gather write
-        link.flush(frame)
-        assert bytes(link.sock.got) == b"".join(frame)
-    finally:
-        a.close()
-        b.close()
-
-
-# ----------------------------------------------------------------------
-# the worker's outbox: sends made while arrivals wait leave together
-# ----------------------------------------------------------------------
 @pytest.fixture
 def worker():
-    """PE 1 of 2 as its worker process builds it, its writes spied on."""
-    made = []
+    """PE 1 of 2 as its worker process builds it, with a link in from PE
+    0 (its listener accepts it at the first pump) and its writes to PE 0
+    and to the hub spied on."""
+    made, links = [], []
 
     def build(faults=None):
-        a, b = socket.socketpair()
-        made.extend((a, b))
-        link = mp._WorkerLink(a, 1)
+        hub_end, hub_far = socket.socketpair()
+        fd, fd_far = socket.socketpair()  # what the spy polls as
+        listener = socket.create_server(("127.0.0.1", 0))
+        made.extend((hub_far, fd, fd_far))
+        link = mp._WorkerLink(hub_end, 1, listener, [(None, 0), (0, 0)])
         machine = mp._WorkerMachine(1, link, MachineConfig(2, faults=faults))
-        link.sock = _Spy()
-        return machine, machine.node_obj, link.sock, b
+        spy = link.out[0].sock = _Spy(fd)
+        link.sock = _Spy(hub_far)
+        links.append((link, hub_end))
+        feed = socket.create_connection(listener.getsockname())
+        made.append(feed)
+        feed.sendall(mp._encode_link(0, 0, 0, 0))
+        return machine, machine.node_obj, spy, feed
 
     yield build
+    for link, hub_end in links:
+        link.sock = hub_end
+        link.close()
     for sock in made:
         sock.close()
 
@@ -393,6 +358,21 @@ def _reply(machine, node, i, immediate=False, size=0):
     payload = ("out", i) if not size else bytes(size)
     machine.network.sync_send(node, 0, 8, _msg(payload=payload, src_pe=1),
                               immediate=immediate)
+
+
+@pytest.mark.parametrize("taken", [0, 3, "head", "head+5"])
+def test_worker_send_finishes_a_short_gather_write(worker, taken):
+    """A short write never blocks: its tail waits, polled for POLLOUT,
+    and the pump that finds the link writable sends it whole."""
+    machine, node, spy, _feed = worker()
+    frame = mp._encode_data(1, 0, _msg(payload=b"x" * 100, src_pe=1), False)
+    spy.taken = {"head": len(frame[0]), "head+5": len(frame[0]) + 5}.get(taken, taken)
+    link = node.machine.worker
+    link.flush(link.out[0], frame)
+    assert link.out[0].out and link.out[0].polled
+    node.pump()
+    assert bytes(spy.got) == b"".join(frame)
+    assert not link.out[0].out and not link.out[0].polled
 
 
 @pytest.mark.parametrize("k", [2, 16])
@@ -414,27 +394,34 @@ def test_a_send_with_an_empty_inbox_writes_at_once(worker):
     assert spy.frames() == [("out", i) for i in range(3)]
 
 
-def test_the_idle_report_follows_the_held_frames_in_one_write(worker):
+def test_held_frames_are_written_before_the_idle_report(worker):
+    """The report counts a held frame as sent, so the frame leaves first;
+    an unchanged report is not repeated, but held frames still leave."""
     machine, node, spy, feed = worker()
+    link = node.machine.worker
+    hub = link.sock
+    hub.probe = lambda: len(spy.writes)
     _arrive(node, feed, 2)
     _reply(machine, node, 0)
     _reply(machine, node, 1)
     assert spy.writes == []
-    node.machine.worker.report_idle()
-    assert spy.writes == [5]
-    assert spy.frames() == [("out", 0), ("out", 1), ("idle", 2, 0)]
-    # An unchanged report is not repeated, but the held frames still leave.
+    link.report_idle()
+    assert spy.writes == [4] and hub.seen == [1]
+    assert spy.frames() == [("out", 0), ("out", 1)]
+    assert hub.frames() == [("idle", (2, 0), (2, 0), (0, 0), 0)]
     _reply(machine, node, 2)
-    node.machine.worker.report_idle()
-    assert spy.writes == [5, 2]
-    assert spy.frames()[3:] == [("out", 2)]
+    link.report_idle()
+    assert spy.writes == [4, 2] and hub.seen == [1, 2]
+    assert hub.frames()[1:] == [("idle", (3, 0), (2, 0), (0, 0), 0)]
+    link.report_idle()
+    assert hub.seen == [1, 2]
 
 
 @pytest.mark.parametrize("size, cap", [(0, "iov"), (16 << 10, "bytes")])
 def test_a_full_outbox_is_written_while_arrivals_wait(worker, size, cap):
     machine, node, spy, feed = worker()
     _arrive(node, feed, 1)
-    link = node.machine.worker
+    peer = node.machine.worker.out[0]
     for sent in range(1, mp._IOV_MAX):
         _reply(machine, node, sent, size=size)
         if spy.writes:
@@ -445,12 +432,12 @@ def test_a_full_outbox_is_written_while_arrivals_wait(worker, size, cap):
         assert chunks >= mp._IOV_MAX - 1 and len(spy.got) < mp._BUF_BYTES
     else:
         assert len(spy.got) >= mp._BUF_BYTES > len(spy.got) - 2 * size
-    assert not link.out and link.out_bytes == 0
+    assert not peer.out and peer.out_bytes == 0
     assert len(spy.frames()) == sent
 
 
 def test_held_frames_leave_when_the_drain_ends_without_a_send(worker):
-    """... as the scheduler's next look at the socket, a pump, returns."""
+    """... as the scheduler's next look at the sockets, a pump, returns."""
     machine, node, spy, feed = worker()
     _arrive(node, feed, 2)
     node.poll()
@@ -495,7 +482,7 @@ def test_the_alarm_writes_a_batch_the_main_thread_still_holds(worker):
     machine, node, spy, feed = worker()
     link = node.machine.worker
     armed = []
-    link.arm = lambda: armed.append(len(link.out))
+    link.arm = lambda: armed.append(len(link.out[0].out))
     _arrive(node, feed, 2)
     _reply(machine, node, 0)
     _reply(machine, node, 1)
@@ -504,7 +491,7 @@ def test_the_alarm_writes_a_batch_the_main_thread_still_holds(worker):
         link.on_alarm()
     assert armed == [0, 4] and spy.writes == []
     link.on_alarm()
-    assert spy.writes == [4] and not link.out
+    assert spy.writes == [4] and not link.out[0].out
     link.on_alarm()  # nothing held
     assert spy.writes == [4] and len(armed) == 2
     assert spy.frames() == [("out", 0), ("out", 1)]
@@ -513,16 +500,17 @@ def test_the_alarm_writes_a_batch_the_main_thread_still_holds(worker):
 def test_alarms_among_holds_and_writes_lose_and_repeat_no_frame(worker):
     """Stress: a 50 us SIGALRM lands anywhere in drains of held replies,
     flushes and idle reports while a second thread writes health frames
-    under the write lock; every frame reaches the hub whole and once, the
-    replies in send order."""
+    to the hub under the write lock; every frame reaches its reader whole
+    and once, the replies in send order."""
     machine, node, spy, feed = worker()
     link = node.machine.worker
+    hub = link.sock
     stop, health = threading.Event(), []
 
     def write_health():
         while not stop.is_set():
             with link.wlock:
-                spy.sendall(mp._encode(("health", len(health))))
+                hub.sendall(mp._encode(("health", len(health))))
                 health.append(len(health))
 
     old_handler = signal.signal(signal.SIGALRM, link.on_alarm)
@@ -546,11 +534,11 @@ def test_alarms_among_holds_and_writes_lose_and_repeat_no_frame(worker):
         stop.set()
         writer.join(10)
         sys.setswitchinterval(old_interval)
-    assert not writer.is_alive() and not link.out
-    frames = spy.frames()
-    assert [f for f in frames if f[0] == "out"] == [("out", i) for i in range(sent)]
+    assert not writer.is_alive() and not link.out[0].out
+    assert spy.frames() == [("out", i) for i in range(sent)]
+    frames = hub.frames()
     assert [f[1] for f in frames if f[0] == "health"] == health
-    assert len(frames) == sent + len(health) + sum(f[0] == "idle" for f in frames)
+    assert len(frames) == len(health) + sum(f[0] == "idle" for f in frames)
 
 
 @pytest.mark.parametrize("taken", [0, 5, 100, "all-but-one"])
@@ -561,29 +549,57 @@ def test_a_short_write_of_a_held_batch_delivers_every_frame(worker, taken):
         node.poll()
         _reply(machine, node, i, size=200 * i)
         if i == 2:  # the last send finds the inbox empty
-            held = b"".join(node.machine.worker.out)
+            held = b"".join(node.machine.worker.out[0].out)
             spy.taken = len(held) - 1 if taken == "all-but-one" else taken
     assert len(spy.writes) == 1
+    node.pump()  # the link polls writable: the rest leaves
+    assert len(spy.writes) == 2
     assert spy.frames() == [("out", 0), bytes(200), bytes(400), bytes(600)]
 
 
 # ----------------------------------------------------------------------
-# the hub: no view outlives the next read of its source buffer
+# links: who a frame is from, and what happens when an incarnation changes
 # ----------------------------------------------------------------------
-class _Trickle:
-    """A destination socket whose first ``sendmsg`` takes only ``first``
-    bytes, and every later one everything."""
+def test_a_link_to_an_older_incarnation_of_this_pe_is_closed_unread(worker):
+    """A link opened for an earlier incarnation of this PE (its port
+    reused) is closed, and nothing read off it is dispatched."""
+    machine, node, spy, feed = worker()
+    link = node.machine.worker
+    link.epochs[1] = 1  # this process is PE 1's incarnation 1
+    feed.sendall(_data(0, 1, _msg(payload="stale", src_pe=0)))
+    feed.settimeout(5.0)
+    for _ in range(3):
+        node.pump()
+    assert not node.inbox and link.recv == [0, 0]
+    try:
+        assert feed.recv(1) == b""
+    except ConnectionResetError:
+        pass  # closed with bytes unread: also closed
 
-    def __init__(self, first):
-        self.first = first
-        self.got = bytearray()
 
-    def sendmsg(self, chunks):
-        data = b"".join(chunks)[:self.first]
-        self.first = None
-        self.got += data
-        return len(data)
-
+def test_a_link_from_a_newer_incarnation_renews_the_peer(worker):
+    """PE 0's respawn can reach PE 1 before the hub's announcement does:
+    its link header renews the peer at once — what waited for the old
+    incarnation is dropped and both counts restart — and the
+    announcement that follows changes nothing."""
+    machine, node, spy, feed = worker()
+    link = node.machine.worker
+    _arrive(node, feed, 1)
+    _reply(machine, node, 0)  # held: an arrival waits
+    assert (link.sent, link.recv) == ([1, 0], [1, 0])
+    fresh = socket.create_connection(link.listener.getsockname())
+    try:
+        fresh.sendall(mp._encode_link(0, 1, 0, 4242)
+                      + _data(0, 1, _msg(payload="fresh", src_pe=0)))
+        while len(node.inbox) < 2:
+            node.pump()
+        assert link.epochs == [1, 0] and link.out[0].port == 4242
+        assert (link.sent, link.recv) == ([0, 0], [1, 0])
+        assert spy.writes == []  # the held reply went with its incarnation
+        link.renew(0, 1, 4343)  # the hub's announcement, late
+        assert link.out[0].port == 4242 and link.recv == [1, 0]
+    finally:
+        fresh.close()
 
 def _source(m, socks, pe=0):
     ours, theirs = socket.socketpair()
@@ -592,101 +608,6 @@ def _source(m, socks, pe=0):
     conn.pe = pe
     m._conns[pe] = conn
     return conn, theirs
-
-
-def _ball(fill: bytes) -> bytes:
-    """A data frame PE 0 -> PE 1; every ball has the same length."""
-    return _data(0, 1, _msg(payload=fill * 1000, src_pe=0))
-
-
-@needs_mp
-def test_hub_copies_a_short_writes_tail_before_reading_again(hub, monkeypatch):
-    """The destination takes a few bytes of the first frame; the source's
-    next reads reuse the region the frame was read into.  What waits
-    must be the bytes as they were sent, not a view of that region."""
-    m, socks = hub
-    src, feed = _source(m, socks)
-    dst = mp._HubConn(_Trickle(10))
-    dst.pe = 1
-    dst.on_ready = None
-    m._conns[1] = dst
-    m._held = None
-    monkeypatch.setattr(m, "_sel", types.SimpleNamespace(modify=lambda *a: None))
-    balls = [_ball(c) for c in (b"a", b"b", b"c")]
-    feed.sendall(balls[0])
-    m._on_conn(src, selectors.EVENT_READ)
-    m._flush_dirty()
-    assert dst.waiting and bytes(dst.sock.got) == balls[0][:10]
-    # Two more reads while the destination waits on write interest.
-    for ball in balls[1:]:
-        feed.sendall(ball)
-        m._on_conn(src, selectors.EVENT_READ)
-    # The region the first ball was read into now holds the last one.
-    assert bytes(src.reader.standing[:len(balls[2])]) == balls[2]
-    m._on_conn(dst, selectors.EVENT_WRITE)
-    assert not dst.waiting and not dst.out
-    assert bytes(dst.sock.got) == b"".join(balls)
-    assert m._forwarded == [0, 3]
-
-
-@needs_mp
-def test_hub_copies_frames_held_before_the_last_hello(hub):
-    """Frames read before every PE said hello wait across later reads of
-    their source; they are routed, intact, once the last hello lands."""
-    m, socks = hub
-    src, feed = _source(m, socks)
-    balls = [_ball(c) for c in (b"a", b"b")]
-    for ball in balls:
-        feed.sendall(ball)
-        m._on_conn(src, selectors.EVENT_READ)
-    assert len(m._held) == 2
-    ours, theirs = socket.socketpair()
-    socks += [ours, theirs]
-    dst = mp._HubConn(ours)
-    m._links.add(dst)
-    m._unborn[1] = object()  # PE 1's incarnation, not yet greeted
-    theirs.sendall(mp._encode(("hello", 1)))
-    m._on_conn(dst, selectors.EVENT_READ)
-    assert m._held is None and dst.pe == 1
-    m._flush_dirty()
-    want = b"".join(balls)
-    got = bytearray()
-    theirs.settimeout(5.0)
-    while len(got) < len(want):
-        got += theirs.recv(len(want) - len(got))
-    assert bytes(got) == want
-    assert m._forwarded == [0, 2]
-
-
-@needs_mp
-def test_hub_flushes_after_an_exit_reads_a_connection_early(hub, monkeypatch):
-    """A worker exiting right after its hello wakes its sentinel, whose
-    handler reads the connection; the same wakeup may then read it
-    again.  The frames the first read relayed must arrive intact."""
-    m, socks = hub
-    dst, dst_far = _source(m, socks, pe=1)
-    m._held = None
-    monkeypatch.setattr(m, "_listener", types.SimpleNamespace(
-        accept=lambda: (_ for _ in ()).throw(BlockingIOError())))
-    ours, feed = socket.socketpair()
-    socks += [ours, feed]
-    src = mp._HubConn(ours)
-    m._links.add(src)
-    proc = types.SimpleNamespace(exitcode=0)
-    m._unborn[0] = proc
-    balls = [_ball(c) for c in (b"a", b"b")]
-    feed.sendall(mp._encode(("hello", 0)) + balls[0])
-    m._on_exit(0, proc)
-    assert src.pe == 0 and m._worker_error is None
-    feed.sendall(balls[1])
-    m._on_conn(src, selectors.EVENT_READ)  # later in the same wakeup
-    m._flush_dirty()
-    want = b"".join(balls)
-    got = bytearray()
-    dst_far.settimeout(5.0)
-    while len(got) < len(want):
-        got += dst_far.recv(len(want) - len(got))
-    assert bytes(got) == want
 
 
 # ----------------------------------------------------------------------
@@ -711,30 +632,23 @@ def _feed(sock, data, step):
 
 _BIG_BOMB = (ReduceBomb(), b"x" * (2 * mp._BUF_BYTES))
 
+def test_worker_names_the_sender_of_an_undecodable_large_frame(worker):
+    machine, node, _spy, b = worker()
+    b.setblocking(False)
+    link = node.machine.worker
+    data = _data(0, 1, _msg(payload=_BIG_BOMB, src_pe=0, size=8))
+    assert len(data) > mp._BUF_BYTES
 
-def test_worker_names_the_sender_of_an_undecodable_large_frame():
-    a, b = socket.socketpair()
-    try:
-        b.setblocking(False)
-        link = mp._WorkerLink(a, 1)
-        node = mp._WorkerMachine(1, link, MachineConfig(2)).node_obj
-        data = _data(0, 1, _msg(payload=_BIG_BOMB, src_pe=0, size=8))
-        assert len(data) > mp._BUF_BYTES
+    def step():
+        assert node.poll() is None
+        return link.stop.is_set()
 
-        def step():
-            assert node.poll() is None
-            return link.stop.is_set()
-
-        _feed(b, data, step)
-        b.settimeout(5.0)
-        [(kind, why)] = mp._decode(bytearray(b.recv(1 << 16)))
-        assert kind == "fatal"
-        assert "PE 1 could not decode a frame from PE 0" in why
-        assert "refuses to unpickle" in why
-        assert not node.inbox
-    finally:
-        a.close()
-        b.close()
+    _feed(b, data, step)
+    [(kind, why)] = link.sock.frames()
+    assert kind == "fatal"
+    assert "PE 1 could not decode a frame from PE 0" in why
+    assert "refuses to unpickle" in why
+    assert not node.inbox
 
 
 @needs_mp
@@ -743,7 +657,6 @@ def test_hub_names_the_sender_of_an_undecodable_large_frame(hub):
     src, feed = _source(m, socks)
     src.sock.setblocking(False)
     feed.setblocking(False)
-    m._held = None
     data = mp._encode(("result", 0, True, _BIG_BOMB))
     assert len(data) > mp._BUF_BYTES
 

@@ -222,24 +222,25 @@ def test_instrumented_variant_still_guards_every_site():
 # mp extension: fault injection rides a worker's transmit path via a
 # *bound-at-construction* variant (`_MpNetwork._transmit_faulty` over
 # `_transmit`), the same bind-the-variant discipline as the
-# instrumented/fast runtime twins.  The hub's per-frame path is
-# `_forward` — it must contain no fault branch, no delayed-frame
-# bookkeeping, and no allocation beyond the frame itself; with faults
-# off, so must the worker's `_transmit`.
+# instrumented/fast runtime twins.  A data frame's path below that is
+# `_MpNetwork._write` and the link's `hold`/`flush` — they must contain
+# no fault branch and no delayed-frame bookkeeping; with faults off, so
+# must the worker's `_transmit`.
 # ----------------------------------------------------------------------
 
 
 def test_mp_fault_free_forward_has_no_fault_hooks():
-    from repro.machine.mp import MpMachine, _MpNetwork
+    from repro.machine.mp import _MpNetwork, _WorkerLink
 
-    src = inspect.getsource(MpMachine._forward)
-    for marker in ("fault", "decide", "_delayed", "Timer", "corrupt",
-                   "_down"):
-        assert marker not in src, (
-            f"fault-machinery reference {marker!r} leaked into the "
-            f"fault-free per-frame router:\n{src}"
-        )
-    assert not _body_calls(MpMachine._forward)
+    for path in (_MpNetwork._write, _WorkerLink.hold, _WorkerLink.flush):
+        src = inspect.getsource(path)
+        for marker in ("fault", "decide", "_delayed", "Timer", "corrupt",
+                       "_down"):
+            assert marker not in src, (
+                f"fault-machinery reference {marker!r} leaked into the "
+                f"fault-free per-frame path:\n{src}"
+            )
+        assert not _body_calls(path)
     # The worker-side twin exists and is where that machinery lives; the
     # fault-free transmit carries none of it.
     clean = inspect.getsource(_MpNetwork._transmit)
