@@ -48,6 +48,7 @@ __all__ = [
     "HEADER_BYTES",
     "WIRE_FIELDS",
     "wire_fields",
+    "copy_fields",
     "from_wire_fields",
 ]
 
@@ -390,22 +391,39 @@ def wire_fields(msg: Any, src_pe: int) -> Optional[Tuple[int, ...]]:
     if (type(msg) is not Message or msg.src_pe != src_pe or msg._cmi_owned
             or not msg._valid or msg.enq_time is not None):
         return None
-    flags = (msg.corrupted * _F_CORRUPTED | msg._pooled * _F_POOLED
-             | msg.steal_ok * _F_STEAL_OK)
-    prio = msg.prio
+    prio = _prio_fields(msg.prio)
     if prio is None:
-        word = 0
-    elif type(prio) is int and -_PRIO_SIGN <= prio < _PRIO_SIGN:
-        flags |= _F_PRIO
-        word = prio & _PRIO_WORD
-    else:
-        return None  # a BitVector, or an int past 64 bits
+        return None
+    flags = (msg.corrupted * _F_CORRUPTED | msg._pooled * _F_POOLED
+             | msg.steal_ok * _F_STEAL_OK | prio[0])
     msg_id = msg.msg_id
     if msg_id is None:
         msg_id = 0
     else:
         flags |= _F_MSG_ID
-    return flags, msg.handler, msg.size, msg_id, word, msg.seq, msg.ack
+    return flags, msg.handler, msg.size, msg_id, prio[1], msg.seq, msg.ack
+
+
+def copy_fields(msg: Any) -> Optional[Tuple[int, ...]]:
+    """The :func:`wire_fields` of the copy a CMI send makes of the plain
+    :class:`Message` ``msg`` (its handler, size and priority; no
+    ``msg_id``, ``seq`` -1, ``ack`` 0, no flag but the priority's), read
+    off ``msg`` itself, whose other slots it ignores.  ``None`` for a
+    subclass, and where :func:`wire_fields` of the copy would be."""
+    prio = _prio_fields(msg.prio) if type(msg) is Message else None
+    if prio is None:
+        return None
+    return prio[0], msg.handler, msg.size, 0, prio[1], -1, 0
+
+
+def _prio_fields(prio: Any) -> Optional[Tuple[int, int]]:
+    """The flag and 64-bit word a priority travels as; ``None`` for a
+    BitVector or an int past 64 bits."""
+    if prio is None:
+        return 0, 0
+    if type(prio) is int and -_PRIO_SIGN <= prio < _PRIO_SIGN:
+        return _F_PRIO, prio & _PRIO_WORD
+    return None
 
 
 def from_wire_fields(fields: Tuple[int, ...], payload: Any,

@@ -182,7 +182,9 @@ class MachineConfig:
         poisoned buffer), and a pool must never turn it into a silent
         resurrection with some newer message's contents.  The reliable
         layer never pools what it sends and dedups by sequence number,
-        so faults with ``reliable`` stay pool-safe."""
+        so faults with ``reliable`` stay pool-safe.  A plain untraced
+        ``CmiSyncSend`` on ``mp`` draws no copy at all: the layer
+        encodes the caller's message (``Interconnect.by_value``)."""
         return self.faults is None or self.reliable is not None
 
     @property
@@ -363,17 +365,18 @@ class MachineLayerSpec:
 
 def _mp_available() -> bool:
     """Whether the multiprocess layer can run here: a platform where
-    ``multiprocessing`` can actually start processes and loopback
-    sockets work (rules out WASM/emscripten-style environments)."""
+    ``multiprocessing`` can actually start processes and Unix-domain
+    sockets exist (rules out WASM/emscripten-style environments)."""
     import sys
 
     if sys.platform in ("emscripten", "wasi"):
         return False
     try:
         import multiprocessing
-        import socket  # noqa: F401
+        import socket
 
-        return bool(multiprocessing.get_all_start_methods())
+        return (hasattr(socket, "AF_UNIX")
+                and bool(multiprocessing.get_all_start_methods()))
     except (ImportError, NotImplementedError):  # pragma: no cover
         return False
 
@@ -381,7 +384,7 @@ def _mp_available() -> bool:
 def _mp_unavailable_reason() -> str:
     return (
         "the mp machine layer needs a platform where multiprocessing can "
-        "start OS processes and open loopback sockets"
+        "start OS processes and open Unix-domain sockets"
     )
 
 

@@ -725,6 +725,8 @@ class CMI:
             )
         else:
             self._mx_sends = None
+        if self.network.by_value:
+            self.sync_send = self._sync_send_by_value
 
     # ------------------------------------------------------------------
     # reliability (opt-in)
@@ -942,6 +944,31 @@ class CMI:
             node, dest_pe, msg.size, wire,
             extra_send_cost=self.model.cvs_send_extra,
         )
+
+    def _sync_send_by_value(self, dest_pe: int, msg: Message,
+                            direct: bool = False) -> None:
+        """:meth:`sync_send` on a layer whose network encodes remote
+        packets by value (``Interconnect.by_value``, read once, when this
+        CMI is built): an untraced, unreliable, unaggregated send offers
+        ``msg`` itself to ``send_value``, with no wire copy and no pool
+        round trip.  What the layer declines gets a wire copy as before."""
+        rt = self.runtime
+        if rt.tracing or self._reliable is not None or self._aggregation is not None:
+            CMI.sync_send(self, dest_pe, msg, direct)
+            return
+        if not 0 <= dest_pe < rt.machine.num_pes:
+            self._check_dest(dest_pe)
+        if rt.exited:
+            rt.check_active()
+        node = self.node
+        stats = node.stats
+        stats.msgs_sent += 1
+        stats.bytes_sent += msg.size
+        if rt.metering:
+            self._meter_send(msg.size)
+        if not self.network.send_value(node, dest_pe, msg):
+            self.network.sync_send(node, dest_pe, msg.size, self._wire_copy(msg),
+                                   extra_send_cost=self.model.cvs_send_extra)
 
     def async_send(self, dest_pe: int, msg: Message) -> SendHandle:
         """``CmiAsyncSend``: returns a handle; ``msg`` must not be reused

@@ -445,8 +445,20 @@ class Interconnect:
     broadcast forms that default to point-to-point sends completing at
     once.  ``nbytes`` is the modelled size, ``payload`` opaque."""
 
+    #: True on a layer that encodes every remote packet by value before
+    #: its send returns and charges no virtual send cost: a CMI built on
+    #: it offers a plain ``CmiSyncSend``'s message to :meth:`send_value`
+    #: instead of building a wire copy.
+    by_value = False
+
     def __init__(self) -> None:
         self.stats = NetworkStats()
+
+    def send_value(self, src_node: PENode, dst: int, msg: Any) -> bool:
+        """Send what a wire copy of the caller's ``msg`` would carry, from
+        ``msg`` itself; False, having sent nothing, where the layer wants
+        the wire copy instead (asked only where :attr:`by_value`)."""
+        return False
 
     def sync_send(self, src_node: PENode, dst: int, nbytes: int, payload: Any,
                   extra_send_cost: float = 0.0, immediate: bool = False) -> None:

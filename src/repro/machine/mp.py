@@ -2,8 +2,8 @@
 
 This is the second registered machine layer (after the simulator) and the
 first with *real* parallelism: every PE is a child process with its own
-interpreter (and GIL), wired to the parent over loopback TCP sockets.
-The layers above the machine interface — :class:`ConverseRuntime`, the
+interpreter (and GIL), wired to the parent and its peers over Unix-domain
+sockets (:func:`_socket_dir` names them).  The layers above the machine interface — :class:`ConverseRuntime`, the
 Csd scheduler, the CMI, the message manager — run in each worker process
 **unmodified**: the worker derives the five machine-interface classes
 (:mod:`repro.machine.interface` — a wall-clock engine, a node that
@@ -11,9 +11,10 @@ reads its own sockets, a socket-backed network, a forwarding console
 and a one-PE host) and adds only what real processes and sockets need.
 
 Topology is a full mesh beside a hub: a worker writes each data frame
-— a struct header, then the payload pickled once by its sender — by
-gather writes to a link of its own to the destination worker, which
-decodes it in place (see "framing" below).  The parent process (the
+— a struct header, then the payload pickled once by its sender; for a
+plain ``CmiSyncSend``, straight from the caller's message, with no wire
+copy — by gather writes to a link of its own to the destination worker,
+which decodes it in place (see "framing" below).  The parent process (the
 hub) is the control plane: membership and respawn, console, results,
 health, clock probes and quiescence detection, run from one selector
 loop and one deadline heap driven by :meth:`MpMachine.run` and
@@ -86,16 +87,19 @@ byte-identical traces).
 
 from __future__ import annotations
 
+import itertools
 import mmap
 import os
 import pickle
 import random
 import select
 import selectors
+import shutil
 import signal
 import socket
 import struct
 import sys
+import tempfile
 import threading
 import time
 import traceback
@@ -108,7 +112,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.core import context
 from repro.core.errors import SimulationError, WorkerDied
-from repro.core.message import WIRE_FIELDS, from_wire_fields, wire_fields
+from repro.core.message import WIRE_FIELDS, copy_fields, from_wire_fields, wire_fields
 from repro.machine.base import MachineConfig, MachineLayer, build_pe_stack
 from repro.machine.faults import FaultPlan
 from repro.machine.interface import (
@@ -148,9 +152,8 @@ _MP_FT_CTL_RTO_FLOOR = 0.05
 _MP_FT_CTL_RETRIES_FLOOR = 100
 _MP_FT_CKPT_FLOOR = 0.05
 
-#: worker -> hub connect retry schedule (transport hardening).
-_CONNECT_ATTEMPTS = 5
-_CONNECT_BACKOFF = 0.05
+#: numbers this process's machines (their sockets are named by it and the pid).
+_SERIALS = itertools.count()
 
 #: all-zero cost model: on a real machine layer the costs are real, so
 #: the virtual accounting terms must not add phantom time to ``charge``.
@@ -192,9 +195,13 @@ _IDLE_GRACE = 1e-3
 #   delivery's seq/ack among them) and a pickle of its payload alone
 #   (_TAG_MSG), or a pickle of the whole packet (_TAG_OBJ: fault-tolerance
 #   packets, Message subclasses, a set enq_time, a BitVector priority, a
-#   field too wide for the header);
-# * a link header (_TAG_LINK: sender, its epoch, the target's epoch, the
-#   sender's listener port) opens every worker-to-worker link.
+#   field too wide for the header).  A plain CmiSyncSend's frame is
+#   encoded from the caller's message (_encode_copy), exactly as its wire
+#   copy's would be, but for the pool flag: no copy is made;
+# * a link header (_TAG_LINK: sender, its epoch, the target's epoch)
+#   opens every worker-to-worker link.  Listeners are named, not
+#   numbered: _peer_name derives one from the machine, the PE and its
+#   epoch.
 #
 # Control frames pass between a worker and the hub; data frames go from
 # one worker to another on a link only the sender writes and only the
@@ -211,8 +218,8 @@ _TAG_LINK = 0x03
 _ROUTE = struct.Struct("<IBBii")
 #: ... followed by a plain Message's fields (_TAG_MSG only).
 _DATA = struct.Struct(_ROUTE.format + WIRE_FIELDS)
-#: a link header: prefix, tag, sender, its epoch, target epoch, its port.
-_LINK = struct.Struct("<IBiiiH")
+#: a link header: prefix, tag, sender, its epoch, target epoch.
+_LINK = struct.Struct("<IBiii")
 
 
 def _encode(frame: Any) -> bytes:
@@ -221,9 +228,9 @@ def _encode(frame: Any) -> bytes:
     return _LEN.pack(len(data)) + data
 
 
-def _encode_link(src: int, epoch: int, target: int, port: int) -> bytes:
+def _encode_link(src: int, epoch: int, target: int) -> bytes:
     """The header of a link from PE ``src`` to a peer's incarnation ``target``."""
-    return _LINK.pack(_LINK.size - _LEN.size, _TAG_LINK, src, epoch, target, port)
+    return _LINK.pack(_LINK.size - _LEN.size, _TAG_LINK, src, epoch, target)
 
 
 def _encode_data(src: int, dst: int, packet: Any, immediate: bool) -> tuple:
@@ -246,6 +253,34 @@ def _encode_data(src: int, dst: int, packet: Any, immediate: bool) -> tuple:
                        immediate, dst, src), body
 
 
+def _encode_copy(src: int, dst: int, msg: Any) -> Optional[tuple]:
+    """:func:`_encode_data` of the wire copy PE ``src`` would send of
+    ``msg`` (:func:`~repro.core.message.copy_fields`), from ``msg`` itself;
+    None where that copy is not a struct header, or will not pickle."""
+    fields = copy_fields(msg)
+    if fields is None:
+        return None
+    try:
+        body = pickle.dumps(msg.payload, protocol=pickle.HIGHEST_PROTOCOL)
+        return _DATA.pack(_DATA.size - _LEN.size + len(body), _TAG_MSG,
+                          False, dst, src, *fields), body
+    except (pickle.PicklingError, TypeError, AttributeError, struct.error):
+        return None
+
+
+def _socket_dir() -> str:
+    """Where a new machine names its sockets: Linux's abstract namespace,
+    else a private directory (:meth:`MpMachine.shutdown` removes it)."""
+    if sys.platform.startswith("linux"):
+        return f"\0repro-mp-{os.getpid()}-{next(_SERIALS)}/"
+    return tempfile.mkdtemp(prefix="repro-mp-") + "/"
+
+
+def _peer_name(base: str, pe: int, epoch: int) -> str:
+    """Where incarnation ``epoch`` of PE ``pe`` listens (the hub: ``base + "hub"``)."""
+    return f"{base}{pe}.{epoch}"
+
+
 def _unsent(chunks: Sequence[Any], sent: int) -> List[Any]:
     """What a gather write of ``chunks`` left after ``sent`` bytes, as views."""
     for i, chunk in enumerate(chunks):
@@ -260,7 +295,7 @@ class _Reader:
     """One socket's read side, at either end: one ``recv_into`` the free
     tail of a standing buffer per :meth:`read`, whole frames decoded in
     place.  Compacted only when the partial frame at the front needs room.
-    ``origin``: a link's header ``(sender, epoch, target epoch, port)``."""
+    ``origin``: a link's header ``(sender, epoch, target epoch)``."""
 
     __slots__ = ("sock", "flags", "standing", "view", "start", "end", "origin")
 
@@ -439,23 +474,25 @@ class _MpEngine(Engine):
 class _Peer:
     """The sending side toward one peer incarnation: its link and queue."""
 
-    __slots__ = ("pe", "port", "sock", "out", "out_bytes", "polled")
+    __slots__ = ("pe", "name", "sock", "out", "out_bytes", "polled")
 
-    def __init__(self, pe: int, port: Optional[int]) -> None:
-        self.pe, self.port = pe, port  # port None: the incarnation is gone
+    def __init__(self, pe: int, name: Optional[str]) -> None:
+        self.pe, self.name = pe, name  # its listener; None: the incarnation is gone
         self.sock: Optional[socket.socket] = None
         self.out: List[Any] = []
         self.out_bytes, self.polled = 0, False
 
 
 class _WorkerLink:
-    """A worker's sockets — to the hub, its listener, links from and to
-    each peer — and the per-peer counts of its idle report, all the main
+    """A worker's Unix-domain sockets — to the hub, its listener, links
+    from and to each peer, each opened by a link header (sender, its epoch,
+    the target's) and carrying data frames encoded before the send call
+    returned — and the per-peer counts of its idle report, all the main
     thread's; the health thread also writes the hub socket."""
 
     def __init__(self, sock: socket.socket, pe: int,
-                 listener: Optional[socket.socket] = None,
-                 peers: Sequence[tuple] = ()) -> None:
+                 listener: Optional[socket.socket] = None, base: str = "",
+                 epochs: Sequence[int] = ()) -> None:
         self.sock = sock
         self.pe = pe
         #: held to write the hub socket (main, health thread) or a peer queue.
@@ -466,17 +503,17 @@ class _WorkerLink:
         self.poller = select.poll()
         self.watched: Dict[int, tuple] = {}
         self._watch(sock, select.POLLIN, partial(self._read, self.reader))
-        self.listener, self.port = listener, 0
+        self.listener, self.base = listener, base
         if listener is not None:
             listener.setblocking(False)
-            self.port = listener.getsockname()[1]
             self._watch(listener, select.POLLIN, self._accept)
-        #: per PE (``peers``: its ``(port, epoch)``): its incarnation, the data
-        #: frames sent to it and dispatched from it, the sending side.
-        self.epochs = [epoch for _port, epoch in peers]
-        self.sent = [0] * len(peers)
-        self.recv = [0] * len(peers)
-        self.out = [_Peer(pe, port) for pe, (port, _epoch) in enumerate(peers)]
+        #: per PE: its incarnation, the data frames sent to it and
+        #: dispatched from it, the sending side.
+        self.epochs = list(epochs)
+        self.sent = [0] * len(epochs)
+        self.recv = [0] * len(epochs)
+        self.out = [_Peer(pe, _peer_name(base, pe, epoch))
+                    for pe, epoch in enumerate(epochs)]
         #: peers given held frames since the last flush_held.
         self.held: List[_Peer] = []
         self.stop = threading.Event()
@@ -542,17 +579,16 @@ class _WorkerLink:
     def _connect(self, peer: _Peer) -> Optional[socket.socket]:
         """Open the link to ``peer``, link header first (under ``wlock``);
         None when its incarnation is gone."""
-        if peer.port is None:
+        if peer.name is None:
             return None
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.connect(("127.0.0.1", peer.port))
+            sock.connect(peer.name)
             sock.sendall(_encode_link(self.pe, self.epochs[self.pe],
-                                      self.epochs[peer.pe], self.port))
+                                      self.epochs[peer.pe]))
         except OSError:  # refused: nothing listens for that incarnation
             sock.close()
-            peer.port = None
+            peer.name = None
             return None
         sock.setblocking(False)
         peer.sock = sock
@@ -565,7 +601,7 @@ class _WorkerLink:
             peer.polled = False
         if peer.sock is not None:
             peer.sock.close()
-        peer.sock, peer.port, peer.out, peer.out_bytes = None, None, [], 0
+        peer.sock, peer.name, peer.out, peer.out_bytes = None, None, [], 0
 
     def close(self) -> None:
         """Close every socket, the hub's last (shut down: the hub reads EOF)."""
@@ -591,14 +627,14 @@ class _WorkerLink:
         elif self.held:
             self.flush_held()
 
-    def renew(self, pe: int, epoch: int, port: int) -> None:
-        """Incarnation ``epoch`` of PE ``pe`` listens at ``port``: an older
-        one's link and queue go, and both counts for the peer restart."""
+    def renew(self, pe: int, epoch: int) -> None:
+        """Incarnation ``epoch`` of PE ``pe`` is up: an older one's link and
+        queue go, and both counts for the peer restart."""
         if epoch <= self.epochs[pe]:
             return
         with self.wlock:
             self._close(self.out[pe])
-            self.out[pe] = _Peer(pe, port)
+            self.out[pe] = _Peer(pe, _peer_name(self.base, pe, epoch))
         self.epochs[pe] = epoch
         self.sent[pe] = self.recv[pe] = 0
 
@@ -622,9 +658,10 @@ class _WorkerLink:
             self.send(("fatal", why))
         self.stop.set()
 
-    def read(self, frames: deque) -> None:
-        """One ``poll``, then one read (or, on ``POLLOUT``, write) per ready socket."""
-        for fd, _mask in self.poller.poll(0):
+    def read(self, frames: deque, ready: Optional[list] = None) -> None:
+        """One read (or, on ``POLLOUT``, write) per socket ``ready`` names
+        (a parked poll's list), or else per socket a ``poll(0)`` finds."""
+        for fd, _mask in self.poller.poll(0) if ready is None else ready:
             watched = self.watched.get(fd)  # None: closed earlier in this batch
             if watched is not None:
                 watched[1](frames)
@@ -661,13 +698,13 @@ class _WorkerLink:
                 self.stop.set()
             return
         if new and reader.origin is not None:
-            src, epoch, target, port = reader.origin
+            src, epoch, target = reader.origin
             if target != self.epochs[self.pe]:
                 while len(frames) > before:
                     frames.pop()
                 alive = False
             else:
-                self.renew(src, epoch, port)
+                self.renew(src, epoch)
         if not alive:
             self._unwatch(reader.sock)
             reader.sock.close()
@@ -676,11 +713,11 @@ class _WorkerLink:
 class _MpNode(PENode):
     """A PE whose main thread is the only thread that reads its sockets
     or touches runtime, protocol, inbox or timer state.
-    :meth:`pump` — at the top of every :meth:`wait_until` iteration, and
-    in :meth:`poll` once the inbox is empty or a timer is due — reads the
-    ready sockets, runs what it decoded through the interceptors, then
-    fires due timers.  A parked PE waits on its sockets and its timer
-    heap, the only things that can wake it.
+    :meth:`pump` — in :meth:`poll` once the inbox is empty or a timer is
+    due, and in :meth:`wait_until` after each park — reads the ready
+    sockets, runs what it decoded through the interceptors, then fires
+    due timers.  A parked PE waits on its sockets and its timer heap, the
+    only things that can wake it.
 
     The progress rule that follows: acks, retransmissions, heartbeats,
     Ccd callbacks and immediate handlers happen when the PE is inside
@@ -707,16 +744,16 @@ class _MpNode(PENode):
         self.inbox.append(payload)
         self._arrived(payload)
 
-    def pump(self) -> None:
-        """Read the ready sockets when no decoded frame waits, dispatch
-        frames in order, *then* fire due timers: an ack must cancel its
-        retransmit timer, and a heartbeat refresh the failure detector's
-        evidence, before either timer looks.  One read per socket per
-        pump, so a flood cannot starve the timers; a re-entrant pump
-        continues the queue."""
+    def pump(self, ready: Optional[list] = None) -> None:
+        """Read the ready sockets (``ready``: those a park's poll found)
+        when no decoded frame waits, dispatch frames in order, *then*
+        fire due timers: an ack must cancel its retransmit timer, and a
+        heartbeat refresh the failure detector's evidence, before either
+        timer looks.  One read per socket per pump, so a flood cannot
+        starve the timers; a re-entrant pump continues the queue."""
         link, frames = self.machine.worker, self._frames
         if not frames:
-            link.read(frames)
+            link.read(frames, ready)
         while frames:
             frame = frames.popleft()
             kind = frame[0]
@@ -725,7 +762,7 @@ class _MpNode(PENode):
                     self.deliver_immediate(frame[1])
                 else:
                     self.deliver(frame[1])
-                src, epoch, _target, _port = frame[3]
+                src, epoch, _target = frame[3]
                 if link.epochs[src] == epoch:  # not an older incarnation's
                     link.recv[src] += 1
             elif kind == "peer":
@@ -752,20 +789,25 @@ class _MpNode(PENode):
 
     def wait_until(self, predicate: Callable[[], bool]) -> None:
         link, engine = self.machine.worker, self.engine
+        # The caller looked at the sockets last, and the park's poll is
+        # level-triggered: pump first only for what a park would not see.
+        pump, ready = bool(self._frames or link.held or engine.due()), None
         while True:
-            self.pump()
+            if pump:
+                self.pump(ready)
             if predicate():
                 return
             if link.stop.is_set():
                 raise _WorkerStop()
-            self._parked = True
+            self._parked = pump = True
             # Idle is reported once a park has lasted the grace with
             # nothing arriving, and a timer due sooner ends the park first.
             grace = engine.next_deadline_in(_IDLE_GRACE)
-            if not link.poller.poll(grace * 1e3) and grace == _IDLE_GRACE:
+            ready = link.poller.poll(grace * 1e3)
+            if not ready and grace == _IDLE_GRACE:
                 link.report_idle()
                 timeout = engine.next_deadline_in()
-                link.poller.poll(None if timeout is None else timeout * 1e3)
+                ready = link.poller.poll(None if timeout is None else timeout * 1e3)
             self._parked = False
 
     def kick(self) -> None:
@@ -780,8 +822,12 @@ class _MpNetwork(Interconnect):
     the destination's link; self-sends stay local.  A frame is encoded
     before a send call returns, held or not, so the interface's
     complete-at-once ``async_send`` and per-destination ``broadcast`` are
-    already right for this layer.  A fault plan binds
-    :meth:`_transmit_faulty` over :meth:`_transmit` at construction."""
+    already right for this layer, and a plain ``CmiSyncSend`` needs no
+    wire copy (:meth:`send_value`).  A fault plan binds
+    :meth:`_transmit_faulty` over :meth:`_transmit` at construction, and
+    turns :attr:`by_value` off."""
+
+    by_value = True
 
     def __init__(self, machine: "_WorkerMachine", link: _WorkerLink,
                  plan: Optional[FaultPlan] = None) -> None:
@@ -793,6 +839,18 @@ class _MpNetwork(Interconnect):
             #: dst -> ``(deadline, timer)`` of its last FIFO-kept copy.
             self._fifo_tail: Dict[int, tuple] = {}
             self._transmit = self._transmit_faulty
+            self.by_value = False
+
+    def send_value(self, src_node: _MpNode, dst: int, msg: Any) -> bool:
+        """A remote send framed by :func:`_encode_copy`; False for a
+        self-send or what that declines."""
+        src = src_node.pe
+        frame = None if dst == src else _encode_copy(src, dst, msg)
+        if frame is None:
+            return False
+        self.stats.record(src, dst, msg.size)
+        self._write(dst, frame, False)
+        return True
 
     def _transmit(self, src_pe: int, dst: int, nbytes: int, payload: Any,
                   immediate: bool = False) -> bool:
@@ -966,40 +1024,28 @@ def _worker_health_loop(link: _WorkerLink, machine: "_WorkerMachine",
             return
 
 
-def _worker_main(pe: int, port: int, specs: list, cfg: MachineConfig,
+def _worker_main(pe: int, base: str, specs: list, cfg: MachineConfig,
                  health_period: float, epoch: int = 0,
                  listener: Optional[socket.socket] = None,
-                 peers: Sequence[tuple] = (), inherited: Sequence[Any] = ()) -> None:
+                 epochs: Sequence[int] = (), inherited: Sequence[Any] = ()) -> None:
     """Entry point of one PE process.
 
     Builds the *machine-independent* runtime stack
     (:func:`~repro.machine.base.build_pe_stack`) on top of the worker
     machine pieces, then runs the launch specs in order and parks until
-    the hub shuts the job down.  ``peers``: every PE's ``(port, epoch)``
-    at the start; ``inherited``: the peer listeners a forked child got
-    with the hub's memory, closed but for its own.
+    the hub shuts the job down.  ``base``: where the machine names its
+    sockets; ``epochs``: every PE's incarnation at the start;
+    ``inherited``: the peer listeners a forked child got with the hub's
+    memory, closed but for its own.
     """
     for other in inherited:
         if other is not listener:
             other.close()
-    # Bounded connect retry: a respawned worker can race the hub's
-    # accept loop, and loopback connects occasionally bounce under load.
-    sock = None
-    delay = _CONNECT_BACKOFF
-    for attempt in range(_CONNECT_ATTEMPTS):
-        try:
-            sock = socket.create_connection(("127.0.0.1", port), timeout=30.0)
-            break
-        except OSError:
-            if attempt == _CONNECT_ATTEMPTS - 1:
-                raise
-            time.sleep(delay)
-            delay *= 2
-    # The connect timeout must not linger: sends block (reads never do:
-    # each one is a single non-blocking recv_into).
-    sock.settimeout(None)
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    link = _WorkerLink(sock, pe, listener, peers)
+    # The hub listens before any worker starts.  Sends block; reads
+    # never do: each one is a single non-blocking recv_into.
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.connect(base + "hub")
+    link = _WorkerLink(sock, pe, listener, base, epochs)
     # A held batch waits one switch interval at most: a writer thread's GIL wait.
     signal.signal(signal.SIGALRM, link.on_alarm)
     link.arm = partial(signal.setitimer, signal.ITIMER_REAL, sys.getswitchinterval())
@@ -1276,12 +1322,12 @@ class MpMachine(MachineLayer):
         #: run is not over until the fresh incarnation rejoins and the
         #: FT layer replays into it.
         self._respawn_owed: set = set()
-        #: per PE: its incarnation (bumped by every respawn), its listener's port.
+        #: per PE: its incarnation (bumped by every respawn).
         self._epochs = [0] * num_pes
-        self._ports = [0] * num_pes
         #: killed incarnations, reaped at shutdown.
         self._dead_procs: List[Any] = []
-        self._port: Optional[int] = None
+        #: where this machine names its sockets (:func:`_socket_dir`).
+        self._base: Optional[str] = None
         self._worker_cfg: Optional[MachineConfig] = None
         # -- plumbing ---------------------------------------------------
         #: the loop's deadline heap: crash kills, respawns, connect
@@ -1438,11 +1484,9 @@ class MpMachine(MachineLayer):
     # the one handshake path
     # ------------------------------------------------------------------
     def _bind(self, pe: int) -> socket.socket:
-        """The peer listener of PE ``pe``'s next incarnation; every worker
-        started from now on is told its port."""
-        sock = socket.create_server(("127.0.0.1", 0))
-        self._ports[pe] = sock.getsockname()[1]
-        return sock
+        """The peer listener of PE ``pe``'s current incarnation."""
+        return socket.create_server(_peer_name(self._base, pe, self._epochs[pe]),
+                                    family=socket.AF_UNIX)
 
     def _spawn(self, ctx: Any, pe: int, listener: socket.socket,
                inherited: Sequence[socket.socket] = ()) -> Any:
@@ -1452,9 +1496,9 @@ class MpMachine(MachineLayer):
         epoch = self._epochs[pe]
         proc = ctx.Process(
             target=_worker_main,
-            args=(pe, self._port, self._specs.get(pe, []), self._worker_cfg,
-                  _HEALTH_INTERVAL, epoch, listener,
-                  list(zip(self._ports, self._epochs)), inherited),
+            args=(pe, self._base, self._specs.get(pe, []), self._worker_cfg,
+                  _HEALTH_INTERVAL, epoch, listener, list(self._epochs),
+                  inherited),
             name=f"repro-mp-pe{pe}" + (f"e{epoch}" if epoch else ""),
             daemon=True,
         )
@@ -1510,7 +1554,6 @@ class MpMachine(MachineLayer):
             except OSError:  # BlockingIOError: the backlog is empty
                 return
             sock.setblocking(False)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn = _HubConn(sock)
             conn.on_ready = partial(self._on_conn, conn)
             self._links.add(conn)
@@ -1534,13 +1577,13 @@ class MpMachine(MachineLayer):
         self._down.discard(pe)
         self._respawn_owed.discard(pe)
         if self._booted:
-            # A respawn: every live peer learns where it listens, and it
-            # learns every live peer's latest incarnation.
-            epochs, ports = self._epochs, self._ports
+            # A respawn: every live peer learns its incarnation, and it
+            # learns every live peer's latest.
+            epochs = self._epochs
             for q, peer in list(self._conns.items()):
                 if q != pe:
-                    self._send(peer, _encode(("peer", pe, epochs[pe], ports[pe])))
-                    self._send(conn, _encode(("peer", q, epochs[q], ports[q])))
+                    self._send(peer, _encode(("peer", pe, epochs[pe])))
+                    self._send(conn, _encode(("peer", q, epochs[q])))
         elif not self._unborn:
             self._boot()
         return pe
@@ -1671,21 +1714,18 @@ class MpMachine(MachineLayer):
         import multiprocessing
 
         ctx = multiprocessing.get_context(_first_boot_method())
+        self._base = _socket_dir()
         self._sel = selectors.DefaultSelector()
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener = socket.create_server(self._base + "hub", family=socket.AF_UNIX,
+                                        backlog=self.num_pes)
         self._listener = listener
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(self.num_pes)
         listener.setblocking(False)
         self._sel.register(listener, selectors.EVENT_READ, self._on_accept)
-        self._port = listener.getsockname()[1]
         cfg = self.config
         if self._trace_mode in ("memory", "jsonl"):
             if self._trace_base is None:
                 # memory mode: spool to a temp dir the hub reads back and
                 # removes at shutdown.
-                import tempfile
-
                 self._spool_dir = tempfile.mkdtemp(prefix="repro-mp-trace-")
                 self._trace_base = os.path.join(self._spool_dir, "trace.jsonl")
             # Workers spool to per-PE siblings of the base; the hub merges.
@@ -1917,6 +1957,8 @@ class MpMachine(MachineLayer):
             if proc.is_alive():  # pragma: no cover - last resort
                 proc.kill()
                 proc.join(timeout=1.0)
+        if not self._base.startswith("\0"):  # names in a directory
+            shutil.rmtree(self._base, ignore_errors=True)
         # Every final frame (clock echoes, metrics snapshots, trace
         # counters, cpu) has been absorbed.  Merge.
         if self._trace_mode is not None and self.tracer is None:
@@ -1961,8 +2003,6 @@ class MpMachine(MachineLayer):
         elif self._spool_dir is not None:
             # memory mode spooled to a temp dir: nothing outlives the
             # merged in-RAM tracer.
-            import shutil
-
             shutil.rmtree(self._spool_dir, ignore_errors=True)
             self._spool_dir = None
 

@@ -5,6 +5,7 @@ propagation, and scope fencing of simulator-only calls."""
 from __future__ import annotations
 
 import os
+import sys
 import time
 
 import pytest
@@ -230,13 +231,50 @@ def test_progress_rule_delayed_acks_are_retransmitted_and_deduplicated():
 
 
 def test_reliable_pingpong_forwards_no_ack_frame_per_data_frame():
-    """Acks ride the reverse data: the hub forwards 2N + 2 frames for N
-    reliable round trips (2N + 1 data frames and one final standalone
-    ack), not one ack frame per data frame."""
+    """Acks ride the reverse data: the PEs send each other 2N + 2 frames
+    for N reliable round trips (2N + 1 data frames and one final
+    standalone ack), not one ack frame per data frame."""
     rounds = 100
     m, results = _run_mp(w.w_pingpong, rounds, 8, reliable=True)
     assert results == [rounds, rounds]
     assert sum(h["forwarded"] for h in m.health().values()) <= 2 * rounds + 2
+
+
+def test_a_plain_pingpong_draws_nothing_from_the_pool():
+    """A plain CmiSyncSend on mp is framed from the caller's message: no
+    wire copy comes out of either PE's pool."""
+    _m, results = _run_mp(w.w_pool_draws, 50)
+    assert results == [(50, 0, 0), (50, 0, 0)]
+
+
+def test_two_machines_alive_at_once_name_their_sockets_apart():
+    """A machine names its sockets by the hub's pid and its own serial:
+    a second machine runs while the first one's workers still listen."""
+    machines = [Machine(2, machine_backend="mp", timeout=30.0) for _ in range(2)]
+    try:
+        for m in machines:
+            m.launch(w.w_pingpong, 20, 8)
+            assert m.run() == "quiescent"
+        assert [m.results() for m in machines] == [[20, 20], [20, 20]]
+        assert machines[0]._base != machines[1]._base
+    finally:
+        for m in machines:
+            m.shutdown()
+
+
+def test_off_linux_a_machine_names_its_sockets_in_a_private_directory(monkeypatch):
+    """Without Linux's abstract namespace the same names are paths in one
+    private directory per machine, which shutdown() removes."""
+    monkeypatch.setattr(sys, "platform", "darwin")
+    m = Machine(2, machine_backend="mp", timeout=30.0)
+    try:
+        m.launch(w.w_pingpong, 20, 8)
+        assert m.run() == "quiescent"
+        assert sorted(os.listdir(m._base)) == ["0.0", "1.0", "hub"]
+        assert m.results() == [20, 20]
+    finally:
+        m.shutdown()
+    assert not os.path.exists(m._base)
 
 
 def test_timer_armed_by_a_returned_main_fires_while_parked():

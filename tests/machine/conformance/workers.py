@@ -74,6 +74,16 @@ def w_pingpong(rounds, nbytes):
     return state["count"]
 
 
+def w_pool_draws(rounds):
+    """:func:`w_pingpong`'s trips, then what this PE's message pool made
+    and reused: ``(count, created, reused)``."""
+    from repro.core import context
+
+    count = w_pingpong(rounds, 8)
+    pool = context.current_runtime().pool
+    return count, pool.created, pool.reused
+
+
 def w_cross_flood(count, nbytes):
     """PE 0 and PE 1 each send the other ``count`` payloads of ``nbytes``
     from their mains before either receives anything, then take in all

@@ -15,6 +15,7 @@ import itertools
 import pickle
 import random
 import selectors
+import shutil
 import signal
 import socket
 import sys
@@ -26,7 +27,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import BufferOwnershipError
 from repro.core.message import BitVector, Message
+from repro.core.pool import MessagePool
 from repro.machine import mp
 from repro.machine.base import (
     MachineConfig,
@@ -128,12 +131,41 @@ def test_data_frame_rebuilds_what_a_whole_pickle_would(make, fast, immediate):
     assert data[mp._LEN.size] == (mp._TAG_MSG if fast else mp._TAG_OBJ)
     # As a link from SRC (incarnation 2) reads it: every data frame after
     # the link header carries it as its origin.
-    buf = bytearray(mp._encode_link(SRC, 2, 0, 9) + data + mp._encode(("idle", 0, 0)))
+    buf = bytearray(mp._encode_link(SRC, 2, 0) + data + mp._encode(("idle", 0, 0)))
     [(kind, got, imm, origin), idle] = mp._decode(buf)
-    assert (kind, bool(imm), origin, idle) == ("msg", immediate, (SRC, 2, 0, 9),
+    assert (kind, bool(imm), origin, idle) == ("msg", immediate, (SRC, 2, 0),
                                                ("idle", 0, 0))
     assert _state(got) == _state(expected)
     assert not buf
+
+
+#: the cases whose wire copy a plain send cannot frame from the caller's
+#: message: it makes the wire copy instead.
+DECLINED = {"prio-bitvector", "prio-2**70", "handler-2**33", "subclass"}
+
+
+@pytest.mark.parametrize("name, make", [(c[0], c[1]) for c in CASES],
+                         ids=[c[0] for c in CASES])
+def test_a_plain_send_frames_the_callers_message_as_its_wire_copy(name, make):
+    """A plain ``CmiSyncSend`` on mp encodes the caller's message itself:
+    its frame decodes to what the wire copy's frame did, slot by slot,
+    but for the pool flag (no pooled copy exists)."""
+    msg = make()
+    if name == "recycled":  # both paths read msg.payload, and raise
+        with pytest.raises(BufferOwnershipError):
+            MessagePool().acquire(msg.handler, msg.payload, msg.size, msg.prio, SRC)
+        with pytest.raises(BufferOwnershipError):
+            mp._encode_copy(SRC, DST, msg)
+        return
+    frame = mp._encode_copy(SRC, DST, msg)
+    assert (frame is None) == (name in DECLINED)
+    if frame is None:
+        return
+    wire = MessagePool().acquire(msg.handler, msg.payload, msg.size, msg.prio, SRC)
+    [(_, want, _, _)] = mp._decode(bytearray(_data(SRC, DST, wire)))
+    [(kind, got, imm, _)] = mp._decode(bytearray(b"".join(frame)))
+    assert (kind, imm, want._pooled, got._pooled) == ("msg", 0, True, False)
+    assert _state(got)[1] == {**_state(want)[1], "_pooled": _state(False)}
 
 
 needs_mp = pytest.mark.skipif(
@@ -221,7 +253,7 @@ def test_reader_decodes_a_stream_cut_anywhere(link, cuts):
     """A worker reads its hub socket and its links the same way (one
     non-blocking ``recv_into`` per read); a link's stream opens with its
     header, which no frame after it may lose."""
-    stream = (mp._encode_link(SRC, 1, 0, 9) if link else b"") + _STREAM
+    stream = (mp._encode_link(SRC, 1, 0) if link else b"") + _STREAM
     ours, theirs = socket.socketpair()
     try:
         ours.setblocking(False)
@@ -251,7 +283,7 @@ def test_reader_decodes_a_stream_cut_anywhere(link, cuts):
         assert reader.start == reader.end
         assert got == [_norm(f) for f in mp._decode(bytearray(stream))]
         origins = {f[3] for f in got if f[0] == "msg"}
-        assert origins == {(SRC, 1, 0, 9) if link else None}
+        assert origins == {(SRC, 1, 0) if link else None}
         # Decoded payloads own their bytes: they read the same after
         # later reads reused the buffer, and alias none of it.
         small, array = got[1][1], got[2][1]
@@ -316,32 +348,44 @@ class _Spy:
                 for f in mp._decode(bytearray(self.got))]
 
 
+def _connect(name):
+    """A link's sending end, connected to the listener ``name``."""
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.connect(name)
+    return sock
+
+
 @pytest.fixture
 def worker():
-    """PE 1 of 2 as its worker process builds it, with a link in from PE
-    0 (its listener accepts it at the first pump) and its writes to PE 0
-    and to the hub spied on."""
+    """PE 1 of 2 as its worker process builds it, listening under the
+    name the hub gives its incarnation 0, with a link in from PE 0 (its
+    listener accepts it at the first pump) and its writes to PE 0 and to
+    the hub spied on."""
     made, links = [], []
 
     def build(faults=None):
         hub_end, hub_far = socket.socketpair()
         fd, fd_far = socket.socketpair()  # what the spy polls as
-        listener = socket.create_server(("127.0.0.1", 0))
+        base = mp._socket_dir()
+        listener = socket.create_server(mp._peer_name(base, 1, 0),
+                                        family=socket.AF_UNIX)
         made.extend((hub_far, fd, fd_far))
-        link = mp._WorkerLink(hub_end, 1, listener, [(None, 0), (0, 0)])
+        link = mp._WorkerLink(hub_end, 1, listener, base, [0, 0])
         machine = mp._WorkerMachine(1, link, MachineConfig(2, faults=faults))
         spy = link.out[0].sock = _Spy(fd)
         link.sock = _Spy(hub_far)
         links.append((link, hub_end))
-        feed = socket.create_connection(listener.getsockname())
+        feed = _connect(mp._peer_name(base, 1, 0))
         made.append(feed)
-        feed.sendall(mp._encode_link(0, 0, 0, 0))
+        feed.sendall(mp._encode_link(0, 0, 0))
         return machine, machine.node_obj, spy, feed
 
     yield build
     for link, hub_end in links:
         link.sock = hub_end
         link.close()
+        if not link.base.startswith("\0"):
+            shutil.rmtree(link.base)
     for sock in made:
         sock.close()
 
@@ -358,6 +402,51 @@ def _reply(machine, node, i, immediate=False, size=0):
     payload = ("out", i) if not size else bytes(size)
     machine.network.sync_send(node, 0, 8, _msg(payload=payload, src_pe=1),
                               immediate=immediate)
+
+
+class _SpyPoller:
+    """A worker's poller that records each ``poll`` call's timeout."""
+
+    def __init__(self, poller):
+        self.poller, self.calls = poller, []
+        self.register, self.unregister = poller.register, poller.unregister
+
+    def poll(self, timeout=None):
+        self.calls.append(timeout)
+        return self.poller.poll(timeout)
+
+
+@pytest.mark.parametrize("late", [False, True], ids=["waiting", "after-grace"])
+def test_a_park_reads_what_its_poll_found(worker, late):
+    """Waking for one arrival costs the park's blocking poll and no
+    ``poll(0)``: the pump reads the sockets that poll named.  An arrival
+    after the idle grace (here: as the idle report is written) wakes the
+    second, unbounded poll instead."""
+    machine, node, spy, feed = worker()
+    link = node.machine.worker
+    node.pump()  # PE 0's link is accepted
+    link.poller = poller = _SpyPoller(link.poller)
+    frame = _data(0, 1, _msg(payload="in", src_pe=0))
+    if late:
+        link.sock.probe = lambda: feed.sendall(frame)
+    else:
+        feed.sendall(frame)
+    node.wait_until(lambda: bool(node.inbox))
+    grace = mp._IDLE_GRACE * 1e3
+    assert poller.calls == ([grace, None] if late else [grace])
+    assert [m.payload for m in node.inbox] == ["in"]
+    assert link.sock.frames() == ([("idle", (0, 0), (0, 0), (0, 0), 0)] if late else [])
+
+
+def test_a_park_writes_held_sends_before_it_polls(worker):
+    machine, node, spy, feed = worker()
+    _arrive(node, feed, 2)
+    node.poll()
+    _reply(machine, node, 0)  # held: an arrival waits
+    link = node.machine.worker
+    link.poller = poller = _SpyPoller(link.poller)
+    node.wait_until(lambda: True)
+    assert spy.writes == [2] and poller.calls == [0]
 
 
 @pytest.mark.parametrize("taken", [0, 3, "head", "head+5"])
@@ -561,8 +650,8 @@ def test_a_short_write_of_a_held_batch_delivers_every_frame(worker, taken):
 # links: who a frame is from, and what happens when an incarnation changes
 # ----------------------------------------------------------------------
 def test_a_link_to_an_older_incarnation_of_this_pe_is_closed_unread(worker):
-    """A link opened for an earlier incarnation of this PE (its port
-    reused) is closed, and nothing read off it is dispatched."""
+    """A link whose header names an earlier incarnation of this PE as its
+    target is closed, and nothing read off it is dispatched."""
     machine, node, spy, feed = worker()
     link = node.machine.worker
     link.epochs[1] = 1  # this process is PE 1's incarnation 1
@@ -587,17 +676,18 @@ def test_a_link_from_a_newer_incarnation_renews_the_peer(worker):
     _arrive(node, feed, 1)
     _reply(machine, node, 0)  # held: an arrival waits
     assert (link.sent, link.recv) == ([1, 0], [1, 0])
-    fresh = socket.create_connection(link.listener.getsockname())
+    fresh = _connect(link.listener.getsockname())
     try:
-        fresh.sendall(mp._encode_link(0, 1, 0, 4242)
+        fresh.sendall(mp._encode_link(0, 1, 0)
                       + _data(0, 1, _msg(payload="fresh", src_pe=0)))
         while len(node.inbox) < 2:
             node.pump()
-        assert link.epochs == [1, 0] and link.out[0].port == 4242
+        peer = link.out[0]
+        assert link.epochs == [1, 0] and peer.name == mp._peer_name(link.base, 0, 1)
         assert (link.sent, link.recv) == ([0, 0], [1, 0])
         assert spy.writes == []  # the held reply went with its incarnation
-        link.renew(0, 1, 4343)  # the hub's announcement, late
-        assert link.out[0].port == 4242 and link.recv == [1, 0]
+        link.renew(0, 1)  # the hub's announcement, late
+        assert link.out[0] is peer and link.recv == [1, 0]
     finally:
         fresh.close()
 

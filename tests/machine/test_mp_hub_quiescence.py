@@ -13,6 +13,7 @@ over real sockets.
 
 from __future__ import annotations
 
+import shutil
 import socket
 
 import pytest
@@ -108,37 +109,39 @@ def test_an_epoch_view_older_than_the_hubs_holds_quiescence(hub):
 # ----------------------------------------------------------------------
 # the worker side: what counts
 # ----------------------------------------------------------------------
-def _dead_port() -> int:
-    """A loopback port nothing listens on: a dead incarnation's."""
-    sock = socket.create_server(("127.0.0.1", 0))
-    port = sock.getsockname()[1]
-    sock.close()
-    return port
+def _listen(link, pe, epoch):
+    """The listener of incarnation ``epoch`` of PE ``pe``, as the hub names it."""
+    return socket.create_server(mp._peer_name(link.base, pe, epoch),
+                                family=socket.AF_UNIX)
 
 
 @pytest.fixture
 def pe1():
     """PE 1 of 2 as its worker process builds it; PE 0's incarnation 0
-    is dead.  Yields the node, the hub's end of its hub socket and a
-    function that opens a link into it as a given incarnation of PE 0."""
+    is dead (nothing listens under its name).  Yields the node, the hub's
+    end of its hub socket and a function that opens a link into it as a
+    given incarnation of PE 0."""
     made = []
     hub_end, hub_far = socket.socketpair()
-    listener = socket.create_server(("127.0.0.1", 0))
+    base = mp._socket_dir()
+    listener = socket.create_server(mp._peer_name(base, 1, 0), family=socket.AF_UNIX)
     made.append(hub_far)
-    link = mp._WorkerLink(hub_end, 1, listener,
-                          [(_dead_port(), 0), (listener.getsockname()[1], 0)])
+    link = mp._WorkerLink(hub_end, 1, listener, base, [0, 0])
     node = mp._WorkerMachine(1, link, MachineConfig(2)).node_obj
 
     def link_from(epoch):
-        sock = socket.create_connection(listener.getsockname())
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.connect(mp._peer_name(base, 1, 0))
         made.append(sock)
-        sock.sendall(mp._encode_link(0, epoch, 0, 0))
+        sock.sendall(mp._encode_link(0, epoch, 0))
         return sock
 
     yield node, hub_far, link_from
     link.close()
     for sock in made:
         sock.close()
+    if not base.startswith("\0"):
+        shutil.rmtree(base)
 
 
 def _ball(payload, src=0, dst=1) -> bytes:
@@ -161,7 +164,7 @@ def test_a_frame_from_an_older_sender_incarnation_is_dispatched_but_not_counted(
     _pump_until(node, lambda: len(node.inbox) == 1)
     assert link.recv == [1, 0]
     # PE 0's respawn said hello: the hub's announcement restarts the counts.
-    hub_far.sendall(mp._encode(("peer", 0, 1, _dead_port())))
+    hub_far.sendall(mp._encode(("peer", 0, 1)))  # nothing listens for it
     _pump_until(node, lambda: link.epochs == [1, 0])
     assert link.recv == [0, 0]
     old.sendall(_ball("b"))  # still in flight from the dead incarnation
@@ -178,10 +181,10 @@ def test_a_frame_to_a_dead_incarnation_is_dropped_and_the_respawn_clears_its_cou
     link, machine = node.machine.worker, node.machine
     machine.network.sync_send(node, 0, 8, Message(7, "lost", src_pe=1))
     assert link.sent == [1, 0]  # counted, then dropped: nothing listens
-    assert link.out[0].port is None and not link.out[0].out
-    respawn = socket.create_server(("127.0.0.1", 0))
+    assert link.out[0].name is None and not link.out[0].out
+    respawn = _listen(link, 0, 1)
     try:
-        hub_far.sendall(mp._encode(("peer", 0, 1, respawn.getsockname()[1])))
+        hub_far.sendall(mp._encode(("peer", 0, 1)))
         _pump_until(node, lambda: link.epochs == [1, 0])
         assert link.sent == [0, 0]
         machine.network.sync_send(node, 0, 8, Message(7, "kept", src_pe=1))
@@ -196,5 +199,5 @@ def test_a_frame_to_a_dead_incarnation_is_dropped_and_the_respawn_clears_its_cou
     finally:
         respawn.close()
     # The link names incarnation 1 of PE 0 as its target.
-    [(kind, msg, _imm, (src, epoch, target, _port))] = reader
+    [(kind, msg, _imm, (src, epoch, target))] = reader
     assert (kind, msg.payload, src, epoch, target) == ("msg", "kept", 1, 0, 1)

@@ -232,7 +232,8 @@ def test_instrumented_variant_still_guards_every_site():
 def test_mp_fault_free_forward_has_no_fault_hooks():
     from repro.machine.mp import _MpNetwork, _WorkerLink
 
-    for path in (_MpNetwork._write, _WorkerLink.hold, _WorkerLink.flush):
+    for path in (_MpNetwork._write, _MpNetwork.send_value, _WorkerLink.hold,
+                 _WorkerLink.flush):
         src = inspect.getsource(path)
         for marker in ("fault", "decide", "_delayed", "Timer", "corrupt",
                        "_down"):
@@ -278,12 +279,26 @@ def test_mp_transmit_binding_picks_variant_at_construction():
         try:
             assert not hasattr(m, "_route")  # the hub forwards one way
             net = _WorkerMachine(0, _WorkerLink(a, 0), m.config).network
-            return net._transmit.__func__
+            return net._transmit.__func__, net.by_value
         finally:
             a.close()
             b.close()
             m.shutdown()
 
-    assert worker_transmit() is _MpNetwork._transmit
+    # A fault plan's copies are encoded as its verdicts are drawn, so a
+    # plain send under one takes the wire copy.
+    assert worker_transmit() == (_MpNetwork._transmit, True)
     assert worker_transmit(faults=FaultPlan(seed=0, drop=0.1),
-                           reliable=True) is _MpNetwork._transmit_faulty
+                           reliable=True) == (_MpNetwork._transmit_faulty, False)
+
+
+def test_sim_cmi_keeps_the_one_sync_send():
+    """The simulator's network does not encode by value, so its CMI binds
+    no by-value send: a sim send tests nothing more than before."""
+    from repro.machine.cmi import CMI
+    from repro.sim.machine import Machine
+
+    with Machine(2) as m:
+        cmi = m.runtime(0).cmi
+        assert not m.network.by_value and "sync_send" not in vars(cmi)
+        assert cmi.sync_send.__func__ is CMI.sync_send
