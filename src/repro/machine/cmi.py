@@ -918,9 +918,7 @@ class CMI:
             agg.submit_fields(dest_pe, msg.handler, msg.payload, msg.size,
                               self.node.pe, mid)
             return
-        stats = node.stats
-        stats.msgs_sent += 1
-        stats.bytes_sent += msg.size
+        self._count_send(msg.size)
         if rt.tracing:
             wire = self._wire_copy(msg, msg_id=self._next_msg_id())
             rt.trace_event("send", dest=dest_pe, size=msg.size,
@@ -934,8 +932,6 @@ class CMI:
                                     msg.prio, node.pe)
             else:
                 wire = self._wire_copy(msg)
-        if rt.metering:
-            self._meter_send(msg.size)
         if self._reliable is not None:
             self._reliable.send(dest_pe, wire,
                                 extra_send_cost=self.model.cvs_send_extra)
@@ -945,30 +941,29 @@ class CMI:
             extra_send_cost=self.model.cvs_send_extra,
         )
 
+    def _count_send(self, size: int) -> None:
+        """Stats and metrics of one point-to-point send of ``size`` bytes."""
+        stats = self.node.stats
+        stats.msgs_sent += 1
+        stats.bytes_sent += size
+        if self.runtime.metering:
+            self._meter_send(size)
+
     def _sync_send_by_value(self, dest_pe: int, msg: Message,
                             direct: bool = False) -> None:
         """:meth:`sync_send` on a layer whose network encodes remote
         packets by value (``Interconnect.by_value``, read once, when this
-        CMI is built): an untraced, unreliable, unaggregated send offers
-        ``msg`` itself to ``send_value``, with no wire copy and no pool
-        round trip.  What the layer declines gets a wire copy as before."""
+        CMI is built): a valid untraced, unreliable, unaggregated send
+        offers ``msg`` itself to ``send_value``, with no wire copy and no
+        pool round trip.  Anything else, and what the layer declines,
+        takes :meth:`sync_send` (which raises for a bad send)."""
         rt = self.runtime
-        if rt.tracing or self._reliable is not None or self._aggregation is not None:
+        if (rt.tracing or self._reliable is not None or self._aggregation is not None
+                or not 0 <= dest_pe < rt.machine.num_pes or rt.exited
+                or not self.network.send_value(self.node, dest_pe, msg)):
             CMI.sync_send(self, dest_pe, msg, direct)
             return
-        if not 0 <= dest_pe < rt.machine.num_pes:
-            self._check_dest(dest_pe)
-        if rt.exited:
-            rt.check_active()
-        node = self.node
-        stats = node.stats
-        stats.msgs_sent += 1
-        stats.bytes_sent += msg.size
-        if rt.metering:
-            self._meter_send(msg.size)
-        if not self.network.send_value(node, dest_pe, msg):
-            self.network.sync_send(node, dest_pe, msg.size, self._wire_copy(msg),
-                                   extra_send_cost=self.model.cvs_send_extra)
+        self._count_send(msg.size)
 
     def async_send(self, dest_pe: int, msg: Message) -> SendHandle:
         """``CmiAsyncSend``: returns a handle; ``msg`` must not be reused

@@ -3,12 +3,13 @@
 This is the second registered machine layer (after the simulator) and the
 first with *real* parallelism: every PE is a child process with its own
 interpreter (and GIL), wired to the parent and its peers over Unix-domain
-sockets (:func:`_socket_dir` names them).  The layers above the machine interface — :class:`ConverseRuntime`, the
-Csd scheduler, the CMI, the message manager — run in each worker process
-**unmodified**: the worker derives the five machine-interface classes
-(:mod:`repro.machine.interface` — a wall-clock engine, a node that
-reads its own sockets, a socket-backed network, a forwarding console
-and a one-PE host) and adds only what real processes and sockets need.
+sockets (:func:`_socket_dir` names them).  The layers above the machine
+interface — :class:`ConverseRuntime`, the Csd scheduler, the CMI, the
+message manager — run in each worker process **unmodified**: the worker
+derives the five machine-interface classes (:mod:`repro.machine.interface`
+— a wall-clock engine, a node that reads its own sockets, a
+socket-backed network, a forwarding console and a one-PE host) and adds
+only what real processes and sockets need.
 
 Topology is a full mesh beside a hub: a worker writes each data frame
 — a struct header, then the payload pickled once by its sender; for a
@@ -87,7 +88,6 @@ byte-identical traces).
 
 from __future__ import annotations
 
-import itertools
 import mmap
 import os
 import pickle
@@ -152,9 +152,6 @@ _MP_FT_CTL_RTO_FLOOR = 0.05
 _MP_FT_CTL_RETRIES_FLOOR = 100
 _MP_FT_CKPT_FLOOR = 0.05
 
-#: numbers this process's machines (their sockets are named by it and the pid).
-_SERIALS = itertools.count()
-
 #: all-zero cost model: on a real machine layer the costs are real, so
 #: the virtual accounting terms must not add phantom time to ``charge``.
 MP_MODEL = MachineModel(
@@ -177,6 +174,9 @@ _LEN = struct.Struct("<I")
 #: frame gets an exact-size buffer of its own.
 _BUF_BYTES = 1 << 17
 _IOV_MAX = 1024  #: most chunks one ``sendmsg`` takes; a longer queue is joined
+#: a worker's send buffer toward the hub (Linux caps it at net.core.wmem_max):
+#: a result frame of 0.2-10 MB is written without waiting on ~200 KiB reads.
+_HUB_SNDBUF = 4 << 20
 
 #: how long a park lasts, with nothing arriving, before a worker reports
 #: idle (else every park would wake the hub once per message).
@@ -269,10 +269,8 @@ def _encode_copy(src: int, dst: int, msg: Any) -> Optional[tuple]:
 
 
 def _socket_dir() -> str:
-    """Where a new machine names its sockets: Linux's abstract namespace,
-    else a private directory (:meth:`MpMachine.shutdown` removes it)."""
-    if sys.platform.startswith("linux"):
-        return f"\0repro-mp-{os.getpid()}-{next(_SERIALS)}/"
+    """Where a new machine names its sockets: a private directory of its
+    own (:meth:`MpMachine.shutdown` removes it)."""
     return tempfile.mkdtemp(prefix="repro-mp-") + "/"
 
 
@@ -1044,6 +1042,7 @@ def _worker_main(pe: int, base: str, specs: list, cfg: MachineConfig,
     # The hub listens before any worker starts.  Sends block; reads
     # never do: each one is a single non-blocking recv_into.
     sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, _HUB_SNDBUF)
     sock.connect(base + "hub")
     link = _WorkerLink(sock, pe, listener, base, epochs)
     # A held batch waits one switch interval at most: a writer thread's GIL wait.
@@ -1957,8 +1956,7 @@ class MpMachine(MachineLayer):
             if proc.is_alive():  # pragma: no cover - last resort
                 proc.kill()
                 proc.join(timeout=1.0)
-        if not self._base.startswith("\0"):  # names in a directory
-            shutil.rmtree(self._base, ignore_errors=True)
+        shutil.rmtree(self._base, ignore_errors=True)
         # Every final frame (clock echoes, metrics snapshots, trace
         # counters, cpu) has been absorbed.  Merge.
         if self._trace_mode is not None and self.tracer is None:

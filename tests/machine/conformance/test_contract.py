@@ -58,6 +58,13 @@ def test_self_send_loops_back(spmd):
     assert results == [(pe, b"to-myself") for pe in range(3)]
 
 
+def test_send_out_of_range_is_refused(spmd):
+    """Every send path (on mp, the by-value one too) checks the target
+    before it counts or sends anything."""
+    refused = ("destination PE 2 out of range [0, 2)", 0)
+    assert spmd(2, w.w_send_out_of_range) == [refused, refused]
+
+
 def test_async_send_handle_completion(spmd):
     results = spmd(2, w.w_async_send, 5)
     assert results[0] == {"count": 5, "done_at_reply": True}

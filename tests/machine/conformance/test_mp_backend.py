@@ -5,7 +5,6 @@ propagation, and scope fencing of simulator-only calls."""
 from __future__ import annotations
 
 import os
-import sys
 import time
 
 import pytest
@@ -248,8 +247,9 @@ def test_a_plain_pingpong_draws_nothing_from_the_pool():
 
 
 def test_two_machines_alive_at_once_name_their_sockets_apart():
-    """A machine names its sockets by the hub's pid and its own serial:
-    a second machine runs while the first one's workers still listen."""
+    """A machine names its sockets in a private directory of its own: a
+    second machine runs while the first one's workers still listen, and
+    shutdown() removes each directory."""
     machines = [Machine(2, machine_backend="mp", timeout=30.0) for _ in range(2)]
     try:
         for m in machines:
@@ -257,24 +257,12 @@ def test_two_machines_alive_at_once_name_their_sockets_apart():
             assert m.run() == "quiescent"
         assert [m.results() for m in machines] == [[20, 20], [20, 20]]
         assert machines[0]._base != machines[1]._base
+        for m in machines:
+            assert sorted(os.listdir(m._base)) == ["0.0", "1.0", "hub"]
     finally:
         for m in machines:
             m.shutdown()
-
-
-def test_off_linux_a_machine_names_its_sockets_in_a_private_directory(monkeypatch):
-    """Without Linux's abstract namespace the same names are paths in one
-    private directory per machine, which shutdown() removes."""
-    monkeypatch.setattr(sys, "platform", "darwin")
-    m = Machine(2, machine_backend="mp", timeout=30.0)
-    try:
-        m.launch(w.w_pingpong, 20, 8)
-        assert m.run() == "quiescent"
-        assert sorted(os.listdir(m._base)) == ["0.0", "1.0", "hub"]
-        assert m.results() == [20, 20]
-    finally:
-        m.shutdown()
-    assert not os.path.exists(m._base)
+    assert not any(os.path.exists(m._base) for m in machines)
 
 
 def test_timer_armed_by_a_returned_main_fires_while_parked():

@@ -178,6 +178,20 @@ def w_self_send():
     return (seen["src"], seen["payload"])
 
 
+def w_send_out_of_range():
+    """A CmiSyncSend to the PE past the last one: what it raised, and
+    how many sends this PE counted (none: the send was refused)."""
+    from repro.core import context
+    from repro.core.errors import MessageError
+
+    h = api.CmiRegisterHandler(lambda _msg: None, "conf.nowhere")
+    try:
+        api.CmiSyncSend(api.CmiNumPes(), api.CmiNew(h, b"lost"))
+    except MessageError as exc:
+        return str(exc), context.current_runtime().node.stats.msgs_sent
+    return None
+
+
 def w_async_send(rounds):
     """CmiAsyncSend round trips.  A reply proves the outbound send
     completed, so by the time each reply arrives ``CmiAsyncMsgSent``

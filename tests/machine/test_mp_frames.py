@@ -384,8 +384,7 @@ def worker():
     for link, hub_end in links:
         link.sock = hub_end
         link.close()
-        if not link.base.startswith("\0"):
-            shutil.rmtree(link.base)
+        shutil.rmtree(link.base)
     for sock in made:
         sock.close()
 

@@ -140,8 +140,7 @@ def pe1():
     link.close()
     for sock in made:
         sock.close()
-    if not base.startswith("\0"):
-        shutil.rmtree(base)
+    shutil.rmtree(base)
 
 
 def _ball(payload, src=0, dst=1) -> bytes:
