@@ -47,8 +47,8 @@ __all__ = [
     "estimate_size",
     "HEADER_BYTES",
     "WIRE_FIELDS",
+    "wire_copy",
     "wire_fields",
-    "copy_fields",
     "from_wire_fields",
 ]
 
@@ -373,57 +373,62 @@ class Message:
 WIRE_FIELDS = "BIQqQqq"
 
 _F_CORRUPTED = 1
-_F_POOLED = 2
-_F_STEAL_OK = 4
-_F_PRIO = 8
-_F_MSG_ID = 16
+_F_STEAL_OK = 2
+_F_PRIO = 4
+_F_MSG_ID = 8
 
 
-def wire_fields(msg: Any, src_pe: int) -> Optional[Tuple[int, ...]]:
+def wire_copy(msg: Message, src_pe: int, msg_id: Optional[int] = None,
+              pool: Any = None) -> Message:
+    """The copy of a caller's ``msg`` that a send from ``src_pe`` puts on
+    the wire: its handler, payload (read through ``payload``, so a
+    recycled buffer raises), size and priority, trace id ``msg_id``,
+    fresh ownership state, unsequenced.  Drawn from ``pool`` (a
+    :class:`~repro.core.pool.MessagePool`) when one is given."""
+    if pool is not None:
+        wire = pool.acquire(msg.handler, msg.payload, msg.size, msg.prio, src_pe)
+    else:
+        wire = Message(msg.handler, msg.payload, size=msg.size, prio=msg.prio,
+                       src_pe=src_pe)
+    wire.msg_id = msg_id
+    return wire
+
+
+def wire_fields(msg: Any, src_pe: int, copy: bool = False,
+                msg_id: Optional[int] = None) -> Optional[Tuple[int, ...]]:
     """Every field of ``msg`` but its payload, as :data:`WIRE_FIELDS`
     packs them, when ``msg`` is a plain :class:`Message` sent by
     ``src_pe`` whose other state a receiver can rebuild from them (see
     :func:`from_wire_fields`): unowned and valid, no ``enq_time`` stamp,
-    an integer or no priority.  ``None`` otherwise — the caller then
-    ships the whole object.  A field too wide for its code (a handler
-    past 32 bits, a ``msg_id`` past 64) makes ``struct.pack`` raise
+    an integer or no priority.  With ``copy``, ``msg`` is a caller's
+    message and the fields are those of ``wire_copy(msg, src_pe,
+    msg_id)``, read off ``msg`` itself, whose other slots are ignored.
+    ``None`` otherwise — the caller then ships the whole
+    object (or that copy).  A field too wide for its code (a handler past
+    32 bits, a ``msg_id`` past 64) makes ``struct.pack`` raise
     ``struct.error``, which the caller treats the same way."""
-    if (type(msg) is not Message or msg.src_pe != src_pe or msg._cmi_owned
-            or not msg._valid or msg.enq_time is not None):
+    if type(msg) is not Message:
         return None
-    prio = _prio_fields(msg.prio)
+    prio = msg.prio
     if prio is None:
+        flags, word = 0, 0
+    elif type(prio) is int and -_PRIO_SIGN <= prio < _PRIO_SIGN:
+        flags, word = _F_PRIO, prio & _PRIO_WORD
+    else:
+        return None  # a BitVector, or an int past 64 bits
+    if copy:
+        seq, ack = -1, 0
+    elif (msg.src_pe != src_pe or msg._cmi_owned or not msg._valid
+          or msg.enq_time is not None):
         return None
-    flags = (msg.corrupted * _F_CORRUPTED | msg._pooled * _F_POOLED
-             | msg.steal_ok * _F_STEAL_OK | prio[0])
-    msg_id = msg.msg_id
+    else:
+        flags |= msg.corrupted * _F_CORRUPTED | msg.steal_ok * _F_STEAL_OK
+        msg_id, seq, ack = msg.msg_id, msg.seq, msg.ack
     if msg_id is None:
         msg_id = 0
     else:
         flags |= _F_MSG_ID
-    return flags, msg.handler, msg.size, msg_id, prio[1], msg.seq, msg.ack
-
-
-def copy_fields(msg: Any) -> Optional[Tuple[int, ...]]:
-    """The :func:`wire_fields` of the copy a CMI send makes of the plain
-    :class:`Message` ``msg`` (its handler, size and priority; no
-    ``msg_id``, ``seq`` -1, ``ack`` 0, no flag but the priority's), read
-    off ``msg`` itself, whose other slots it ignores.  ``None`` for a
-    subclass, and where :func:`wire_fields` of the copy would be."""
-    prio = _prio_fields(msg.prio) if type(msg) is Message else None
-    if prio is None:
-        return None
-    return prio[0], msg.handler, msg.size, 0, prio[1], -1, 0
-
-
-def _prio_fields(prio: Any) -> Optional[Tuple[int, int]]:
-    """The flag and 64-bit word a priority travels as; ``None`` for a
-    BitVector or an int past 64 bits."""
-    if prio is None:
-        return 0, 0
-    if type(prio) is int and -_PRIO_SIGN <= prio < _PRIO_SIGN:
-        return _F_PRIO, prio & _PRIO_WORD
-    return None
+    return flags, msg.handler, msg.size, msg_id, word, seq, ack
 
 
 def from_wire_fields(fields: Tuple[int, ...], payload: Any,
@@ -444,7 +449,7 @@ def from_wire_fields(fields: Tuple[int, ...], payload: Any,
     msg.msg_id = msg_id if flags & _F_MSG_ID else None
     msg.enq_time = None
     msg.corrupted = bool(flags & _F_CORRUPTED)
-    msg._pooled = bool(flags & _F_POOLED)
+    msg._pooled = False
     msg.steal_ok = bool(flags & _F_STEAL_OK)
     msg.seq = seq
     msg.ack = ack

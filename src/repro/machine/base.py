@@ -175,16 +175,18 @@ class MachineConfig:
 
     @property
     def pool(self) -> bool:
-        """Whether each PE pools its wire-copy messages
+        """Whether each ``sim`` PE pools its wire-copy messages
         (:mod:`repro.core.pool`): on, except under an unreliable faulty
         network, where duplicate faults re-deliver the *same* wire
         object.  That fails loudly today (the second delivery sees a
         poisoned buffer), and a pool must never turn it into a silent
         resurrection with some newer message's contents.  The reliable
         layer never pools what it sends and dedups by sequence number,
-        so faults with ``reliable`` stay pool-safe.  A plain untraced
-        ``CmiSyncSend`` on ``mp`` draws no copy at all: the layer
-        encodes the caller's message (``Interconnect.by_value``)."""
+        so faults with ``reliable`` stay pool-safe.  The pool serves the
+        simulator only: ``mp`` makes no wire copy to draw (its network
+        frames the caller's message, :meth:`Interconnect.send_msg
+        <repro.machine.interface.Interconnect.send_msg>`), so its PEs
+        have none."""
         return self.faults is None or self.reliable is not None
 
     @property

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import MessageError, RetryExhaustedError
-from repro.core.message import HEADER_BYTES, Message
+from repro.core.message import HEADER_BYTES, Message, wire_copy
 from repro.machine.interface import SendHandle
 
 __all__ = ["CMI", "ReliableConfig", "RelStats", "ReliableDelivery"]
@@ -63,12 +63,15 @@ class RelStats:
 
     ``acks_sent`` counts standalone ack packets and ``acks_piggybacked``
     data packets that carried an owed cumulative ack, so their sum is
-    every ack this PE gave; ``acks_received`` counts data packets an ack
+    every ack this PE gave; ``acks_delayed`` counts the standalone acks
+    the delayed-ack timer flushed (the others answer an out-of-order or
+    duplicate arrival); ``acks_received`` counts data packets an ack
     released from the pending set (each exactly once)."""
 
     data_sent: int = 0
     retransmits: int = 0
     acks_sent: int = 0
+    acks_delayed: int = 0
     acks_piggybacked: int = 0
     acks_received: int = 0
     stale_acks: int = 0
@@ -147,12 +150,11 @@ class ReliableDelivery:
     Ownership rules the header riding in the message depends on.  On
     the simulator a duplicate fault re-delivers *the same object*, so
     dedup reads only fields nobody writes after the send: the receive
-    side never writes ``seq``/``ack``.  A message this layer sends is
-    never pooled (``send`` clears ``_pooled``): a receiver could
-    otherwise recycle and reuse it before its duplicate lands, and on
-    ``mp`` the sender would reclaim it right after encoding, still
-    pending.  Every retransmission is a fresh clone with ``corrupted``
-    clear (of the pristine log entry when crash recovery is armed).
+    side never writes ``seq``/``ack``.  A message this layer sends is a
+    copy it makes itself, never pooled: a receiver could otherwise
+    recycle and reuse it before its duplicate lands.  Every
+    retransmission is a fresh clone with ``corrupted`` clear (of the
+    pristine log entry when crash recovery is armed).
     """
 
     def __init__(self, runtime: Any, config: Optional[ReliableConfig] = None) -> None:
@@ -217,17 +219,18 @@ class ReliableDelivery:
     # ------------------------------------------------------------------
     # sender side
     # ------------------------------------------------------------------
-    def send(self, dest_pe: int, msg: Message, extra_send_cost: float = 0.0,
+    def send(self, dest_pe: int, msg: Message, msg_id: Optional[int] = None,
+             extra_send_cost: float = 0.0,
              asynchronous: bool = False) -> Optional[SendHandle]:
-        """Transmit ``msg`` reliably.  ``msg`` must already be the wire
-        copy: the reliable layer writes its header into it, takes it out
-        of the pool and keeps it for retransmission.  Returns a
-        completion handle for asynchronous sends."""
+        """Transmit the caller's ``msg`` reliably (trace id ``msg_id``):
+        the packet that travels is a copy this layer makes, writes its
+        header into and keeps for retransmission.  Returns a completion
+        handle for asynchronous sends."""
+        wire = wire_copy(msg, self.node.pe, msg_id)
         seq = self._next_seq.get(dest_pe, 0)
         self._next_seq[dest_pe] = seq + 1
-        nbytes = msg.size + self.config.header_bytes
-        msg._pooled = False
-        pending = _Pending(msg, nbytes, self.config.rto, sent_at=self.node.now)
+        nbytes = wire.size + self.config.header_bytes
+        pending = _Pending(wire, nbytes, self.config.rto, sent_at=self.node.now)
         pend = self._pending.get(dest_pe)
         if pend is None:
             pend = self._pending[dest_pe] = {}
@@ -237,23 +240,23 @@ class ReliableDelivery:
             # destination can be replayed after a crash (the message
             # itself gets delivered and recycled at the receiver).
             self._ft_log.setdefault(dest_pe, {})[seq] = (
-                self._clone(msg), msg.size
+                self._clone(wire), wire.size
             )
         self.stats.data_sent += 1
         if self.runtime.tracing:
-            self.runtime.trace_event("rel_data", dest=dest_pe, seq=seq, size=msg.size)
+            self.runtime.trace_event("rel_data", dest=dest_pe, seq=seq, size=wire.size)
         if self.runtime.metering:
             self._mx_data_sent.inc(self.node.pe)
-        msg.seq = seq
-        msg.ack = self._piggyback(dest_pe)
+        wire.seq = seq
+        wire.ack = self._piggyback(dest_pe)
         handle: Optional[SendHandle] = None
         if asynchronous:
             handle = self.network.async_send(
-                self.node, dest_pe, nbytes, msg, extra_send_cost=extra_send_cost
+                self.node, dest_pe, nbytes, wire, extra_send_cost=extra_send_cost
             )
         else:
             self.network.sync_send(
-                self.node, dest_pe, nbytes, msg, extra_send_cost=extra_send_cost
+                self.node, dest_pe, nbytes, wire, extra_send_cost=extra_send_cost
             )
         pending.due = self.engine.now + pending.rto
         self._arm_rtx(dest_pe, pending.due)
@@ -469,6 +472,7 @@ class ReliableDelivery:
             return  # reverse data carried it
         later = since + self._ack_delay
         if later <= due:
+            self.stats.acks_delayed += 1
             self._send_ack(src, -1)
         else:
             self._ack_timers[src] = self.engine.schedule(
@@ -725,8 +729,6 @@ class CMI:
             )
         else:
             self._mx_sends = None
-        if self.network.by_value:
-            self.sync_send = self._sync_send_by_value
 
     # ------------------------------------------------------------------
     # reliability (opt-in)
@@ -830,30 +832,6 @@ class CMI:
     # ------------------------------------------------------------------
     # point-to-point sends
     # ------------------------------------------------------------------
-    def _wire_copy(self, msg: Message, msg_id: Optional[int] = None) -> Message:
-        """The message instance that crosses the wire.  A fresh object so
-        the sender's buffer and the receiver's buffer have independent
-        ownership state (payload objects are shared and treated as
-        immutable by convention, like registered send buffers).
-
-        With pooling on, the copy is drawn from the per-PE
-        :class:`~repro.core.pool.MessagePool` — the hottest allocation
-        site in the stack (one wire copy per send) — and returns to the
-        pool after the receiving handler lets the CMI recycle it.  The
-        source fields were validated when ``msg`` was constructed, so
-        the pool skips re-validation."""
-        pool = self.runtime.pool
-        if pool is not None:
-            wire = pool.acquire(msg.handler, msg.payload, msg.size,
-                                msg.prio, self.node.pe)
-        else:
-            wire = Message(
-                msg.handler, msg.payload, size=msg.size, prio=msg.prio,
-                src_pe=self.node.pe,
-            )
-        wire.msg_id = msg_id
-        return wire
-
     def _next_msg_id(self) -> int:
         """Allocate a machine-wide trace correlation id from the host's
         seed and stride (see :class:`~repro.machine.interface.PEHost`).
@@ -918,78 +896,43 @@ class CMI:
             agg.submit_fields(dest_pe, msg.handler, msg.payload, msg.size,
                               self.node.pe, mid)
             return
-        self._count_send(msg.size)
-        if rt.tracing:
-            wire = self._wire_copy(msg, msg_id=self._next_msg_id())
-            rt.trace_event("send", dest=dest_pe, size=msg.size,
-                           handler=msg.handler, msg=wire.msg_id)
-        else:
-            # _wire_copy's pooled branch, inlined (msg_id stays None —
-            # pool.acquire resets it).
-            pool = rt.pool
-            if pool is not None:
-                wire = pool.acquire(msg.handler, msg.payload, msg.size,
-                                    msg.prio, node.pe)
-            else:
-                wire = self._wire_copy(msg)
+        mid = self._count_send(dest_pe, msg)
         if self._reliable is not None:
-            self._reliable.send(dest_pe, wire,
+            self._reliable.send(dest_pe, msg, mid,
                                 extra_send_cost=self.model.cvs_send_extra)
             return
-        self.network.sync_send(
-            node, dest_pe, msg.size, wire,
-            extra_send_cost=self.model.cvs_send_extra,
-        )
+        self.network.send_msg(node, dest_pe, msg, mid, self.model.cvs_send_extra)
 
-    def _count_send(self, size: int) -> None:
-        """Stats and metrics of one point-to-point send of ``size`` bytes."""
+    def _count_send(self, dest_pe: int, msg: Message,
+                    kind: Optional[str] = None) -> Optional[int]:
+        """Stats and metrics of one point-to-point send of ``msg``; with
+        tracing on, its ``send`` event (flagged ``kind``, e.g.
+        ``"asynchronous"``), whose trace id it returns (else None)."""
         stats = self.node.stats
         stats.msgs_sent += 1
-        stats.bytes_sent += size
-        if self.runtime.metering:
-            self._meter_send(size)
-
-    def _sync_send_by_value(self, dest_pe: int, msg: Message,
-                            direct: bool = False) -> None:
-        """:meth:`sync_send` on a layer whose network encodes remote
-        packets by value (``Interconnect.by_value``, read once, when this
-        CMI is built): a valid untraced, unreliable, unaggregated send
-        offers ``msg`` itself to ``send_value``, with no wire copy and no
-        pool round trip.  Anything else, and what the layer declines,
-        takes :meth:`sync_send` (which raises for a bad send)."""
+        stats.bytes_sent += msg.size
         rt = self.runtime
-        if (rt.tracing or self._reliable is not None or self._aggregation is not None
-                or not 0 <= dest_pe < rt.machine.num_pes or rt.exited
-                or not self.network.send_value(self.node, dest_pe, msg)):
-            CMI.sync_send(self, dest_pe, msg, direct)
-            return
-        self._count_send(msg.size)
+        if rt.metering:
+            self._meter_send(msg.size)
+        if rt.tracing:
+            mid = self._next_msg_id()
+            rt.trace_event("send", dest=dest_pe, size=msg.size, handler=msg.handler,
+                           **({kind: True} if kind else {}), msg=mid)
+            return mid
+        return None
 
     def async_send(self, dest_pe: int, msg: Message) -> SendHandle:
         """``CmiAsyncSend``: returns a handle; ``msg`` must not be reused
         until :meth:`async_msg_sent` reports completion."""
         self._check_dest(dest_pe)
         self.runtime.check_active()
-        self.node.stats.msgs_sent += 1
-        self.node.stats.bytes_sent += msg.size
-        if self.runtime.tracing:
-            wire = self._wire_copy(msg, msg_id=self._next_msg_id())
-            self.runtime.trace_event(
-                "send", dest=dest_pe, size=msg.size, handler=msg.handler,
-                asynchronous=True, msg=wire.msg_id,
-            )
-        else:
-            wire = self._wire_copy(msg)
-        if self.runtime.metering:
-            self._meter_send(msg.size)
+        mid = self._count_send(dest_pe, msg, "asynchronous")
         if self._reliable is not None:
-            return self._reliable.send(dest_pe, wire,
+            return self._reliable.send(dest_pe, msg, mid,
                                        extra_send_cost=self.model.cvs_send_extra,
                                        asynchronous=True)
-        return self.network.async_send(
-            self.node, dest_pe, msg.size, wire,
-            extra_send_cost=self.model.cvs_send_extra,
-        )
+        return self.network.send_msg(self.node, dest_pe, msg, mid,
+                                     self.model.cvs_send_extra, asynchronous=True)
 
     def immediate_send(self, dest_pe: int, msg: Message) -> None:
         """Extension (paper section 6 future work: "preemptive messages
@@ -1003,22 +946,9 @@ class CMI:
         context."""
         self._check_dest(dest_pe)
         self.runtime.check_active()
-        self.node.stats.msgs_sent += 1
-        self.node.stats.bytes_sent += msg.size
-        if self.runtime.tracing:
-            wire = self._wire_copy(msg, msg_id=self._next_msg_id())
-            self.runtime.trace_event(
-                "send", dest=dest_pe, size=msg.size, handler=msg.handler,
-                immediate=True, msg=wire.msg_id,
-            )
-        else:
-            wire = self._wire_copy(msg)
-        if self.runtime.metering:
-            self._meter_send(msg.size)
-        self.network.sync_send(
-            self.node, dest_pe, msg.size, wire,
-            extra_send_cost=self.model.cvs_send_extra, immediate=True,
-        )
+        mid = self._count_send(dest_pe, msg, "immediate")
+        self.network.send_msg(self.node, dest_pe, msg, mid,
+                              self.model.cvs_send_extra, immediate=True)
 
     @staticmethod
     def async_msg_sent(handle: SendHandle) -> bool:
@@ -1059,7 +989,7 @@ class CMI:
         if self.runtime.metering:
             self._meter_send(msg.size)
         if self._reliable is not None:
-            return self._reliable.send(dest_pe, msg,
+            return self._reliable.send(dest_pe, msg, msg.msg_id,
                                        extra_send_cost=self.model.cvs_send_extra,
                                        asynchronous=True)
         return self.network.async_send(
@@ -1108,15 +1038,13 @@ class CMI:
                 if not include_self and dst == self.node.pe:
                     continue
                 handle = self._reliable.send(
-                    dst, self._wire_copy(msg, msg_id=ids.get(dst)),
+                    dst, msg, ids.get(dst),
                     extra_send_cost=self.model.cvs_send_extra,
                     asynchronous=asynchronous,
                 ) or handle
             return handle
-        return self.network.broadcast(
-            self.node, msg.size,
-            lambda dst: self._wire_copy(msg, msg_id=ids.get(dst)),
-            include_self=include_self,
+        return self.network.broadcast_msg(
+            self.node, msg, ids, include_self=include_self,
             extra_send_cost=self.model.cvs_send_extra,
             asynchronous=asynchronous,
         )

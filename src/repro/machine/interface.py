@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.errors import SimulationError
+from repro.core.message import wire_copy
 
 __all__ = [
     "unsupported",
@@ -440,31 +441,51 @@ class SendHandle:
 
 
 class Interconnect:
-    """What the CMI and the protocol layers ask of a layer's network:
-    :meth:`sync_send` and :meth:`inject`, plus asynchronous and
-    broadcast forms that default to point-to-point sends completing at
-    once.  ``nbytes`` is the modelled size, ``payload`` opaque."""
+    """What the CMI and the protocol layers ask of a layer's network.
 
-    #: True on a layer that encodes every remote packet by value before
-    #: its send returns and charges no virtual send cost: a CMI built on
-    #: it offers a plain ``CmiSyncSend``'s message to :meth:`send_value`
-    #: instead of building a wire copy.
-    by_value = False
+    Two kinds of send reach it.  :meth:`send_msg` and
+    :meth:`broadcast_msg` get the *caller's* message: the caller may
+    reuse it once the call returns (``CmiSyncSend``), so before then the
+    layer must give each receiver a buffer of its own, however it likes.
+    The base does it the simulator's way: it draws a
+    :func:`~repro.core.message.wire_copy` (pooled where the PE has a
+    pool) and hands that to :meth:`sync_send`, :meth:`async_send` or
+    :meth:`broadcast`.  Those, and :meth:`inject`, get packets their
+    caller hands over, which the layer may deliver as they are.
+    ``nbytes`` is the modelled size, ``payload`` opaque."""
 
     def __init__(self) -> None:
         self.stats = NetworkStats()
 
-    def send_value(self, src_node: PENode, dst: int, msg: Any) -> bool:
-        """Send what a wire copy of the caller's ``msg`` would carry, from
-        ``msg`` itself; False, having sent nothing, where the layer wants
-        the wire copy instead (asked only where :attr:`by_value`)."""
-        return False
+    def send_msg(self, src_node: PENode, dst: int, msg: Any,
+                 msg_id: Optional[int] = None, extra_send_cost: float = 0.0,
+                 immediate: bool = False,
+                 asynchronous: bool = False) -> Optional[SendHandle]:
+        """The CMI's send of the caller's ``msg`` to PE ``dst`` (trace id
+        ``msg_id``), as its sync, immediate or asynchronous form; only the
+        last returns a handle."""
+        wire = wire_copy(msg, src_node.pe, msg_id, src_node.runtime.pool)
+        if asynchronous:
+            return self.async_send(src_node, dst, msg.size, wire, extra_send_cost)
+        self.sync_send(src_node, dst, msg.size, wire, extra_send_cost, immediate)
+        return None
+
+    def broadcast_msg(self, src_node: PENode, msg: Any, msg_ids: Dict[int, int],
+                      include_self: bool = False, extra_send_cost: float = 0.0,
+                      asynchronous: bool = False) -> Optional[SendHandle]:
+        """The CMI's broadcast of the caller's ``msg`` (destination ``dst``
+        traced as ``msg_ids.get(dst)``): :meth:`broadcast` of one copy per
+        destination."""
+        pe, pool = src_node.pe, src_node.runtime.pool
+        return self.broadcast(
+            src_node, msg.size,
+            lambda dst: wire_copy(msg, pe, msg_ids.get(dst), pool),
+            include_self, extra_send_cost, asynchronous)
 
     def sync_send(self, src_node: PENode, dst: int, nbytes: int, payload: Any,
                   extra_send_cost: float = 0.0, immediate: bool = False) -> None:
         """Blocking send: charge the sender, hand the payload to the
-        wire; on return the caller may reuse its buffer (``CmiSyncSend``).
-        ``immediate`` asks for interrupt-style delivery."""
+        wire.  ``immediate`` asks for interrupt-style delivery."""
         raise NotImplementedError
 
     def inject(self, src_pe: int, dst: int, nbytes: int, payload: Any) -> None:
@@ -486,12 +507,7 @@ class Interconnect:
         """Send ``payload_factory(dst)`` — one message object per
         destination — to every PE, optionally the caller too.  Sender-
         initiated, *not* a barrier (paper section 3.1.3)."""
-        self.stats.broadcasts += 1
-        src_node.charge(extra_send_cost)
-        for dst in range(src_node.machine.num_pes):
-            if include_self or dst != src_node.pe:
-                self.sync_send(src_node, dst, nbytes, payload_factory(dst))
-        return SendHandle() if asynchronous else None
+        raise NotImplementedError
 
 
 # ----------------------------------------------------------------------

@@ -13,8 +13,8 @@ only what real processes and sockets need.
 
 Topology is a full mesh beside a hub: a worker writes each data frame
 — a struct header, then the payload pickled once by its sender; for a
-plain ``CmiSyncSend``, straight from the caller's message, with no wire
-copy — by gather writes to a link of its own to the destination worker,
+CMI send, straight from the caller's message, with no wire copy — by
+gather writes to a link of its own to the destination worker,
 which decodes it in place (see "framing" below).  The parent process (the
 hub) is the control plane: membership and respawn, console, results,
 health, clock probes and quiescence detection, run from one selector
@@ -112,7 +112,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.core import context
 from repro.core.errors import SimulationError, WorkerDied
-from repro.core.message import WIRE_FIELDS, copy_fields, from_wire_fields, wire_fields
+from repro.core.message import WIRE_FIELDS, from_wire_fields, wire_copy, wire_fields
 from repro.machine.base import MachineConfig, MachineLayer, build_pe_stack
 from repro.machine.faults import FaultPlan
 from repro.machine.interface import (
@@ -122,6 +122,7 @@ from repro.machine.interface import (
     MachineModel,
     PEHost,
     PENode,
+    SendHandle,
 )
 from repro.tracing.tracer import (
     CountingTracer,
@@ -195,9 +196,10 @@ _IDLE_GRACE = 1e-3
 #   delivery's seq/ack among them) and a pickle of its payload alone
 #   (_TAG_MSG), or a pickle of the whole packet (_TAG_OBJ: fault-tolerance
 #   packets, Message subclasses, a set enq_time, a BitVector priority, a
-#   field too wide for the header).  A plain CmiSyncSend's frame is
-#   encoded from the caller's message (_encode_copy), exactly as its wire
-#   copy's would be, but for the pool flag: no copy is made;
+#   field too wide for the header).  A CMI send's frame is encoded from
+#   the caller's message, as its wire copy's would be, by the same
+#   function (_encode_data with copy=True): no copy is made unless the
+#   header cannot hold it;
 # * a link header (_TAG_LINK: sender, its epoch, the target's epoch)
 #   opens every worker-to-worker link.  Listeners are named, not
 #   numbered: _peer_name derives one from the machine, the PE and its
@@ -233,39 +235,30 @@ def _encode_link(src: int, epoch: int, target: int) -> bytes:
     return _LINK.pack(_LINK.size - _LEN.size, _TAG_LINK, src, epoch, target)
 
 
-def _encode_data(src: int, dst: int, packet: Any, immediate: bool) -> tuple:
+def _encode_data(src: int, dst: int, packet: Any, immediate: bool,
+                 copy: bool = False, msg_id: Optional[int] = None) -> Optional[tuple]:
     """A data frame carrying ``packet`` from PE ``src`` to PE ``dst``, as
-    its two chunks: the header and the body pickle."""
+    its two chunks: the header and the body pickle.  With ``copy``,
+    ``packet`` is a caller's message and the frame carries its
+    :func:`~repro.core.message.wire_copy` (trace id ``msg_id``); None
+    where that copy's fields do not fit the header."""
     try:
-        fields = wire_fields(packet, src)
+        fields = wire_fields(packet, src, copy, msg_id)
         if fields is not None:
-            body = pickle.dumps(packet._payload, protocol=pickle.HIGHEST_PROTOCOL)
+            body = pickle.dumps(packet.payload, protocol=pickle.HIGHEST_PROTOCOL)
             try:
                 return _DATA.pack(_DATA.size - _LEN.size + len(body), _TAG_MSG,
                                   immediate, dst, src, *fields), body
             except struct.error:
                 pass  # a field too wide for the header
+        if copy:
+            return None
         body = pickle.dumps(packet, protocol=pickle.HIGHEST_PROTOCOL)
     except (pickle.PicklingError, TypeError, AttributeError) as exc:
         raise SimulationError(f"the mp machine layer could not pickle an "
                               f"outgoing message for PE {dst}: {exc}") from exc
     return _ROUTE.pack(_ROUTE.size - _LEN.size + len(body), _TAG_OBJ,
                        immediate, dst, src), body
-
-
-def _encode_copy(src: int, dst: int, msg: Any) -> Optional[tuple]:
-    """:func:`_encode_data` of the wire copy PE ``src`` would send of
-    ``msg`` (:func:`~repro.core.message.copy_fields`), from ``msg`` itself;
-    None where that copy is not a struct header, or will not pickle."""
-    fields = copy_fields(msg)
-    if fields is None:
-        return None
-    try:
-        body = pickle.dumps(msg.payload, protocol=pickle.HIGHEST_PROTOCOL)
-        return _DATA.pack(_DATA.size - _LEN.size + len(body), _TAG_MSG,
-                          False, dst, src, *fields), body
-    except (pickle.PicklingError, TypeError, AttributeError, struct.error):
-        return None
 
 
 def _socket_dir() -> str:
@@ -819,13 +812,12 @@ class _MpNetwork(Interconnect):
     becomes a data frame (:func:`_encode_data`), counted and written to
     the destination's link; self-sends stay local.  A frame is encoded
     before a send call returns, held or not, so the interface's
-    complete-at-once ``async_send`` and per-destination ``broadcast`` are
-    already right for this layer, and a plain ``CmiSyncSend`` needs no
-    wire copy (:meth:`send_value`).  A fault plan binds
-    :meth:`_transmit_faulty` over :meth:`_transmit` at construction, and
-    turns :attr:`by_value` off."""
-
-    by_value = True
+    complete-at-once ``async_send`` is already right for this layer, and
+    a CMI send frames the caller's message with no copy
+    (:meth:`send_msg`).  A fault plan binds :meth:`_transmit_faulty` over
+    :meth:`_transmit` at construction, and the interface's copying
+    ``send_msg`` over this one: its copies are encoded as each verdict
+    is drawn."""
 
     def __init__(self, machine: "_WorkerMachine", link: _WorkerLink,
                  plan: Optional[FaultPlan] = None) -> None:
@@ -837,30 +829,47 @@ class _MpNetwork(Interconnect):
             #: dst -> ``(deadline, timer)`` of its last FIFO-kept copy.
             self._fifo_tail: Dict[int, tuple] = {}
             self._transmit = self._transmit_faulty
-            self.by_value = False
+            self.send_msg = super().send_msg
 
-    def send_value(self, src_node: _MpNode, dst: int, msg: Any) -> bool:
-        """A remote send framed by :func:`_encode_copy`; False for a
-        self-send or what that declines."""
+    def send_msg(self, src_node: _MpNode, dst: int, msg: Any,
+                 msg_id: Optional[int] = None, extra_send_cost: float = 0.0,
+                 immediate: bool = False,
+                 asynchronous: bool = False) -> Optional[SendHandle]:
+        """Frame the caller's ``msg`` as its wire copy would travel: the
+        frame is the receiver's buffer.  A self-send, a ``Message``
+        subclass or a header that cannot hold a field takes a plain
+        :func:`~repro.core.message.wire_copy` through :meth:`_transmit`.
+        The model charges nothing, so neither does this."""
         src = src_node.pe
-        frame = None if dst == src else _encode_copy(src, dst, msg)
+        frame = None if dst == src else _encode_data(src, dst, msg, immediate,
+                                                     True, msg_id)
         if frame is None:
-            return False
-        self.stats.record(src, dst, msg.size)
-        self._write(dst, frame, False)
-        return True
+            self._transmit(src, dst, msg.size, wire_copy(msg, src, msg_id), immediate)
+        else:
+            self.stats.record(src, dst, msg.size)
+            self._write(dst, frame, immediate)
+        return SendHandle() if asynchronous else None
+
+    def broadcast_msg(self, src_node: _MpNode, msg: Any, msg_ids: Dict[int, int],
+                      include_self: bool = False, extra_send_cost: float = 0.0,
+                      asynchronous: bool = False) -> Optional[SendHandle]:
+        """One :meth:`send_msg` per destination."""
+        self.stats.broadcasts += 1
+        for dst in range(self.machine.num_pes):
+            if include_self or dst != src_node.pe:
+                self.send_msg(src_node, dst, msg, msg_ids.get(dst))
+        return SendHandle() if asynchronous else None
 
     def _transmit(self, src_pe: int, dst: int, nbytes: int, payload: Any,
-                  immediate: bool = False) -> bool:
-        """Count one packet and put it on its way; True when it left as
-        a frame (False: a self-send, delivered in place)."""
+                  immediate: bool = False) -> None:
+        """Count one packet and put it on its way (a self-send is
+        delivered in place)."""
         self.stats.record(src_pe, dst, nbytes)
         if dst == src_pe:
             node = self.machine.node_obj
             (node.deliver_immediate if immediate else node.deliver)(payload)
-            return False
+            return
         self._write(dst, _encode_data(src_pe, dst, payload, immediate), immediate)
-        return True
 
     def _write(self, dst: int, frame: tuple, immediate: bool) -> None:
         """Count a frame for PE ``dst`` and send it, or hold it while
@@ -871,15 +880,16 @@ class _MpNetwork(Interconnect):
         (link.hold if held else link.flush)(link.out[dst], frame)
 
     def _transmit_faulty(self, src_pe: int, dst: int, nbytes: int,
-                         payload: Any, immediate: bool = False) -> bool:
+                         payload: Any, immediate: bool = False) -> None:
         """:meth:`_transmit` under a fault plan, applied where a remote
         packet leaves its sender.  Each copy is encoded when its verdict
-        is drawn, so a later pool release or flag reset cannot reach it.
+        is drawn, so a later flag reset cannot reach it.
         A copy that leaves later waits on this PE's timer heap, whose
         count in the idle report holds quiescence; a FIFO-kept copy
         leaves no earlier than the one before it on its channel."""
         if dst == src_pe:  # self-sends are exempt
-            return _MpNetwork._transmit(self, src_pe, dst, nbytes, payload, immediate)
+            _MpNetwork._transmit(self, src_pe, dst, nbytes, payload, immediate)
+            return
         self.stats.record(src_pe, dst, nbytes)
         engine, write, fifo = self.machine.engine, self._write, self._fifo_tail
 
@@ -902,25 +912,13 @@ class _MpNetwork(Interconnect):
         finally:
             if flag is not None:
                 payload.corrupted = flag  # only the encoded copies carry it
-        return True
 
     def sync_send(self, src_node: _MpNode, dst: int, nbytes: int, payload: Any,
                   extra_send_cost: float = 0.0, immediate: bool = False) -> None:
         src_node.charge(extra_send_cost)
-        framed = self._transmit(src_node.pe, dst, nbytes, payload, immediate)
-        if framed and getattr(payload, "_pooled", False):
-            # The frame is on the wire (encoded by value); the local wire
-            # copy is dead.  Reclaim pooled copies so the send side reuses
-            # buffers instead of leaking them to the garbage collector.
-            rt = src_node.runtime
-            if rt is not None and rt.pool is not None:
-                payload._valid = False
-                payload._payload = None
-                rt.pool.release(payload)
+        self._transmit(src_node.pe, dst, nbytes, payload, immediate)
 
     def inject(self, src_pe: int, dst: int, nbytes: int, payload: Any) -> None:
-        # Protocol packets are never pooled, so there is nothing to
-        # reclaim after the frame is encoded onto the wire.
         self._transmit(src_pe, dst, nbytes, payload)
 
 
@@ -970,7 +968,6 @@ class _WorkerMachine(PEHost):
 
             self.metrics = MetricsRegistry()
         self.rng = random.Random(cfg.seed * 1_000_003 + pe)
-        self.msg_pooling = cfg.pool
         self.pgrp_registry = {}
         #: trace correlation ids minted from a per-process residue class
         #: (PE p issues {p + k*N}), globally unique with no coordination.
@@ -1273,7 +1270,6 @@ class MpMachine(MachineLayer):
         self.model = MP_MODEL
         self.console = MpConsole(echo=cfg.echo)
         self.fault_plan = cfg.faults
-        self.msg_pooling = cfg.pool
         # -- observability configuration --------------------------------
         self._trace_mode, self._trace_base = parse_trace_spec(cfg.trace)
         self._watch_interval = (

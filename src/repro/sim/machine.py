@@ -134,8 +134,9 @@ class Machine(MachineLayer, PEHost):
         real parallelism).  Selecting another layer returns an instance
         of that layer's machine class.
 
-    What the machine decides itself: per-PE message pooling is on
-    except under ``faults`` without ``reliable``
+    What the machine decides itself: per-PE message pooling (of wire
+    copies, which only this layer makes) is on except under ``faults``
+    without ``reliable``
     (:attr:`MachineConfig.pool <repro.machine.base.MachineConfig.pool>`),
     and the tasklet switch is greenlet where ``import greenlet``
     succeeds, else the portable thread baton

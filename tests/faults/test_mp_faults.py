@@ -32,6 +32,7 @@ from repro.tracing.analysis import summarize
 
 from tests.faults import workers_mp
 from tests.faults.harness import hostile_plan
+from tests.machine.conformance.workers import w_speed_state
 
 pytestmark = [
     pytest.mark.skipif(
@@ -117,23 +118,19 @@ def test_permanent_crash_detected_and_drains():
 
 
 def test_mp_pool_default_rule():
-    """The simulator's pooling rule applies on the mp construction path
-    too — pooling is *off* under an unreliable fault plan
-    (fault-injected payloads outlive the handler via duplicates/delays)
-    and on otherwise."""
+    """The simulator's pooling rule does not reach mp: its network frames
+    the caller's message and makes no wire copy to pool, and a fault
+    plan's copies are plain ones, encoded as each verdict is drawn.  No
+    worker has a pool, reliable or not."""
     plan = FaultPlan(seed=1, drop=0.2, duplicate=0.15)
-
-    m = Machine(2, machine_backend="mp")
-    assert m.msg_pooling is True
-    m.shutdown()
-
-    m = Machine(2, machine_backend="mp", faults=plan)  # unreliable faults
-    assert m.msg_pooling is False
-    m.shutdown()
-
-    m = Machine(2, machine_backend="mp", faults=plan, reliable=True)
-    assert m.msg_pooling is True
-    m.shutdown()
+    for kwargs in ({"faults": plan}, {"faults": plan, "reliable": True}):
+        m = Machine(2, machine_backend="mp", timeout=30.0, **kwargs)
+        try:
+            m.launch(w_speed_state)
+            m.run()
+            assert [pooled for pooled, _batch in m.results()] == [False, False]
+        finally:
+            m.shutdown()
 
 
 def test_the_hub_adds_no_thread():

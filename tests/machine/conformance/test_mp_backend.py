@@ -230,20 +230,31 @@ def test_progress_rule_delayed_acks_are_retransmitted_and_deduplicated():
 
 
 def test_reliable_pingpong_forwards_no_ack_frame_per_data_frame():
-    """Acks ride the reverse data: the PEs send each other 2N + 2 frames
-    for N reliable round trips (2N + 1 data frames and one final
-    standalone ack), not one ack frame per data frame."""
+    """Acks ride the reverse data: for N reliable round trips the PEs send
+    each other 2N + 1 data frames, their retransmits and standalone acks,
+    and one raw frame that ends the run; every standalone ack is one the
+    delayed-ack timer flushed or one answering a duplicate or
+    out-of-order arrival, so none is sent per data frame.  A stalled
+    worker may add retransmits and timer acks, never unexplained frames."""
     rounds = 100
-    m, results = _run_mp(w.w_pingpong, rounds, 8, reliable=True)
-    assert results == [rounds, rounds]
-    assert sum(h["forwarded"] for h in m.health().values()) <= 2 * rounds + 2
+    m, results = _run_mp(w.w_reliable_pingpong_stats, rounds, reliable=True)
+    assert [count for count, _ in results] == [rounds, rounds]
+    total = {k: sum(stats[k] for _, stats in results) for k in results[0][1]}
+    assert total["data_sent"] == 2 * rounds + 1
+    frames = sum(h["forwarded"] for h in m.health().values())
+    assert frames == (total["data_sent"] + total["retransmits"]
+                      + total["acks_sent"] + 1), (frames, total)
+    assert total["acks_sent"] <= (total["acks_delayed"] + total["dup_dropped"]
+                                  + total["held_out_of_order"]), total
 
 
-def test_a_plain_pingpong_draws_nothing_from_the_pool():
-    """A plain CmiSyncSend on mp is framed from the caller's message: no
-    wire copy comes out of either PE's pool."""
-    _m, results = _run_mp(w.w_pool_draws, 50)
-    assert results == [(50, 0, 0), (50, 0, 0)]
+def test_an_mp_runtime_has_no_pool():
+    """A CMI send on mp is framed from the caller's message, so no PE
+    has a pool of wire copies, plain, traced or reliable
+    (``test_mp_pool_default_rule`` covers fault plans)."""
+    for kwargs in ({}, {"trace": "count"}, {"reliable": True}):
+        _m, results = _run_mp(w.w_pool, 20, **kwargs)
+        assert results == [(20, None), (20, None)], kwargs
 
 
 def test_two_machines_alive_at_once_name_their_sockets_apart():

@@ -246,10 +246,11 @@ def test_bad_arguments_fail_alike_on_every_layer(machine_backend, kwargs,
      {"faults": FaultPlan(1, drop=0.0), "reliable": True}],
     ids=["default", "unreliable-faults", "reliable-faults"],
 )
-def test_workers_see_the_driver_resolved_speed_state(spmd, kwargs):
+def test_workers_see_the_driver_resolved_speed_state(spmd, machine_backend, kwargs):
     """What the driver resolved is what every PE runs with — on mp that
-    means the shipped MachineConfig, not a per-worker fallback."""
-    want = (MachineConfig(2, **kwargs).pool, CSD_BATCH)
+    means the shipped MachineConfig, not a per-worker fallback.  Only
+    the simulator pools wire copies: mp makes none."""
+    want = (MachineConfig(2, **kwargs).pool and machine_backend == "sim", CSD_BATCH)
     assert spmd(2, w.w_speed_state, **kwargs) == [want, want]
 
 

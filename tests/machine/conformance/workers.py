@@ -74,14 +74,50 @@ def w_pingpong(rounds, nbytes):
     return state["count"]
 
 
-def w_pool_draws(rounds):
-    """:func:`w_pingpong`'s trips, then what this PE's message pool made
-    and reused: ``(count, created, reused)``."""
+def w_reliable_pingpong_stats(rounds):
+    """:func:`w_pingpong`'s trips (reliable, 8 bytes), then this PE's
+    ``RelStats`` as a dict, read once no frame of the run can still leave
+    or reach it: PE 0 waits until its last send is acked and its timers
+    are spent, then says so by one unsequenced immediate frame, which PE
+    1 waits for, its own timers spent too.  ``(count, stats)``."""
+    from dataclasses import asdict
+
+    from repro.core import context
+
+    rt = context.current_runtime()
+    rel, engine = rt.cmi.reliable, rt.machine.engine
+    done = []
+    h_done = api.CmiRegisterHandler(lambda _msg: done.append(1), "conf.done")
+    count = w_pingpong(rounds, 8)
+
+    def quiet():
+        return rel.in_flight == 0 and engine.pending_timers == 0
+
+    if api.CmiMyPe() == 0:
+        rt.node.wait_until(quiet)
+        api.CmiImmediateSend(1, api.CmiNew(h_done, b""))
+    else:
+        rt.node.wait_until(lambda: done and quiet())
+    return count, asdict(rel.stats)
+
+
+def w_cmi_send_binding():
+    """Whether this PE's CMI binds a send of its own, and whether its
+    ``sync_send`` is the class's: ``(bound, class_method)``."""
+    from repro.core import context
+    from repro.machine.cmi import CMI
+
+    cmi = context.current_runtime().cmi
+    return "sync_send" in vars(cmi), cmi.sync_send.__func__ is CMI.sync_send
+
+
+def w_pool(rounds):
+    """:func:`w_pingpong`'s trips, then this PE's message pool (``None``
+    without one): ``(count, pool)``."""
     from repro.core import context
 
     count = w_pingpong(rounds, 8)
-    pool = context.current_runtime().pool
-    return count, pool.created, pool.reused
+    return count, context.current_runtime().pool
 
 
 def w_cross_flood(count, nbytes):

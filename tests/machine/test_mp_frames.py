@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 
 from repro.core.errors import BufferOwnershipError
 from repro.core.message import BitVector, Message
-from repro.core.pool import MessagePool
 from repro.machine import mp
 from repro.machine.base import (
     MachineConfig,
@@ -82,10 +81,9 @@ CASES = [
     ("prio-int64-edges", lambda: _msg(prio=-(2**63), msg_id=2**63 - 1), True),
     ("msg-id", lambda: _msg(msg_id=12345), True),
     ("corrupted", lambda: _msg(corrupted=True), True),
-    ("pooled", lambda: _msg(_pooled=True), True),
     ("steal-ok", lambda: _msg(steal_ok=True), True),
     ("all-flags", lambda: _msg(prio=-1, msg_id=0, corrupted=True,
-                               _pooled=True, steal_ok=True), True),
+                               steal_ok=True), True),
     ("payload-none", lambda: _msg(payload=None), True),
     ("payload-tuple", lambda: _msg(payload=(1, "two", [3.0])), True),
     ("payload-numpy", lambda: _msg(payload=np.arange(12.0).reshape(3, 4)), True),
@@ -139,33 +137,74 @@ def test_data_frame_rebuilds_what_a_whole_pickle_would(make, fast, immediate):
     assert not buf
 
 
-#: the cases whose wire copy a plain send cannot frame from the caller's
-#: message: it makes the wire copy instead.
-DECLINED = {"prio-bitvector", "prio-2**70", "handler-2**33", "subclass"}
-
-
 @pytest.mark.parametrize("name, make", [(c[0], c[1]) for c in CASES],
                          ids=[c[0] for c in CASES])
-def test_a_plain_send_frames_the_callers_message_as_its_wire_copy(name, make):
-    """A plain ``CmiSyncSend`` on mp encodes the caller's message itself:
-    its frame decodes to what the wire copy's frame did, slot by slot,
-    but for the pool flag (no pooled copy exists)."""
-    msg = make()
-    if name == "recycled":  # both paths read msg.payload, and raise
-        with pytest.raises(BufferOwnershipError):
-            MessagePool().acquire(msg.handler, msg.payload, msg.size, msg.prio, SRC)
-        with pytest.raises(BufferOwnershipError):
-            mp._encode_copy(SRC, DST, msg)
+def test_a_plain_send_frames_the_callers_message_as_its_wire_copy(worker, name, make):
+    """Every kind of CMI send on mp hands the network the caller's
+    message, and what reaches a receiver is, slot for slot, the wire copy
+    a send makes: the caller's handler, payload, size and priority, the
+    sender's PE and the send's trace id, nothing else of the caller's.
+    PE 1 sends plain, traced, async and immediate, then broadcasts to
+    both PEs (its own copy delivered in place).  Most cases are framed
+    from the caller's message; a subclass, a priority or handler the
+    header cannot hold take a plain copy, to the same effect."""
+    machine, node, spy, _feed = worker()
+    net, msg = machine.network, make()
+    sends = [
+        lambda: net.send_msg(node, 0, msg),
+        lambda: net.send_msg(node, 0, msg, 12345),
+        lambda: net.send_msg(node, 0, msg, asynchronous=True).done,
+        lambda: net.send_msg(node, 0, msg, immediate=True),
+        lambda: net.broadcast_msg(node, msg, {0: 77, 1: 78}, include_self=True),
+    ]
+    if name == "recycled":  # every kind reads msg.payload, and raises
+        for send in sends:
+            with pytest.raises(BufferOwnershipError):
+                send()
+        assert not spy.got and not node.inbox
         return
-    frame = mp._encode_copy(SRC, DST, msg)
-    assert (frame is None) == (name in DECLINED)
-    if frame is None:
-        return
-    wire = MessagePool().acquire(msg.handler, msg.payload, msg.size, msg.prio, SRC)
-    [(_, want, _, _)] = mp._decode(bytearray(_data(SRC, DST, wire)))
-    [(kind, got, imm, _)] = mp._decode(bytearray(b"".join(frame)))
-    assert (kind, imm, want._pooled, got._pooled) == ("msg", 0, True, False)
-    assert _state(got)[1] == {**_state(want)[1], "_pooled": _state(False)}
+    assert [send() for send in sends] == [None, None, True, None, None]
+
+    def wire(msg_id):
+        copy = Message(msg.handler, msg.payload, size=msg.size, prio=msg.prio,
+                       src_pe=1)
+        copy.msg_id = msg_id
+        return _state(copy)
+
+    got = [(_state(f[1]), f[2]) for f in mp._decode(bytearray(spy.got))]
+    assert got == [(wire(None), 0), (wire(12345), 0), (wire(None), 0),
+                   (wire(None), 1), (wire(77), 0)]
+    assert [_state(m) for m in node.inbox] == [wire(78)]
+
+
+def test_a_reliable_retransmit_decodes_as_its_first_transmission(worker):
+    """A reliable send keeps a copy of the caller's message and
+    retransmits clones of it: PE 1 pings PE 0, which withholds its ack
+    through two retransmissions and then answers with a pong that
+    carries it.  Each retransmission decodes, slot for slot, to the
+    first transmission, and the ack settles the ping."""
+    from repro.machine.base import build_pe_stack
+    from repro.machine.cmi import ReliableConfig
+
+    machine, node, spy, feed = worker()
+    rel = build_pe_stack(node, machine, MachineConfig(
+        2, reliable=ReliableConfig(rto=2e-3))).cmi.reliable
+    ping = Message(7, ("ping", 1), prio=-2)
+    rel.send(0, ping, 4242)
+    deadline = time.monotonic() + 10.0
+    while rel.stats.retransmits < 2 and time.monotonic() < deadline:
+        time.sleep(1e-3)
+        node.pump()
+    first, *again = [f[1] for f in mp._decode(bytearray(spy.got))]
+    assert (first.payload, first.src_pe, first.msg_id, first.seq, first.ack) == (
+        ("ping", 1), 1, 4242, 0, 0)
+    assert [_state(f) for f in again] == [_state(first)] * 2
+    pong = _msg(payload=("pong", 1), src_pe=0, seq=0, ack=1)
+    feed.sendall(_data(0, 1, pong))
+    while not node.inbox and time.monotonic() < deadline:
+        node.pump()
+    assert [m.payload for m in node.inbox] == [("pong", 1)]
+    assert rel.in_flight == 0 and rel.stats.acks_received == 1
 
 
 needs_mp = pytest.mark.skipif(

@@ -172,7 +172,14 @@ def test_audit_detects_unguarded_code():
 # appearing in one of these bodies would be dead weight on every
 # message of every untraced run.
 # ----------------------------------------------------------------------
+import ast
 import inspect
+import textwrap
+
+from repro.machine.base import (
+    machine_backend_available,
+    machine_backend_unavailable_reason,
+)
 
 
 def _body_calls(obj) -> list:
@@ -232,7 +239,7 @@ def test_instrumented_variant_still_guards_every_site():
 def test_mp_fault_free_forward_has_no_fault_hooks():
     from repro.machine.mp import _MpNetwork, _WorkerLink
 
-    for path in (_MpNetwork._write, _MpNetwork.send_value, _WorkerLink.hold,
+    for path in (_MpNetwork._write, _MpNetwork.send_msg, _WorkerLink.hold,
                  _WorkerLink.flush):
         src = inspect.getsource(path)
         for marker in ("fault", "decide", "_delayed", "Timer", "corrupt",
@@ -259,15 +266,11 @@ def test_mp_transmit_binding_picks_variant_at_construction():
 
     import pytest
 
-    from repro.machine.base import (
-        machine_backend_available,
-        machine_backend_unavailable_reason,
-    )
-
     if not machine_backend_available("mp"):
         pytest.skip("mp layer unavailable: "
                     + machine_backend_unavailable_reason("mp"))
 
+    from repro.machine.interface import Interconnect
     from repro.machine.mp import _MpNetwork, _WorkerLink, _WorkerMachine
     from repro.sim.machine import Machine
     from repro.sim.network import FaultPlan
@@ -279,26 +282,48 @@ def test_mp_transmit_binding_picks_variant_at_construction():
         try:
             assert not hasattr(m, "_route")  # the hub forwards one way
             net = _WorkerMachine(0, _WorkerLink(a, 0), m.config).network
-            return net._transmit.__func__, net.by_value
+            return net._transmit.__func__, net.send_msg.__func__
         finally:
             a.close()
             b.close()
             m.shutdown()
 
     # A fault plan's copies are encoded as its verdicts are drawn, so a
-    # plain send under one takes the wire copy.
-    assert worker_transmit() == (_MpNetwork._transmit, True)
-    assert worker_transmit(faults=FaultPlan(seed=0, drop=0.1),
-                           reliable=True) == (_MpNetwork._transmit_faulty, False)
+    # CMI send under one takes the interface's copying send.
+    assert worker_transmit() == (_MpNetwork._transmit, _MpNetwork.send_msg)
+    assert worker_transmit(faults=FaultPlan(seed=0, drop=0.1), reliable=True) == (
+        _MpNetwork._transmit_faulty, Interconnect.send_msg)
 
 
-def test_sim_cmi_keeps_the_one_sync_send():
-    """The simulator's network does not encode by value, so its CMI binds
-    no by-value send: a sim send tests nothing more than before."""
+def test_cmi_keeps_the_one_sync_send():
+    """Each layer makes the receiver's buffer below the machine interface,
+    so the CMI binds no send of its own on either layer, and the
+    simulator's copying send (the interface's) tests no flag beyond the
+    send's own arguments and the PE's pool."""
+    from repro.core.message import wire_copy
     from repro.machine.cmi import CMI
+    from repro.machine.interface import Interconnect
     from repro.sim.machine import Machine
+
+    from tests.machine.conformance.workers import w_cmi_send_binding
 
     with Machine(2) as m:
         cmi = m.runtime(0).cmi
-        assert not m.network.by_value and "sync_send" not in vars(cmi)
+        assert "sync_send" not in vars(cmi) and "send_msg" not in vars(m.network)
         assert cmi.sync_send.__func__ is CMI.sync_send
+    def tests(obj):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(obj)))
+        return [ast.unparse(n.test) for n in ast.walk(tree)
+                if isinstance(n, (ast.If, ast.IfExp))]
+
+    assert tests(Interconnect.send_msg) == ["asynchronous"]
+    assert tests(Interconnect.broadcast_msg) == []
+    assert tests(wire_copy) == ["pool is not None"]
+    if machine_backend_available("mp"):
+        m = Machine(2, machine_backend="mp", timeout=30.0)
+        try:
+            m.launch(w_cmi_send_binding)
+            m.run()
+            assert m.results() == [(False, True)] * 2
+        finally:
+            m.shutdown()
