@@ -22,11 +22,14 @@ fuzz:
 	PYTHONPATH=src $(PY) -m pytest tests/faults -q --seeds=$(SEEDS)
 
 # Fault-tolerance gate: the whole-PE crash-fault seed sweep (recovery
-# must reproduce the fault-free result exactly) plus the recovery
-# latency gate (virtual time, 2,000 us ceiling).
+# must reproduce the fault-free result exactly), the golden FT traces,
+# the agent's message tests, plus the recovery latency gate (virtual
+# time, 2,000 us ceiling).
 ft:
 	PYTHONPATH=src $(PY) -m pytest -q --seeds=$(SEEDS) \
 		tests/faults/test_ft_crash.py \
+		tests/faults/test_ft_golden.py \
+		tests/faults/test_ft_messages.py \
 		tests/faults/test_node_crash.py \
 		tests/faults/test_crash_validation.py
 	PYTHONPATH=src $(PY) -m repro.bench gate ft

@@ -5,6 +5,6 @@ See :mod:`repro.ft.manager` for the protocol and
 """
 
 from repro.ft.config import FTConfig
-from repro.ft.manager import FTAgent, FTCoordinator, FTPacket
+from repro.ft.manager import FTAgent, FTCoordinator
 
-__all__ = ["FTConfig", "FTAgent", "FTCoordinator", "FTPacket"]
+__all__ = ["FTConfig", "FTAgent", "FTCoordinator"]

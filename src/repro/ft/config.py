@@ -2,7 +2,7 @@
 
 All times are in simulated seconds.  The defaults suit the round-number
 ``GENERIC`` machine model; real-model runs (slower links) may want a
-longer heartbeat period and control-packet RTO.
+longer heartbeat period and control-message RTO.
 """
 
 from __future__ import annotations
@@ -37,15 +37,13 @@ class FTConfig:
         interval while the layer is active.
     ctl_rto / ctl_retries:
         Retransmission timeout and budget for the layer's own reliable
-        control packets (checkpoint transfer, recovery pull, replay
+        control messages (checkpoint transfer, recovery pull, replay
         requests).  The budget must cover a whole peer outage:
         ``ctl_rto * ctl_retries`` > restart delay + recovery time.
     buddy_offset:
         Checkpoint buddy of PE *p* is ``(p + offset) % n``; its monitor
         is the same PE, so detection and checkpoint custody ride the
         same ring.
-    heartbeat_bytes / ctl_header_bytes:
-        Modelled wire sizes for heartbeats and control-packet headers.
     """
 
     heartbeat_period: float = 50e-6
@@ -55,8 +53,6 @@ class FTConfig:
     ctl_rto: float = 150e-6
     ctl_retries: int = 40
     buddy_offset: int = 1
-    heartbeat_bytes: int = 8
-    ctl_header_bytes: int = 32
 
     def validate(self) -> "FTConfig":
         if self.heartbeat_period <= 0:
@@ -86,6 +82,4 @@ class FTConfig:
             raise SimulationError(
                 f"buddy_offset must be >= 1, got {self.buddy_offset}"
             )
-        if self.heartbeat_bytes < 0 or self.ctl_header_bytes < 0:
-            raise SimulationError("ft wire sizes must be >= 0")
         return self

@@ -40,6 +40,22 @@ checkpoint is a function of checkpointed state plus received
 messages), the run completes with the same application-level result as
 a fault-free one.
 
+**Wire format** — every protocol message is a generalized message
+(paper section 3.1.1): its handler index names its kind (``ft.hb``,
+``ft.down``, ``ft.prune``, ``ft.ckpt``, ``ft.recover``,
+``ft.ckpt_data``, ``ft.replay``, ``ft.ack``), registered by every
+incarnation of every PE in the same order, and the agent's interceptor
+consumes every message addressed to one of them.  Heartbeats, down
+gossip and prune hints are best-effort and self-healing; the rest ride
+the control channel, a fixed-RTO stop-and-wait whose sequence travels
+in ``Message.seq`` and whose ``ft.ack`` names it in ``Message.ack``.
+The channel cannot be :class:`~repro.machine.cmi.ReliableDelivery`:
+a restarting PE's reliable layer is paused and silently consumes every
+sequenced arrival, so the ``ckpt_data`` answer to its recovery pull
+could never reach it; and a fresh incarnation restarts its reliable
+sequences at 0, so peers would dup-drop its ``recover`` and ``replay``
+requests.
+
 Need-based cost: none of this exists unless ``Machine(ft=...)`` is
 given, and even then all periodic timers only run during the *active
 window* — from construction until every scheduled crash has been
@@ -57,55 +73,27 @@ from repro.core.errors import FaultToleranceError
 from repro.core.message import Message, estimate_size
 from repro.ft.config import FTConfig
 
-__all__ = ["FTPacket", "FTAgent", "FTCoordinator"]
-
-#: control kinds carried by the agent's stop-and-wait reliable channel
-#: (everything that must not be lost); the rest — heartbeats, gossip,
-#: prune hints — is best-effort and self-healing.
-_RELIABLE_KINDS = frozenset({"ckpt", "recover", "ckpt_data", "replay"})
+__all__ = ["FTAgent", "FTCoordinator"]
 
 #: per-incarnation stride for control sequence numbers, so acks from a
 #: previous life of this PE can never match a post-restart request.
 _EPOCH_SEQ_STRIDE = 1_000_000
 
-
-class FTPacket:
-    """A fault-tolerance protocol packet.
-
-    Travels the simulated network like any payload (so the fault plan
-    can drop, duplicate, delay or corrupt it) and is consumed by the
-    agent's arrival interceptor before reliable delivery, node counters
-    or the application ever see it.
-    """
-
-    __slots__ = ("kind", "src", "dst", "seq", "data", "size", "corrupted")
-
-    def __init__(self, kind: str, src: int, dst: int, seq: Optional[int],
-                 data: Any, size: int) -> None:
-        self.kind = kind
-        self.src = src
-        self.dst = dst
-        self.seq = seq
-        self.data = data
-        self.size = size
-        #: set in flight by a corruption fault; a corrupt control packet
-        #: is dropped like a checksum failure (retries cover it).
-        self.corrupted = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<FTPacket {self.kind} {self.src}->{self.dst} seq={self.seq}>"
+#: modelled wire sizes of a heartbeat and of a checkpoint's header.
+_HB_BYTES = 8
+_CKPT_HEADER_BYTES = 32
 
 
 class _CtlPending:
-    """One unacknowledged control packet on the agent's reliable
-    channel (fixed-RTO stop-and-wait; a fresh wire copy per attempt so
-    a corruption flag never sticks to the retransmission)."""
+    """One unacknowledged message on the agent's control channel
+    (fixed-RTO stop-and-wait; a fresh wire message per attempt so a
+    corruption flag never sticks to the retransmission)."""
 
-    __slots__ = ("kind", "dst", "data", "size", "retries", "timer", "on_acked")
+    __slots__ = ("handler", "dst", "data", "size", "retries", "timer", "on_acked")
 
-    def __init__(self, kind: str, dst: int, data: Any, size: int,
+    def __init__(self, handler: int, dst: int, data: Any, size: int,
                  on_acked: Optional[Callable[[], None]]) -> None:
-        self.kind = kind
+        self.handler = handler
         self.dst = dst
         self.data = data
         self.size = size
@@ -277,10 +265,22 @@ class FTAgent:
         # the snapshot is taken at a *message boundary* (between handler
         # executions), never mid-handler where app state and the send
         # log can disagree.
-        self._h_ckpt = runtime.cmi.register_handler(
+        self._h_tick = runtime.cmi.register_handler(
             self._on_ckpt_msg, "ft.ckpt_tick"
         )
         self._ckpt_msg_out = False
+        #: handler index -> handler of each protocol message kind; the
+        #: arrival interceptor consumes every message addressed to one.
+        self._handlers: Dict[int, Callable[[Message], None]] = {}
+        self._h_ack = self._register(self._on_ack, "ft.ack")
+        # A heartbeat's evidence is its arrival itself.
+        self._h_hb = self._register(lambda _msg: None, "ft.hb")
+        self._h_down = self._register(self._on_down_notice, "ft.down")
+        self._h_prune = self._register(self._on_prune, "ft.prune")
+        self._h_ckpt = self._register(self._on_ckpt, "ft.ckpt")
+        self._h_recover = self._register(self._on_recover, "ft.recover")
+        self._h_ckpt_data = self._register(self._on_ckpt_data, "ft.ckpt_data")
+        self._h_replay = self._register(self._on_replay, "ft.replay")
         # Front of the chain: liveness evidence must be gathered from
         # *every* arrival, including the acks and duplicates the
         # reliability interceptor consumes.
@@ -334,8 +334,7 @@ class FTAgent:
         if not self.active:
             return
         if self.buddy != self.node.pe:
-            self._best_effort(self.buddy, "hb", None,
-                              self.config.heartbeat_bytes)
+            self._send(self.buddy, self._h_hb, None, _HB_BYTES)
             if self._mx_hbs is not None:
                 self._mx_hbs.inc(self.node.pe)
         self._hb_timer = self.engine.schedule(
@@ -380,7 +379,7 @@ class FTAgent:
             # the scheduler dispatches it between handlers, where the
             # boundary invariant holds by construction.
             self._ckpt_msg_out = True
-            self.node.deliver(Message(self._h_ckpt, None, size=0))
+            self.node.deliver(Message(self._h_tick, None, size=0))
         self._ckpt_timer = self.engine.schedule(
             self.config.checkpoint_interval, self._ckpt_tick
         )
@@ -407,13 +406,13 @@ class FTAgent:
         # replay request).  A 'recover' pull is kept: a restarting buddy
         # can still answer it, and its retry budget bounds the wait.
         for seq, entry in list(self._ctl_pending.items()):
-            if entry.dst != pe or entry.kind == "recover":
+            if entry.dst != pe or entry.handler == self._h_recover:
                 continue
             if entry.timer is not None:
                 entry.timer.cancel()
                 entry.timer = None
             del self._ctl_pending[seq]
-            if entry.kind == "ckpt":
+            if entry.handler == self._h_ckpt:
                 self._ckpt_owed = True
         if self._mx_failures is not None:
             self._mx_failures.inc(self.node.pe)
@@ -427,7 +426,7 @@ class FTAgent:
         # monitor and give-up evidence).
         for other in range(self.num_pes):
             if other != self.node.pe and other != pe:
-                self._best_effort(other, "down", {"target": pe}, 16)
+                self._send(other, self._h_down, {"target": pe}, 16)
         self.coordinator.on_detected(pe, self.engine.now)
 
     def _on_giveup(self, err: Any) -> None:
@@ -490,13 +489,13 @@ class FTAgent:
         # snapshot — roll the expected map back over them so the
         # post-restore replay re-delivers exactly that gap.  Per-sender
         # FIFO (release order == processing order) makes the unprocessed
-        # set the tail of the released run, so a per-source count is an
-        # exact rollback.
+        # set the tail of the released run, so a per-source count of the
+        # sequenced ones (an unsequenced message moved no ``expected``)
+        # is an exact rollback.
         expected_map = rel_state["expected"]
-        for payload in self.node.inbox_snapshot():
-            src = getattr(payload, "src_pe", -1)
-            if src is not None and 0 <= src != me and src in expected_map:
-                expected_map[src] -= 1
+        for msg in self.node.inbox_snapshot():
+            if msg.seq >= 0 and msg.src_pe != me and msg.src_pe in expected_map:
+                expected_map[msg.src_pe] -= 1
         nbytes = self._ckpt_size(app_blob, rel_state)
         expected = dict(expected_map)
 
@@ -505,14 +504,12 @@ class FTAgent:
             # entries this checkpoint already covers.
             for other in range(self.num_pes):
                 if other != me:
-                    self._best_effort(
-                        other, "prune",
-                        {"owner": me, "below": expected.get(other, 0)}, 16,
-                    )
+                    self._send(other, self._h_prune,
+                               {"owner": me, "below": expected.get(other, 0)}, 16)
 
         self._ckpt_owed = False
         self._ctl_send(
-            self.buddy, "ckpt",
+            self.buddy, self._h_ckpt,
             {
                 "owner": me,
                 "epoch": epoch,
@@ -533,7 +530,7 @@ class FTAgent:
 
     def _ckpt_size(self, app_blob: Any, rel_state: Dict[str, Any]) -> int:
         """Deterministic modelled size of a checkpoint on the wire."""
-        n = self.config.ctl_header_bytes + estimate_size(app_blob)
+        n = _CKPT_HEADER_BYTES + estimate_size(app_blob)
         for entries in rel_state["log"].values():
             for _msg, size in entries.values():
                 n += size + 16
@@ -552,7 +549,7 @@ class FTAgent:
             raise FaultToleranceError("call CftInit before CftRecover")
         if self.recovered:
             return self._restored
-        self._ctl_send(self.buddy, "recover", {"owner": self.node.pe}, 16)
+        self._ctl_send(self.buddy, self._h_recover, {"owner": self.node.pe}, 16)
         # The buddy's response arrives through the interceptor while this
         # waits (the wait is what runs it on a one-thread-per-PE layer).
         self.node.wait_until(lambda: self.recovered)
@@ -579,22 +576,30 @@ class FTAgent:
     # ------------------------------------------------------------------
     # wire plumbing
     # ------------------------------------------------------------------
-    def _best_effort(self, dst: int, kind: str, data: Any, nbytes: int) -> None:
-        pkt = FTPacket(kind, self.node.pe, dst, None, data, nbytes)
-        self.network.inject(self.node.pe, dst, nbytes, pkt)
+    def _register(self, fn: Callable[[Message], None], name: str) -> int:
+        """Register one protocol message kind's handler; its index."""
+        handler = self.runtime.cmi.register_handler(fn, name)
+        self._handlers[handler] = fn
+        return handler
 
-    def _ctl_send(self, dst: int, kind: str, data: Any, nbytes: int,
+    def _send(self, dst: int, handler: int, data: Any, nbytes: int,
+              seq: int = -1, ack: int = 0) -> None:
+        """Put one protocol message on the wire (best-effort unless
+        :meth:`_ctl_send` retransmits it)."""
+        msg = Message(handler, data, size=nbytes, src_pe=self.node.pe)
+        msg.seq, msg.ack = seq, ack
+        self.network.inject(self.node.pe, dst, nbytes, msg)
+
+    def _ctl_send(self, dst: int, handler: int, data: Any, nbytes: int,
                   on_acked: Optional[Callable[[], None]] = None) -> None:
         self._ctl_seq += 1
         seq = self._ctl_seq
-        entry = _CtlPending(kind, dst, data, nbytes, on_acked)
+        entry = _CtlPending(handler, dst, data, nbytes, on_acked)
         self._ctl_pending[seq] = entry
         self._ctl_transmit(seq, entry)
 
     def _ctl_transmit(self, seq: int, entry: _CtlPending) -> None:
-        pkt = FTPacket(entry.kind, self.node.pe, entry.dst, seq,
-                       entry.data, entry.size)
-        self.network.inject(self.node.pe, entry.dst, entry.size, pkt)
+        self._send(entry.dst, entry.handler, entry.data, entry.size, seq)
         entry.timer = self.engine.schedule(
             self.config.ctl_rto, self._ctl_timeout, seq
         )
@@ -606,8 +611,9 @@ class FTAgent:
         entry.retries += 1
         if entry.retries > self.config.ctl_retries:
             del self._ctl_pending[seq]
+            name = self.runtime.handlers.name_of(entry.handler)
             raise FaultToleranceError(
-                f"PE {self.node.pe}: ft control packet {entry.kind!r} to "
+                f"PE {self.node.pe}: ft control message {name!r} to "
                 f"PE {entry.dst} unacknowledged after "
                 f"{self.config.ctl_retries} retransmissions"
             )
@@ -616,51 +622,38 @@ class FTAgent:
     # ------------------------------------------------------------------
     # arrivals
     # ------------------------------------------------------------------
-    def _on_arrival(self, payload: Any) -> bool:
+    def _on_arrival(self, msg: Message) -> bool:
         """Front-of-chain interceptor: every delivery is liveness
-        evidence; FT protocol packets are consumed here."""
-        src = payload.src if type(payload) is FTPacket else payload.src_pe
+        evidence; FT protocol messages are consumed here."""
+        src = msg.src_pe
         if src is not None and src >= 0:
             self._last_heard[src] = self.engine.now
-        if type(payload) is FTPacket:
-            self._handle(payload)
-            return True
-        return False
+        handle = self._handlers.get(msg.handler)
+        if handle is None:
+            return False
+        if msg.corrupted:
+            return True  # checksum failure; the control channel retries
+        if msg.seq >= 0:
+            # A control message.  Ack first: the handlers are idempotent
+            # and a duplicate must be re-acked or a lost ack wedges the
+            # peer.
+            self._send(src, self._h_ack, None, 8, ack=msg.seq)
+        handle(msg)
+        return True
 
-    def _handle(self, pkt: FTPacket) -> None:
-        if pkt.corrupted:
-            return  # checksum failure; the reliable channel retries
-        kind = pkt.kind
-        if kind == "hb":
-            return  # its evidence was the arrival itself
-        if kind == "ack":
-            entry = self._ctl_pending.pop(pkt.seq, None)
-            if entry is not None:
-                if entry.timer is not None:
-                    entry.timer.cancel()
-                if entry.on_acked is not None:
-                    entry.on_acked()
-            return
-        if kind in _RELIABLE_KINDS:
-            # Ack first: the handlers below are idempotent and a
-            # duplicate must be re-acked or a lost ack wedges the peer.
-            ack = FTPacket("ack", self.node.pe, pkt.src, pkt.seq, None, 8)
-            self.network.inject(self.node.pe, pkt.src, 8, ack)
-        if kind == "ckpt":
-            self._on_ckpt(pkt)
-        elif kind == "recover":
-            self._on_recover(pkt)
-        elif kind == "ckpt_data":
-            self._on_ckpt_data(pkt)
-        elif kind == "replay":
-            self._on_replay(pkt)
-        elif kind == "down":
-            self._on_down_notice(pkt)
-        elif kind == "prune":
-            self.rel.prune_log(pkt.data["owner"], pkt.data["below"])
+    def _on_ack(self, msg: Message) -> None:
+        entry = self._ctl_pending.pop(msg.ack, None)
+        if entry is not None:
+            if entry.timer is not None:
+                entry.timer.cancel()
+            if entry.on_acked is not None:
+                entry.on_acked()
 
-    def _on_ckpt(self, pkt: FTPacket) -> None:
-        d = pkt.data
+    def _on_prune(self, msg: Message) -> None:
+        self.rel.prune_log(msg.payload["owner"], msg.payload["below"])
+
+    def _on_ckpt(self, msg: Message) -> None:
+        d = msg.payload
         key = (d["node_epoch"], d["epoch"])
         cur = self._store.get(d["owner"])
         # Lexicographic (incarnation, checkpoint) ordering: a restarted
@@ -668,25 +661,25 @@ class FTAgent:
         if cur is None or key >= cur[0]:
             self._store[d["owner"]] = (key, d["app"], d["rel"])
 
-    def _on_recover(self, pkt: FTPacket) -> None:
-        owner = pkt.data["owner"]
+    def _on_recover(self, msg: Message) -> None:
+        owner = msg.payload["owner"]
         self.membership[owner] = "up"
         stored = self._store.get(owner)
         if stored is None:
-            self._ctl_send(owner, "ckpt_data",
+            self._ctl_send(owner, self._h_ckpt_data,
                            {"owner": owner, "found": False,
                             "app": None, "rel": None}, 16)
         else:
             _key, app_blob, rel_state = stored
-            self._ctl_send(owner, "ckpt_data",
+            self._ctl_send(owner, self._h_ckpt_data,
                            {"owner": owner, "found": True,
                             "app": app_blob, "rel": rel_state},
                            self._ckpt_size(app_blob, rel_state))
 
-    def _on_ckpt_data(self, pkt: FTPacket) -> None:
+    def _on_ckpt_data(self, msg: Message) -> None:
         if self.recovered:
             return  # duplicate response to a retransmitted pull
-        d = pkt.data
+        d = msg.payload
         found = d["found"]
         if found:
             # The buddy keeps its stored blob; this incarnation mutates
@@ -705,18 +698,18 @@ class FTAgent:
         for other in range(self.num_pes):
             if other != me:
                 self._ctl_send(
-                    other, "replay",
+                    other, self._h_replay,
                     {"owner": me, "from_seq": self.rel.expected_seq(other)}, 16,
                 )
         self._finish_recovery(found)
 
-    def _on_replay(self, pkt: FTPacket) -> None:
-        owner = pkt.data["owner"]
+    def _on_replay(self, msg: Message) -> None:
+        owner = msg.payload["owner"]
         # The requester is alive by definition; also reconcile the
         # retransmission state of anything still pending to it.
         self.membership[owner] = "up"
         self.rel.reset_peer(owner)
-        self.rel.resend_logged(owner, pkt.data["from_seq"])
+        self.rel.resend_logged(owner, msg.payload["from_seq"])
         if (owner == self.buddy and self._ckpt_owed
                 and self._pack is not None and self.recovered
                 and not self._ckpt_msg_out):
@@ -725,15 +718,15 @@ class FTAgent:
             # boundary (the interval-marker mechanism) to re-establish
             # custody of our latest state.
             self._ckpt_msg_out = True
-            self.node.deliver(Message(self._h_ckpt, None, size=0))
+            self.node.deliver(Message(self._h_tick, None, size=0))
         if self.coordinator.distributed:
             # Per-process coordinator replicas (mp layer) learn of the
             # owner's completed recovery through this reliable, sent-to-
             # every-peer request; _resolve is duplicate-tolerant.
             self.coordinator.on_recovered(owner, self.engine.now)
 
-    def _on_down_notice(self, pkt: FTPacket) -> None:
-        target = pkt.data["target"]
+    def _on_down_notice(self, msg: Message) -> None:
+        target = msg.payload["target"]
         if target == self.node.pe:
             return  # gossip about us — evidently stale
         if self.membership.get(target) != "down":

@@ -206,7 +206,7 @@ def build_pe_stack(node: Any, machine: Any, cfg: MachineConfig, *,
     Every layer calls this for every incarnation of every PE, because
     messages carry handler *indices*: the stack's internal handlers (the
     seed balancer's, the EMI group forwarders, the aggregation batch
-    handler, the reliable and ft control packets) resolve identically
+    handler, the reliable and ft protocol messages) resolve identically
     everywhere only if every PE registers them in this one order, before
     any user handler.  ``coordinator`` is the layer's ``FTCoordinator``
     (needed only with ``cfg.ft``); ``restarting`` marks a post-crash

@@ -194,12 +194,11 @@ _IDLE_GRACE = 1e-3
 #   a fixed header (tag, immediate, destination, sender) and then either
 #   a plain Message's fields (repro.core.message.WIRE_FIELDS, reliable
 #   delivery's seq/ack among them) and a pickle of its payload alone
-#   (_TAG_MSG), or a pickle of the whole packet (_TAG_OBJ: fault-tolerance
-#   packets, Message subclasses, a set enq_time, a BitVector priority, a
-#   field too wide for the header).  A CMI send's frame is encoded from
-#   the caller's message, as its wire copy's would be, by the same
-#   function (_encode_data with copy=True): no copy is made unless the
-#   header cannot hold it;
+#   (_TAG_MSG), or a pickle of the whole packet (_TAG_OBJ: Message
+#   subclasses, a set enq_time, a BitVector priority, a field too wide for
+#   the header).  A CMI send's frame is encoded from the caller's message,
+#   as its wire copy's would be, by the same function (_encode_data with
+#   copy=True): no copy is made unless the header cannot hold it;
 # * a link header (_TAG_LINK: sender, its epoch, the target's epoch)
 #   opens every worker-to-worker link.  Listeners are named, not
 #   numbered: _peer_name derives one from the machine, the PE and its

@@ -42,7 +42,6 @@ CONFIG_FIELDS = {
     FTConfig: {
         "heartbeat_period", "suspect_after", "down_after",
         "checkpoint_interval", "buddy_offset", "ctl_rto", "ctl_retries",
-        "ctl_header_bytes", "heartbeat_bytes",
     },
     AggregationConfig: {
         "max_msg_bytes", "max_batch_msgs", "max_batch_bytes",
@@ -84,6 +83,19 @@ def test_machine_config_fields_are_the_shared_keywords():
                          ids=lambda config: config.__name__)
 def test_config_object_fields(config):
     assert {f.name for f in dataclasses.fields(config)} == CONFIG_FIELDS[config]
+
+
+#: config fields removed because no caller set them (the code now holds
+#: their values as constants); each must stay an unexpected keyword.
+REMOVED_FIELDS = {FTConfig: {"heartbeat_bytes", "ctl_header_bytes"}}
+
+
+@pytest.mark.parametrize("config", list(REMOVED_FIELDS),
+                         ids=lambda config: config.__name__)
+def test_removed_config_fields_are_unknown(config):
+    for name in sorted(REMOVED_FIELDS[config]):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            config(**{name: 8})
 
 
 def test_every_registered_layer_is_inventoried():

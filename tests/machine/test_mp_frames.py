@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import CrashSpec, FaultPlan, FTConfig, api
 from repro.core.errors import BufferOwnershipError
 from repro.core.message import BitVector, Message
 from repro.machine import mp
@@ -135,6 +136,57 @@ def test_data_frame_rebuilds_what_a_whole_pickle_would(make, fast, immediate):
                                                ("idle", 0, 0))
     assert _state(got) == _state(expected)
     assert not buf
+
+
+#: every fault-tolerance message kind, by its handler's registered name.
+FT_KINDS = ["ft.ack", "ft.ckpt", "ft.ckpt_data", "ft.down", "ft.hb",
+            "ft.prune", "ft.recover", "ft.replay"]
+
+
+@pytest.fixture(scope="module")
+def ft_messages():
+    """The first message of each FT kind a simulated run sends, with its
+    sender: three PEs checkpoint once, and PE 1 crashes long enough for
+    its monitor to gossip a down verdict before it restarts and
+    recovers."""
+    plan = FaultPlan(0, crashes=[CrashSpec(1, 100e-6, restart_after=1e-3)])
+    sent = {}
+    with Machine(3, reliable=True, ft=FTConfig(), faults=plan) as m:
+        def main():
+            api.CftInit(lambda: [api.CmiMyPe()], lambda _state: None)
+            if api.CftRestarting():
+                api.CftRecover()
+            else:
+                api.CftCheckpoint()
+
+        inject = m.network.inject
+
+        def spy(src, dst, nbytes, payload):
+            sent.setdefault(m.runtime(0).handlers.name_of(payload.handler),
+                            (src, payload))
+            inject(src, dst, nbytes, payload)
+
+        m.network.inject = spy
+        m.launch(main)
+        assert m.run() == "quiescent"
+    return sent
+
+
+@pytest.mark.parametrize("kind", FT_KINDS)
+def test_ft_messages_take_the_struct_header(ft_messages, kind):
+    """Fault-tolerance traffic is plain generalized messages, so every
+    kind (the FT ack included) travels as a ``_TAG_MSG`` header plus
+    its payload's pickle, and a corrupted copy arrives flagged."""
+    src, msg = ft_messages[kind]
+    expected = _state(pickle.loads(pickle.dumps(msg)))
+    for corrupted in (False, True):
+        msg.corrupted = corrupted
+        data = b"".join(mp._encode_data(src, DST, msg, False))
+        assert data[mp._LEN.size] == mp._TAG_MSG
+        [(_kind, got, _imm, _origin)] = mp._decode(bytearray(data))
+        assert got.corrupted is corrupted
+        got.corrupted = False
+        assert _state(got) == expected
 
 
 @pytest.mark.parametrize("name, make", [(c[0], c[1]) for c in CASES],
