@@ -57,6 +57,8 @@ class AggregationConfig:
     of per-message software overhead): 16-message batches amortize the
     send overhead ~16x, and the 200 us flush timer keeps the worst-case
     latency a buffered message can gain well under one millisecond.
+    The modelled wire sizes of a batch's header and of each message's
+    envelope are constants of this module, not options.
     """
 
     #: flush a buffer when it holds this many messages.
@@ -77,14 +79,6 @@ class AggregationConfig:
     #: through a virtual 2-D mesh (column phase then row phase), the
     #: all-to-all topology.
     route: str = "direct"
-    #: modelled per-message envelope on the wire (destination + handler
-    #: header inside a batch).
-    envelope_bytes: int = 8
-    #: modelled per-batch header on the wire.
-    header_bytes: int = 16
-    #: optional CPU charge per submitted message (buffer-copy cost);
-    #: zero by default — submission is a list append.
-    per_msg_cost: float = 0.0
 
     def validate(self) -> None:
         if self.max_batch_msgs < 1:
@@ -99,9 +93,6 @@ class AggregationConfig:
         if self.route not in ("direct", "mesh2d"):
             raise SimulationError(
                 f"route must be 'direct' or 'mesh2d', got {self.route!r}")
-        if self.per_msg_cost < 0:
-            raise SimulationError(
-                f"per_msg_cost must be >= 0, got {self.per_msg_cost}")
 
 
 @dataclass
@@ -130,6 +121,11 @@ class AggStats:
 #: index layout of one buffered record: (final destination PE, handler,
 #: payload, modelled size, source PE, trace msg_id, submit time).
 _DEST, _HANDLER, _PAYLOAD, _SIZE, _SRC, _MSGID, _T0 = range(7)
+
+#: modelled wire sizes (bytes): a batch's header, and each message's
+#: envelope (destination + handler) inside a batch.
+_BATCH_HEADER_BYTES = 16
+_ENVELOPE_BYTES = 8
 
 
 class Aggregator:
@@ -242,8 +238,6 @@ class Aggregator:
         builds the delivered message fresh from it."""
         self._put((dest, handler, payload, size, src_pe, msg_id,
                    self.node.now))
-        if self.config.per_msg_cost:
-            self.node.charge(self.config.per_msg_cost)
 
     def _put(self, record: Tuple) -> None:
         """Append one record to its next-hop buffer and apply the
@@ -255,7 +249,7 @@ class Aggregator:
             buf = self._buffers[hop] = []
             self._bytes[hop] = 0
         buf.append(record)
-        self._bytes[hop] += record[_SIZE] + cfg.envelope_bytes
+        self._bytes[hop] += record[_SIZE] + _ENVELOPE_BYTES
         self.stats.submitted += 1
         if self.runtime.metering:
             self._mx_submitted.inc(self.node.pe)
@@ -280,7 +274,7 @@ class Aggregator:
         if not records:
             self._bytes.pop(hop, None)
             return
-        nbytes = self.config.header_bytes + self._bytes.pop(hop)
+        nbytes = _BATCH_HEADER_BYTES + self._bytes.pop(hop)
         setattr(self.stats, "flush_" + cause,
                 getattr(self.stats, "flush_" + cause) + 1)
         self.stats.batches_sent += 1

@@ -153,20 +153,20 @@ class ConverseRuntime:
             self._cmi = CMI(self)
         return self._cmi
 
-    def enable_reliability(self, config: Any = None) -> Any:
+    def enable_reliability(self, config: Any = None, timing: Any = None) -> Any:
         """Switch this PE's sends to the CMI reliable-delivery protocol
         (sequence numbers, acks, retransmission, receiver-side dedup and
         in-order release).  Off by default — need-based cost; normally
         enabled machine-wide via ``Machine(reliable=True)`` so every PE
         can decode the protocol packets."""
-        return self.cmi.enable_reliability(config)
+        return self.cmi.enable_reliability(config, timing)
 
     @property
     def reliable(self) -> Any:
         """This PE's reliable-delivery layer (``None`` unless enabled)."""
         return None if self._cmi is None else self._cmi.reliable
 
-    def enable_ft(self, config: Any, coordinator: Any,
+    def enable_ft(self, config: Any, coordinator: Any, timing: Any,
                   restarting: bool = False) -> Any:
         """Attach this PE's fault-tolerance agent (failure detection +
         buddy checkpoint/recovery; see :mod:`repro.ft`).  Off by default
@@ -177,7 +177,8 @@ class ConverseRuntime:
         if self.ft is None:
             from repro.ft.manager import FTAgent
 
-            self.ft = FTAgent(self, config, coordinator, restarting=restarting)
+            self.ft = FTAgent(self, config, coordinator, timing,
+                              restarting=restarting)
         return self.ft
 
     def enable_aggregation(self, config: Any = None) -> Any:

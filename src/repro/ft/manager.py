@@ -11,9 +11,9 @@ crash is still unresolved) every PE heartbeats its ring successor and
 monitors its ring predecessor.  Any arrival from a peer — application
 traffic, protocol acks, heartbeats — counts as liveness evidence (the
 agent's interceptor runs in front of the reliable-delivery layer's, so
-it sees everything).  Silence beyond ``suspect_after`` heartbeat
-periods marks the predecessor *suspect*; beyond ``down_after`` it is
-declared *down*: failure callbacks fire, the verdict is gossiped
+it sees everything).  Silence beyond ``_SUSPECT_AFTER`` (3) heartbeat
+periods marks the predecessor *suspect*; beyond ``_DOWN_AFTER`` (6) it
+is declared *down*: failure callbacks fire, the verdict is gossiped
 best-effort to the other PEs, and the membership view updates.  A
 reliable-delivery retry exhaustion is a second, traffic-driven
 detection path: the structured :class:`~repro.core.errors.
@@ -72,6 +72,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.core.errors import FaultToleranceError
 from repro.core.message import Message, estimate_size
 from repro.ft.config import FTConfig
+from repro.machine.interface import ProtocolTiming
 
 __all__ = ["FTAgent", "FTCoordinator"]
 
@@ -82,6 +83,15 @@ _EPOCH_SEQ_STRIDE = 1_000_000
 #: modelled wire sizes of a heartbeat and of a checkpoint's header.
 _HB_BYTES = 8
 _CKPT_HEADER_BYTES = 32
+
+#: silent heartbeat periods before a monitor marks its predecessor
+#: *suspect* / declares it *down* (a false positive only mis-colors the
+#: membership view: recovery is pulled by the restarted PE itself).
+_SUSPECT_AFTER = 3
+_DOWN_AFTER = 6
+
+#: PE *p*'s checkpoint buddy, and monitor, is ``(p + _BUDDY_OFFSET) % n``.
+_BUDDY_OFFSET = 1
 
 
 class _CtlPending:
@@ -184,13 +194,20 @@ class FTAgent:
     """
 
     def __init__(self, runtime: Any, config: FTConfig,
-                 coordinator: FTCoordinator, restarting: bool = False) -> None:
+                 coordinator: FTCoordinator, timing: ProtocolTiming,
+                 restarting: bool = False) -> None:
         self.runtime = runtime
         self.node = runtime.node
         self.engine = self.node.engine
         self.machine = runtime.machine
         self.network = self.machine.network
-        self.config = config
+        #: the machine layer's heartbeat period and control-channel timing.
+        self.timing = timing
+        #: seconds between interval checkpoints (0: explicit only).
+        self.checkpoint_interval = (
+            max(config.checkpoint_interval, timing.checkpoint_floor)
+            if config.checkpoint_interval > 0 else 0.0
+        )
         self.coordinator = coordinator
         self.num_pes = self.machine.num_pes
         rel = runtime.reliable
@@ -214,8 +231,8 @@ class FTAgent:
         if restarting:
             rel.pause()
         pe = self.node.pe
-        self.buddy = (pe + config.buddy_offset) % self.num_pes
-        self.pred = (pe - config.buddy_offset) % self.num_pes
+        self.buddy = (pe + _BUDDY_OFFSET) % self.num_pes
+        self.pred = (pe - _BUDDY_OFFSET) % self.num_pes
         #: local membership view: pe -> "up" | "suspect" | "down".
         self.membership: Dict[int, str] = {p: "up" for p in range(self.num_pes)}
         self._last_heard: Dict[int, float] = {}
@@ -298,14 +315,14 @@ class FTAgent:
         now = self.engine.now
         for p in range(self.num_pes):
             self._last_heard.setdefault(p, now)
-        period = self.config.heartbeat_period
+        period = self.timing.heartbeat_period
         self._hb_timer = self.engine.schedule(period, self._hb_tick)
         self._monitor_timer = self.engine.schedule(
             period, self._monitor_tick
         )
-        if self.config.checkpoint_interval > 0:
+        if self.checkpoint_interval > 0:
             self._ckpt_timer = self.engine.schedule(
-                self.config.checkpoint_interval, self._ckpt_tick
+                self.checkpoint_interval, self._ckpt_tick
             )
 
     def deactivate(self) -> None:
@@ -338,22 +355,22 @@ class FTAgent:
             if self._mx_hbs is not None:
                 self._mx_hbs.inc(self.node.pe)
         self._hb_timer = self.engine.schedule(
-            self.config.heartbeat_period, self._hb_tick
+            self.timing.heartbeat_period, self._hb_tick
         )
 
     def _monitor_tick(self) -> None:
         if not self.active:
             return
-        cfg = self.config
+        period = self.timing.heartbeat_period
         pe = self.pred
         if pe != self.node.pe:
             now = self.engine.now
             silence = now - self._last_heard.get(pe, now)
             state = self.membership.get(pe, "up")
-            if silence >= cfg.down_after * cfg.heartbeat_period:
+            if silence >= _DOWN_AFTER * period:
                 if state != "down":
                     self._declare_down(pe, "silence")
-            elif silence >= cfg.suspect_after * cfg.heartbeat_period:
+            elif silence >= _SUSPECT_AFTER * period:
                 if state == "up":
                     self.membership[pe] = "suspect"
                     if self.runtime.tracing:
@@ -364,7 +381,7 @@ class FTAgent:
                 # Fresh evidence clears a suspicion (or a false down).
                 self.membership[pe] = "up"
         self._monitor_timer = self.engine.schedule(
-            cfg.heartbeat_period, self._monitor_tick
+            period, self._monitor_tick
         )
 
     def _ckpt_tick(self) -> None:
@@ -381,7 +398,7 @@ class FTAgent:
             self._ckpt_msg_out = True
             self.node.deliver(Message(self._h_tick, None, size=0))
         self._ckpt_timer = self.engine.schedule(
-            self.config.checkpoint_interval, self._ckpt_tick
+            self.checkpoint_interval, self._ckpt_tick
         )
 
     def _on_ckpt_msg(self, _msg: Message) -> None:
@@ -601,7 +618,7 @@ class FTAgent:
     def _ctl_transmit(self, seq: int, entry: _CtlPending) -> None:
         self._send(entry.dst, entry.handler, entry.data, entry.size, seq)
         entry.timer = self.engine.schedule(
-            self.config.ctl_rto, self._ctl_timeout, seq
+            self.timing.ctl_rto, self._ctl_timeout, seq
         )
 
     def _ctl_timeout(self, seq: int) -> None:
@@ -609,13 +626,13 @@ class FTAgent:
         if entry is None:
             return
         entry.retries += 1
-        if entry.retries > self.config.ctl_retries:
+        if entry.retries > self.timing.ctl_retries:
             del self._ctl_pending[seq]
             name = self.runtime.handlers.name_of(entry.handler)
             raise FaultToleranceError(
                 f"PE {self.node.pe}: ft control message {name!r} to "
                 f"PE {entry.dst} unacknowledged after "
-                f"{self.config.ctl_retries} retransmissions"
+                f"{self.timing.ctl_retries} retransmissions"
             )
         self._ctl_transmit(seq, entry)
 

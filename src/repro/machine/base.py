@@ -158,6 +158,8 @@ class MachineConfig:
         ft = _layer_config(self.ft, "repro.ft.config", "FTConfig")
         if aggregation is not None:
             aggregation.validate()
+        if reliable is not None:
+            reliable.validate()
         if ft is not None:
             if reliable is None:
                 raise SimulationError(
@@ -223,11 +225,11 @@ def build_pe_stack(node: Any, machine: Any, cfg: MachineConfig, *,
     if cfg.aggregation is not None:
         rt.enable_aggregation(cfg.aggregation)
     if cfg.reliable is not None:
-        rt.enable_reliability(cfg.reliable)
+        rt.enable_reliability(cfg.reliable, node.timing)
     if cfg.ft is not None:
         # Above reliability: ft owns the send log the reliable layer
         # keeps and pulls checkpoints over CMI.
-        rt.enable_ft(cfg.ft, coordinator, restarting=restarting)
+        rt.enable_ft(cfg.ft, coordinator, node.timing, restarting=restarting)
     return rt
 
 

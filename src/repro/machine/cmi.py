@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.errors import MessageError, RetryExhaustedError
+from repro.core.errors import MessageError, RetryExhaustedError, SimulationError
 from repro.core.message import HEADER_BYTES, Message, wire_copy
-from repro.machine.interface import SendHandle
+from repro.machine.interface import ProtocolTiming, SendHandle
 
 __all__ = ["CMI", "ReliableConfig", "RelStats", "ReliableDelivery"]
 
@@ -45,16 +45,23 @@ class ReliableConfig:
 
     #: initial retransmission timeout (seconds of virtual time).
     rto: float = 400e-6
-    #: multiplicative backoff applied after every retransmission.
-    backoff: float = 2.0
-    #: ceiling on the backed-off timeout.
-    max_rto: float = 8e-3
     #: retransmissions allowed per packet before declaring the link dead.
     max_retries: int = 24
-    #: modelled size of the protocol header on a data packet (bytes).
-    header_bytes: int = 16
-    #: modelled size of an acknowledgement packet (bytes).
-    ack_bytes: int = 16
+
+    def validate(self) -> "ReliableConfig":
+        if self.rto <= 0:
+            raise SimulationError(f"rto must be positive, got {self.rto}")
+        if self.max_retries < 0:
+            raise SimulationError(
+                f"max_retries must be >= 0, got {self.max_retries}")
+        return self
+
+
+#: modelled sizes (bytes) of a data packet's header and of a bare ack,
+#: and the multiplicative backoff applied after every retransmission.
+_REL_HEADER_BYTES = 16
+_ACK_BYTES = 16
+_BACKOFF = 2.0
 
 
 @dataclass
@@ -157,12 +164,17 @@ class ReliableDelivery:
     pristine log entry when crash recovery is armed).
     """
 
-    def __init__(self, runtime: Any, config: Optional[ReliableConfig] = None) -> None:
+    def __init__(self, runtime: Any, config: Optional[ReliableConfig] = None,
+                 timing: Optional[ProtocolTiming] = None) -> None:
         self.runtime = runtime
         self.node = runtime.node
         self.network = runtime.machine.network
         self.engine = runtime.machine.engine
         self.config = config or ReliableConfig()
+        timing = timing or self.node.timing
+        #: the first retransmission timeout and its backoff ceiling.
+        self.rto = max(self.config.rto, timing.rto_floor)
+        self.max_rto = timing.max_rto
         self.stats = RelStats()
         #: bare acks' handler index.  The arrival hook consumes every ack
         #: (and would handle one dispatched here just the same).
@@ -181,7 +193,7 @@ class ReliableDelivery:
         self._owed: Dict[int, float] = {}
         #: ``src -> timer``: the peer's one lazy delayed-ack timer.
         self._ack_timers: Dict[int, Any] = {}
-        self._ack_delay = self.config.rto / 4
+        self._ack_delay = self.rto / 4
         if runtime.metering:
             from repro.metrics.registry import TIME_BUCKETS
 
@@ -229,8 +241,8 @@ class ReliableDelivery:
         wire = wire_copy(msg, self.node.pe, msg_id)
         seq = self._next_seq.get(dest_pe, 0)
         self._next_seq[dest_pe] = seq + 1
-        nbytes = wire.size + self.config.header_bytes
-        pending = _Pending(wire, nbytes, self.config.rto, sent_at=self.node.now)
+        nbytes = wire.size + _REL_HEADER_BYTES
+        pending = _Pending(wire, nbytes, self.rto, sent_at=self.node.now)
         pend = self._pending.get(dest_pe)
         if pend is None:
             pend = self._pending[dest_pe] = {}
@@ -344,8 +356,7 @@ class ReliableDelivery:
                 msg = logged[0]
         wire = self._clone(msg, seq, self._piggyback(dst))
         self.network.inject(self.node.pe, dst, pending.nbytes, wire)
-        pending.rto = min(pending.rto * self.config.backoff,
-                          self.config.max_rto)
+        pending.rto = min(pending.rto * _BACKOFF, self.max_rto)
         pending.due = self.engine.now + pending.rto
 
     # ------------------------------------------------------------------
@@ -499,10 +510,9 @@ class ReliableDelivery:
         if self.runtime.tracing:
             self.runtime.trace_event("rel_ack_out", dest=dest, seq=seq,
                                      ack=ack, piggyback=False)
-        msg = Message(self._h_ack, None, size=self.config.ack_bytes,
-                      src_pe=self.node.pe)
+        msg = Message(self._h_ack, None, size=_ACK_BYTES, src_pe=self.node.pe)
         msg.seq, msg.ack = seq, ack
-        self.network.inject(self.node.pe, dest, self.config.ack_bytes, msg)
+        self.network.inject(self.node.pe, dest, _ACK_BYTES, msg)
 
     def _release(self, src: int, seq: int,
                  msg: Optional[Message] = None) -> None:
@@ -595,8 +605,8 @@ class ReliableDelivery:
             pend = self._pending[dst] = {}
         elif seq in pend:
             return
-        nbytes = size + self.config.header_bytes
-        pending = _Pending(msg, nbytes, self.config.rto, sent_at=self.node.now)
+        nbytes = size + _REL_HEADER_BYTES
+        pending = _Pending(msg, nbytes, self.rto, sent_at=self.node.now)
         pending.retries = 1  # Karn's rule: never an RTT sample
         pending.due = due = self.engine.now + pending.rto
         if pend and seq < next(reversed(pend)):
@@ -652,7 +662,7 @@ class ReliableDelivery:
         pend = self._pending.get(dst)
         if not pend:
             return
-        rto = self.config.rto
+        rto = self.rto
         due = self.engine.now + rto
         for p in pend.values():
             p.retries = 1
@@ -733,13 +743,14 @@ class CMI:
     # ------------------------------------------------------------------
     # reliability (opt-in)
     # ------------------------------------------------------------------
-    def enable_reliability(self, config: Optional[ReliableConfig] = None) -> ReliableDelivery:
+    def enable_reliability(self, config: Optional[ReliableConfig] = None,
+                           timing: Optional[ProtocolTiming] = None) -> ReliableDelivery:
         """Build (idempotently) the reliable-delivery layer for this PE.
         All point-to-point and broadcast sends from this PE are sequenced
         from now on; ``immediate_send`` stays raw (an interrupt-style
         message that tolerated loss would not be worth preempting for)."""
         if self._reliable is None:
-            self._reliable = ReliableDelivery(self.runtime, config)
+            self._reliable = ReliableDelivery(self.runtime, config, timing)
         return self._reliable
 
     @property

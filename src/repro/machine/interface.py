@@ -27,6 +27,7 @@ __all__ = [
     "unsupported",
     "MachineModel",
     "GENERIC",
+    "ProtocolTiming",
     "NodeStats",
     "PENode",
     "Engine",
@@ -176,6 +177,33 @@ class Engine:
 # ----------------------------------------------------------------------
 # node
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class ProtocolTiming:
+    """The timing of the reliable and fault-tolerance protocols, owned
+    by the machine layer (:attr:`PENode.timing`), not set by the user.
+
+    The defaults are the simulator's, microsecond-scale virtual times; a
+    wall-clock layer states its own.  The two timing options a user
+    sets, ``ReliableConfig.rto`` and ``FTConfig.checkpoint_interval``,
+    are raised to the layer's floors.  A control message's budget,
+    ``ctl_rto * ctl_retries``, must outlast a whole peer outage
+    (restart delay + recovery): 6 ms here.
+    """
+
+    #: floor on ``ReliableConfig.rto`` (seconds).
+    rto_floor: float = 0.0
+    #: ceiling on the reliable layer's backed-off retransmission timeout.
+    max_rto: float = 8e-3
+    #: how often a PE heartbeats its buddy while the ft layer is active.
+    heartbeat_period: float = 50e-6
+    #: fixed retransmission timeout of the ft control channel.
+    ctl_rto: float = 150e-6
+    #: retransmissions of one ft control message before it fails the run.
+    ctl_retries: int = 40
+    #: floor on a periodic ``FTConfig.checkpoint_interval``.
+    checkpoint_floor: float = 0.0
+
+
 @dataclass
 class NodeStats:
     """Per-PE counters (time / message accounting)."""
@@ -196,6 +224,9 @@ class PENode:
     concurrency: how an arrival lands (:meth:`deliver`) and how the PE's
     code parks and is woken (:meth:`wait_until`, :meth:`kick`).
     """
+
+    #: this layer's protocol timescale (the simulator's by default).
+    timing = ProtocolTiming()
 
     def __init__(self, machine: Any, pe: int) -> None:
         self.machine = machine

@@ -122,6 +122,7 @@ from repro.machine.interface import (
     MachineModel,
     PEHost,
     PENode,
+    ProtocolTiming,
     SendHandle,
 )
 from repro.tracing.tracer import (
@@ -141,17 +142,6 @@ _HEALTH_INTERVAL = 0.25
 #: flight-recorder depth: most recent health snapshots the hub retains
 #: for post-mortem attachment to timeout/crash errors.
 _FLIGHT_DEPTH = 64
-
-#: protocol-timeout floors for real sockets (seconds).  The simulator's
-#: defaults are microsecond-scale virtual times; on a wall-clock layer
-#: with ~100 us frame hops they would retransmit pathologically, so
-#: reliable/ft configs are floored to these values at construction.
-_MP_REL_RTO_FLOOR = 0.02
-_MP_REL_MAX_RTO_FLOOR = 0.25
-_MP_FT_HB_FLOOR = 0.025
-_MP_FT_CTL_RTO_FLOOR = 0.05
-_MP_FT_CTL_RETRIES_FLOOR = 100
-_MP_FT_CKPT_FLOOR = 0.05
 
 #: all-zero cost model: on a real machine layer the costs are real, so
 #: the virtual accounting terms must not add phantom time to ``charge``.
@@ -717,6 +707,13 @@ class _MpNode(PENode):
     most.  An immediate message overtakes the Csd queue and everything
     that arrives after it; it does not interrupt user code."""
 
+    #: protocol timeouts at socket scale: a ~100 us frame hop would make
+    #: the simulator's microsecond timers retransmit pathologically.
+    #: ``ctl_rto * ctl_retries`` (5 s) outlasts a respawn and recovery.
+    timing = ProtocolTiming(rto_floor=0.02, max_rto=0.25,
+                            heartbeat_period=0.025, ctl_rto=0.05,
+                            ctl_retries=100, checkpoint_floor=0.05)
+
     def __init__(self, machine: "_WorkerMachine", pe: int) -> None:
         super().__init__(machine, pe)
         #: frames read off the sockets, not yet dispatched.
@@ -1242,29 +1239,8 @@ class MpMachine(MachineLayer):
     def __init__(self, num_pes: int = 1, model: Any = None, *,
                  timeout: float = 60.0, watch: Any = False,
                  **shared: Any) -> None:
-        cfg = self.make_config(num_pes, model, **shared)
-        # Protocol timeouts floored to socket scale (see the _MP_*_FLOOR
-        # constants) before the configs ship to the workers.
-        rel, ft = cfg.reliable, cfg.ft
-        if rel is not None:
-            rel = replace(
-                rel,
-                rto=max(rel.rto, _MP_REL_RTO_FLOOR),
-                max_rto=max(rel.max_rto, _MP_REL_MAX_RTO_FLOOR),
-            )
-        if ft is not None:
-            ft = replace(
-                ft,
-                heartbeat_period=max(ft.heartbeat_period, _MP_FT_HB_FLOOR),
-                ctl_rto=max(ft.ctl_rto, _MP_FT_CTL_RTO_FLOOR),
-                ctl_retries=max(ft.ctl_retries, _MP_FT_CTL_RETRIES_FLOOR),
-                checkpoint_interval=(
-                    max(ft.checkpoint_interval, _MP_FT_CKPT_FLOOR)
-                    if ft.checkpoint_interval > 0 else 0.0
-                ),
-            )
         #: what every worker is built from (shipped whole at spawn).
-        self.config = cfg = replace(cfg, reliable=rel, ft=ft)
+        self.config = cfg = self.make_config(num_pes, model, **shared)
         self.num_pes = num_pes
         self.model = MP_MODEL
         self.console = MpConsole(echo=cfg.echo)

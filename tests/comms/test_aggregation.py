@@ -350,7 +350,6 @@ def test_tracing_records_flush_and_logical_sends():
     dict(flush_period=0.0),
     dict(flush_period=-1e-6),
     dict(route="torus"),
-    dict(per_msg_cost=-1.0),
 ])
 def test_config_validation(bad):
     with pytest.raises(SimulationError):

@@ -35,18 +35,11 @@ SHARED = {
 #: the fields of the config objects shared keywords take — each one an
 #: option as much as a keyword is.
 CONFIG_FIELDS = {
-    ReliableConfig: {
-        "rto", "backoff", "max_rto", "max_retries", "header_bytes",
-        "ack_bytes",
-    },
-    FTConfig: {
-        "heartbeat_period", "suspect_after", "down_after",
-        "checkpoint_interval", "buddy_offset", "ctl_rto", "ctl_retries",
-    },
+    ReliableConfig: {"rto", "max_retries"},
+    FTConfig: {"checkpoint_interval"},
     AggregationConfig: {
         "max_msg_bytes", "max_batch_msgs", "max_batch_bytes",
-        "flush_period", "flush_on_idle", "route", "header_bytes",
-        "envelope_bytes", "per_msg_cost",
+        "flush_period", "flush_on_idle", "route",
     },
 }
 
@@ -86,8 +79,17 @@ def test_config_object_fields(config):
 
 
 #: config fields removed because no caller set them (the code now holds
-#: their values as constants); each must stay an unexpected keyword.
-REMOVED_FIELDS = {FTConfig: {"heartbeat_bytes", "ctl_header_bytes"}}
+#: their values as constants, or the machine layer its protocol
+#: timescale); each must stay an unexpected keyword.
+REMOVED_FIELDS = {
+    ReliableConfig: {"backoff", "max_rto", "header_bytes", "ack_bytes"},
+    FTConfig: {
+        "heartbeat_bytes", "ctl_header_bytes", "heartbeat_period",
+        "suspect_after", "down_after", "ctl_rto", "ctl_retries",
+        "buddy_offset",
+    },
+    AggregationConfig: {"envelope_bytes", "header_bytes", "per_msg_cost"},
+}
 
 
 @pytest.mark.parametrize("config", list(REMOVED_FIELDS),

@@ -35,7 +35,8 @@ def test_resolution_explicit_args_win():
 
 def test_resolution_is_idempotent():
     """``dataclasses.replace`` re-runs resolution on resolved values (the
-    mp layer floors protocol timeouts that way) — nothing may move."""
+    mp hub points its workers' trace at its spool that way) — nothing
+    may move."""
     cfg = MachineConfig(2, faults=FaultPlan(1, drop=0.1), reliable=True,
                         ft=True, aggregation=True)
     assert dataclasses.replace(cfg) == cfg

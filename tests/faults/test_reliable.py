@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import FaultPlan, FaultSpec, Machine, ReliableConfig, api
-from repro.core.errors import RetryExhaustedError
+from repro.core.errors import RetryExhaustedError, SimulationError
 from repro.sim.models import GENERIC
 
 from tests.machine.conformance import workers as w
@@ -123,6 +123,19 @@ def test_reliability_preserves_per_sender_order_under_reorder():
     got, reason, rel = _one_way(plan, True, payloads=tuple(range(12)))
     assert got == list(range(12))
     assert rel[1].stats.held_out_of_order > 0
+
+
+@pytest.mark.parametrize("bad", [
+    dict(rto=0.0),
+    dict(rto=-1e-3),
+    dict(max_retries=-1),
+])
+def test_config_validation(bad):
+    """A bad config fails at construction, not as a retry exhaustion
+    after microseconds of virtual time under a lossy plan."""
+    plan = FaultPlan(11, links={(0, 1): FaultSpec(drop=0.5)})
+    with pytest.raises(SimulationError):
+        Machine(2, faults=plan, reliable=ReliableConfig(**bad)).shutdown()
 
 
 def test_enable_reliability_is_idempotent():

@@ -185,22 +185,45 @@ def test_mp_validates_fault_arguments():
         Machine(2, machine_backend="mp", ft=True)
 
 
-@mp_only
-def test_mp_constructs_with_faults_reliable_ft():
-    from repro.ft.config import FTConfig
-    from repro.sim.network import FaultPlan
-
-    m = Machine(
-        2, machine_backend="mp",
-        faults=FaultPlan(seed=3, drop=0.05), reliable=True, ft=FTConfig(),
-    )
+def _protocol_timing(machine_backend, **kwargs):
+    """Per-PE :func:`w_protocol_timing` of a 2-PE machine under a
+    lossy plan with ``kwargs``."""
+    m = Machine(2, machine_backend=machine_backend,
+                faults=FaultPlan(seed=3, drop=0.05), **kwargs)
     try:
         assert m.fault_plan is not None
-        # Socket-scale floors applied to the shipped configs.
-        assert m.config.reliable.rto >= 0.02
-        assert m.config.ft.heartbeat_period >= 0.025
+        m.launch(w.w_protocol_timing)
+        m.run()
+        return m.results()
     finally:
         m.shutdown()
+
+
+def test_sim_protocol_timing_is_the_default_table():
+    from repro.ft.config import FTConfig
+
+    want = (400e-6, 8e-3, 50e-6, 150e-6, 40, 0.01)
+    assert _protocol_timing(
+        "sim", reliable=True, ft=FTConfig(checkpoint_interval=0.01),
+    ) == [want, want]
+
+
+@mp_only
+def test_mp_constructs_with_faults_reliable_ft():
+    """What the workers run with: the mp layer's socket-scale protocol
+    timing, with the two user-set timeouts raised to its floors."""
+    from repro.ft.config import FTConfig
+    from repro.machine.cmi import ReliableConfig
+
+    want = (0.02, 0.25, 0.025, 0.05, 100, 0.05)
+    assert _protocol_timing(
+        "mp", reliable=True, ft=FTConfig(checkpoint_interval=0.01),
+    ) == [want, want]
+    # An rto above the floor is kept; explicit-only checkpoints stay so.
+    want = (0.04, 0.25, 0.025, 0.05, 100, 0.0)
+    assert _protocol_timing(
+        "mp", reliable=ReliableConfig(rto=0.04), ft=FTConfig(),
+    ) == [want, want]
 
 
 @mp_only

@@ -600,6 +600,18 @@ def w_speed_state():
     return (rt.pool is not None, rt.scheduler._batch)
 
 
+def w_protocol_timing():
+    """The protocol timing this PE's reliable and ft layers run with:
+    ``(rto, max_rto, heartbeat period, ctl_rto, ctl_retries, checkpoint
+    interval)``."""
+    from repro.core import context
+
+    rt = context.current_runtime()
+    rel, ft = rt.reliable, rt.ft
+    return (rel.rto, rel.max_rto, ft.timing.heartbeat_period,
+            ft.timing.ctl_rto, ft.timing.ctl_retries, ft.checkpoint_interval)
+
+
 # ----------------------------------------------------------------------
 # one thread owns a PE (test_mp_backend.py)
 # ----------------------------------------------------------------------
